@@ -1,54 +1,14 @@
 //! Criterion micro-benchmarks of the gzlite codec — the compression
 //! stage of the paper's host-target transfers (§III-A).
 //!
-//! Beyond the original sparse/dense f32 pair, the matrix groups sweep
-//! 4 KiB / 256 KiB / 4 MiB payloads across three entropy classes
-//! (zeros, text-like, random) for crc32 (reference vs slice-by-16) and
-//! the wire encode/decode paths, all with `Throughput::Bytes` so
-//! criterion reports MB/s directly. The machine-checkable before/after
-//! ledger (`BENCH_codec.json`) comes from the `codec_speed` bin; these
-//! benches are for profiling individual cells.
+//! The groups sweep 4 KiB / 256 KiB / 4 MiB payloads across the classes
+//! of `ompcloud_bench::payloads` for crc32 and the wire encode/decode
+//! paths, all with `Throughput::Bytes` so criterion reports MB/s
+//! directly. The machine-checkable ledger (`BENCH_codec.json`) comes from the
+//! `codec_speed` bin; these benches are for profiling individual cells.
 
-use conformance::rng::sparse_f32_bytes as f32_bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-
-const SIZES: [(usize, &str); 3] = [(4 << 10, "4KiB"), (256 << 10, "256KiB"), (4 << 20, "4MiB")];
-
-/// The three entropy classes of the wire-path matrix.
-fn payload(kind: &str, n: usize) -> Vec<u8> {
-    match kind {
-        "zeros" => vec![0u8; n],
-        "text" => {
-            let mut out = Vec::with_capacity(n + 64);
-            let mut i = 0usize;
-            while out.len() < n {
-                out.extend_from_slice(
-                    format!(
-                        "ts={:010} level=info worker={:03} msg=tile committed\n",
-                        i * 37,
-                        i % 96
-                    )
-                    .as_bytes(),
-                );
-                i += 1;
-            }
-            out.truncate(n);
-            out
-        }
-        "random" => {
-            let mut x = 0x2545F4914F6CDD1Du64;
-            (0..n)
-                .map(|_| {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    (x >> 33) as u8
-                })
-                .collect()
-        }
-        other => unreachable!("unknown payload kind {other}"),
-    }
-}
+use ompcloud_bench::payloads::{payload, KINDS, SIZES};
 
 fn wire_policy() -> gzlite::WirePolicy {
     gzlite::WirePolicy {
@@ -62,47 +22,15 @@ fn wire_policy() -> gzlite::WirePolicy {
     }
 }
 
-fn bench_compress(c: &mut Criterion) {
-    let mut group = c.benchmark_group("codec/compress");
-    group.sample_size(20);
-    for (label, density) in [("sparse", 0.05), ("dense", 1.0)] {
-        let data = f32_bytes(1 << 20, density, 7);
-        group.throughput(Throughput::Bytes(data.len() as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(label), &data, |b, data| {
-            b.iter(|| gzlite::compress_auto(std::hint::black_box(data)))
-        });
-    }
-    group.finish();
-}
-
-fn bench_decompress(c: &mut Criterion) {
-    let mut group = c.benchmark_group("codec/decompress");
-    group.sample_size(20);
-    for (label, density) in [("sparse", 0.05), ("dense", 1.0)] {
-        let data = f32_bytes(1 << 20, density, 7);
-        let frame = gzlite::compress_auto(&data);
-        group.throughput(Throughput::Bytes(data.len() as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(label), &frame, |b, frame| {
-            b.iter(|| gzlite::decompress(std::hint::black_box(frame)).unwrap())
-        });
-    }
-    group.finish();
-}
-
 fn bench_crc32(c: &mut Criterion) {
     let mut group = c.benchmark_group("codec/crc32");
     group.sample_size(20);
-    for kind in ["zeros", "text", "random"] {
+    for kind in ["zeros", "random"] {
         for (size, size_label) in SIZES {
             let data = payload(kind, size);
             group.throughput(Throughput::Bytes(size as u64));
             group.bench_with_input(
-                BenchmarkId::new("reference", format!("{kind}/{size_label}")),
-                &data,
-                |b, data| b.iter(|| gzlite::crc32_reference(std::hint::black_box(data))),
-            );
-            group.bench_with_input(
-                BenchmarkId::new("slice16", format!("{kind}/{size_label}")),
+                BenchmarkId::from_parameter(format!("{kind}/{size_label}")),
                 &data,
                 |b, data| b.iter(|| gzlite::crc32(std::hint::black_box(data))),
             );
@@ -115,17 +43,12 @@ fn bench_wire_encode(c: &mut Criterion) {
     let policy = wire_policy();
     let mut group = c.benchmark_group("codec/wire_encode");
     group.sample_size(20);
-    for kind in ["zeros", "text", "random"] {
+    for kind in KINDS {
         for (size, size_label) in SIZES {
             let data = payload(kind, size);
             group.throughput(Throughput::Bytes(size as u64));
             group.bench_with_input(
-                BenchmarkId::new("reference", format!("{kind}/{size_label}")),
-                &data,
-                |b, data| b.iter(|| gzlite::compress_reference(std::hint::black_box(data))),
-            );
-            group.bench_with_input(
-                BenchmarkId::new("wire", format!("{kind}/{size_label}")),
+                BenchmarkId::from_parameter(format!("{kind}/{size_label}")),
                 &data,
                 |b, data| b.iter(|| gzlite::encode_wire(std::hint::black_box(data), &policy)),
             );
@@ -138,7 +61,7 @@ fn bench_wire_decode(c: &mut Criterion) {
     let policy = wire_policy();
     let mut group = c.benchmark_group("codec/wire_decode");
     group.sample_size(20);
-    for kind in ["zeros", "text"] {
+    for kind in KINDS {
         for (size, size_label) in SIZES {
             let data = payload(kind, size);
             let Some(wire) = gzlite::encode_wire(&data, &policy) else {
@@ -163,12 +86,5 @@ fn bench_wire_decode(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_compress,
-    bench_decompress,
-    bench_crc32,
-    bench_wire_encode,
-    bench_wire_decode
-);
+criterion_group!(benches, bench_crc32, bench_wire_encode, bench_wire_decode);
 criterion_main!(benches);

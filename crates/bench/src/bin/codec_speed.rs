@@ -1,69 +1,45 @@
-//! Wire-path codec throughput: the raw-speed before/after ledger.
+//! Wire-path codec throughput and ratio ledger.
 //!
-//! Measures the two hot primitives of the host-target transfer stage
-//! across a payload matrix (4 KiB / 256 KiB / 4 MiB × zeros / text-like
-//! / random):
+//! Measures the hot primitives of the host-target transfer stage across a
+//! payload matrix (4 KiB / 256 KiB / 4 MiB × zeros / text-like / random /
+//! dense f32 / sparse f32 / integer-valued f32; see
+//! [`ompcloud_bench::payloads`]):
 //!
-//! * **crc32** — bytewise reference (the pre-optimization ledger hash)
-//!   vs the slice-by-16 implementation every frame now uses;
-//! * **encode** — the full old wire path ([`gzlite::compress_reference`]:
-//!   trial-encode probe, sequential frame, bytewise frame CRC, bytewise
-//!   integrity-ledger CRC over the wire bytes) vs the new one
-//!   ([`gzlite::encode_wire`]: statistical probe, chunked parallel
-//!   stream, slice-by-16 CRCs end to end).
+//! * **crc32** — the slice-by-16 checksum every frame and the integrity
+//!   ledger use;
+//! * **encode** — the wire path as `TransferManager` drives it
+//!   ([`gzlite::encode_wire`]: one probe, one frame or a chunked stream)
+//!   plus the ledger CRC of the wire bytes;
+//! * **decode** — the matching `decompress` / `decompress_stream_parallel`;
+//! * **ratio** — wire bytes ÷ raw bytes.
 //!
-//! Writes `BENCH_codec.json` with per-cell MB/s, the byte-weighted
-//! aggregate, and the geometric-mean per-cell speedup. `--check` exits
-//! non-zero unless both geometric-mean speedups clear 2× — the
-//! machine-checkable acceptance gate. `--smoke` shrinks dwell times for
-//! CI.
+//! Writes `BENCH_codec.json` with one row per cell and the byte-weighted
+//! aggregates. `--check` is deterministic: it exits non-zero unless every
+//! cell round-trips bit for bit and stays under its class's ratio ceiling
+//! (throughput is reported, never gated — it is the machine's). `--smoke`
+//! shrinks dwell times for CI.
 //!
 //! Usage: `cargo run --release -p ompcloud-bench --bin codec_speed
 //!         [-- --smoke] [-- --check] [-- --json PATH]`
 
 use gzlite::WirePolicy;
 use jsonlite::{Json, ToJson};
+use ompcloud_bench::payloads::{payload, KINDS, SIZES};
 use std::time::Instant;
 
-/// Acceptance gate: aggregate after/before throughput must clear this.
-const MIN_SPEEDUP: f64 = 2.0;
-
-const SIZES: [(usize, &str); 3] = [(4 << 10, "4KiB"), (256 << 10, "256KiB"), (4 << 20, "4MiB")];
-
-fn payload(kind: &str, n: usize) -> Vec<u8> {
+/// Most a cell of each payload class may keep of its raw bytes: the ratio
+/// of its 4 KiB cell (the worst: its frame carries a header and its window
+/// never fills) when the class was added, plus a twentieth. A codec or
+/// probe change that makes a class ship more bytes than this fails
+/// `--check`.
+fn ratio_ceiling(kind: &str) -> f64 {
     match kind {
-        "zeros" => vec![0u8; n],
-        "text" => {
-            // Log-like lines: repetitive structure with drifting fields,
-            // the shape LZ77 was built for.
-            let mut out = Vec::with_capacity(n + 64);
-            let mut i = 0usize;
-            while out.len() < n {
-                out.extend_from_slice(
-                    format!(
-                        "ts={:010} level=info worker={:03} msg=tile committed\n",
-                        i * 37,
-                        i % 96
-                    )
-                    .as_bytes(),
-                );
-                i += 1;
-            }
-            out.truncate(n);
-            out
-        }
-        "random" => {
-            // LCG noise: incompressible, exercises the Store bail-out.
-            let mut x = 0x2545F4914F6CDD1Du64;
-            (0..n)
-                .map(|_| {
-                    x = x
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    (x >> 33) as u8
-                })
-                .collect()
-        }
+        "zeros" => 0.01,
+        "text" => 0.23,
+        "random" => 1.0,
+        "dense-f32" => 0.93,
+        "sparse-f32" => 0.09,
+        "integer-f32" => 0.44,
         other => unreachable!("unknown payload kind {other}"),
     }
 }
@@ -82,14 +58,30 @@ fn measure<F: FnMut()>(bytes: usize, dwell_ms: u64, mut f: F) -> f64 {
     (bytes as f64 * calls as f64) / t0.elapsed().as_secs_f64() / 1e6
 }
 
+fn decode(wire: &[u8], threads: usize) -> Result<Vec<u8>, gzlite::Error> {
+    if gzlite::is_stream(wire) {
+        gzlite::decompress_stream_parallel(wire, threads)
+    } else {
+        gzlite::decompress(wire)
+    }
+}
+
 struct Cell {
     payload: &'static str,
     size_label: &'static str,
     size: usize,
-    crc_before: f64,
-    crc_after: f64,
-    enc_before: f64,
-    enc_after: f64,
+    crc_mb_s: f64,
+    encode_mb_s: f64,
+    /// 0 for a cell that ships raw: there is nothing to decode.
+    decode_mb_s: f64,
+    ratio: f64,
+    roundtrip: bool,
+}
+
+impl Cell {
+    fn under_ceiling(&self) -> bool {
+        self.ratio <= ratio_ceiling(self.payload)
+    }
 }
 
 impl ToJson for Cell {
@@ -98,10 +90,12 @@ impl ToJson for Cell {
             ("payload", self.payload.to_json()),
             ("size", self.size_label.to_json()),
             ("bytes", (self.size as u64).to_json()),
-            ("crc32_before_mb_s", self.crc_before.to_json()),
-            ("crc32_after_mb_s", self.crc_after.to_json()),
-            ("encode_before_mb_s", self.enc_before.to_json()),
-            ("encode_after_mb_s", self.enc_after.to_json()),
+            ("crc32_mb_s", self.crc_mb_s.to_json()),
+            ("encode_mb_s", self.encode_mb_s.to_json()),
+            ("decode_mb_s", self.decode_mb_s.to_json()),
+            ("ratio", self.ratio.to_json()),
+            ("ratio_ceiling", ratio_ceiling(self.payload).to_json()),
+            ("roundtrip", self.roundtrip.to_json()),
         ])
     }
 }
@@ -121,8 +115,8 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1)
         .min(8);
-    // The new wire path exactly as TransferManager drives it: cheap
-    // probe, chunked parallel frames above the stream threshold.
+    // The wire path exactly as TransferManager drives it: cheap probe,
+    // chunked parallel frames above the stream threshold.
     let policy = WirePolicy {
         min_compression_size: 1,
         stream_threshold: 256 << 10,
@@ -135,115 +129,91 @@ fn main() {
         if smoke { "smoke" } else { "full" }
     );
     println!(
-        "{:<8} {:>7} | {:>12} {:>12} {:>6} | {:>12} {:>12} {:>6}",
-        "payload", "size", "crc-ref MB/s", "crc MB/s", "x", "enc-old MB/s", "enc MB/s", "x"
+        "{:<12} {:>7} | {:>9} {:>9} {:>9} | {:>6} {:>7}",
+        "payload", "size", "crc MB/s", "enc MB/s", "dec MB/s", "ratio", "ceiling"
     );
 
     let mut cells = Vec::new();
-    for kind in ["zeros", "text", "random"] {
+    for kind in KINDS {
         for (size, size_label) in SIZES {
             let data = payload(kind, size);
-            let crc_before = measure(size, dwell_ms, || {
-                std::hint::black_box(gzlite::crc32_reference(std::hint::black_box(&data)));
-            });
-            let crc_after = measure(size, dwell_ms, || {
+            let crc_mb_s = measure(size, dwell_ms, || {
                 std::hint::black_box(gzlite::crc32(std::hint::black_box(&data)));
             });
-            // Old path: trial probe + sequential frame + bytewise frame
-            // CRC, then the bytewise integrity-ledger CRC of the wire
-            // bytes (what TransferManager recorded per put, pre-PR).
-            let enc_before = measure(size, dwell_ms, || {
-                let wire = gzlite::compress_reference(std::hint::black_box(&data));
-                std::hint::black_box(gzlite::crc32_reference(&wire));
-            });
-            // New path: encode_wire (cheap probe, chunked streams) plus
-            // the slice-by-16 ledger CRC; a Raw plan ships the staging
+            // encode_wire plus the ledger CRC; a Raw plan ships the staging
             // buffer itself, so only the ledger CRC is paid.
-            let enc_after = measure(size, dwell_ms, || {
+            let encode_mb_s = measure(size, dwell_ms, || {
                 match gzlite::encode_wire(std::hint::black_box(&data), &policy) {
                     Some(wire) => std::hint::black_box(gzlite::crc32(&wire)),
                     None => std::hint::black_box(gzlite::crc32(&data)),
                 };
             });
-            println!(
-                "{:<8} {:>7} | {:>12.0} {:>12.0} {:>5.1}x | {:>12.0} {:>12.0} {:>5.1}x",
-                kind,
-                size_label,
-                crc_before,
-                crc_after,
-                crc_after / crc_before,
-                enc_before,
-                enc_after,
-                enc_after / enc_before
-            );
-            cells.push(Cell {
+            let wire = gzlite::encode_wire(&data, &policy);
+            let (decode_mb_s, ratio, roundtrip) = match &wire {
+                Some(wire) => (
+                    measure(size, dwell_ms, || {
+                        std::hint::black_box(decode(std::hint::black_box(wire), threads)).ok();
+                    }),
+                    wire.len() as f64 / size as f64,
+                    decode(wire, threads).is_ok_and(|back| back == data),
+                ),
+                None => (0.0, 1.0, true),
+            };
+            let cell = Cell {
                 payload: kind,
                 size_label,
                 size,
-                crc_before,
-                crc_after,
-                enc_before,
-                enc_after,
-            });
+                crc_mb_s,
+                encode_mb_s,
+                decode_mb_s,
+                ratio,
+                roundtrip,
+            };
+            println!(
+                "{:<12} {:>7} | {:>9.0} {:>9.0} {:>9.0} | {:>6.3} {:>7.2}{}{}",
+                kind,
+                size_label,
+                crc_mb_s,
+                encode_mb_s,
+                decode_mb_s,
+                ratio,
+                ratio_ceiling(kind),
+                if cell.under_ceiling() { "" } else { "  OVER" },
+                if roundtrip { "" } else { "  CORRUPT" },
+            );
+            cells.push(cell);
         }
     }
 
     // Byte-weighted aggregate: total bytes over total time, so the big
     // payloads dominate like they do on the wire.
     let agg = |f: fn(&Cell) -> f64| {
-        let bytes: f64 = cells.iter().map(|c| c.size as f64).sum();
-        let secs: f64 = cells.iter().map(|c| c.size as f64 / (f(c) * 1e6)).sum();
+        let timed = cells.iter().filter(|c| f(c) > 0.0);
+        let bytes: f64 = timed.clone().map(|c| c.size as f64).sum();
+        let secs: f64 = timed.map(|c| c.size as f64 / (f(c) * 1e6)).sum();
         bytes / secs / 1e6
     };
-    // Geometric mean of per-cell speedups: the standard scalar summary
-    // of a speedup matrix, and the gated metric — every entropy class
-    // and size counts equally.
-    let geomean = |f: fn(&Cell) -> f64| {
-        (cells.iter().map(|c| f(c).ln()).sum::<f64>() / cells.len() as f64).exp()
-    };
-    let crc_before = agg(|c| c.crc_before);
-    let crc_after = agg(|c| c.crc_after);
-    let enc_before = agg(|c| c.enc_before);
-    let enc_after = agg(|c| c.enc_after);
-    let crc_speedup = geomean(|c| c.crc_after / c.crc_before);
-    let enc_speedup = geomean(|c| c.enc_after / c.enc_before);
-    let crc_pass = crc_speedup >= MIN_SPEEDUP;
-    let enc_pass = enc_speedup >= MIN_SPEEDUP;
-
-    println!(
-        "\naggregate MB/s: crc32 {crc_before:.0} -> {crc_after:.0} ({:.1}x), \
-         encode {enc_before:.0} -> {enc_after:.0} ({:.1}x)",
-        crc_after / crc_before,
-        enc_after / enc_before
+    let (crc, encode, decode_agg) = (
+        agg(|c| c.crc_mb_s),
+        agg(|c| c.encode_mb_s),
+        agg(|c| c.decode_mb_s),
     );
-    println!("geomean speedup: crc32 {crc_speedup:.1}x, encode {enc_speedup:.1}x");
+    let roundtrip_pass = cells.iter().all(|c| c.roundtrip);
+    let ratio_pass = cells.iter().all(Cell::under_ceiling);
+    println!("\naggregate MB/s: crc32 {crc:.0}, encode {encode:.0}, decode {decode_agg:.0}");
 
     let doc = Json::obj([
         ("benchmark", "codec_speed".to_json()),
         ("mode", if smoke { "smoke" } else { "full" }.to_json()),
         ("codec_threads", (threads as u64).to_json()),
-        (
-            "crc32",
-            Json::obj([
-                ("before_mb_s", crc_before.to_json()),
-                ("after_mb_s", crc_after.to_json()),
-                ("speedup_geomean", crc_speedup.to_json()),
-            ]),
-        ),
-        (
-            "encode",
-            Json::obj([
-                ("before_mb_s", enc_before.to_json()),
-                ("after_mb_s", enc_after.to_json()),
-                ("speedup_geomean", enc_speedup.to_json()),
-            ]),
-        ),
+        ("crc32_mb_s", crc.to_json()),
+        ("encode_mb_s", encode.to_json()),
+        ("decode_mb_s", decode_agg.to_json()),
         (
             "gate",
             Json::obj([
-                ("min_speedup", MIN_SPEEDUP.to_json()),
-                ("crc32_pass", crc_pass.to_json()),
-                ("encode_pass", enc_pass.to_json()),
+                ("roundtrip_pass", roundtrip_pass.to_json()),
+                ("ratio_pass", ratio_pass.to_json()),
             ]),
         ),
         ("cells", Json::arr(cells.iter().map(ToJson::to_json))),
@@ -251,11 +221,8 @@ fn main() {
     std::fs::write(&json_path, jsonlite::to_string_pretty(&doc)).expect("write json");
     println!("wrote {json_path}");
 
-    if check && !(crc_pass && enc_pass) {
-        eprintln!(
-            "FAIL: speedup gate ({MIN_SPEEDUP}x) not met — crc32 {crc_speedup:.2}x, \
-             encode {enc_speedup:.2}x"
-        );
+    if check && !(roundtrip_pass && ratio_pass) {
+        eprintln!("FAIL: a cell did not round-trip or shipped more than its ratio ceiling");
         std::process::exit(1);
     }
 }

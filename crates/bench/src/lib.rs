@@ -7,4 +7,5 @@
 //! offloads at laptop scale, and the ablations called out in DESIGN.md).
 
 pub mod paper;
+pub mod payloads;
 pub mod table;

@@ -69,21 +69,38 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-/// The textbook one-byte-per-step form. Kept public as the reference the
-/// sliced implementation must agree with (property tests) and as the
-/// "before" baseline for the codec throughput benchmarks.
-pub fn crc32_reference(data: &[u8]) -> u32 {
-    let t = tables();
-    let mut crc = !0u32;
-    for &byte in data {
-        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
-    }
-    !crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The textbook one-byte-per-step form the sliced implementation must
+    /// agree with.
+    fn crc32_reference(data: &[u8]) -> u32 {
+        let t = tables();
+        let mut crc = !0u32;
+        for &byte in data {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    proptest! {
+        /// Slice-by-16 crc32 equals the bytewise reference on random lengths
+        /// and alignments, including every 0..=15 tail after the 16-byte loop.
+        #[test]
+        fn sliced_equals_reference(
+            data in proptest::collection::vec(any::<u8>(), 0..4096),
+            offset in 0usize..16,
+        ) {
+            let s = &data[offset.min(data.len())..];
+            prop_assert_eq!(crc32(s), crc32_reference(s));
+            for tail in 0..16usize.min(s.len()) {
+                let t = &s[..s.len() - tail];
+                prop_assert_eq!(crc32(t), crc32_reference(t));
+            }
+        }
+    }
 
     #[test]
     fn known_vectors() {

@@ -52,7 +52,7 @@ pub(crate) fn open(frame: &[u8]) -> Result<Parsed<'_>, Error> {
     let codec_id = *frame.get(pos).ok_or(Error::Truncated)?;
     pos += 1;
     let codec = Codec::from_id(codec_id).ok_or(Error::UnknownCodec(codec_id))?;
-    let original_len = varint::read(frame, &mut pos)? as usize;
+    let original_len = varint::read_len(frame, &mut pos)?;
     if frame.len() < pos + 4 {
         return Err(Error::Truncated);
     }

@@ -8,6 +8,10 @@
 
 use crate::{varint, Error};
 
+/// Shortest zero run that ends a literal run: breaking a literal for
+/// fewer zeros costs more in varints than it saves.
+pub(crate) const MIN_ZERO_RUN: usize = 4;
+
 /// Encode `input` into a zero-RLE token stream.
 pub fn encode(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 4 + 16);
@@ -20,16 +24,15 @@ pub fn encode(input: &[u8]) -> Vec<u8> {
         let zero_run = i - zero_start;
 
         let lit_start = i;
-        // A literal run ends at the next "worthwhile" zero run: breaking a
-        // literal for a single zero byte costs more than it saves, so only
-        // stop on runs of >= 4 zeros (or end of input).
+        // A literal run ends at the next zero run of `MIN_ZERO_RUN` (or
+        // end of input).
         while i < input.len() {
             if input[i] == 0 {
                 let mut j = i;
-                while j < input.len() && j - i < 4 && input[j] == 0 {
+                while j < input.len() && j - i < MIN_ZERO_RUN && input[j] == 0 {
                     j += 1;
                 }
-                if j - i >= 4 || j == input.len() {
+                if j - i >= MIN_ZERO_RUN || j == input.len() {
                     break;
                 }
                 i = j;
@@ -45,17 +48,21 @@ pub fn encode(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decode a zero-RLE token stream; `expected_len` bounds allocation and
-/// guards against decompression bombs in malformed frames.
+/// Decode a zero-RLE token stream. `expected_len` comes from an untrusted
+/// header: it bounds the output and guards against decompression bombs,
+/// but memory is reserved only as far as the payload and its validated
+/// tokens justify.
 pub fn decode(payload: &[u8], expected_len: usize) -> Result<Vec<u8>, Error> {
-    let mut out = Vec::with_capacity(expected_len);
+    let mut out = crate::output_buffer(expected_len, payload.len());
     let mut pos = 0;
     while pos < payload.len() {
-        let zero_run = varint::read(payload, &mut pos)? as usize;
-        let lit_len = varint::read(payload, &mut pos)? as usize;
-        if out.len() + zero_run + lit_len > expected_len {
+        let zero_run = varint::read_len(payload, &mut pos)?;
+        let lit_len = varint::read_len(payload, &mut pos)?;
+        let room = expected_len - out.len();
+        if zero_run > room || lit_len > room - zero_run {
             return Err(Error::Malformed("rle output exceeds declared length"));
         }
+        crate::grow(&mut out, zero_run)?;
         out.resize(out.len() + zero_run, 0);
         let lit_end = pos
             .checked_add(lit_len)

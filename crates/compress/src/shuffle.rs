@@ -11,30 +11,74 @@
 /// Transpose `data` into `stride` byte planes. The tail
 /// (`len % stride` bytes) is appended unmodified.
 pub fn shuffle(data: &[u8], stride: usize) -> Vec<u8> {
-    let stride = stride.max(1);
-    let n = data.len() / stride;
-    let mut out = Vec::with_capacity(data.len());
-    for plane in 0..stride {
-        for i in 0..n {
-            out.push(data[i * stride + plane]);
+    let mut out = vec![0u8; data.len()];
+    match stride {
+        4 => shuffle_fixed::<4>(data, &mut out),
+        8 => shuffle_fixed::<8>(data, &mut out),
+        _ => {
+            let stride = stride.max(1);
+            let n = data.len() / stride;
+            for (i, element) in data.chunks_exact(stride).enumerate() {
+                for (plane, &byte) in element.iter().enumerate() {
+                    out[plane * n + i] = byte;
+                }
+            }
+            out[n * stride..].copy_from_slice(&data[n * stride..]);
         }
     }
-    out.extend_from_slice(&data[n * stride..]);
     out
 }
 
 /// Inverse of [`shuffle`].
 pub fn unshuffle(data: &[u8], stride: usize) -> Vec<u8> {
-    let stride = stride.max(1);
-    let n = data.len() / stride;
     let mut out = vec![0u8; data.len()];
-    for plane in 0..stride {
-        for i in 0..n {
-            out[i * stride + plane] = data[plane * n + i];
+    match stride {
+        4 => unshuffle_fixed::<4>(data, &mut out),
+        8 => unshuffle_fixed::<8>(data, &mut out),
+        _ => {
+            let stride = stride.max(1);
+            let n = data.len() / stride;
+            for (i, element) in out.chunks_exact_mut(stride).enumerate() {
+                for (plane, byte) in element.iter_mut().enumerate() {
+                    *byte = data[plane * n + i];
+                }
+            }
+            out[n * stride..].copy_from_slice(&data[n * stride..]);
         }
     }
-    out[n * stride..].copy_from_slice(&data[n * stride..]);
     out
+}
+
+/// The `K` planes of a buffer of `n` elements, as slices of equal length.
+fn planes<const K: usize>(body: &[u8], n: usize) -> [&[u8]; K] {
+    std::array::from_fn(|plane| &body[plane * n..(plane + 1) * n])
+}
+
+fn shuffle_fixed<const K: usize>(data: &[u8], out: &mut [u8]) {
+    let n = data.len() / K;
+    let (body, tail) = data.split_at(n * K);
+    let (mut rest, out_tail) = out.split_at_mut(n * K);
+    out_tail.copy_from_slice(tail);
+    for plane in 0..K {
+        let (this, after) = rest.split_at_mut(n);
+        for (dst, element) in this.iter_mut().zip(body.chunks_exact(K)) {
+            *dst = element[plane];
+        }
+        rest = after;
+    }
+}
+
+fn unshuffle_fixed<const K: usize>(data: &[u8], out: &mut [u8]) {
+    let n = data.len() / K;
+    let (body, tail) = data.split_at(n * K);
+    let (out_body, out_tail) = out.split_at_mut(n * K);
+    out_tail.copy_from_slice(tail);
+    let planes = planes::<K>(body, n);
+    for (i, element) in out_body.chunks_exact_mut(K).enumerate() {
+        for (byte, plane) in element.iter_mut().zip(planes) {
+            *byte = plane[i];
+        }
+    }
 }
 
 #[cfg(test)]

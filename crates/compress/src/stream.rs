@@ -95,10 +95,11 @@ pub fn decompress_stream_parallel(stream: &[u8], threads: usize) -> Result<Vec<u
         return Err(Error::BadMagic);
     }
     let mut pos = STREAM_MAGIC.len();
-    let count = varint::read(stream, &mut pos)?;
-    let mut frames: Vec<&[u8]> = Vec::with_capacity(count.min(1 << 20) as usize);
+    let count = varint::read_len(stream, &mut pos)?;
+    // The count is untrusted; every frame it announces takes a length byte.
+    let mut frames: Vec<&[u8]> = Vec::with_capacity(count.min(stream.len() - pos));
     for _ in 0..count {
-        let frame_len = varint::read(stream, &mut pos)? as usize;
+        let frame_len = varint::read_len(stream, &mut pos)?;
         let end = pos
             .checked_add(frame_len)
             .ok_or(Error::Malformed("frame length overflow"))?;

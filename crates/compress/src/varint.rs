@@ -16,8 +16,18 @@ pub fn write(out: &mut Vec<u8>, mut value: u64) {
     }
 }
 
+/// Bytes [`write`] emits for `value`.
+pub fn len(value: u64) -> usize {
+    (64 - (value | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 /// Read a varint from `buf` starting at `*pos`, advancing `*pos`.
 pub fn read(buf: &[u8], pos: &mut usize) -> Result<u64, Error> {
+    // Most token fields are below 128: one byte, no loop.
+    if let Some(&byte) = buf.get(*pos).filter(|&&byte| byte < 0x80) {
+        *pos += 1;
+        return Ok(u64::from(byte));
+    }
     let mut value: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -35,6 +45,11 @@ pub fn read(buf: &[u8], pos: &mut usize) -> Result<u64, Error> {
             return Err(Error::Malformed("varint too long"));
         }
     }
+}
+
+/// [`read`] a length or distance: a value that must fit `usize`.
+pub fn read_len(buf: &[u8], pos: &mut usize) -> Result<usize, Error> {
+    usize::try_from(read(buf, pos)?).map_err(|_| Error::Malformed("varint overflows usize"))
 }
 
 #[cfg(test)]

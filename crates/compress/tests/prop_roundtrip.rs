@@ -91,22 +91,6 @@ proptest! {
         prop_assert_eq!(gzlite::decompress_stream(&stream).unwrap(), data);
     }
 
-    /// Slice-by-16 crc32 equals the bytewise reference on random lengths
-    /// and alignments, including every 0..=15 tail after the 16-byte loop.
-    #[test]
-    fn crc32_sliced_equals_reference(
-        data in proptest::collection::vec(any::<u8>(), 0..4096),
-        offset in 0usize..16,
-    ) {
-        let s = &data[offset.min(data.len())..];
-        prop_assert_eq!(gzlite::crc32(s), gzlite::crc32_reference(s));
-        // Also pin the tail lengths explicitly: every remainder 0..=15.
-        for tail in 0..16usize.min(s.len()) {
-            let t = &s[..s.len() - tail];
-            prop_assert_eq!(gzlite::crc32(t), gzlite::crc32_reference(t));
-        }
-    }
-
     /// Parallel chunked encoding is byte-identical to sequential encoding,
     /// and parallel decode reads sequential streams (and vice versa).
     #[test]
