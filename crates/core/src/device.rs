@@ -7,7 +7,7 @@
 //!
 //! 1. initialize the cloud device from the configuration file;
 //! 2. ship the `map(to:)` buffers to cloud storage (compressed, one
-//!    transfer thread per buffer);
+//!    transfer thread per store object — small buffers share one);
 //! 3. the driver reads the inputs back from storage;
 //! 4. the driver tiles the loop and distributes `RDD_IN` across workers;
 //! 5. workers run the loop body through the JNI shim;
@@ -297,10 +297,6 @@ impl CloudDevice {
         &self.transfer
     }
 
-    pub(crate) fn store_ref(&self) -> &StoreHandle {
-        &self.store
-    }
-
     pub(crate) fn spark_context(&self) -> SparkContext {
         self.context()
     }
@@ -414,6 +410,20 @@ impl CloudDevice {
             },
         );
         Some((meta.tag, bytes, meta.key, meta.wire_len))
+    }
+
+    /// Fill in each freshly staged resident buffer's `wire_len` from
+    /// the report of the store object holding it (small outputs of one
+    /// region share an object, and fetching one fetches it whole).
+    fn record_wire_len(&self, staged: &mut [(String, ResidentBuf)], put: &TransferReport) {
+        for (_, rb) in staged {
+            let object = self.transfer.object_key(&rb.key);
+            rb.wire_len = put
+                .items
+                .iter()
+                .find(|item| item.key == object)
+                .map_or(0, |item| item.wire_bytes);
+        }
     }
 
     /// Shut the in-process cluster down (tests/examples hygiene).
@@ -636,9 +646,7 @@ impl Device for CloudDevice {
             device: self.name.clone(),
             detail: format!("resident adoption failed: {e}"),
         })?;
-        for ((_, rb), item) in resident_new.iter_mut().zip(&put.items) {
-            rb.wire_len = item.wire_bytes;
-        }
+        self.record_wire_len(&mut resident_new, &put);
         let mut resident = self.resident.lock();
         let mut lineage = self.lineage.lock();
         for (name, rb) in resident_new {
@@ -692,10 +700,7 @@ impl Device for CloudDevice {
     fn end_dataflow(&self, dag: &str) {
         let root = self.dataflow_root(dag);
         self.transfer.release(&root);
-        for key in self.store.list(&root) {
-            let _ = self.store.delete(&key);
-        }
-        self.transfer.forget_prefix(&root);
+        self.transfer.delete_prefix(&root);
         self.resident.lock().clear();
         self.lineage.lock().clear();
         self.pending_stage_fallbacks.store(0, Ordering::SeqCst);
@@ -835,8 +840,8 @@ impl CloudDevice {
             }
         }
 
-        // Step 2: ship inputs to cloud storage (one thread per buffer,
-        // compression above the configured threshold). With data caching
+        // Step 2: ship inputs to cloud storage (one thread per store
+        // object, compression above the configured threshold). With data caching
         // enabled (§VI extension), unchanged variables are skipped and
         // the job reuses their previously staged objects.
         let mut upload_items: Vec<(String, cloud_storage::PoolBuf)> = Vec::new();
@@ -1183,7 +1188,6 @@ impl CloudDevice {
         // fetched back the moment its put lands, while later buffers are
         // still compressing. The serial path keeps the paper's original
         // upload-barrier-then-fetch sequence.
-        let n_put = upload_items.len();
         let (upload, fetched) = if self.config.pipelined_transfers {
             let (payloads, prep) = self
                 .transfer
@@ -1198,7 +1202,7 @@ impl CloudDevice {
             profile.compress_busy_s += prep.cpu_path_seconds();
             profile.store_busy_s += prep.io_path_seconds();
             let upload = TransferReport {
-                items: prep.items[..n_put].to_vec(),
+                items: prep.items[..prep.put_objects].to_vec(),
                 wall_seconds: prep.wall_seconds,
             };
             (upload, payloads)
@@ -1333,18 +1337,28 @@ impl CloudDevice {
         // run over the same inputs lands on the same journal and resumes
         // whatever the first one finished.
         let recovery = if self.config.checkpoint {
+            // An input this manager staged always has its wire crc on
+            // record; a fingerprint blind to one would let a journal
+            // written over other data pass for this region's.
+            let wire_crc = |key: &str| {
+                self.transfer.ledger_crc(key).ok_or_else(|| {
+                    infra(cloud_storage::StorageError::NotFound(format!(
+                        "{key}: staged input has no wire crc on record"
+                    )))
+                })
+            };
             let mut fp = RegionFingerprint::new(&region.name);
             for l in &region.loops {
                 fp.add_loop(l.trip_count);
             }
             for (name, key) in &staged_keys {
-                fp.add_input(name, self.transfer.ledger_crc(key).unwrap_or(0));
+                fp.add_input(name, wire_crc(key)?);
             }
             // Cloud-sourced inputs: the fingerprint is tied to the
             // producer's committed key, so a resumed run only lands on
             // this journal if it consumes the same resident bytes.
             for (name, _, _, key) in &resident_payloads {
-                fp.add_input(name, self.transfer.ledger_crc(key).unwrap_or(0));
+                fp.add_input(name, wire_crc(key)?);
             }
             // Delta-clean inputs have no staged key this round; their
             // identity is the committed payload's own crc32.
@@ -1353,7 +1367,7 @@ impl CloudDevice {
             }
             // Dedupe aliases ride their source's staged object.
             for (alias, _, src_key) in &alias_pairs {
-                fp.add_input(alias, self.transfer.ledger_crc(src_key).unwrap_or(0));
+                fp.add_input(alias, wire_crc(src_key)?);
             }
             let journal = RegionJournal::open(StoreHandle::clone(&self.store), &base_prefix, &fp);
             let commit_root = if base_prefix.is_empty() {
@@ -1378,11 +1392,20 @@ impl CloudDevice {
             0
         };
         let mut resumes = 0usize;
+        let mut cluster_env = Some(cluster_env);
         let (outcome, store_write, download, out_payloads) = loop {
+            // The inputs are copied only while a resume could still need
+            // them again; the last attempt (the only one, with
+            // checkpointing off) takes them.
+            let attempt_env = if resumes < max_resumes {
+                cluster_env.clone()
+            } else {
+                cluster_env.take()
+            };
             let attempt = self.run_and_commit(
                 &sc,
                 region,
-                cluster_env.clone(),
+                attempt_env.expect("kept until the last attempt"),
                 &prefix,
                 recovery.as_ref(),
                 hints,
@@ -1520,10 +1543,7 @@ impl CloudDevice {
         // which case the staged inputs are the cache. The integrity
         // ledger forgets deleted objects with them.
         if !self.config.data_caching {
-            for key in self.store.list(&prefix) {
-                let _ = self.store.delete(&key);
-            }
-            self.transfer.forget_prefix(&prefix);
+            self.transfer.delete_prefix(&prefix);
         }
         // Checkpoint hygiene: the results are home, so the journal's
         // markers and the committed region objects (staged outputs plus
@@ -1531,10 +1551,7 @@ impl CloudDevice {
         if let Some((rec, root)) = &recovery {
             rec.finish();
             rec.clear();
-            for key in self.store.list(root) {
-                let _ = self.store.delete(&key);
-            }
-            self.transfer.forget_prefix(root);
+            self.transfer.delete_prefix(root);
         }
 
         if resilience.total_events() > 0 {
@@ -1653,9 +1670,7 @@ impl CloudDevice {
                 resilience.transient_retries += put.total_retries();
                 resilience.timeouts += put.total_timeouts();
                 resilience.backoff_seconds += put.total_backoff_s();
-                for ((_, rb), item) in resident_new.iter_mut().zip(&put.items) {
-                    rb.wire_len = item.wire_bytes;
-                }
+                self.record_wire_len(&mut resident_new, &put);
                 let mut resident = self.resident.lock();
                 let mut lineage = self.lineage.lock();
                 for (name, rb) in resident_new {

@@ -151,19 +151,27 @@ impl CloudDevice {
             })?;
 
         // Driver-side resident environment: inputs read back from
-        // storage, outputs allocated full-size.
+        // storage (one batch: small inputs share a store object),
+        // outputs allocated full-size.
+        let input_keys = maps
+            .iter()
+            .filter(|m| m.dir.is_input())
+            .map(|m| format!("target-data/{}", m.name))
+            .collect();
+        let (payloads, _) =
+            self.transfer_ref()
+                .download(input_keys)
+                .map_err(|e| OmpError::Plugin {
+                    device: "cloud".into(),
+                    detail: e.to_string(),
+                })?;
+        let mut payloads = payloads.into_iter();
         let mut resident = DataEnv::new();
         for m in maps {
             let host = env.get_erased(&m.name)?;
             if m.dir.is_input() {
-                let (payloads, _) = self
-                    .transfer_ref()
-                    .download(vec![format!("target-data/{}", m.name)])
-                    .map_err(|e| OmpError::Plugin {
-                        device: "cloud".into(),
-                        detail: e.to_string(),
-                    })?;
-                resident.insert_erased(&m.name, ErasedVec::from_bytes(host.tag(), &payloads[0].1));
+                let (_, bytes) = payloads.next().expect("one payload per input key");
+                resident.insert_erased(&m.name, ErasedVec::from_bytes(host.tag(), &bytes));
             } else {
                 resident.insert_erased(
                     &m.name,
@@ -238,23 +246,23 @@ impl CloudDevice {
                 device: "cloud".into(),
                 detail: e.to_string(),
             })?;
-        for m in maps {
-            if m.dir.is_output() {
-                let (payloads, _) = self
-                    .transfer_ref()
-                    .download(vec![format!("target-data/out/{}", m.name)])
-                    .map_err(|e| OmpError::Plugin {
-                        device: "cloud".into(),
-                        detail: e.to_string(),
-                    })?;
-                let tag = env.get_erased(&m.name)?.tag();
-                env.write_back(&m.name, ErasedVec::from_bytes(tag, &payloads[0].1))?;
-            }
+        let outputs = || maps.iter().filter(|m| m.dir.is_output());
+        let out_keys = outputs()
+            .map(|m| format!("target-data/out/{}", m.name))
+            .collect();
+        let (payloads, _) =
+            self.transfer_ref()
+                .download(out_keys)
+                .map_err(|e| OmpError::Plugin {
+                    device: "cloud".into(),
+                    detail: e.to_string(),
+                })?;
+        for (m, (_, bytes)) in outputs().zip(payloads) {
+            let tag = env.get_erased(&m.name)?.tag();
+            env.write_back(&m.name, ErasedVec::from_bytes(tag, &bytes))?;
         }
         // Storage hygiene: the scope's staging area is garbage now.
-        for key in self.store_ref().list("target-data/") {
-            let _ = self.store_ref().delete(&key);
-        }
+        self.transfer_ref().delete_prefix("target-data");
         Ok(bytes_out)
     }
 

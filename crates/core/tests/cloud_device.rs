@@ -125,8 +125,9 @@ fn buffers_actually_travel_through_cloud_storage() {
     let mut env = matmul_env(8);
     runtime.offload(&region, &mut env).unwrap();
     let keys = runtime.cloud().store().list("");
+    // (A and B are small: they share one object in the job's `in/`.)
     assert!(
-        keys.iter().any(|k| k.contains("/in/A")),
+        keys.iter().any(|k| k.contains("/in/")),
         "inputs staged: {keys:?}"
     );
     assert!(

@@ -17,9 +17,9 @@
 //! * [`AzureBlobStore`] — an Azure-Storage-like account/container/blob
 //!   store with block lists and snapshots (the paper's third backend);
 //! * [`TransferManager`] — the host-side transfer engine: one thread per
-//!   offloaded buffer, gzip-style compression above a size threshold, and
-//!   a per-item report feeding the Fig. 5 "host-target communication"
-//!   decomposition;
+//!   store object (an offloaded buffer, or a pack of small ones),
+//!   gzip-style compression above a size threshold, and a per-object
+//!   report feeding the Fig. 5 "host-target communication" decomposition;
 //! * [`StorageUri`] — `s3://bucket/prefix` and `hdfs://host:port/path`
 //!   parsing for the cluster configuration file.
 
@@ -28,6 +28,7 @@ mod chaos;
 mod hdfs;
 mod journal;
 mod latency;
+mod pack;
 mod pool;
 mod retry;
 mod s3;

@@ -3,11 +3,18 @@
 //! Per §III-A of the paper: "Our cloud plugin automatically creates a new
 //! thread for transmitting each offloaded data (possibly after gzip
 //! compression if the data size is larger than a predefined minimal
-//! compression size)." This module reproduces that exactly — one worker
-//! per buffer, compression above `min_compression_size`, transparent
-//! decompression on download — and reports per-item raw/wire byte counts
-//! and timings, the raw material of the Fig. 5 "host-target
-//! communication" bars.
+//! compression size)." This module keeps that shape per *store object* —
+//! one worker per object, compression decided by the codec's probe,
+//! transparent decompression on download — and reports per-object
+//! raw/wire byte counts and timings, the raw material of the Fig. 5
+//! "host-target communication" bars.
+//!
+//! An object is usually one buffer. The exception is the one layout
+//! decision this module makes next to the codec's: the buffers of a batch
+//! that are small enough for a store round trip to cost more than their
+//! bytes travel together as one pack (`TransferManager::layout` has the
+//! rule, `pack.rs` the format). Callers never see it: they hand over and
+//! get back the same logical `(key, payload)` pairs either way.
 //!
 //! Every store operation runs under a [`RetryPolicy`] session:
 //! exponential backoff with decorrelated jitter on transient faults,
@@ -19,6 +26,7 @@
 //! surfaces as retryable [`StorageError::Corrupted`], never as silent
 //! bad data.
 
+use crate::pack;
 use crate::pool::{BytePool, PoolBuf};
 use crate::retry::{RetryPolicy, RetryStats};
 use crate::{StorageError, StoreHandle};
@@ -49,7 +57,7 @@ pub struct TransferConfig {
     /// upload-time ledger (or the backend checksum). Mismatches surface
     /// as retryable [`StorageError::Corrupted`].
     pub verify_integrity: bool,
-    /// Cap on concurrent transfer threads (one per buffer up to this).
+    /// Cap on concurrent transfer threads (one per object up to this).
     pub max_threads: usize,
 }
 
@@ -82,12 +90,13 @@ impl TransferConfig {
     }
 }
 
-/// Outcome of one buffer's transfer.
+/// Outcome of one store object's transfer: a buffer, or a pack of
+/// small ones (see `TransferManager::layout`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ItemReport {
-    /// Storage key.
+    /// Storage key of the object.
     pub key: String,
-    /// Uncompressed payload size.
+    /// Uncompressed size of the buffer(s) it carried.
     pub raw_bytes: u64,
     /// Bytes that actually hit the store.
     pub wire_bytes: u64,
@@ -106,6 +115,20 @@ pub struct ItemReport {
 }
 
 impl ItemReport {
+    fn new(key: String, raw_bytes: u64, wire_bytes: u64, compressed: bool) -> ItemReport {
+        ItemReport {
+            key,
+            raw_bytes,
+            wire_bytes,
+            compressed,
+            seconds: 0.0,
+            retries: 0,
+            refetches: 0,
+            timeouts: 0,
+            backoff_s: 0.0,
+        }
+    }
+
     fn fold_stats(&mut self, stats: RetryStats) {
         self.retries += stats.retries;
         self.refetches += stats.refetches;
@@ -117,7 +140,7 @@ impl ItemReport {
 /// Aggregate outcome of a batch transfer.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TransferReport {
-    /// Per-buffer details.
+    /// Per-object details.
     pub items: Vec<ItemReport>,
     /// Wall time of the whole batch (threads overlap, so this is less
     /// than the sum of item times).
@@ -169,9 +192,12 @@ impl TransferReport {
 /// Outcome of a fused two-stage pipeline run ([`TransferManager::upload_fetch_pipelined`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PipelineReport {
-    /// Per-buffer details: uploaded-and-fetched items first (in request
-    /// order), then fetch-only items.
+    /// Per-object details: uploaded-and-fetched objects first (in request
+    /// order), then fetch-only ones.
     pub items: Vec<ItemReport>,
+    /// How many of `items` were written by this run: the first
+    /// `put_objects` of them.
+    pub put_objects: usize,
     /// Wall time of the whole pipeline.
     pub wall_seconds: f64,
     /// Aggregate CPU busy time summed over every compression worker
@@ -254,15 +280,16 @@ pub type DownloadResult = (Vec<(String, PoolBuf)>, TransferReport);
 pub type PipelineResult = (Vec<(String, PoolBuf)>, PipelineReport);
 
 /// One committed output in a [`CommitManifest`]: logical name, the
-/// staged `_tmp/` key holding the bytes, and the wire crc32 recorded at
-/// upload (0 when integrity verification was off).
+/// staged `_tmp/` key the bytes are read back by, and the wire crc32
+/// recorded at upload of the object holding them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ManifestEntry {
     /// Logical output name (e.g. `out/y`).
     pub name: String,
     /// Staged object key the bytes live under.
     pub key: String,
-    /// crc32 of the staged wire bytes.
+    /// crc32 of the wire bytes of the staged object (the output's own,
+    /// or the pack it shares with the region's other small outputs).
     pub wire_crc: u32,
 }
 
@@ -313,13 +340,95 @@ impl CommitManifest {
     }
 }
 
+/// Largest buffer, in raw bytes, that may join a pack.
+///
+/// A buffer belongs in a pack when the time its bytes spend on the link
+/// is small next to the one op latency a separate object would cost.
+/// `latency × bandwidth` is 5 ms × 40 MB/s = 200 KB on the slowest link
+/// we model (and unbounded on the latency-only ones), so at 128 KiB and
+/// under a round trip always costs more than the bytes do. The cut is on
+/// raw size: it must not depend on what the codec makes of the content.
+const PACK_MEMBER_MAX: usize = 128 * 1024;
+
+/// One logical buffer of a batch: the position of its payload in the
+/// result, the key the caller knows it by and, on the way up, its bytes.
+struct Member {
+    slot: usize,
+    key: String,
+    payload: PoolBuf,
+}
+
+/// One store object of a batch: a buffer on its own (`key` is the
+/// member's) or a pack of several (`key` is the pack's own).
+struct StoreObject {
+    key: String,
+    members: Vec<Member>,
+}
+
+impl StoreObject {
+    fn single(member: Member) -> StoreObject {
+        StoreObject {
+            key: member.key.clone(),
+            members: vec![member],
+        }
+    }
+
+    fn is_pack(&self) -> bool {
+        self.members.len() > 1 || self.members[0].key != self.key
+    }
+}
+
+/// The buffers one store object yielded, each with its result position
+/// and key.
+type Yield = Vec<(usize, String, PoolBuf)>;
+
+/// Split `key` into its directory (with the trailing `/`, or empty) and
+/// the name under it.
+fn split_dir(key: &str) -> (&str, &str) {
+    key.split_at(key.rfind('/').map_or(0, |p| p + 1))
+}
+
+/// Whether `key` is `prefix` or lies under it, matching whole path
+/// segments: `job-1` covers `job-1/in/A`, not `job-10/in/A`. An empty
+/// prefix covers everything.
+fn covers(prefix: &str, key: &str) -> bool {
+    let prefix = prefix.trim_end_matches('/');
+    prefix.is_empty()
+        || key
+            .strip_prefix(prefix)
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+}
+
+/// What the manager remembers of the objects it wrote.
+#[derive(Default)]
+struct Ledger {
+    /// crc32 of the wire bytes of every object this manager uploaded —
+    /// the reference downloads are verified against.
+    crcs: HashMap<String, u32>,
+    /// Key of every packed buffer → key of the pack holding it. A packed
+    /// buffer has no store object of its own; this is the only way back.
+    packed: HashMap<String, String>,
+}
+
+impl Ledger {
+    /// The store object holding the buffer known as `key`.
+    fn object_of<'a>(&'a self, key: &'a str) -> &'a str {
+        self.packed.get(key).map_or(key, String::as_str)
+    }
+
+    /// Forget every object (and every member of a pack) `gone` names.
+    fn forget(&mut self, gone: impl Fn(&str) -> bool) {
+        self.crcs.retain(|key, _| !gone(key));
+        self.packed
+            .retain(|member, pack| !gone(member) && !gone(pack));
+    }
+}
+
 /// Moves batches of named buffers between host memory and a cloud store.
 pub struct TransferManager {
     store: StoreHandle,
     config: TransferConfig,
-    /// crc32 of the wire bytes of every object this manager uploaded —
-    /// the reference downloads are verified against.
-    ledger: parking_lot::Mutex<HashMap<String, u32>>,
+    ledger: parking_lot::Mutex<Ledger>,
     /// Staging-buffer pool shared with callers: encode staging checks
     /// out, decoded download payloads check back in on drop.
     pool: Arc<BytePool>,
@@ -335,7 +444,7 @@ impl TransferManager {
         TransferManager {
             store,
             config,
-            ledger: parking_lot::Mutex::new(HashMap::new()),
+            ledger: parking_lot::Mutex::new(Ledger::default()),
             pool: BytePool::new(),
             leases: parking_lot::Mutex::new(std::collections::HashSet::new()),
         }
@@ -353,18 +462,39 @@ impl TransferManager {
         &self.pool
     }
 
-    /// Drop integrity-ledger entries under `prefix` — call when the
-    /// objects themselves are deleted, so the ledger doesn't grow without
-    /// bound across offloads.
+    /// Drop what the ledger holds on `prefix` and everything under it
+    /// (whole path segments: `job-1` leaves `job-10` alone) — call when
+    /// the objects themselves are deleted, so the ledger doesn't grow
+    /// without bound across offloads.
     pub fn forget_prefix(&self, prefix: &str) {
-        self.ledger.lock().retain(|k, _| !k.starts_with(prefix));
+        self.ledger.lock().forget(|key| covers(prefix, key));
     }
 
-    /// The wire crc32 this manager recorded when it uploaded `key`, if
-    /// any. Region fingerprints are built from these — the "input
-    /// crc32s from the integrity ledger" of the recovery design.
+    /// Delete every object under `prefix` (whole path segments, as
+    /// [`forget_prefix`](Self::forget_prefix)) and forget them. Best
+    /// effort: an object whose delete fails stays for the next sweep.
+    pub fn delete_prefix(&self, prefix: &str) {
+        for key in self.store.list(prefix) {
+            if covers(prefix, &key) {
+                let _ = self.store.delete(&key);
+            }
+        }
+        self.forget_prefix(prefix);
+    }
+
+    /// The wire crc32 this manager recorded when it uploaded the object
+    /// holding `key` (for a packed buffer: its pack), if any. Region
+    /// fingerprints are built from these — the "input crc32s from the
+    /// integrity ledger" of the recovery design.
     pub fn ledger_crc(&self, key: &str) -> Option<u32> {
-        self.ledger.lock().get(key).copied()
+        let ledger = self.ledger.lock();
+        ledger.crcs.get(ledger.object_of(key)).copied()
+    }
+
+    /// Key of the store object holding the buffer known as `key`: the
+    /// key itself, or its pack's — the key transfer reports name.
+    pub fn object_key(&self, key: &str) -> String {
+        self.ledger.lock().object_of(key).to_string()
     }
 
     /// The staged key output `name` uploads to before `region` commits.
@@ -385,21 +515,22 @@ impl TransferManager {
         region: &str,
         names: &[String],
     ) -> Result<CommitManifest, StorageError> {
-        let manifest = CommitManifest {
-            entries: names
-                .iter()
-                .map(|name| {
-                    let key = Self::staged_key(region, name);
-                    let wire_crc = self.ledger_crc(&key).unwrap_or(0);
-                    ManifestEntry {
-                        name: name.clone(),
-                        key,
-                        wire_crc,
-                    }
+        let entries = names
+            .iter()
+            .map(|name| {
+                let key = Self::staged_key(region, name);
+                let wire_crc = self.ledger_crc(&key).ok_or_else(|| {
+                    StorageError::NotFound(format!("{key}: output was never staged"))
+                })?;
+                Ok(ManifestEntry {
+                    name: name.clone(),
+                    key,
+                    wire_crc,
                 })
-                .collect(),
-        };
-        self.put_wire(&Self::manifest_key(region), manifest.to_bytes(), None)?;
+            })
+            .collect::<Result<_, StorageError>>()?;
+        let manifest = CommitManifest { entries };
+        self.put_wire(&Self::manifest_key(region), &[], manifest.to_bytes(), None)?;
         Ok(manifest)
     }
 
@@ -411,8 +542,9 @@ impl TransferManager {
     /// Fetch and parse `region`'s commit manifest.
     pub fn read_manifest(&self, region: &str) -> Result<CommitManifest, StorageError> {
         let key = Self::manifest_key(region);
-        let (bytes, _, _, _) = self.fetch_with_retry(&key, None)?;
-        CommitManifest::from_bytes(&key, &bytes)
+        let (manifest, ..) =
+            self.fetch_with_retry(&key, None, |bytes| CommitManifest::from_bytes(&key, &bytes))?;
+        Ok(manifest)
     }
 
     /// Take a lease on `root`: every key under it is protected from
@@ -437,10 +569,7 @@ impl TransferManager {
     /// Whether `key` sits under an active lease. Matches whole path
     /// segments — a lease on `…/dag-1` does not shadow `…/dag-10`.
     pub fn is_leased(&self, key: &str) -> bool {
-        self.leases.lock().iter().any(|root| {
-            key.strip_prefix(root.as_str())
-                .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
-        })
+        self.leases.lock().iter().any(|root| covers(root, key))
     }
 
     /// Garbage-collect staged outputs of crashed regions: every
@@ -474,15 +603,15 @@ impl TransferManager {
             }
         }
         let mut removed = 0;
-        for (region, keys) in by_region {
-            if self.is_committed(&region) {
-                continue;
+        let mut sweep = |key: String| {
+            if self.store.delete(&key).is_ok() {
+                self.ledger.lock().forget(|k| k == key);
+                removed += 1;
             }
-            for key in keys {
-                if self.store.delete(&key).is_ok() {
-                    self.ledger.lock().remove(&key);
-                    removed += 1;
-                }
+        };
+        for (region, keys) in by_region {
+            if !self.is_committed(&region) {
+                keys.into_iter().for_each(&mut sweep);
             }
         }
         for key in dataflow_orphans {
@@ -490,27 +619,164 @@ impl TransferManager {
             // this root between the listing above and now, and sweeping
             // a live DAG's resident keys would fail its consumers. The
             // listing-time check is only a pre-filter.
-            if self.is_leased(&key) {
-                continue;
-            }
-            if self.store.delete(&key).is_ok() {
-                self.ledger.lock().remove(&key);
-                removed += 1;
+            if !self.is_leased(&key) {
+                sweep(key);
             }
         }
         removed
     }
 
-    /// Put `wire` under `key` with retries; records the wire crc32 in
-    /// the integrity ledger. The payload is cloned only while another
-    /// retry is still permitted — the terminal attempt moves it.
+    /// The object layout of a batch — the one decision this layer makes
+    /// beside the codec's [`gzlite::plan_wire`]: which buffers get a
+    /// store object of their own and which share a pack.
+    ///
+    /// A buffer of at most [`PACK_MEMBER_MAX`] raw bytes joins the open
+    /// pack of its key directory, in request order, while the pack stays
+    /// strictly under `stream_threshold`; the buffer that would not fit
+    /// opens the next pack. The cap keeps a pack one frame: at the
+    /// threshold the codec cuts a payload into independently compressed
+    /// chunks, which costs these small repetitive buffers 14–23 % in wire
+    /// bytes. A pack lives in its members' key directory, so everything
+    /// that selects objects by path (orphan collection, leases, per-job
+    /// cleanup, scoped fault rules) treats it as it would its members.
+    /// Every other buffer — and a small one that ends up alone — is the
+    /// object it always was, under its own key.
+    fn layout(&self, items: Vec<(String, PoolBuf)>) -> Vec<StoreObject> {
+        let cap = self.config.stream_threshold;
+        let mut objects: Vec<StoreObject> = Vec::with_capacity(items.len());
+        // Key directory → (index into `objects`, bytes so far) of its open
+        // pack. A directory without one yet is entered as a full pack.
+        let mut open: HashMap<String, (usize, usize)> = HashMap::new();
+        for (slot, (key, payload)) in items.into_iter().enumerate() {
+            let (dir, name) = split_dir(&key);
+            let cost = pack::entry_len(name) + payload.len();
+            if payload.len() <= PACK_MEMBER_MAX && pack::HEADER_LEN + cost < cap {
+                let (at, bytes) = open.entry(dir.to_string()).or_insert((0, cap));
+                if *bytes + cost < cap {
+                    *bytes += cost;
+                    objects[*at].members.push(Member { slot, key, payload });
+                    continue;
+                }
+                (*at, *bytes) = (objects.len(), pack::HEADER_LEN + cost);
+            }
+            objects.push(StoreObject::single(Member { slot, key, payload }));
+        }
+        for object in objects.iter_mut().filter(|o| o.members.len() > 1) {
+            // Named after its exact member list: one key never holds two
+            // different directories over time.
+            let names: Vec<&str> = object.members.iter().map(|m| split_dir(&m.key).1).collect();
+            let (dir, _) = split_dir(&object.key);
+            object.key = format!(
+                "{dir}pack{}-{:08x}",
+                names.len(),
+                gzlite::crc32(names.join("\0").as_bytes())
+            );
+        }
+        objects
+    }
+
+    /// The store objects holding `keys`, each listed once with the
+    /// buffers wanted of it; `slot0` is the result position of the first
+    /// key.
+    fn locate(&self, keys: Vec<String>, slot0: usize) -> Vec<StoreObject> {
+        use std::collections::hash_map::Entry;
+        let ledger = self.ledger.lock();
+        let mut objects: Vec<StoreObject> = Vec::with_capacity(keys.len());
+        let mut packs: HashMap<&str, usize> = HashMap::new();
+        for (i, key) in keys.into_iter().enumerate() {
+            let pack = ledger.packed.get(&key).map(String::as_str);
+            let member = Member {
+                slot: slot0 + i,
+                key,
+                payload: PoolBuf::default(),
+            };
+            match pack.map(|pack| (pack, packs.entry(pack))) {
+                None => objects.push(StoreObject::single(member)),
+                Some((_, Entry::Occupied(at))) => objects[*at.get()].members.push(member),
+                Some((pack, Entry::Vacant(at))) => {
+                    at.insert(objects.len());
+                    objects.push(StoreObject {
+                        key: pack.to_string(),
+                        members: vec![member],
+                    });
+                }
+            }
+        }
+        objects
+    }
+
+    /// Encode `object` for the wire, consuming its members' payloads: a
+    /// single buffer as it is, a pack serialized into one pooled buffer
+    /// (each member's staging buffer cycles back to the pool as it is
+    /// copied in) and sealed as any buffer would be. Returns the wire
+    /// bytes and whether they are compressed.
+    fn seal(&self, object: &mut StoreObject) -> (Vec<u8>, bool) {
+        let payload = if object.is_pack() {
+            let entries = object
+                .members
+                .iter()
+                .map(|m| (split_dir(&m.key).1, m.payload.len()));
+            let total = pack::HEADER_LEN
+                + entries
+                    .clone()
+                    .map(|(name, len)| pack::entry_len(name) + len)
+                    .sum::<usize>();
+            let mut buf = self.pool.get(total);
+            pack::write_directory(&mut buf, entries);
+            for member in &mut object.members {
+                buf.extend_from_slice(&std::mem::take(&mut member.payload));
+            }
+            buf
+        } else {
+            std::mem::take(&mut object.members[0].payload)
+        };
+        compress_for_wire(&self.config, payload)
+    }
+
+    /// Cut the buffers wanted of `object` out of its decoded `pack`, in
+    /// member order. Anything wrong with the pack is corruption.
+    fn unpack(&self, object: &StoreObject, pack: &[u8]) -> Result<Vec<PoolBuf>, StorageError> {
+        let corrupted = |why: &str| StorageError::Corrupted(format!("{}: {why}", object.key));
+        // First request of each name; a repeated key copies from it.
+        let mut wanted: HashMap<&str, usize> = HashMap::new();
+        for (i, member) in object.members.iter().enumerate() {
+            wanted.entry(split_dir(&member.key).1).or_insert(i);
+        }
+        let mut found: Vec<Option<PoolBuf>> = object.members.iter().map(|_| None).collect();
+        for (name, bytes) in pack::members(pack).map_err(corrupted)? {
+            if let Some(&i) = wanted.get(name) {
+                let mut buf = self.pool.get(bytes.len());
+                buf.extend_from_slice(bytes);
+                found[i] = Some(buf);
+            }
+        }
+        for i in 0..found.len() {
+            let first = wanted[split_dir(&object.members[i].key).1];
+            if first != i {
+                found[i] = found[first].clone();
+            }
+        }
+        found
+            .into_iter()
+            .map(|buf| buf.ok_or_else(|| corrupted("a packed buffer is missing from its pack")))
+            .collect()
+    }
+
+    /// Put `wire` under `key` with retries and record it in the ledger:
+    /// its crc32, and `key` as the home of every one of `members` that
+    /// goes by another key (the members of a pack). The payload is
+    /// cloned only while another retry is still permitted — the terminal
+    /// attempt moves it.
     fn put_wire(
         &self,
         key: &str,
+        members: &[Member],
         wire: Vec<u8>,
         io_timer: Option<&AtomicU64>,
     ) -> Result<RetryStats, StorageError> {
-        let crc = self.config.verify_integrity.then(|| gzlite::crc32(&wire));
+        // Recorded whether or not downloads verify against it: region
+        // fingerprints and commit manifests are built from these.
+        let crc = gzlite::crc32(&wire);
         let mut sess = self.config.retry.session(key);
         let mut wire = Some(wire);
         loop {
@@ -530,8 +796,12 @@ impl TransferManager {
             }
             match result {
                 Ok(()) => {
-                    if let Some(crc) = crc {
-                        self.ledger.lock().insert(key.to_string(), crc);
+                    let mut ledger = self.ledger.lock();
+                    ledger.packed.remove(key);
+                    ledger.crcs.insert(key.to_string(), crc);
+                    for member in members.iter().filter(|m| m.key != key) {
+                        ledger.crcs.remove(&member.key);
+                        ledger.packed.insert(member.key.clone(), key.to_string());
                     }
                     return Ok(sess.stats());
                 }
@@ -540,15 +810,16 @@ impl TransferManager {
         }
     }
 
-    /// Get `key` with retries, verify integrity, and decompress. With
-    /// `timers = (io, cpu)`, store time lands on `io` and
-    /// verification/decompression on `cpu` (the pipelined accounting).
-    /// Returns `(payload, wire_bytes, compressed, stats)`.
-    fn fetch_with_retry(
+    /// Get `key` with retries, verify integrity, decompress, and `open`
+    /// the payload. With `timers = (io, cpu)`, store time lands on `io`
+    /// and verification/decompression/opening on `cpu` (the pipelined
+    /// accounting). Returns `(opened, wire_bytes, compressed, stats)`.
+    fn fetch_with_retry<T>(
         &self,
         key: &str,
         timers: Option<(&AtomicU64, &AtomicU64)>,
-    ) -> Result<(Vec<u8>, u64, bool, RetryStats), StorageError> {
+        open: impl Fn(Vec<u8>) -> Result<T, StorageError>,
+    ) -> Result<(T, u64, bool, RetryStats), StorageError> {
         let mut sess = self.config.retry.session(key);
         loop {
             let t = Instant::now();
@@ -564,13 +835,17 @@ impl TransferManager {
                 }
             };
             let t = Instant::now();
-            let decoded = self.verify_and_decode(key, wire);
+            let opened =
+                self.verify_and_decode(key, wire)
+                    .and_then(|(payload, wire_bytes, compressed)| {
+                        Ok((open(payload)?, wire_bytes, compressed))
+                    });
             if let Some((_, cpu)) = timers {
                 cpu.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
             }
-            match decoded {
-                Ok((payload, wire_bytes, compressed)) => {
-                    return Ok((payload, wire_bytes, compressed, sess.stats()))
+            match opened {
+                Ok((opened, wire_bytes, compressed)) => {
+                    return Ok((opened, wire_bytes, compressed, sess.stats()))
                 }
                 // Corruption is retryable through the re-fetch budget: an
                 // in-flight bit flip heals on the next read, at-rest
@@ -578,6 +853,33 @@ impl TransferManager {
                 Err(e) => sess.on_error(e)?,
             }
         }
+    }
+
+    /// Fetch `object` once and hand out the buffers wanted of it, with
+    /// the report of the read (`seconds` left to the caller).
+    fn fetch_object(
+        &self,
+        object: StoreObject,
+        timers: Option<(&AtomicU64, &AtomicU64)>,
+    ) -> Result<(ItemReport, Yield), StorageError> {
+        let (payloads, wire_bytes, compressed, stats) =
+            self.fetch_with_retry(&object.key, timers, |payload| {
+                if object.is_pack() {
+                    self.unpack(&object, &payload)
+                } else {
+                    Ok(vec![self.pool.adopt(payload)])
+                }
+            })?;
+        let raw_bytes = payloads.iter().map(|p| p.len() as u64).sum();
+        let mut report = ItemReport::new(object.key, raw_bytes, wire_bytes, compressed);
+        report.fold_stats(stats);
+        let payloads = object
+            .members
+            .into_iter()
+            .zip(payloads)
+            .map(|(m, payload)| (m.slot, m.key, payload))
+            .collect();
+        Ok((report, payloads))
     }
 
     /// Check the wire bytes against the ledger (or backend checksum) and
@@ -592,6 +894,7 @@ impl TransferManager {
             let expected = self
                 .ledger
                 .lock()
+                .crcs
                 .get(key)
                 .copied()
                 .or_else(|| self.store.checksum(key));
@@ -609,7 +912,8 @@ impl TransferManager {
     }
 
     /// Upload a batch of `(key, payload)` buffers, one worker thread per
-    /// buffer (capped at `max_threads`). Blocks until every buffer landed.
+    /// store object (capped at `max_threads`). Blocks until every object
+    /// landed; the report has one item per object.
     ///
     /// Payloads may be plain `Vec<u8>`s or [`PoolBuf`]s checked out of
     /// [`pool`](Self::pool); pooled staging buffers cycle back to the
@@ -618,25 +922,16 @@ impl TransferManager {
         &self,
         items: Vec<(String, B)>,
     ) -> Result<TransferReport, StorageError> {
-        let items: Vec<(String, PoolBuf)> = items.into_iter().map(|(k, b)| (k, b.into())).collect();
+        let items = items.into_iter().map(|(k, b)| (k, b.into())).collect();
         let t0 = Instant::now();
-        let results = self.run_parallel(items, |key, payload| {
+        let results = self.run_parallel(self.layout(items), |mut object| {
             let t = Instant::now();
-            let raw_bytes = payload.len() as u64;
-            let (wire, compressed) = compress_for_wire(&self.config, payload);
+            let raw_bytes = object.members.iter().map(|m| m.payload.len() as u64).sum();
+            let (wire, compressed) = self.seal(&mut object);
             let wire_bytes = wire.len() as u64;
-            let stats = self.put_wire(&key, wire, None)?;
-            let mut report = ItemReport {
-                key,
-                raw_bytes,
-                wire_bytes,
-                compressed,
-                seconds: t.elapsed().as_secs_f64(),
-                retries: 0,
-                refetches: 0,
-                timeouts: 0,
-                backoff_s: 0.0,
-            };
+            let stats = self.put_wire(&object.key, &object.members, wire, None)?;
+            let mut report = ItemReport::new(object.key, raw_bytes, wire_bytes, compressed);
+            report.seconds = t.elapsed().as_secs_f64();
             report.fold_stats(stats);
             Ok(report)
         })?;
@@ -647,37 +942,21 @@ impl TransferManager {
     }
 
     /// Download a batch of keys, transparently decompressing gzlite
-    /// frames. Returns the payloads in the order requested plus a report.
+    /// frames and unpacking packed buffers (a pack is fetched once for
+    /// all the keys it holds). Returns the payloads in the order
+    /// requested plus a report with one item per store object read.
     pub fn download(&self, keys: Vec<String>) -> Result<DownloadResult, StorageError> {
         let t0 = Instant::now();
-        let results = self.run_parallel(
-            keys.into_iter().map(|k| (k, PoolBuf::default())).collect(),
-            |key, _| {
-                let t = Instant::now();
-                let (payload, wire_bytes, compressed, stats) = self.fetch_with_retry(&key, None)?;
-                let mut report = ItemReport {
-                    key,
-                    raw_bytes: payload.len() as u64,
-                    wire_bytes,
-                    compressed,
-                    seconds: t.elapsed().as_secs_f64(),
-                    retries: 0,
-                    refetches: 0,
-                    timeouts: 0,
-                    backoff_s: 0.0,
-                };
-                report.fold_stats(stats);
-                Ok((report, self.pool.adopt(payload)))
-            },
-        )?;
-        let mut items = Vec::with_capacity(results.len());
-        let mut payloads = Vec::with_capacity(results.len());
-        for (report, payload) in results {
-            payloads.push((report.key.clone(), payload));
-            items.push(report);
-        }
+        let total = keys.len();
+        let results = self.run_parallel(self.locate(keys, 0), |object| {
+            let t = Instant::now();
+            let (mut report, payloads) = self.fetch_object(object, None)?;
+            report.seconds = t.elapsed().as_secs_f64();
+            Ok((report, payloads))
+        })?;
+        let (items, payloads): (Vec<_>, Vec<_>) = results.into_iter().unzip();
         Ok((
-            payloads,
+            in_slot_order(total, payloads),
             TransferReport {
                 items,
                 wall_seconds: t0.elapsed().as_secs_f64(),
@@ -687,7 +966,7 @@ impl TransferManager {
 
     /// Fused upload + driver fetch as a two-stage pipeline: a pool of
     /// compression workers feeds a pool of `io_threads` store-I/O workers
-    /// through a channel, so buffer *N+1* compresses while buffer *N* is
+    /// through a channel, so object *N+1* compresses while object *N* is
     /// in flight to the store — and each staged object is read back (and
     /// decompressed) the moment its put lands, instead of waiting for the
     /// whole upload batch.
@@ -696,7 +975,8 @@ impl TransferManager {
     /// chain; `fetch_only` keys (already staged, e.g. upload-cache hits)
     /// skip straight to the get. Returns `(key, payload)` pairs —
     /// `put_items` first in request order, then `fetch_only` in request
-    /// order — plus per-stage busy-time accounting.
+    /// order — plus per-stage busy-time accounting and one report item
+    /// per store object (written objects first).
     pub fn upload_fetch_pipelined<B: Into<PoolBuf>>(
         &self,
         put_items: Vec<(String, B)>,
@@ -712,35 +992,34 @@ impl TransferManager {
         if total == 0 {
             return Ok((Vec::new(), PipelineReport::default()));
         }
+        let n_put_items = put_items.len();
+        let to_put = self.layout(put_items);
+        let to_get = self.locate(fetch_only, n_put_items);
+        let put_objects = to_put.len();
 
-        enum IoJob {
-            /// Compressed payload ready to hit the store and come back.
-            PutGet {
-                idx: usize,
-                key: String,
-                wire: Vec<u8>,
-                compressed: bool,
-            },
-            /// Already staged: read (and decompress) only.
-            Get { idx: usize, key: String },
+        /// An object on its way to the I/O stage: with its sealed wire
+        /// form `(wire, compressed)` to put first, or already staged.
+        struct IoJob {
+            idx: usize,
+            object: StoreObject,
+            sealed: Option<(Vec<u8>, bool)>,
         }
 
-        type Slot = parking_lot::Mutex<Option<Result<(ItemReport, PoolBuf), StorageError>>>;
-        let slots: Vec<Slot> = (0..total).map(|_| parking_lot::Mutex::new(None)).collect();
+        type Outcome = Result<(ItemReport, Yield), StorageError>;
+        let outcomes: Vec<parking_lot::Mutex<Option<Outcome>>> = (0..put_objects + to_get.len())
+            .map(|_| parking_lot::Mutex::new(None))
+            .collect();
         let cpu_busy_ns = AtomicU64::new(0);
         let io_busy_ns = AtomicU64::new(0);
 
-        let cpu_threads = put_items.len().clamp(1, self.config.max_threads.max(1));
-        let io_threads = io_threads.max(1).min(total);
+        let cpu_threads = put_objects.clamp(1, self.config.max_threads.max(1));
+        let io_threads = io_threads.max(1).min(outcomes.len());
 
-        type QueueSlot = parking_lot::Mutex<Option<(usize, String, PoolBuf)>>;
-        let queue: Vec<QueueSlot> = put_items
+        let queue: Vec<parking_lot::Mutex<Option<StoreObject>>> = to_put
             .into_iter()
-            .enumerate()
-            .map(|(i, (k, p))| parking_lot::Mutex::new(Some((i, k, p))))
+            .map(|o| parking_lot::Mutex::new(Some(o)))
             .collect();
         let next = AtomicUsize::new(0);
-        let n_put = queue.len();
 
         let (tx, rx) = crossbeam::channel::unbounded::<IoJob>();
 
@@ -749,54 +1028,45 @@ impl TransferManager {
             // attributed back to the CPU stage.
             for _ in 0..io_threads {
                 let rx = rx.clone();
-                let (slots, cpu_busy_ns, io_busy_ns) = (&slots, &cpu_busy_ns, &io_busy_ns);
+                let (outcomes, cpu_busy_ns, io_busy_ns) = (&outcomes, &cpu_busy_ns, &io_busy_ns);
                 scope.spawn(move || {
-                    for job in rx.iter() {
-                        let (idx, key, put_outcome) = match job {
-                            IoJob::PutGet {
-                                idx,
-                                key,
-                                wire,
-                                compressed,
-                            } => match self.put_wire(&key, wire, Some(io_busy_ns)) {
-                                Ok(stats) => (idx, key, Some((stats, compressed))),
-                                Err(e) => {
-                                    *slots[idx].lock() = Some(Err(e));
-                                    continue;
+                    for IoJob {
+                        idx,
+                        object,
+                        sealed,
+                    } in rx.iter()
+                    {
+                        let outcome = sealed
+                            .map(|(wire, compressed)| {
+                                let stats = self.put_wire(
+                                    &object.key,
+                                    &object.members,
+                                    wire,
+                                    Some(io_busy_ns),
+                                )?;
+                                Ok::<_, StorageError>((stats, compressed))
+                            })
+                            .transpose()
+                            .and_then(|put| {
+                                let timers = Some((io_busy_ns, cpu_busy_ns));
+                                let (mut report, payloads) = self.fetch_object(object, timers)?;
+                                if let Some((put_stats, put_compressed)) = put {
+                                    report.compressed |= put_compressed;
+                                    report.fold_stats(put_stats);
                                 }
-                            },
-                            IoJob::Get { idx, key } => (idx, key, None),
-                        };
-                        let (put_stats, put_compressed) =
-                            put_outcome.unwrap_or((RetryStats::default(), false));
-                        let fetched = self.fetch_with_retry(&key, Some((io_busy_ns, cpu_busy_ns)));
-                        *slots[idx].lock() =
-                            Some(fetched.map(|(payload, wire_bytes, compressed, get_stats)| {
-                                let payload = self.pool.adopt(payload);
-                                let mut report = ItemReport {
-                                    key,
-                                    raw_bytes: payload.len() as u64,
-                                    wire_bytes,
-                                    compressed: put_compressed || compressed,
-                                    seconds: 0.0,
-                                    retries: 0,
-                                    refetches: 0,
-                                    timeouts: 0,
-                                    backoff_s: 0.0,
-                                };
-                                report.fold_stats(put_stats);
-                                report.fold_stats(get_stats);
-                                (report, payload)
-                            }));
+                                Ok((report, payloads))
+                            });
+                        *outcomes[idx].lock() = Some(outcome);
                     }
                 });
             }
 
-            // Fetch-only keys go straight to the I/O stage.
-            for (i, key) in fetch_only.iter().enumerate() {
-                let _ = tx.send(IoJob::Get {
-                    idx: n_put + i,
-                    key: key.clone(),
+            // Fetch-only objects go straight to the I/O stage.
+            for (i, object) in to_get.into_iter().enumerate() {
+                let _ = tx.send(IoJob {
+                    idx: put_objects + i,
+                    object,
+                    sealed: None,
                 });
             }
 
@@ -804,21 +1074,19 @@ impl TransferManager {
             for _ in 0..cpu_threads {
                 let tx = tx.clone();
                 let (queue, next, cpu_busy_ns) = (&queue, &next, &cpu_busy_ns);
-                let config = &self.config;
                 scope.spawn(move || loop {
-                    let q = next.fetch_add(1, Ordering::Relaxed);
-                    if q >= queue.len() {
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    if idx >= queue.len() {
                         return;
                     }
-                    let (idx, key, payload) = queue[q].lock().take().expect("claimed once");
+                    let mut object = queue[idx].lock().take().expect("claimed once");
                     let t = Instant::now();
-                    let (wire, compressed) = compress_for_wire(config, payload);
+                    let sealed = Some(self.seal(&mut object));
                     cpu_busy_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                    let _ = tx.send(IoJob::PutGet {
+                    let _ = tx.send(IoJob {
                         idx,
-                        key,
-                        wire,
-                        compressed,
+                        object,
+                        sealed,
                     });
                 });
             }
@@ -828,17 +1096,18 @@ impl TransferManager {
             drop(tx);
         });
 
-        let mut items = Vec::with_capacity(total);
-        let mut payloads = Vec::with_capacity(total);
-        for slot in slots {
-            let (report, payload) = slot.into_inner().expect("all slots filled")?;
-            payloads.push((report.key.clone(), payload));
+        let mut items = Vec::with_capacity(outcomes.len());
+        let mut payloads = Vec::with_capacity(outcomes.len());
+        for outcome in outcomes {
+            let (report, fetched) = outcome.into_inner().expect("every object ran")?;
             items.push(report);
+            payloads.push(fetched);
         }
         Ok((
-            payloads,
+            in_slot_order(total, payloads),
             PipelineReport {
                 items,
+                put_objects,
                 wall_seconds: t0.elapsed().as_secs_f64(),
                 cpu_busy_seconds: cpu_busy_ns.load(Ordering::Relaxed) as f64 * 1e-9,
                 io_busy_seconds: io_busy_ns.load(Ordering::Relaxed) as f64 * 1e-9,
@@ -848,30 +1117,20 @@ impl TransferManager {
         ))
     }
 
-    /// Fan a batch out over scoped worker threads, preserving input order
-    /// in the results.
-    fn run_parallel<R, F>(
-        &self,
-        items: Vec<(String, PoolBuf)>,
-        work: F,
-    ) -> Result<Vec<R>, StorageError>
+    /// Fan a batch of store objects out over scoped worker threads,
+    /// preserving input order in the results.
+    fn run_parallel<R, F>(&self, objects: Vec<StoreObject>, work: F) -> Result<Vec<R>, StorageError>
     where
         R: Send,
-        F: Fn(String, PoolBuf) -> Result<R, StorageError> + Sync,
+        F: Fn(StoreObject) -> Result<R, StorageError> + Sync,
     {
-        if items.is_empty() {
-            return Ok(Vec::new());
+        if objects.len() <= 1 {
+            return objects.into_iter().map(work).collect();
         }
-        if items.len() == 1 {
-            let (key, payload) = items.into_iter().next().expect("one item");
-            return Ok(vec![work(key, payload)?]);
-        }
-        let threads = items.len().min(self.config.max_threads.max(1));
-        type QueueSlot = parking_lot::Mutex<Option<(usize, String, PoolBuf)>>;
-        let queue: Vec<QueueSlot> = items
+        let threads = objects.len().min(self.config.max_threads.max(1));
+        let queue: Vec<parking_lot::Mutex<Option<StoreObject>>> = objects
             .into_iter()
-            .enumerate()
-            .map(|(i, (k, p))| parking_lot::Mutex::new(Some((i, k, p))))
+            .map(|o| parking_lot::Mutex::new(Some(o)))
             .collect();
         let next = std::sync::atomic::AtomicUsize::new(0);
         let mut slots: Vec<Option<Result<R, StorageError>>> = Vec::new();
@@ -885,9 +1144,9 @@ impl TransferManager {
                     if idx >= queue.len() {
                         return;
                     }
-                    let (i, key, payload) = queue[idx].lock().take().expect("claimed once");
-                    let result = work(key, payload);
-                    slots_mutex.lock()[i] = Some(result);
+                    let object = queue[idx].lock().take().expect("claimed once");
+                    let result = work(object);
+                    slots_mutex.lock()[idx] = Some(result);
                 });
             }
         });
@@ -897,6 +1156,19 @@ impl TransferManager {
             .map(|s| s.expect("all slots filled"))
             .collect()
     }
+}
+
+/// Flatten per-object `(slot, key, payload)` lists into the `total`
+/// `(key, payload)` pairs of a batch, in slot (= request) order.
+fn in_slot_order(total: usize, per_object: Vec<Yield>) -> Vec<(String, PoolBuf)> {
+    let mut slots: Vec<Option<(String, PoolBuf)>> = (0..total).map(|_| None).collect();
+    for (slot, key, payload) in per_object.into_iter().flatten() {
+        slots[slot] = Some((key, payload));
+    }
+    slots
+        .into_iter()
+        .map(|s| s.expect("every requested key was fetched"))
+        .collect()
 }
 
 /// Encode one payload for the wire. The raw/compress/stream decision is
@@ -980,7 +1252,8 @@ mod tests {
         let report = tm
             .upload(vec![("in/A".into(), a.clone()), ("in/B".into(), b.clone())])
             .unwrap();
-        assert_eq!(report.items.len(), 2);
+        assert_eq!(report.items.len(), 1, "two small buffers, one object");
+        assert_eq!(report.raw_bytes(), 15_000, "raw bytes are the buffers'");
         assert!(
             report.ratio() < 1.0,
             "sparse member should shrink the batch"
@@ -991,7 +1264,7 @@ mod tests {
         assert_eq!(payloads[0].1, a);
         assert_eq!(payloads[1].0, "in/B");
         assert_eq!(payloads[1].1, b);
-        assert_eq!(dreport.items.len(), 2);
+        assert_eq!(dreport.items.len(), 1, "both came out of one get");
         assert_eq!(dreport.total_refetches(), 0, "clean run never re-fetches");
     }
 
@@ -1214,24 +1487,52 @@ mod tests {
     }
 
     #[test]
-    fn forget_prefix_drops_ledger_entries() {
-        let (tm, _) = manager(usize::MAX);
-        tm.upload(vec![
-            ("job1/a".into(), vec![1u8; 32]),
-            ("job2/b".into(), vec![2u8; 32]),
-        ])
-        .unwrap();
-        assert_eq!(tm.ledger.lock().len(), 2);
-        tm.forget_prefix("job1/");
-        assert_eq!(tm.ledger.lock().len(), 1);
-        assert!(tm.ledger.lock().contains_key("job2/b"));
+    fn forget_prefix_matches_whole_path_segments() {
+        // `job-1` must not take `job-10` with it — neither its ledger
+        // entries, nor its packed buffers, nor (delete_prefix) its objects.
+        let (tm, store) = manager(usize::MAX);
+        for job in ["job-1", "job-10"] {
+            tm.upload(vec![
+                (format!("{job}/in/a"), vec![1u8; 32]),
+                (format!("{job}/in/b"), vec![2u8; 32]),
+                (format!("{job}/out/y"), vec![3u8; 32]),
+            ])
+            .unwrap();
+        }
+        assert_eq!(store.list("").len(), 4, "a pack and a lone object per job");
+        tm.forget_prefix("job-1");
+        assert_eq!(tm.ledger_crc("job-1/in/a"), None);
+        assert_eq!(tm.ledger_crc("job-1/out/y"), None);
+        assert!(
+            tm.ledger_crc("job-10/in/a").is_some(),
+            "packed neighbour kept"
+        );
+        assert!(
+            tm.ledger_crc("job-10/out/y").is_some(),
+            "lone neighbour kept"
+        );
+        // A trailing slash names the same directory.
+        tm.forget_prefix("job-10/out/");
+        assert_eq!(tm.ledger_crc("job-10/out/y"), None);
+
+        tm.delete_prefix("job-1");
+        assert!(store.list("job-1/").is_empty());
+        assert_eq!(store.list("job-10/").len(), 2, "neighbour's objects kept");
+        let (payloads, _) = tm.download(vec!["job-10/in/b".into()]).unwrap();
+        assert_eq!(payloads[0].1, vec![2u8; 32]);
+        // A full key is a prefix of itself only.
+        tm.forget_prefix("job-10/in/b");
+        assert!(tm.download(vec!["job-10/in/b".into()]).is_err());
+        assert!(tm.download(vec!["job-10/in/a".into()]).is_ok());
     }
 
     #[test]
     fn many_buffers_upload_in_parallel_and_keep_order() {
         let (tm, _) = manager(usize::MAX);
+        // Each too large to share an object with the others.
+        const LEN: usize = PACK_MEMBER_MAX + 1;
         let items: Vec<(String, Vec<u8>)> = (0..40)
-            .map(|i| (format!("k{i:02}"), vec![i as u8; 100]))
+            .map(|i| (format!("k{i:02}"), vec![i as u8; LEN]))
             .collect();
         let report = tm.upload(items).unwrap();
         assert_eq!(report.items.len(), 40);
@@ -1242,7 +1543,7 @@ mod tests {
             .download((0..40).map(|i| format!("k{i:02}")).collect())
             .unwrap();
         for (i, (_, p)) in payloads.iter().enumerate() {
-            assert_eq!(p, &vec![i as u8; 100]);
+            assert_eq!(p, &vec![i as u8; LEN]);
         }
     }
 
@@ -1301,7 +1602,7 @@ mod tests {
             assert_eq!(got_key, key, "request order preserved");
             assert_eq!(got, expected, "put + get round-trips bitwise");
         }
-        assert_eq!(report.items.len(), items.len());
+        assert_eq!((report.items.len(), report.put_objects), (1, 1));
         assert_eq!(report.raw_bytes(), 12 * 4096);
         // Objects really landed in the store (same wire form the serial
         // download path would read).
@@ -1309,7 +1610,7 @@ mod tests {
             .download(items.iter().map(|(k, _)| k.clone()).collect())
             .unwrap();
         assert_eq!(serial, payloads);
-        assert!(store.exists("in/v00"));
+        assert_eq!(store.list("in/").len(), 1, "the twelve share one object");
     }
 
     #[test]
@@ -1326,9 +1627,12 @@ mod tests {
                 FaultKind::Corrupt,
             ));
         let (tm, _) = chaos_manager(64, plan);
+        // Ten objects of their own: the fault schedule counts store ops.
         let items: Vec<(String, Vec<u8>)> = (0..10)
             .map(|i| {
-                let payload: Vec<u8> = (0..2048u32).map(|j| ((j ^ (i * 37)) % 253) as u8).collect();
+                let payload: Vec<u8> = (0..PACK_MEMBER_MAX as u32 + 2048)
+                    .map(|j| ((j ^ (i * 37)) % 253) as u8)
+                    .collect();
                 (format!("in/c{i:02}"), payload)
             })
             .collect();
@@ -1496,10 +1800,16 @@ mod tests {
             tm.ledger_crc("job-0/_tmp/out/y").unwrap()
         );
         assert_eq!(tm.read_manifest("job-0").unwrap(), manifest);
+        // The manifest resolves: its keys read back the staged outputs,
+        // though the two small ones share one staged object.
+        let keys = manifest.entries.iter().map(|e| e.key.clone()).collect();
+        let (outputs, _) = tm.download(keys).unwrap();
+        assert_eq!(outputs[0].1, vec![1; 32]);
+        assert_eq!(outputs[1].1, vec![2; 32]);
 
         // Committed regions are never garbage-collected.
         assert_eq!(tm.collect_orphans(""), 0);
-        assert_eq!(store.list("job-0/_tmp/").len(), 2);
+        assert_eq!(store.list("job-0/_tmp/").len(), 1);
     }
 
     #[test]
@@ -1520,7 +1830,7 @@ mod tests {
         tm.publish_manifest("job-2", &["out/a".to_string()])
             .unwrap();
 
-        assert_eq!(tm.collect_orphans(""), 2);
+        assert_eq!(tm.collect_orphans(""), 1, "the two tiles share an object");
         assert!(store.list("job-1/_tmp/").is_empty(), "orphans removed");
         assert_eq!(store.list("job-2/_tmp/").len(), 1, "committed data kept");
         assert_eq!(
@@ -1542,14 +1852,14 @@ mod tests {
         .unwrap();
         assert!(tm.is_leased(&format!("{root}/y")));
         assert_eq!(tm.collect_orphans(""), 0, "live chain is protected");
-        assert_eq!(store.list(root).len(), 2);
+        assert_eq!(store.list(root).len(), 1, "two small buffers, one object");
 
         // Clean shutdown path: the holder releases after deleting its
         // own keys; leftovers from a *crashed* chain (lease gone) are
         // swept by the next region start.
         tm.release(root);
         assert!(!tm.is_leased(&format!("{root}/y")));
-        assert_eq!(tm.collect_orphans(""), 2, "crashed chain leaks nothing");
+        assert_eq!(tm.collect_orphans(""), 1, "crashed chain leaks nothing");
         assert!(store.list(root).is_empty());
         assert_eq!(tm.ledger_crc(&format!("{root}/y")), None);
     }

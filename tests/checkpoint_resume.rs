@@ -38,6 +38,11 @@ fn checkpoint_config() -> CloudConfig {
 }
 
 fn offload_gemm(runtime: &CloudRuntime) -> (ExecProfile, Vec<f32>) {
+    offload_gemm_with(runtime, 0.0)
+}
+
+/// The same GEMM with `bump` added to one element of input `A`.
+fn offload_gemm_with(runtime: &CloudRuntime, bump: f32) -> (ExecProfile, Vec<f32>) {
     let mut case = kernels::build(
         BenchId::Gemm,
         16,
@@ -45,8 +50,22 @@ fn offload_gemm(runtime: &CloudRuntime) -> (ExecProfile, Vec<f32>) {
         3,
         CloudRuntime::cloud_selector(),
     );
+    case.env.get_mut::<f32>("A").unwrap()[7] += bump;
     let profile = runtime.offload(&case.region, &mut case.env).unwrap();
     (profile, case.env.get::<f32>("C").unwrap().to_vec())
+}
+
+/// A store whose endpoint dies after `KILL_AFTER_MARKERS` journal puts.
+fn killed_mid_region(base: &Arc<S3Store>) -> Arc<ChaosStore> {
+    let plan = FaultPlan::new(CHAOS_SEED).rule(
+        FaultRule::new(
+            OpFilter::Put,
+            Trigger::OpIndex(KILL_AFTER_MARKERS),
+            FaultKind::Kill,
+        )
+        .on_keys("journal/"),
+    );
+    Arc::new(ChaosStore::new(Arc::clone(base) as _, plan))
 }
 
 #[test]
@@ -82,15 +101,7 @@ fn kill_mid_region_resumes_only_unfinished_tiles() {
     // zero the device reports the budget exhausted and the registry
     // recovers the region on the host.
     let base: Arc<S3Store> = Arc::new(S3Store::standalone("checkpoint-shared"));
-    let plan = FaultPlan::new(CHAOS_SEED).rule(
-        FaultRule::new(
-            OpFilter::Put,
-            Trigger::OpIndex(KILL_AFTER_MARKERS),
-            FaultKind::Kill,
-        )
-        .on_keys("journal/"),
-    );
-    let chaos = Arc::new(ChaosStore::new(Arc::clone(&base) as _, plan));
+    let chaos = killed_mid_region(&base);
     let runtime_b = CloudRuntime::with_device(CloudDevice::with_store(checkpoint_config(), chaos));
     let (profile_b, results_b) = offload_gemm(&runtime_b);
     assert_eq!(results_b, expected, "host fallback must still be correct");
@@ -157,6 +168,146 @@ fn kill_mid_region_resumes_only_unfinished_tiles() {
         .collect();
     assert!(leftovers.is_empty(), "leftovers: {leftovers:?}");
     runtime_c.shutdown();
+}
+
+#[test]
+fn a_journal_over_other_data_is_not_resumed_with_integrity_off() {
+    // The region fingerprint is built from the inputs' wire crc32s. They
+    // used to be recorded only when `verify-integrity` was on, so with
+    // it off every input fingerprinted as 0 and a journal left by an
+    // interrupted run over *other* data was restored into this one.
+    let config = || CloudConfig {
+        verify_integrity: false,
+        ..checkpoint_config()
+    };
+    // Interrupted run: K tiles journaled, then host fallback.
+    let base: Arc<S3Store> = Arc::new(S3Store::standalone("checkpoint-other-data"));
+    let runtime =
+        CloudRuntime::with_device(CloudDevice::with_store(config(), killed_mid_region(&base)));
+    let (profile, _) = offload_gemm(&runtime);
+    assert!(profile.fallback_from.is_some(), "{:?}", profile.notes);
+    runtime.shutdown();
+    assert!(
+        base.list("jobs/journal/")
+            .iter()
+            .any(|k| k.contains("/tile-")),
+        "the interrupted run left completion markers behind"
+    );
+
+    // What the region must compute over the changed input, on the host.
+    let mut host_case = kernels::build(
+        BenchId::Gemm,
+        16,
+        DataKind::Dense,
+        3,
+        DeviceSelector::Kind(DeviceKind::Host),
+    );
+    host_case.env.get_mut::<f32>("A").unwrap()[7] += 1.0;
+    HostDevice::sequential()
+        .execute(&host_case.region, &mut host_case.env)
+        .unwrap();
+    let expected = host_case.env.get::<f32>("C").unwrap().to_vec();
+
+    // Fresh device over the same store, one input element changed: a
+    // different region as far as the journal is concerned.
+    let runtime =
+        CloudRuntime::with_device(CloudDevice::with_store(config(), Arc::clone(&base) as _));
+    let (profile, results) = offload_gemm_with(&runtime, 1.0);
+    assert!(profile.fallback_from.is_none(), "{:?}", profile.notes);
+    let report = runtime.cloud().last_report().unwrap();
+    assert_eq!(
+        report.resilience.tiles_resumed, 0,
+        "no tile computed over the old input may be restored"
+    );
+    assert_eq!(results, expected, "bitwise-equal to the host");
+    runtime.shutdown();
+}
+
+#[test]
+fn two_small_outputs_commit_as_one_staged_object() {
+    // A checkpointed region with two small outputs: they stage as one
+    // object under the region's `_tmp/out/`, the manifest names both,
+    // and both come home. Then the same region against a store that
+    // dies on the manifest put: only `_tmp/` orphans are left, and the
+    // next region start collects them.
+    let region = || {
+        TargetRegion::builder("two-outputs")
+            .device(CloudRuntime::cloud_selector())
+            .map_to("x")
+            .map_from("double")
+            .map_from("square")
+            .parallel_for(64, |l| {
+                l.partition("double", PartitionSpec::rows(1))
+                    .partition("square", PartitionSpec::rows(1))
+                    .body(|i, ins, outs| {
+                        let x = ins.view::<f32>("x")[i];
+                        outs.view_mut::<f32>("double")[i] = 2.0 * x;
+                        outs.view_mut::<f32>("square")[i] = x * x;
+                    })
+            })
+            .build()
+            .unwrap()
+    };
+    let fresh_env = || {
+        let mut env = DataEnv::new();
+        env.insert("x", (0..64).map(|i| i as f32).collect::<Vec<_>>());
+        env.insert("double", vec![0.0f32; 64]);
+        env.insert("square", vec![0.0f32; 64]);
+        env
+    };
+    let check = |env: &DataEnv| {
+        assert_eq!(env.get::<f32>("double").unwrap()[9], 18.0);
+        assert_eq!(env.get::<f32>("square").unwrap()[9], 81.0);
+    };
+
+    // The manifest put is the commit point; kill the endpoint on it.
+    let base: Arc<S3Store> = Arc::new(S3Store::standalone("checkpoint-two-outputs"));
+    let plan = FaultPlan::new(CHAOS_SEED)
+        .rule(FaultRule::new(OpFilter::Put, Trigger::Always, FaultKind::Kill).on_keys("/manifest"));
+    let chaos = Arc::new(ChaosStore::new(Arc::clone(&base) as _, plan));
+    let runtime = CloudRuntime::with_device(CloudDevice::with_store(checkpoint_config(), chaos));
+    let mut env = fresh_env();
+    let profile = runtime.offload(&region(), &mut env).unwrap();
+    assert!(profile.fallback_from.is_some(), "{:?}", profile.notes);
+    check(&env);
+    runtime.shutdown();
+    let staged: Vec<String> = base
+        .list("")
+        .into_iter()
+        .filter(|k| k.contains("/_tmp/"))
+        .collect();
+    assert_eq!(staged.len(), 1, "both outputs in one object: {staged:?}");
+    assert!(staged[0].contains("/_tmp/out/"), "{staged:?}");
+    assert!(
+        !base.list("").iter().any(|k| k.ends_with("/manifest")),
+        "never committed"
+    );
+
+    // Endpoint back: the next region start sweeps the orphan, the region
+    // commits, and nothing staged or journaled outlives the commit.
+    let runtime = CloudRuntime::with_device(CloudDevice::with_store(
+        checkpoint_config(),
+        Arc::clone(&base) as _,
+    ));
+    let mut env = fresh_env();
+    let profile = runtime.offload(&region(), &mut env).unwrap();
+    assert!(profile.fallback_from.is_none(), "{:?}", profile.notes);
+    check(&env);
+    let report = runtime.cloud().last_report().unwrap();
+    assert_eq!(report.resilience.orphans_collected, 1);
+    assert_eq!(report.resilience.commits_published, 1);
+    assert_eq!(
+        report.download.items.len(),
+        1,
+        "two outputs, one object read back"
+    );
+    let leftovers: Vec<String> = base
+        .list("")
+        .into_iter()
+        .filter(|k| k.contains("/_tmp/") || k.contains("journal/") || k.ends_with("/manifest"))
+        .collect();
+    assert!(leftovers.is_empty(), "leftovers: {leftovers:?}");
+    runtime.shutdown();
 }
 
 #[test]

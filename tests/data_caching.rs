@@ -16,6 +16,35 @@ fn cached_runtime() -> CloudRuntime {
     })
 }
 
+/// A caching runtime over a store whose `LatencyStore` op counters see
+/// every put/get crossing the "WAN".
+fn counted_runtime(
+    bucket: &str,
+) -> (
+    CloudRuntime,
+    std::sync::Arc<ompcloud_suite::cloud_storage::LatencyStore>,
+) {
+    use ompcloud_suite::cloud_storage::{LatencyStore, S3Store, StoreHandle};
+    use ompcloud_suite::ompcloud::CloudDevice;
+    use std::sync::Arc;
+
+    let store = Arc::new(LatencyStore::new(
+        Arc::new(S3Store::standalone(bucket)),
+        std::time::Duration::ZERO,
+    ));
+    let handle: StoreHandle = store.clone();
+    let config = CloudConfig {
+        workers: 2,
+        vcpus_per_worker: 4,
+        task_cpus: 2,
+        data_caching: true,
+        min_compression_size: 64,
+        ..CloudConfig::default()
+    };
+    let runtime = CloudRuntime::with_device(CloudDevice::with_store(config, handle));
+    (runtime, store)
+}
+
 #[test]
 fn second_offload_of_same_inputs_skips_upload() {
     let runtime = cached_runtime();
@@ -110,27 +139,8 @@ fn changed_input_invalidates_and_recomputes() {
 fn mutating_one_buffer_reuploads_only_that_buffer() {
     // Invalidation granularity, observed as storage traffic: an
     // iterative region with two inputs where only one is mutated between
-    // offloads must re-upload exactly that buffer. The LatencyStore op
-    // counters see every put/get crossing the "WAN".
-    use ompcloud_suite::cloud_storage::{LatencyStore, S3Store, StoreHandle};
-    use ompcloud_suite::ompcloud::CloudDevice;
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    let store = Arc::new(LatencyStore::new(
-        Arc::new(S3Store::standalone("counted")),
-        Duration::ZERO,
-    ));
-    let handle: StoreHandle = store.clone();
-    let config = CloudConfig {
-        workers: 2,
-        vcpus_per_worker: 4,
-        task_cpus: 2,
-        data_caching: true,
-        min_compression_size: 64,
-        ..CloudConfig::default()
-    };
-    let runtime = CloudRuntime::with_device(CloudDevice::with_store(config, handle));
+    // offloads must re-upload exactly that buffer.
+    let (runtime, store) = counted_runtime("counted");
 
     let region = || {
         TargetRegion::builder("saxpy2")
@@ -184,6 +194,85 @@ fn mutating_one_buffer_reuploads_only_that_buffer() {
     // Cache hits are still *read* from storage each offload — the cache
     // saves uploads, not driver fetches.
     assert!(store.get_count() >= 2, "driver fetches every input");
+    runtime.shutdown();
+}
+
+#[test]
+fn mutating_one_of_many_small_inputs_reuploads_only_that_one() {
+    // 32 small inputs travel as a few packed objects. Cache hits must
+    // still resolve by variable: after one input changes, exactly one
+    // more put than an unchanged rerun crosses the wire, and the other 31
+    // are served out of the objects the first offload staged — one get
+    // per object, not per input.
+    const INPUTS: usize = 32;
+    const LEN: usize = 16 * 1024; // 64 KiB of f32 each
+    let (runtime, store) = counted_runtime("counted-many");
+
+    let names: Vec<String> = (0..INPUTS).map(|k| format!("x{k:02}")).collect();
+    let region = {
+        let names = names.clone();
+        let mut b = TargetRegion::builder("fanin").device(CloudRuntime::cloud_selector());
+        for name in &names {
+            b = b.map_to(name.clone());
+        }
+        b.map_from("y")
+            .parallel_for(LEN, move |l| {
+                l.partition("y", PartitionSpec::rows(1))
+                    .body(move |i, ins, outs| {
+                        outs.view_mut::<f32>("y")[i] =
+                            names.iter().map(|n| ins.view::<f32>(n)[i]).sum();
+                    })
+            })
+            .build()
+            .unwrap()
+    };
+    // Small integers (exact sums), no two inputs alike.
+    let env_with = |bump: f32| {
+        let mut env = DataEnv::new();
+        for (k, name) in names.iter().enumerate() {
+            let x: Vec<f32> = (0..LEN)
+                .map(|i| ((i + 3 * k) % 89 + 100 * k) as f32)
+                .collect();
+            env.insert(name, x);
+        }
+        env.get_mut::<f32>("x17").unwrap()[5] += bump;
+        env.insert("y", vec![0.0f32; LEN]);
+        env
+    };
+    let y5 = |env: &DataEnv| env.get::<f32>("y").unwrap()[5];
+
+    let mut env = env_with(0.0);
+    runtime.offload(&region, &mut env).unwrap();
+    let clean = y5(&env);
+    let staged = runtime.cloud().store().list("").len();
+    assert!(
+        staged < 8,
+        "32 small inputs share a few objects, found {staged}"
+    );
+
+    store.reset_counts();
+    let mut env = env_with(0.0);
+    runtime.offload(&region, &mut env).unwrap();
+    assert_eq!(y5(&env), clean);
+    let (unchanged_puts, unchanged_gets) = (store.put_count(), store.get_count());
+    assert_eq!(unchanged_puts, 1, "only the output is written");
+
+    store.reset_counts();
+    let mut env = env_with(7.0);
+    runtime.offload(&region, &mut env).unwrap();
+    assert_eq!(y5(&env), clean + 7.0, "the changed element reached the sum");
+    assert_eq!(
+        store.put_count(),
+        unchanged_puts + 1,
+        "only the mutated input may cross the wire again"
+    );
+    assert_eq!(
+        store.get_count(),
+        unchanged_gets + 1,
+        "unchanged inputs still come out of their old objects"
+    );
+    let (hits, _) = runtime.cloud().cache_stats();
+    assert_eq!(hits as usize, INPUTS + (INPUTS - 1));
     runtime.shutdown();
 }
 
