@@ -34,7 +34,7 @@ use gzlite::MAGIC;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Tuning knobs of the transfer engine.
 #[derive(Debug, Clone)]
@@ -102,7 +102,8 @@ pub struct ItemReport {
     pub wire_bytes: u64,
     /// Whether the payload was compressed.
     pub compressed: bool,
-    /// Wall time spent on this item (compression + store op).
+    /// Time spent working on this item: compression, store op(s),
+    /// verification and decompression — not time it waited for a worker.
     pub seconds: f64,
     /// Transient-fault retries performed.
     pub retries: u32,
@@ -968,21 +969,31 @@ impl TransferManager {
     /// compression workers feeds a pool of `io_threads` store-I/O workers
     /// through a channel, so object *N+1* compresses while object *N* is
     /// in flight to the store — and each staged object is read back (and
-    /// decompressed) the moment its put lands, instead of waiting for the
+    /// decompressed) once its put has landed, instead of waiting for the
     /// whole upload batch.
+    ///
+    /// The I/O stage schedules store *ops*, not objects: one job is one
+    /// put or one get, taken first in, first out by whichever worker is
+    /// free, so at most `io_threads` ops are in flight and no worker
+    /// idles while an op waits. The only ordering between ops is an
+    /// object's own: its get is queued by the worker whose put of it
+    /// just landed, behind whatever is already waiting. A put that fails
+    /// queues no get.
     ///
     /// `put_items` travel the full compress → put → get → decompress
     /// chain; `fetch_only` keys (already staged, e.g. upload-cache hits)
     /// skip straight to the get. Returns `(key, payload)` pairs —
     /// `put_items` first in request order, then `fetch_only` in request
     /// order — plus per-stage busy-time accounting and one report item
-    /// per store object (written objects first).
+    /// per store object (written objects first), whose `seconds` is the
+    /// time workers spent on that object, queue waits excluded.
     pub fn upload_fetch_pipelined<B: Into<PoolBuf>>(
         &self,
         put_items: Vec<(String, B)>,
         fetch_only: Vec<String>,
         io_threads: usize,
     ) -> Result<PipelineResult, StorageError> {
+        use crossbeam::channel::Sender;
         use std::sync::atomic::AtomicUsize;
 
         let put_items: Vec<(String, PoolBuf)> =
@@ -997,12 +1008,32 @@ impl TransferManager {
         let to_get = self.locate(fetch_only, n_put_items);
         let put_objects = to_put.len();
 
-        /// An object on its way to the I/O stage: with its sealed wire
-        /// form `(wire, compressed)` to put first, or already staged.
+        /// One store op waiting for an I/O worker.
         struct IoJob {
             idx: usize,
             object: StoreObject,
-            sealed: Option<(Vec<u8>, bool)>,
+            /// Time workers have spent on this object so far.
+            busy: Duration,
+            op: IoOp,
+        }
+
+        enum IoOp {
+            /// Put the sealed wire form, then queue the object's get
+            /// through `then`. Each waiting put holds a sender of its own,
+            /// so the channel disconnects — and the workers leave — once
+            /// the last put has queued its get, failed, or been dropped by
+            /// a panicking worker's unwind: nothing is counted.
+            Put {
+                wire: Vec<u8>,
+                compressed: bool,
+                then: Sender<IoJob>,
+            },
+            /// Get a staged object; `put_*` is what its put, if this run
+            /// made one, adds to the report.
+            Get {
+                put_stats: RetryStats,
+                put_compressed: bool,
+            },
         }
 
         type Outcome = Result<(ItemReport, Yield), StorageError>;
@@ -1024,8 +1055,8 @@ impl TransferManager {
         let (tx, rx) = crossbeam::channel::unbounded::<IoJob>();
 
         std::thread::scope(|scope| {
-            // Stage B: store-I/O workers (put + get), decompression time
-            // attributed back to the CPU stage.
+            // Stage B: store-I/O workers, one op at a time; decompression
+            // time is attributed back to the CPU stage.
             for _ in 0..io_threads {
                 let rx = rx.clone();
                 let (outcomes, cpu_busy_ns, io_busy_ns) = (&outcomes, &cpu_busy_ns, &io_busy_ns);
@@ -1033,30 +1064,49 @@ impl TransferManager {
                     for IoJob {
                         idx,
                         object,
-                        sealed,
+                        busy,
+                        op,
                     } in rx.iter()
                     {
-                        let outcome = sealed
-                            .map(|(wire, compressed)| {
-                                let stats = self.put_wire(
-                                    &object.key,
-                                    &object.members,
-                                    wire,
-                                    Some(io_busy_ns),
-                                )?;
-                                Ok::<_, StorageError>((stats, compressed))
-                            })
-                            .transpose()
-                            .and_then(|put| {
-                                let timers = Some((io_busy_ns, cpu_busy_ns));
-                                let (mut report, payloads) = self.fetch_object(object, timers)?;
-                                if let Some((put_stats, put_compressed)) = put {
-                                    report.compressed |= put_compressed;
-                                    report.fold_stats(put_stats);
+                        let t = Instant::now();
+                        match op {
+                            IoOp::Put {
+                                wire,
+                                compressed,
+                                then,
+                            } => {
+                                let key = &object.key;
+                                match self.put_wire(key, &object.members, wire, Some(io_busy_ns)) {
+                                    Ok(stats) => {
+                                        let _ = then.send(IoJob {
+                                            idx,
+                                            object,
+                                            busy: busy + t.elapsed(),
+                                            op: IoOp::Get {
+                                                put_stats: stats,
+                                                put_compressed: compressed,
+                                            },
+                                        });
+                                    }
+                                    Err(e) => *outcomes[idx].lock() = Some(Err(e)),
                                 }
-                                Ok((report, payloads))
-                            });
-                        *outcomes[idx].lock() = Some(outcome);
+                            }
+                            IoOp::Get {
+                                put_stats,
+                                put_compressed,
+                            } => {
+                                let timers = Some((io_busy_ns, cpu_busy_ns));
+                                let outcome = self.fetch_object(object, timers).map(
+                                    |(mut report, payloads)| {
+                                        report.compressed |= put_compressed;
+                                        report.fold_stats(put_stats);
+                                        report.seconds = (busy + t.elapsed()).as_secs_f64();
+                                        (report, payloads)
+                                    },
+                                );
+                                *outcomes[idx].lock() = Some(outcome);
+                            }
+                        }
                     }
                 });
             }
@@ -1066,7 +1116,11 @@ impl TransferManager {
                 let _ = tx.send(IoJob {
                     idx: put_objects + i,
                     object,
-                    sealed: None,
+                    busy: Duration::ZERO,
+                    op: IoOp::Get {
+                        put_stats: RetryStats::default(),
+                        put_compressed: false,
+                    },
                 });
             }
 
@@ -1081,18 +1135,25 @@ impl TransferManager {
                     }
                     let mut object = queue[idx].lock().take().expect("claimed once");
                     let t = Instant::now();
-                    let sealed = Some(self.seal(&mut object));
-                    cpu_busy_ns.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
+                    let (wire, compressed) = self.seal(&mut object);
+                    let busy = t.elapsed();
+                    cpu_busy_ns.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
                     let _ = tx.send(IoJob {
                         idx,
                         object,
-                        sealed,
+                        busy,
+                        op: IoOp::Put {
+                            wire,
+                            compressed,
+                            then: tx.clone(),
+                        },
                     });
                 });
             }
 
-            // The workers' clones keep the channel alive; dropping the
-            // original lets the I/O stage drain and exit.
+            // The compression workers' clones and the waiting puts' keep
+            // the channel alive; dropping the original lets the I/O stage
+            // drain and exit.
             drop(tx);
         });
 

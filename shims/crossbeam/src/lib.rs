@@ -117,7 +117,11 @@ pub mod channel {
         fn drop(&mut self) {
             if self.shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last sender gone: wake blocked receivers so they observe
-                // the disconnect.
+                // the disconnect. A receiver checks `senders` and waits
+                // under the queue lock, so pass through the lock first:
+                // whoever saw a sender alive is parked by the time we
+                // notify, and whoever comes later sees none.
+                drop(self.shared.queue.lock().unwrap_or_else(|p| p.into_inner()));
                 self.shared.ready.notify_all();
             }
         }
@@ -196,7 +200,18 @@ pub mod channel {
 
     impl<T> Drop for Receiver<T> {
         fn drop(&mut self) {
-            self.shared.receivers.fetch_sub(1, Ordering::AcqRel);
+            if self.shared.receivers.fetch_sub(1, Ordering::AcqRel) == 1 {
+                // Last receiver gone: nobody can take what is queued, so
+                // drop it now, as upstream does. A message may itself hold
+                // a `Sender` of this channel, which would otherwise keep
+                // the queue — and so itself — alive for good.
+                // Taken out under the lock, dropped after it: a message's
+                // own drop may reach back into this channel.
+                let unread = std::mem::take(
+                    &mut *self.shared.queue.lock().unwrap_or_else(|p| p.into_inner()),
+                );
+                drop(unread);
+            }
         }
     }
 
@@ -311,6 +326,44 @@ pub mod channel {
                 rx.recv_timeout(std::time::Duration::from_millis(10)),
                 Err(RecvTimeoutError::Disconnected)
             );
+        }
+
+        #[test]
+        fn queued_messages_drop_with_the_last_receiver() {
+            // A message holding a sender of its own channel is a cycle
+            // only the receiver's drop can break.
+            #[allow(dead_code)]
+            struct Job(Sender<Job>, std::sync::Arc<()>);
+            let (tx, rx) = unbounded::<Job>();
+            let alive = std::sync::Arc::new(());
+            tx.send(Job(tx.clone(), std::sync::Arc::clone(&alive)))
+                .unwrap_or_else(|_| panic!("receiver alive"));
+            drop(tx);
+            assert_eq!(std::sync::Arc::strong_count(&alive), 2);
+            drop(rx);
+            assert_eq!(std::sync::Arc::strong_count(&alive), 1);
+        }
+
+        #[test]
+        fn a_receiver_about_to_wait_sees_the_last_sender_go() {
+            // The disconnect must reach a receiver that found the queue
+            // empty and the sender alive a moment before: notifying
+            // without the queue lock could land between its check and its
+            // wait, and it would sleep for good.
+            for _ in 0..10_000 {
+                let (tx, rx) = unbounded::<u8>();
+                let at_recv = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+                let flag = std::sync::Arc::clone(&at_recv);
+                let waiter = std::thread::spawn(move || {
+                    flag.store(true, Ordering::Release);
+                    rx.recv()
+                });
+                while !at_recv.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+                drop(tx);
+                assert_eq!(waiter.join().unwrap(), Err(RecvError));
+            }
         }
 
         #[test]
