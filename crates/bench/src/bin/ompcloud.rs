@@ -82,10 +82,7 @@ fn cmd_validate(args: &[String]) -> i32 {
             println!("  compression     >= {} bytes", cfg.min_compression_size);
             println!("  ec2 autostart   {}", cfg.ec2_autostart);
             println!("  data caching    {}", cfg.data_caching);
-            println!(
-                "  pipelining      transfers {}, streaming collect {}, {} io threads",
-                cfg.pipelined_transfers, cfg.streaming_collect, cfg.io_threads
-            );
+            println!("  transfers       {} io threads", cfg.io_threads);
             println!(
                 "  scheduler       {} dispatch, spec-factor {}, locality wait {} ms",
                 cfg.schedule, cfg.spec_factor, cfg.locality_wait_ms

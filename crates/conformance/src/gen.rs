@@ -8,10 +8,11 @@
 //! over: kernel vs. synthetic bodies, `map(to/from/tofrom)` clauses,
 //! user partition specs vs. unpartitioned bitwise-OR merge, reduction
 //! operators, tile plans (workers x vCPUs x task.cpus), all schedule
-//! modes with and without speculation, pipelined vs. barrier transfers,
-//! checkpoint/resume budgets, and seeded storage fault plans.
+//! modes with and without speculation, distributed vs. driver-side
+//! reduce, I/O pool widths and compression thresholds, checkpoint/resume
+//! budgets, and seeded storage fault plans.
 //!
-//! Reductions deserve one note: the cloud's streaming collect absorbs
+//! Reductions deserve one note: the cloud's collect absorbs
 //! partial results in *arrival* order, so bitwise host equivalence for
 //! `Sum`/`Prod` is only guaranteed when the arithmetic is exact. The
 //! generator therefore feeds reduction cases lattice-valued data
@@ -222,15 +223,11 @@ pub struct CaseSpec {
     pub mode: ScheduleMode,
     /// Speculation trigger factor (0 = off).
     pub spec_factor: f64,
-    /// Pipelined transfers on/off.
-    pub pipelined: bool,
-    /// Streaming collect on/off.
-    pub streaming: bool,
     /// Distributed reduce on/off.
     pub distributed_reduce: bool,
     /// Compression threshold in bytes.
     pub min_compression_size: usize,
-    /// I/O pool width for the pipelined path.
+    /// I/O pool width of the transfer pipeline.
     pub io_threads: usize,
     /// Checkpoint/journal mode on/off.
     pub checkpoint: bool,
@@ -280,8 +277,10 @@ impl CaseSpec {
             ),
         };
 
-        let pipelined = rng.gen_bool(0.75);
-        let streaming = rng.gen_bool(0.5);
+        // Two draws that used to pick the serial-transfer and
+        // barrier-collect paths: still consumed, so every later draw of
+        // every pinned seed stays where it was.
+        let _ = (rng.gen_bool(0.75), rng.gen_bool(0.5));
         let distributed_reduce = rng.gen_bool(0.5);
         let io_threads = IO_THREADS[rng.gen_usize(0, IO_THREADS.len())];
         let min_compression_size = COMPRESSION_THRESHOLDS[rng.gen_usize(0, 3)];
@@ -457,8 +456,6 @@ impl CaseSpec {
             task_cpus,
             mode,
             spec_factor,
-            pipelined,
-            streaming,
             distributed_reduce,
             min_compression_size,
             io_threads,
@@ -481,8 +478,6 @@ impl CaseSpec {
             task_cpus: self.task_cpus,
             schedule: self.mode,
             spec_factor: self.spec_factor,
-            pipelined_transfers: self.pipelined,
-            streaming_collect: self.streaming,
             distributed_reduce: self.distributed_reduce,
             min_compression_size: self.min_compression_size,
             io_threads: self.io_threads,
@@ -925,7 +920,7 @@ impl CaseSpec {
             ),
         };
         format!(
-            "case {}: {kind} chain={} n={} plan={}x{}x{} sched={} pipe={} stream={} dred={} ckpt={}/{} lat={}us {chaos}{resident}{tenancy}{map_elide}",
+            "case {}: {kind} chain={} n={} plan={}x{}x{} sched={} dred={} ckpt={}/{} lat={}us {chaos}{resident}{tenancy}{map_elide}",
             self.case,
             self.chain,
             self.n,
@@ -933,8 +928,6 @@ impl CaseSpec {
             self.vcpus,
             self.task_cpus,
             self.schedule_label(),
-            self.pipelined,
-            self.streaming,
             self.distributed_reduce,
             self.checkpoint,
             self.resume_budget,

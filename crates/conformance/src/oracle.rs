@@ -167,13 +167,6 @@ pub fn check(input: &OracleInput<'_>) -> Vec<String> {
                 p.overlap_s, overlappable
             ));
         }
-        let merge_overlap: f64 = report.loops.iter().map(|l| l.overlap_s).sum();
-        if !spec.pipelined && p.overlap_s > merge_overlap + EPS {
-            f.push(format!(
-                "serial transfers but transfer overlap {:.6}s was reported",
-                p.overlap_s
-            ));
-        }
     }
 
     // --- Fault bookkeeping -----------------------------------------

@@ -137,28 +137,6 @@ pub const TRANSFORMS: &[Transform] = &[
         },
     },
     Transform {
-        name: "serial_transfers",
-        apply: |s| {
-            if !s.pipelined {
-                return None;
-            }
-            let mut t = s.clone();
-            t.pipelined = false;
-            Some(t)
-        },
-    },
-    Transform {
-        name: "barrier_collect",
-        apply: |s| {
-            if !s.streaming {
-                return None;
-            }
-            let mut t = s.clone();
-            t.streaming = false;
-            Some(t)
-        },
-    },
-    Transform {
         name: "no_dist_reduce",
         apply: |s| {
             if !s.distributed_reduce {

@@ -74,15 +74,8 @@ pub struct CloudConfig {
     /// executors (Eq. 8 of the paper) instead of merging every private
     /// buffer on the driver.
     pub distributed_reduce: bool,
-    /// Merge collected tile outputs on the driver as they arrive, while
-    /// the remaining map tasks are still running, instead of waiting
-    /// behind a full-collect barrier.
-    pub streaming_collect: bool,
-    /// Overlap host-side compression, storage I/O and driver staging in a
-    /// two-stage pipeline instead of running upload, fetch and compute as
-    /// strictly serial steps.
-    pub pipelined_transfers: bool,
-    /// Store-I/O worker threads of the pipelined transfer engine.
+    /// Store-I/O worker threads of the transfer pipeline: at most this
+    /// many store ops are in flight per batch.
     pub io_threads: usize,
     /// Inter-region dataflow: when a `depend`/`nowait` DAG is drained,
     /// keep intermediate buffers resident in the object store (and in a
@@ -209,8 +202,6 @@ impl Default for CloudConfig {
             instance_type: "c3.8xlarge".into(),
             data_caching: false,
             distributed_reduce: true,
-            streaming_collect: true,
-            pipelined_transfers: true,
             io_threads: 8,
             dataflow: true,
             tile_size: 0,
@@ -315,18 +306,6 @@ impl CloudConfig {
             .map_err(bad_config)?
         {
             cfg.distributed_reduce = d;
-        }
-        if let Some(s) = ini
-            .get_bool("offload", "streaming-collect")
-            .map_err(bad_config)?
-        {
-            cfg.streaming_collect = s;
-        }
-        if let Some(p) = ini
-            .get_bool("offload", "pipelined-transfers")
-            .map_err(bad_config)?
-        {
-            cfg.pipelined_transfers = p;
         }
         if let Some(t) = ini
             .get_parsed::<usize>("offload", "io-threads")
@@ -513,6 +492,14 @@ impl CloudConfig {
         }
         if let Some(w) = ini.get("tenancy", "weights") {
             cfg.tenancy_weights = parse_weights(w).map_err(bad_config)?;
+        }
+        // Every key this parser knows has been looked up by now, so what
+        // the file holds beyond those would be silently ignored: a typo,
+        // or a key of an older version whose setting no longer applies.
+        if let Some(unread) = ini.unread() {
+            return Err(bad_config(format!(
+                "{unread} is not a setting this version reads"
+            )));
         }
         cfg.validate()?;
         Ok(cfg)
@@ -789,19 +776,71 @@ instance-type = c3.8xlarge
     }
 
     #[test]
-    fn pipeline_knobs_parse_and_default_on() {
-        let cfg = CloudConfig::default();
-        assert!(cfg.streaming_collect);
-        assert!(cfg.pipelined_transfers);
-        assert_eq!(cfg.io_threads, 8);
-        let cfg = CloudConfig::from_str(
-            "[offload]\nstreaming-collect = no\npipelined-transfers = no\nio-threads = 3\n",
-        )
-        .unwrap();
-        assert!(!cfg.streaming_collect);
-        assert!(!cfg.pipelined_transfers);
+    fn io_threads_parses_and_defaults_to_eight() {
+        assert_eq!(CloudConfig::default().io_threads, 8);
+        let cfg = CloudConfig::from_str("[offload]\nio-threads = 3\n").unwrap();
         assert_eq!(cfg.io_threads, 3);
         assert!(CloudConfig::from_str("[offload]\nio-threads = 0\n").is_err());
+    }
+
+    fn detail(err: OmpError) -> String {
+        match err {
+            OmpError::Plugin { detail, .. } => detail,
+            other => panic!("not a config error: {other}"),
+        }
+    }
+
+    #[test]
+    fn a_key_the_parser_does_not_read_is_an_error_naming_it() {
+        // A typo, in a section the parser knows.
+        let err = CloudConfig::from_str("[offload]\nio-thread = 64\n").unwrap_err();
+        assert!(detail(err).contains("[offload] io-thread "));
+        // A known key under the wrong section, and a section nobody reads.
+        let err = CloudConfig::from_str("[cluster]\nio-threads = 4\n").unwrap_err();
+        assert!(detail(err).contains("[cluster] io-threads "));
+        let err = CloudConfig::from_str("[offlaod]\nio-threads = 4\n").unwrap_err();
+        assert!(detail(err).contains("[offlaod] "));
+        assert!(
+            CloudConfig::from_str("workers = 4\n").is_err(),
+            "no section"
+        );
+    }
+
+    #[test]
+    fn a_retired_key_is_rejected_not_ignored() {
+        // Both were booleans selecting a second data path until PR 15;
+        // `= no` must not pass for a setting that still does something.
+        for key in ["pipelined-transfers", "streaming-collect"] {
+            let err = CloudConfig::from_str(&format!("[offload]\n{key} = no\n")).unwrap_err();
+            assert!(detail(err).contains(&format!("[offload] {key} ")));
+        }
+    }
+
+    #[test]
+    fn the_example_file_parses_clean() {
+        let cfg = CloudConfig::from_str(include_str!("../../../cluster.conf.example")).unwrap();
+        // It documents the defaults: only the deployment's own values differ.
+        let defaults = CloudConfig {
+            spark_driver: cfg.spark_driver.clone(),
+            storage: cfg.storage.clone(),
+            access_key: cfg.access_key.clone(),
+            secret_key: cfg.secret_key.clone(),
+            ..CloudConfig::default()
+        };
+        assert_eq!(cfg, defaults);
+    }
+
+    #[test]
+    fn every_key_the_benchmark_sets_still_parses() {
+        let cfg = CloudConfig::from_str(
+            "[cloud]\nprovider = local\nstorage = s3://bench/jobs\n\
+             [cluster]\nworkers = 2\nvcpus-per-worker = 2\ntask-cpus = 1\n\
+             [offload]\nio-threads = 2\nmin-compression-size = 4000000000\n\
+             delta-transfers = yes\ndata-caching = yes\nsimulate-unreachable = no\n",
+        )
+        .unwrap();
+        assert_eq!((cfg.workers, cfg.io_threads), (2, 2));
+        assert!(cfg.delta_transfers && cfg.data_caching);
     }
 
     #[test]

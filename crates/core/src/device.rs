@@ -29,8 +29,8 @@ use crate::recovery::RegionRecovery;
 use crate::report::{DataflowSummary, OffloadReport, ResilienceSummary};
 use crate::scope::Residency;
 use cloud_storage::{
-    AzureBlobStore, HdfsStore, RegionFingerprint, RegionJournal, S3Store, StorageUri, StoreHandle,
-    TransferConfig, TransferManager, TransferReport,
+    AzureBlobStore, DownloadResult, HdfsStore, PoolBuf, RegionFingerprint, RegionJournal, S3Store,
+    StorageError, StorageUri, StoreHandle, TransferConfig, TransferManager, TransferReport,
 };
 use cloudsim::Fleet;
 use omp_model::{
@@ -79,6 +79,9 @@ pub struct CloudDevice {
     /// Resident repairs handed over by an implicit-barrier
     /// [`Device::absorb_dag_report`]; folded into the next report.
     pending_resident_repairs: AtomicU64,
+    /// What the retry layer did for resident adoptions since the last
+    /// offload — the next offload's [`ResilienceSummary`] starts from it.
+    pending_resilience: Mutex<ResilienceSummary>,
     /// Armed one-shot resident fault (deterministic recovery tests).
     armed_fault: Mutex<Option<ResidentFault>>,
     /// Dirty-tile delta ledger for iterative regions: the last payload
@@ -189,6 +192,7 @@ impl CloudDevice {
             pending_stage_fallbacks: AtomicU32::new(0),
             pending_lineage_recomputes: AtomicU32::new(0),
             pending_resident_repairs: AtomicU64::new(0),
+            pending_resilience: Mutex::new(ResilienceSummary::default()),
             armed_fault: Mutex::new(None),
             delta: Mutex::new(crate::mapopt::DeltaLedger::new(delta_tile)),
         }
@@ -412,18 +416,69 @@ impl CloudDevice {
         Some((meta.tag, bytes, meta.key, meta.wire_len))
     }
 
-    /// Fill in each freshly staged resident buffer's `wire_len` from
-    /// the report of the store object holding it (small outputs of one
-    /// region share an object, and fetching one fetches it whole).
-    fn record_wire_len(&self, staged: &mut [(String, ResidentBuf)], put: &TransferReport) {
-        for (_, rb) in staged {
+    /// Commit `bufs` device-resident as version `epoch` of the DAG rooted
+    /// at `root`: one put under the versioned keys (ancestor versions
+    /// survive until `end_dataflow`, so lineage recovery can pin them),
+    /// then the lineage entries and the driver-side copies. Returns the
+    /// put's report.
+    fn commit_resident(
+        &self,
+        root: &str,
+        epoch: usize,
+        bufs: Vec<(&str, &ErasedVec)>,
+    ) -> Result<TransferReport, StorageError> {
+        let mut staged: Vec<(&str, ResidentBuf)> = Vec::with_capacity(bufs.len());
+        let mut items: Vec<(String, Vec<u8>)> = Vec::with_capacity(bufs.len());
+        for (name, buf) in bufs {
+            let mut bytes = Vec::with_capacity(buf.byte_len());
+            buf.write_bytes_into(&mut bytes);
+            let key = format!("{root}/v{epoch}/{name}");
+            items.push((key.clone(), bytes.clone()));
+            staged.push((
+                name,
+                ResidentBuf {
+                    key,
+                    tag: buf.tag(),
+                    fp: Fingerprint::of(&bytes),
+                    wire_len: 0,
+                    bytes,
+                    epoch,
+                },
+            ));
+        }
+        let put = self.transfer.upload(items)?;
+        let mut resident = self.resident.lock();
+        let mut lineage = self.lineage.lock();
+        for (name, mut rb) in staged {
+            // The wire length is that of the store object holding the
+            // buffer: small outputs of one region share an object, and
+            // fetching one fetches it whole.
             let object = self.transfer.object_key(&rb.key);
             rb.wire_len = put
                 .items
                 .iter()
                 .find(|item| item.key == object)
                 .map_or(0, |item| item.wire_bytes);
+            lineage.insert(
+                (name.to_string(), epoch),
+                LineageMeta {
+                    key: rb.key.clone(),
+                    tag: rb.tag,
+                    fp: rb.fp,
+                    wire_len: rb.wire_len,
+                },
+            );
+            match resident.get(name) {
+                // A recovery replay (or a re-adopted stage) regenerates
+                // an old version; a newer committed one stays
+                // authoritative.
+                Some(cur) if cur.epoch > epoch => {}
+                _ => {
+                    resident.insert(name.to_string(), rb);
+                }
+            }
         }
+        Ok(put)
     }
 
     /// Shut the in-process cluster down (tests/examples hygiene).
@@ -622,51 +677,17 @@ impl Device for CloudDevice {
         if !self.transfer.is_leased(&root) {
             self.transfer.lease(&root);
         }
-        let mut resident_new: Vec<(String, ResidentBuf)> = Vec::new();
-        let mut items: Vec<(String, Vec<u8>)> = Vec::new();
-        for name in vars {
-            let buf = env.get_erased(name)?;
-            let mut bytes = Vec::with_capacity(buf.byte_len());
-            buf.write_bytes_into(&mut bytes);
-            let key = format!("{root}/v{epoch}/{name}");
-            resident_new.push((
-                name.clone(),
-                ResidentBuf {
-                    key: key.clone(),
-                    tag: buf.tag(),
-                    fp: Fingerprint::of(&bytes),
-                    wire_len: 0,
-                    bytes: bytes.clone(),
-                    epoch,
-                },
-            ));
-            items.push((key, bytes));
-        }
-        let put = self.transfer.upload(items).map_err(|e| OmpError::Plugin {
-            device: self.name.clone(),
-            detail: format!("resident adoption failed: {e}"),
-        })?;
-        self.record_wire_len(&mut resident_new, &put);
-        let mut resident = self.resident.lock();
-        let mut lineage = self.lineage.lock();
-        for (name, rb) in resident_new {
-            lineage.insert(
-                (name.clone(), epoch),
-                LineageMeta {
-                    key: rb.key.clone(),
-                    tag: rb.tag,
-                    fp: rb.fp,
-                    wire_len: rb.wire_len,
-                },
-            );
-            match resident.get(&name) {
-                // A newer version stays authoritative over a replayed one.
-                Some(cur) if cur.epoch > rb.epoch => {}
-                _ => {
-                    resident.insert(name, rb);
-                }
-            }
-        }
+        let bufs = vars
+            .iter()
+            .map(|name| Ok((name.as_str(), &**env.get_erased(name)?)))
+            .collect::<Result<Vec<_>, OmpError>>()?;
+        let put = self
+            .commit_resident(&root, epoch, bufs)
+            .map_err(|e| OmpError::Plugin {
+                device: self.name.clone(),
+                detail: format!("resident adoption failed: {e}"),
+            })?;
+        self.pending_resilience.lock().absorb(&put);
         self.pending_stage_fallbacks.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
@@ -706,6 +727,7 @@ impl Device for CloudDevice {
         self.pending_stage_fallbacks.store(0, Ordering::SeqCst);
         self.pending_lineage_recomputes.store(0, Ordering::SeqCst);
         self.pending_resident_repairs.store(0, Ordering::SeqCst);
+        *self.pending_resilience.lock() = ResilienceSummary::default();
     }
 }
 
@@ -765,6 +787,34 @@ impl CloudDevice {
 }
 
 impl CloudDevice {
+    /// Ship a batch through cloud storage and read it back: the one
+    /// host↔cloud data path, shared by a region's inputs (steps 2+3),
+    /// its outputs (steps 7+8) and the boundaries of a `target data`
+    /// scope. `put_items` are compressed, put and — each as soon as its
+    /// put lands — fetched back; `fetch_only` keys (staged by an earlier
+    /// offload) are only fetched; never more than `io-threads` store ops
+    /// are in flight. Books the pipeline's wall, stage-busy and overlap
+    /// time on `profile` and its retry counters on `resilience`. Returns
+    /// the payloads (put items first, then `fetch_only`, each in request
+    /// order) and the report of the objects written.
+    pub(crate) fn round_trip(
+        &self,
+        put_items: Vec<(String, PoolBuf)>,
+        fetch_only: Vec<String>,
+        profile: &mut ExecProfile,
+        resilience: &mut ResilienceSummary,
+    ) -> Result<DownloadResult, StorageError> {
+        let (payloads, report) =
+            self.transfer
+                .upload_fetch_pipelined(put_items, fetch_only, self.config.io_threads)?;
+        resilience.absorb(&report);
+        profile.host_comm_s += report.wall_seconds;
+        profile.overlap_s += report.overlap_seconds();
+        profile.compress_busy_s += report.cpu_path_seconds();
+        profile.store_busy_s += report.io_path_seconds();
+        Ok((payloads, report.into_puts()))
+    }
+
     /// The eight-step offload workflow. Infrastructure errors come back
     /// as [`ExecFailure::Infra`] so the caller can feed the breaker.
     /// Inside a dataflow DAG, `hints` names the inputs already resident
@@ -777,7 +827,7 @@ impl CloudDevice {
         hints: &DataflowHints,
     ) -> Result<ExecProfile, ExecFailure> {
         let mut profile = ExecProfile::new(self.name.clone());
-        let mut resilience = ResilienceSummary::default();
+        let mut resilience = std::mem::take(&mut *self.pending_resilience.lock());
         let mut dataflow = DataflowSummary::default();
         let job_id = self.job_counter.fetch_add(1, Ordering::SeqCst);
         let prefix = {
@@ -844,7 +894,7 @@ impl CloudDevice {
         // object, compression above the configured threshold). With data caching
         // enabled (§VI extension), unchanged variables are skipped and
         // the job reuses their previously staged objects.
-        let mut upload_items: Vec<(String, cloud_storage::PoolBuf)> = Vec::new();
+        let mut upload_items: Vec<(String, PoolBuf)> = Vec::new();
         let mut staged_keys: Vec<(String, String)> = Vec::new(); // (var, key)
         let mut cached_keys: Vec<String> = Vec::new();
         // (var, tag, bytes, key) of inputs served device-resident: the
@@ -1183,44 +1233,12 @@ impl CloudDevice {
         }
         let cache_hits = cached_keys.len();
 
-        // Steps 2+3 fused (pipelined path): the upload and the driver's
-        // read-back run as one two-stage pipeline — each input object is
-        // fetched back the moment its put lands, while later buffers are
-        // still compressing. The serial path keeps the paper's original
-        // upload-barrier-then-fetch sequence.
-        let (upload, fetched) = if self.config.pipelined_transfers {
-            let (payloads, prep) = self
-                .transfer
-                .upload_fetch_pipelined(upload_items, cached_keys, self.config.io_threads)
-                .map_err(infra)?;
-            resilience.transient_retries += prep.total_retries();
-            resilience.corruption_refetches += prep.total_refetches();
-            resilience.timeouts += prep.total_timeouts();
-            resilience.backoff_seconds += prep.total_backoff_s();
-            profile.host_comm_s += prep.wall_seconds;
-            profile.overlap_s += prep.overlap_seconds();
-            profile.compress_busy_s += prep.cpu_path_seconds();
-            profile.store_busy_s += prep.io_path_seconds();
-            let upload = TransferReport {
-                items: prep.items[..prep.put_objects].to_vec(),
-                wall_seconds: prep.wall_seconds,
-            };
-            (upload, payloads)
-        } else {
-            let upload = self.transfer.upload(upload_items).map_err(infra)?;
-            profile.host_comm_s += upload.wall_seconds;
-            let t_fetch = Instant::now();
-            let keys: Vec<String> = staged_keys.iter().map(|(_, k)| k.clone()).collect();
-            let (payloads, fetch) = self.transfer.download(keys).map_err(infra)?;
-            for r in [&upload, &fetch] {
-                resilience.transient_retries += r.total_retries();
-                resilience.corruption_refetches += r.total_refetches();
-                resilience.timeouts += r.total_timeouts();
-                resilience.backoff_seconds += r.total_backoff_s();
-            }
-            profile.overhead_s += t_fetch.elapsed().as_secs_f64();
-            (upload, payloads)
-        };
+        // Steps 2+3, fused: each input object is fetched back the moment
+        // its put lands, while later buffers are still compressing —
+        // where the paper puts a barrier between upload and read-back.
+        let (fetched, upload) = self
+            .round_trip(upload_items, cached_keys, &mut profile, &mut resilience)
+            .map_err(infra)?;
         profile.wire_bytes_to = upload.wire_bytes();
         if cache_hits > 0 {
             profile.note(format!(
@@ -1234,7 +1252,7 @@ impl CloudDevice {
         // and cache hits last, so look payloads up by key rather than
         // relying on arrival order.
         let t_driver = Instant::now();
-        let mut by_key: HashMap<String, cloud_storage::PoolBuf> = fetched.into_iter().collect();
+        let mut by_key: HashMap<String, PoolBuf> = fetched.into_iter().collect();
         let mut cluster_env = DataEnv::new();
         let delta_on = self.config.map_optimize && self.config.delta_transfers;
         for (name, key) in &staged_keys {
@@ -1342,7 +1360,7 @@ impl CloudDevice {
             // written over other data pass for this region's.
             let wire_crc = |key: &str| {
                 self.transfer.ledger_crc(key).ok_or_else(|| {
-                    infra(cloud_storage::StorageError::NotFound(format!(
+                    infra(StorageError::NotFound(format!(
                         "{key}: staged input has no wire crc on record"
                     )))
                 })
@@ -1393,7 +1411,7 @@ impl CloudDevice {
         };
         let mut resumes = 0usize;
         let mut cluster_env = Some(cluster_env);
-        let (outcome, store_write, download, out_payloads) = loop {
+        let (outcome, (out_payloads, download)) = loop {
             // The inputs are copied only while a resume could still need
             // them again; the last attempt (the only one, with
             // checkpointing off) takes them.
@@ -1522,8 +1540,8 @@ impl CloudDevice {
                 plan.upload_bytes_saved(),
             );
         }
-        profile.wire_bytes_from = store_write.wire_bytes();
-        if self.config.pipelined_transfers && profile.overlap_s > 0.0 {
+        profile.wire_bytes_from = download.wire_bytes();
+        if profile.overlap_s > 0.0 {
             profile.note(format!(
                 "pipelined offload: {:.3}s of transfer/merge work overlapped",
                 profile.overlap_s
@@ -1595,7 +1613,7 @@ impl CloudDevice {
     /// region's `_tmp/` staging keys and a single manifest put is the
     /// atomic commit point; otherwise they go straight to their final
     /// per-job keys, exactly as before.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
+    #[allow(clippy::too_many_arguments)]
     fn run_and_commit(
         &self,
         sc: &SparkContext,
@@ -1606,18 +1624,10 @@ impl CloudDevice {
         hints: &DataflowHints,
         profile: &mut ExecProfile,
         resilience: &mut ResilienceSummary,
-    ) -> Result<
-        (
-            JobOutcome,
-            TransferReport,
-            TransferReport,
-            Vec<(String, cloud_storage::PoolBuf)>,
-        ),
-        ExecFailure,
-    > {
-        // Steps 4–6: tile, distribute, map, reconstruct. With streaming
-        // collect, part of the driver-side merge ran concurrently with
-        // the map phase; `l.overlap_s` reports how much.
+    ) -> Result<(JobOutcome, DownloadResult), ExecFailure> {
+        // Steps 4–6: tile, distribute, map, reconstruct. Part of the
+        // driver-side merge ran concurrently with the map phase;
+        // `l.overlap_s` reports how much.
         let rec = recovery.map(|(r, _)| r);
         let outcome = run_spark_job(
             sc,
@@ -1641,68 +1651,27 @@ impl CloudDevice {
         let kept = |name: &str| hints.keep_resident.iter().any(|v| v == name);
         if let Some(dag) = hints.dag.as_deref() {
             let root = self.dataflow_root(dag);
-            let mut resident_new: Vec<(String, ResidentBuf)> = Vec::new();
-            let mut resident_items: Vec<(String, Vec<u8>)> = Vec::new();
-            for m in region.output_maps().filter(|m| kept(&m.name)) {
-                let buf = outcome.env.get_erased(&m.name)?;
-                let mut bytes = Vec::with_capacity(buf.byte_len());
-                buf.write_bytes_into(&mut bytes);
-                // Versioned by DAG epoch: ancestor versions survive until
-                // `end_dataflow`, so lineage recovery can pin them.
-                let key = format!("{root}/v{}/{}", hints.epoch, m.name);
-                resident_new.push((
-                    m.name.clone(),
-                    ResidentBuf {
-                        key: key.clone(),
-                        tag: buf.tag(),
-                        fp: Fingerprint::of(&bytes),
-                        wire_len: 0,
-                        bytes: bytes.clone(),
-                        epoch: hints.epoch,
-                    },
-                ));
-                resident_items.push((key, bytes));
-            }
-            if !resident_items.is_empty() {
+            let bufs = region
+                .output_maps()
+                .filter(|m| kept(&m.name))
+                .map(|m| Ok((m.name.as_str(), &**outcome.env.get_erased(&m.name)?)))
+                .collect::<Result<Vec<_>, OmpError>>()?;
+            if !bufs.is_empty() {
                 let t = Instant::now();
-                let put = self.transfer.upload(resident_items).map_err(infra)?;
+                let put = self
+                    .commit_resident(&root, hints.epoch, bufs)
+                    .map_err(infra)?;
                 profile.overhead_s += t.elapsed().as_secs_f64();
-                resilience.transient_retries += put.total_retries();
-                resilience.timeouts += put.total_timeouts();
-                resilience.backoff_seconds += put.total_backoff_s();
-                self.record_wire_len(&mut resident_new, &put);
-                let mut resident = self.resident.lock();
-                let mut lineage = self.lineage.lock();
-                for (name, rb) in resident_new {
-                    lineage.insert(
-                        (name.clone(), rb.epoch),
-                        LineageMeta {
-                            key: rb.key.clone(),
-                            tag: rb.tag,
-                            fp: rb.fp,
-                            wire_len: rb.wire_len,
-                        },
-                    );
-                    match resident.get(&name) {
-                        // A recovery replay regenerates an old version;
-                        // a newer committed one stays authoritative.
-                        Some(cur) if cur.epoch > rb.epoch => {}
-                        _ => {
-                            resident.insert(name, rb);
-                        }
-                    }
-                }
+                resilience.absorb(&put);
             }
             if !hints.recovery {
                 self.apply_armed_fault(hints.epoch);
             }
         }
 
-        // Steps 7+8: the driver writes the (escaping) outputs to cloud
-        // storage and the host reads them back. On the pipelined path
-        // the two fuse: each output is downloaded the moment its put
-        // lands, so the host-side read-back overlaps the tail of the
-        // store writes.
+        // Steps 7+8, fused: the driver writes the (escaping) outputs to
+        // cloud storage and the host downloads each the moment its put
+        // lands, so the read-back overlaps the tail of the store writes.
         let key_for = |name: &str| match recovery {
             Some((_, root)) => TransferManager::staged_key(root, &format!("out/{name}")),
             None => format!("{prefix}/out/{name}"),
@@ -1719,44 +1688,9 @@ impl CloudDevice {
         // Assigned, not accumulated: a resumed attempt stages the same
         // outputs again and must not double-count them.
         profile.bytes_from_device = out_bytes;
-        let (store_write, download, out_payloads) = if self.config.pipelined_transfers {
-            let (payloads, out) = self
-                .transfer
-                .upload_fetch_pipelined(out_items, Vec::new(), self.config.io_threads)
-                .map_err(infra)?;
-            resilience.transient_retries += out.total_retries();
-            resilience.corruption_refetches += out.total_refetches();
-            resilience.timeouts += out.total_timeouts();
-            resilience.backoff_seconds += out.total_backoff_s();
-            profile.host_comm_s += out.wall_seconds;
-            profile.overlap_s += out.overlap_seconds();
-            profile.compress_busy_s += out.cpu_path_seconds();
-            profile.store_busy_s += out.io_path_seconds();
-            let report = TransferReport {
-                items: out.items,
-                wall_seconds: out.wall_seconds,
-            };
-            (report.clone(), report, payloads)
-        } else {
-            let t_store = Instant::now();
-            let store_write = self.transfer.upload(out_items).map_err(infra)?;
-            profile.overhead_s += t_store.elapsed().as_secs_f64();
-            let t_download = Instant::now();
-            let out_keys: Vec<String> = region
-                .output_maps()
-                .filter(|m| !kept(&m.name))
-                .map(|m| key_for(&m.name))
-                .collect();
-            let (payloads, download) = self.transfer.download(out_keys).map_err(infra)?;
-            for r in [&store_write, &download] {
-                resilience.transient_retries += r.total_retries();
-                resilience.corruption_refetches += r.total_refetches();
-                resilience.timeouts += r.total_timeouts();
-                resilience.backoff_seconds += r.total_backoff_s();
-            }
-            profile.host_comm_s += t_download.elapsed().as_secs_f64();
-            (store_write, download, payloads)
-        };
+        let staged_out = self
+            .round_trip(out_items, Vec::new(), profile, resilience)
+            .map_err(infra)?;
 
         // Phase two of the commit: every staged put has landed, so one
         // manifest put atomically flips the region to committed. A crash
@@ -1778,7 +1712,7 @@ impl CloudDevice {
                 .map_err(infra)?;
             resilience.commits_published += 1;
         }
-        Ok((outcome, store_write, download, out_payloads))
+        Ok((outcome, staged_out))
     }
 }
 
@@ -1788,10 +1722,15 @@ impl From<OmpError> for ExecFailure {
     }
 }
 
-/// Map a storage error to an infrastructure failure (breaker-feeding).
-fn infra(e: cloud_storage::StorageError) -> ExecFailure {
-    ExecFailure::Infra(OmpError::Plugin {
+/// A storage error as the plug-in error the host sees.
+pub(crate) fn storage_err(e: StorageError) -> OmpError {
+    OmpError::Plugin {
         device: "cloud".into(),
         detail: e.to_string(),
-    })
+    }
+}
+
+/// Map a storage error to an infrastructure failure (breaker-feeding).
+fn infra(e: StorageError) -> ExecFailure {
+    ExecFailure::Infra(storage_err(e))
 }

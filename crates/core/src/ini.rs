@@ -5,13 +5,17 @@
 //! the binary". The format is classic INI: `[sections]`, `key = value`
 //! pairs, `#`/`;` comments, blank lines.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Parsed INI document: section → key → value. Keys outside any section
 /// land in the `""` section.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Ini {
     sections: BTreeMap<String, BTreeMap<String, String>>,
+    /// Section → every key a lookup has asked for there, present or not:
+    /// what [`unread`](Ini::unread) holds the document against.
+    asked: RefCell<BTreeMap<String, BTreeSet<String>>>,
 }
 
 /// Parse error with line information.
@@ -88,10 +92,32 @@ impl Ini {
 
     /// Value of `key` in `section` (both case-insensitive).
     pub fn get(&self, section: &str, key: &str) -> Option<&str> {
-        self.sections
-            .get(&section.to_ascii_lowercase())?
-            .get(&key.to_ascii_lowercase())
-            .map(String::as_str)
+        let (section, key) = (section.to_ascii_lowercase(), key.to_ascii_lowercase());
+        let value = self.sections.get(&section).and_then(|s| s.get(&key));
+        self.asked
+            .borrow_mut()
+            .entry(section)
+            .or_default()
+            .insert(key);
+        value.map(String::as_str)
+    }
+
+    /// The first thing in the document that no lookup so far has asked
+    /// for: `[section] key`, or `[section]` when no lookup named that
+    /// section at all. A reader that has made all its lookups calls this
+    /// to reject what it would otherwise silently ignore — a typo, or a
+    /// key it no longer has.
+    pub fn unread(&self) -> Option<String> {
+        let asked = self.asked.borrow();
+        for (section, keys) in &self.sections {
+            let Some(known) = asked.get(section) else {
+                return Some(format!("[{section}]"));
+            };
+            if let Some(key) = keys.keys().find(|key| !known.contains(*key)) {
+                return Some(format!("[{section}] {key}"));
+            }
+        }
+        None
     }
 
     /// Typed lookup with parse error reporting.
@@ -190,6 +216,19 @@ min-compression-size = 1024
     fn values_may_contain_equals() {
         let ini = Ini::parse("[s]\nsecret = a=b=c\n").unwrap();
         assert_eq!(ini.get("s", "secret"), Some("a=b=c"));
+    }
+
+    #[test]
+    fn unread_names_what_no_lookup_asked_for() {
+        let ini = Ini::parse("[a]\nx = 1\ny = 2\n[b]\n").unwrap();
+        assert_eq!(ini.unread().as_deref(), Some("[a]"));
+        assert_eq!(ini.get("A", "X"), Some("1"));
+        assert_eq!(ini.unread().as_deref(), Some("[a] y"));
+        assert_eq!(ini.get("a", "y"), Some("2"));
+        assert_eq!(ini.unread().as_deref(), Some("[b]"), "an empty section too");
+        // A miss is still a read: the reader knows the key.
+        assert_eq!(ini.get("b", "z"), None);
+        assert_eq!(ini.unread(), None);
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub struct LoopStats {
     /// Driver time spent merging collected tile outputs.
     pub merge_s: f64,
     /// Portion of `merge_s` that ran concurrently with still-executing
-    /// map tasks (zero on the barrier collect path).
+    /// map tasks.
     pub overlap_s: f64,
     /// Tiles restored from the region journal instead of re-executed.
     pub tiles_resumed: usize,
@@ -368,9 +368,8 @@ fn run_loop(
     }
 
     // Reconstruction (Eqs. 8–10), driver side: indexed writes absorbed
-    // into the accumulator. With streaming collect the absorb runs as
-    // each tile *arrives*, overlapping the tail of the map phase; the
-    // barrier path collects everything first (reference semantics).
+    // into the accumulator as each tile *arrives*, overlapping the tail
+    // of the map phase — where the paper collects everything first.
     let mut acc = MergeAcc::new(region, loop_, cluster_env)?;
     let mut collect_bytes = 0u64;
     let mut merge_s = 0.0f64;
@@ -382,64 +381,36 @@ fn run_loop(
     for (_tile, _hull, parts) in &restored {
         acc.absorb(parts.clone());
     }
-    if config.streaming_collect {
-        out_rdd
-            .for_each_partition(|_p, tile_outs: &[TileOut]| {
-                let ta = Instant::now();
-                for tile_out in tile_outs {
-                    if let Some(rec) = recovery {
-                        let iters = &tiles[tile_out.tile_id];
-                        rec.record_tile(
-                            loop_idx,
-                            tile_out.tile_id,
-                            (iters.start, iters.end),
-                            &tile_out.parts,
-                        );
-                    }
-                    collect_bytes += tile_out
-                        .parts
-                        .iter()
-                        .map(|p| p.data.byte_len() as u64)
-                        .sum::<u64>();
-                    let parts = tile_out
-                        .parts
-                        .iter()
-                        .filter(|p| !dist_reduce_vars.contains(&p.name))
-                        .cloned()
-                        .collect::<Vec<_>>();
-                    acc.absorb(parts);
+    out_rdd
+        .for_each_partition(|_p, tile_outs: &[TileOut]| {
+            let ta = Instant::now();
+            for tile_out in tile_outs {
+                if let Some(rec) = recovery {
+                    let iters = &tiles[tile_out.tile_id];
+                    rec.record_tile(
+                        loop_idx,
+                        tile_out.tile_id,
+                        (iters.start, iters.end),
+                        &tile_out.parts,
+                    );
                 }
-                last_absorb_s = ta.elapsed().as_secs_f64();
-                merge_s += last_absorb_s;
-            })
-            .map_err(spark_err)?;
-    } else {
-        let collected = out_rdd.collect().map_err(spark_err)?;
-        let ta = Instant::now();
-        for tile_out in collected {
-            if let Some(rec) = recovery {
-                let iters = &tiles[tile_out.tile_id];
-                rec.record_tile(
-                    loop_idx,
-                    tile_out.tile_id,
-                    (iters.start, iters.end),
-                    &tile_out.parts,
-                );
+                collect_bytes += tile_out
+                    .parts
+                    .iter()
+                    .map(|p| p.data.byte_len() as u64)
+                    .sum::<u64>();
+                let parts = tile_out
+                    .parts
+                    .iter()
+                    .filter(|p| !dist_reduce_vars.contains(&p.name))
+                    .cloned()
+                    .collect::<Vec<_>>();
+                acc.absorb(parts);
             }
-            collect_bytes += tile_out
-                .parts
-                .iter()
-                .map(|p| p.data.byte_len() as u64)
-                .sum::<u64>();
-            let parts = tile_out
-                .parts
-                .into_iter()
-                .filter(|p| !dist_reduce_vars.contains(&p.name))
-                .collect::<Vec<_>>();
-            acc.absorb(parts);
-        }
-        merge_s = ta.elapsed().as_secs_f64();
-    }
+            last_absorb_s = ta.elapsed().as_secs_f64();
+            merge_s += last_absorb_s;
+        })
+        .map_err(spark_err)?;
     let metrics = sc.last_job_metrics();
     // Record where each tile's inputs ended up: the winning attempt's
     // executor deserialized them, so the next offload over unchanged
@@ -508,11 +479,7 @@ fn run_loop(
         .unwrap_or(0.0);
     // Every absorb except the final arrival's ran while map tasks were
     // still in flight.
-    let overlap_s = if config.streaming_collect {
-        (merge_s - last_absorb_s).max(0.0)
-    } else {
-        0.0
-    };
+    let overlap_s = (merge_s - last_absorb_s).max(0.0);
     Ok(LoopStats {
         tiles: tiles.len(),
         broadcast: bcast_stats,

@@ -41,6 +41,14 @@ pub struct ResilienceSummary {
 }
 
 impl ResilienceSummary {
+    /// Add what the retry layer did during one batch transfer.
+    pub fn absorb(&mut self, report: &TransferReport) {
+        self.transient_retries += report.total_retries();
+        self.corruption_refetches += report.total_refetches();
+        self.timeouts += report.total_timeouts();
+        self.backoff_seconds += report.total_backoff_s();
+    }
+
     /// Total fault-handling events (retries + re-fetches + timeouts).
     pub fn total_events(&self) -> u32 {
         self.transient_retries + self.corruption_refetches + self.timeouts

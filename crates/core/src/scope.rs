@@ -18,8 +18,9 @@
 //! round-trips between consecutive regions — the full fix for the
 //! host-communication costs the paper's §VI contemplates.
 
-use crate::device::CloudDevice;
+use crate::device::{storage_err, CloudDevice};
 use crate::runtime::CloudRuntime;
+use cloud_storage::PoolBuf;
 use omp_model::{DataEnv, ErasedVec, ExecProfile, MapClause, MapDir, OmpError, TargetRegion};
 
 /// Transfer statistics of a scope's enter/exit boundaries.
@@ -133,39 +134,19 @@ impl CloudDevice {
                 detail: "a target-data scope is already open on this device".into(),
             });
         }
-        // Ship the inputs through cloud storage, as an offload would.
+        // Ship the inputs through cloud storage and read them back,
+        // exactly as an offload's stage-in does; the outputs are
+        // allocated full-size on the driver.
         let mut items = Vec::new();
         let mut bytes_in = 0u64;
         for m in maps {
             let buf = env.get_erased(&m.name)?;
             if m.dir.is_input() {
                 bytes_in += buf.byte_len() as u64;
-                items.push((format!("target-data/{}", m.name), buf.to_bytes()));
+                items.push((format!("target-data/{}", m.name), buf.to_bytes().into()));
             }
         }
-        self.transfer_ref()
-            .upload(items)
-            .map_err(|e| OmpError::Plugin {
-                device: "cloud".into(),
-                detail: e.to_string(),
-            })?;
-
-        // Driver-side resident environment: inputs read back from
-        // storage (one batch: small inputs share a store object),
-        // outputs allocated full-size.
-        let input_keys = maps
-            .iter()
-            .filter(|m| m.dir.is_input())
-            .map(|m| format!("target-data/{}", m.name))
-            .collect();
-        let (payloads, _) =
-            self.transfer_ref()
-                .download(input_keys)
-                .map_err(|e| OmpError::Plugin {
-                    device: "cloud".into(),
-                    detail: e.to_string(),
-                })?;
-        let mut payloads = payloads.into_iter();
+        let mut payloads = self.scope_round_trip(items)?.into_iter();
         let mut resident = DataEnv::new();
         for m in maps {
             let host = env.get_erased(&m.name)?;
@@ -231,32 +212,15 @@ impl CloudDevice {
             device: "cloud".into(),
             detail: "no open target-data scope".into(),
         })?;
+        let outputs = || maps.iter().filter(|m| m.dir.is_output());
         let mut bytes_out = 0u64;
         let mut items = Vec::new();
-        for m in maps {
-            if m.dir.is_output() {
-                let buf = resident.get_erased(&m.name)?;
-                bytes_out += buf.byte_len() as u64;
-                items.push((format!("target-data/out/{}", m.name), buf.to_bytes()));
-            }
+        for m in outputs() {
+            let buf = resident.get_erased(&m.name)?;
+            bytes_out += buf.byte_len() as u64;
+            items.push((format!("target-data/out/{}", m.name), buf.to_bytes().into()));
         }
-        self.transfer_ref()
-            .upload(items)
-            .map_err(|e| OmpError::Plugin {
-                device: "cloud".into(),
-                detail: e.to_string(),
-            })?;
-        let outputs = || maps.iter().filter(|m| m.dir.is_output());
-        let out_keys = outputs()
-            .map(|m| format!("target-data/out/{}", m.name))
-            .collect();
-        let (payloads, _) =
-            self.transfer_ref()
-                .download(out_keys)
-                .map_err(|e| OmpError::Plugin {
-                    device: "cloud".into(),
-                    detail: e.to_string(),
-                })?;
+        let payloads = self.scope_round_trip(items)?;
         for (m, (_, bytes)) in outputs().zip(payloads) {
             let tag = env.get_erased(&m.name)?.tag();
             env.write_back(&m.name, ErasedVec::from_bytes(tag, &bytes))?;
@@ -264,6 +228,20 @@ impl CloudDevice {
         // Storage hygiene: the scope's staging area is garbage now.
         self.transfer_ref().delete_prefix("target-data");
         Ok(bytes_out)
+    }
+
+    /// One boundary crossing of a scope. A boundary publishes no profile
+    /// or report of its own — its ledger is [`ScopeStats`] — so the
+    /// time and retry accounting of the round trip is dropped.
+    fn scope_round_trip(
+        &self,
+        items: Vec<(String, PoolBuf)>,
+    ) -> Result<Vec<(String, PoolBuf)>, OmpError> {
+        let mut profile = ExecProfile::new(String::new());
+        let (payloads, _) = self
+            .round_trip(items, Vec::new(), &mut profile, &mut Default::default())
+            .map_err(storage_err)?;
+        Ok(payloads)
     }
 
     /// Release residency without downloading anything (dropped scope).

@@ -44,8 +44,8 @@ pub use pool::{BytePool, PoolBuf, PoolStats};
 pub use retry::{RetryPolicy, RetrySession, RetryStats};
 pub use s3::{MultipartUpload, S3Service, S3Store};
 pub use transfer::{
-    CommitManifest, ItemReport, ManifestEntry, PipelineReport, PipelineResult, TransferConfig,
-    TransferManager, TransferReport,
+    CommitManifest, DownloadResult, ItemReport, ManifestEntry, PipelineReport, PipelineResult,
+    TransferConfig, TransferManager, TransferReport,
 };
 pub use uri::StorageUri;
 

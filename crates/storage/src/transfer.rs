@@ -191,16 +191,19 @@ impl TransferReport {
 }
 
 /// Outcome of a fused two-stage pipeline run ([`TransferManager::upload_fetch_pipelined`]).
+///
+/// It is a [`TransferReport`] — which it dereferences to, for the
+/// per-object items, the wall time and the byte/retry totals — plus the
+/// per-stage busy accounting only a pipeline has.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PipelineReport {
-    /// Per-object details: uploaded-and-fetched objects first (in request
-    /// order), then fetch-only ones.
-    pub items: Vec<ItemReport>,
+    /// Per-object details — uploaded-and-fetched objects first (in
+    /// request order), then fetch-only ones — and the wall time of the
+    /// whole pipeline.
+    pub transfer: TransferReport,
     /// How many of `items` were written by this run: the first
     /// `put_objects` of them.
     pub put_objects: usize,
-    /// Wall time of the whole pipeline.
-    pub wall_seconds: f64,
     /// Aggregate CPU busy time summed over every compression worker
     /// (compression + decompression). With `cpu_workers` threads busy
     /// simultaneously this can exceed `wall_seconds`; use
@@ -216,35 +219,22 @@ pub struct PipelineReport {
     pub io_workers: usize,
 }
 
+impl std::ops::Deref for PipelineReport {
+    type Target = TransferReport;
+
+    fn deref(&self) -> &TransferReport {
+        &self.transfer
+    }
+}
+
 impl PipelineReport {
-    /// Total uncompressed bytes.
-    pub fn raw_bytes(&self) -> u64 {
-        self.items.iter().map(|i| i.raw_bytes).sum()
-    }
-
-    /// Total bytes on the wire.
-    pub fn wire_bytes(&self) -> u64 {
-        self.items.iter().map(|i| i.wire_bytes).sum()
-    }
-
-    /// Transient-fault retries across the pipeline.
-    pub fn total_retries(&self) -> u32 {
-        self.items.iter().map(|i| i.retries).sum()
-    }
-
-    /// Corruption re-fetches across the pipeline.
-    pub fn total_refetches(&self) -> u32 {
-        self.items.iter().map(|i| i.refetches).sum()
-    }
-
-    /// Deadline overruns across the pipeline.
-    pub fn total_timeouts(&self) -> u32 {
-        self.items.iter().map(|i| i.timeouts).sum()
-    }
-
-    /// Seconds slept in retry backoff across the pipeline.
-    pub fn total_backoff_s(&self) -> f64 {
-        self.items.iter().map(|i| i.backoff_s).sum()
+    /// The report of the objects this run wrote, each with its read-back
+    /// folded in; fetch-only objects (already staged by an earlier run)
+    /// are left out. Same wall time.
+    pub fn into_puts(self) -> TransferReport {
+        let mut puts = self.transfer;
+        puts.items.truncate(self.put_objects);
+        puts
     }
 
     /// Critical-path seconds of the compression stage: aggregate busy
@@ -1167,9 +1157,11 @@ impl TransferManager {
         Ok((
             in_slot_order(total, payloads),
             PipelineReport {
-                items,
+                transfer: TransferReport {
+                    items,
+                    wall_seconds: t0.elapsed().as_secs_f64(),
+                },
                 put_objects,
-                wall_seconds: t0.elapsed().as_secs_f64(),
                 cpu_busy_seconds: cpu_busy_ns.load(Ordering::Relaxed) as f64 * 1e-9,
                 io_busy_seconds: io_busy_ns.load(Ordering::Relaxed) as f64 * 1e-9,
                 cpu_workers: cpu_threads,

@@ -2,7 +2,11 @@
 //! regions, with transfers only at the scope boundaries.
 
 use omp_model::MapDir;
+use ompcloud_suite::cloud_storage::{LatencyStore, StorageError, StoreHandle};
 use ompcloud_suite::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 fn runtime() -> CloudRuntime {
     CloudRuntime::new(CloudConfig {
@@ -173,4 +177,158 @@ fn dropped_scope_discards_outputs() {
         .unwrap();
     assert_eq!(env.get::<f32>("y").unwrap(), vec![10.0f32; n].as_slice());
     rt.shutdown();
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Edge {
+    PutStart,
+    PutEnd,
+    GetStart,
+    GetEnd,
+}
+
+/// [`ObjectStore`] decorator that logs the start and end of every put
+/// and get in one global order, and the most ops it ever saw in flight.
+struct Recorder {
+    inner: StoreHandle,
+    log: Mutex<Vec<(Edge, String)>>,
+    inflight: AtomicUsize,
+    max_inflight: AtomicUsize,
+}
+
+impl Recorder {
+    fn record<T>(&self, start: Edge, end: Edge, key: &str, op: impl FnOnce() -> T) -> T {
+        let now = self.inflight.fetch_add(1, Ordering::SeqCst) + 1;
+        self.max_inflight.fetch_max(now, Ordering::SeqCst);
+        self.log.lock().unwrap().push((start, key.into()));
+        let result = op();
+        self.log.lock().unwrap().push((end, key.into()));
+        self.inflight.fetch_sub(1, Ordering::SeqCst);
+        result
+    }
+}
+
+impl ObjectStore for Recorder {
+    fn put(&self, key: &str, data: Vec<u8>) -> Result<(), StorageError> {
+        self.record(Edge::PutStart, Edge::PutEnd, key, || {
+            self.inner.put(key, data)
+        })
+    }
+
+    fn get(&self, key: &str) -> Result<Vec<u8>, StorageError> {
+        self.record(Edge::GetStart, Edge::GetEnd, key, || self.inner.get(key))
+    }
+
+    fn delete(&self, key: &str) -> Result<(), StorageError> {
+        self.inner.delete(key)
+    }
+
+    fn exists(&self, key: &str) -> bool {
+        self.inner.exists(key)
+    }
+
+    fn list(&self, prefix: &str) -> Vec<String> {
+        self.inner.list(prefix)
+    }
+
+    fn size(&self, key: &str) -> Option<u64> {
+        self.inner.size(key)
+    }
+
+    fn checksum(&self, key: &str) -> Option<u32> {
+        self.inner.checksum(key)
+    }
+
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
+}
+
+/// A scope boundary is a batch like a region's: it goes through the same
+/// op-scheduled pipeline, so `io-threads` bounds the store ops in flight
+/// and each object is read back once its own put has returned.
+#[test]
+fn scope_boundaries_honour_io_threads() {
+    // Above the 128 KiB packing cut: every input is its own store object.
+    let n = 40_000;
+    let inputs = ["a", "b", "c", "d"];
+    let mut builder = TargetRegion::builder("sum4").device(CloudRuntime::cloud_selector());
+    for name in inputs {
+        builder = builder.map_to(name);
+    }
+    let region = builder
+        .map_from("y")
+        .parallel_for(n, move |l| {
+            l.partition("y", PartitionSpec::rows(1))
+                .body(move |i, ins, outs| {
+                    let sum: f32 = inputs.iter().map(|v| ins.view::<f32>(v)[i]).sum();
+                    outs.view_mut::<f32>("y")[i] = sum * 0.5;
+                })
+        })
+        .build()
+        .unwrap();
+    let mut env = DataEnv::new();
+    for (k, name) in inputs.into_iter().enumerate() {
+        let data = (0..n).map(|i| ((i * (k + 3)) % 1013) as f32).collect();
+        env.insert::<f32>(name, data);
+    }
+    env.insert("y", vec![0.0f32; n]);
+    // A device runs what it is handed, whatever the region's selector.
+    let mut host_env = env.clone();
+    HostDevice::sequential()
+        .execute(&region, &mut host_env)
+        .unwrap();
+
+    // 5 ms per op: ops issued together are in flight together.
+    let recorder = Arc::new(Recorder {
+        inner: Arc::new(LatencyStore::new(
+            Arc::new(S3Store::standalone("scope")),
+            Duration::from_millis(5),
+        )),
+        log: Mutex::new(Vec::new()),
+        inflight: AtomicUsize::new(0),
+        max_inflight: AtomicUsize::new(0),
+    });
+    let config = CloudConfig {
+        workers: 2,
+        vcpus_per_worker: 4,
+        task_cpus: 2,
+        io_threads: 2,
+        ..CloudConfig::default()
+    };
+    let rt = CloudRuntime::with_device(CloudDevice::with_store(
+        config,
+        Arc::clone(&recorder) as StoreHandle,
+    ));
+
+    let mut maps: Vec<(&str, MapDir)> = inputs.iter().map(|v| (*v, MapDir::To)).collect();
+    maps.push(("y", MapDir::From));
+    let mut scope = rt.target_data(&env, &maps).unwrap();
+    scope.offload(&region).unwrap();
+    scope.close(&mut env).unwrap();
+    rt.shutdown();
+
+    assert_eq!(
+        env.get_erased("y").unwrap().to_bytes(),
+        host_env.get_erased("y").unwrap().to_bytes(),
+        "the scope's result must agree bitwise with the host's"
+    );
+    let log = recorder.log.lock().unwrap().clone();
+    let count = |edge| log.iter().filter(|e| e.0 == edge).count();
+    assert_eq!(
+        (count(Edge::PutStart), count(Edge::GetStart)),
+        (5, 5),
+        "four inputs and one output, each put once and got once: {log:?}"
+    );
+    assert!(
+        recorder.max_inflight.load(Ordering::SeqCst) <= 2,
+        "io-threads = 2, yet {} store ops were in flight at once: {log:?}",
+        recorder.max_inflight.load(Ordering::SeqCst)
+    );
+    for (at, (edge, key)) in log.iter().enumerate() {
+        if *edge == Edge::GetStart {
+            let put_returned = log[..at].contains(&(Edge::PutEnd, key.clone()));
+            assert!(put_returned, "{key} was read before its put returned");
+        }
+    }
 }
