@@ -343,7 +343,7 @@ impl ProbeStats {
 /// zero-RLE size (long zero *runs* — integer-valued floats are half zero
 /// bytes in runs of two, which RLE cannot use), a greedy LZ77 parse, and
 /// the order-0 entropy of the mixed stream and of each stride-4/8 byte
-/// plane. The smallest estimate wins; see DESIGN §6 for the table.
+/// plane. The smallest estimate wins; see DESIGN §12 for the table.
 pub fn probe(input: &[u8]) -> Codec {
     const WINDOW: usize = 4 * 1024;
     const WINDOWS: usize = 4;

@@ -42,6 +42,7 @@ pub mod offload;
 pub mod plan;
 pub mod recovery;
 pub mod report;
+pub mod resident;
 pub mod runtime;
 pub mod scope;
 pub mod service;
@@ -51,7 +52,7 @@ pub use autotune::{calibrate, AutotuneConfig, CalibrationReport, TunedProfile};
 pub use breaker::{BreakerBank, CircuitBreaker, DEFAULT_TENANT};
 pub use cache::{CacheDecision, Fingerprint, UploadCache};
 pub use config::{CloudConfig, Provider};
-pub use device::{CloudDevice, ResidentFault, ResidentFaultKind};
+pub use device::CloudDevice;
 pub use mapopt::{
     narrow_len, DeltaDiff, DeltaLedger, DownloadAction, ElideReason, MapDecision, MapPlan,
     UploadAction,
@@ -60,6 +61,7 @@ pub use offload::LoopStats;
 pub use plan::{derive_plan, measure_ratio, PlanRatios};
 pub use recovery::RegionRecovery;
 pub use report::{DataflowSummary, OffloadReport, ResilienceSummary};
+pub use resident::{ResidentFault, ResidentFaultKind};
 pub use runtime::CloudRuntime;
 pub use scope::{ScopeStats, TargetDataScope};
 pub use service::{OffloadService, ServiceOutcome, ServiceTenantStats};

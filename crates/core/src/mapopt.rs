@@ -21,8 +21,15 @@
 //! [`OffloadReport`](crate::OffloadReport), so elisions are observable
 //! and oracle-checkable byte for byte.
 
-use omp_model::{MapDir, TargetRegion};
+use crate::cache::{CacheDecision, Fingerprint, UploadCache};
+use crate::config::CloudConfig;
+use crate::resident::Served;
+use cloud_storage::{BytePool, PoolBuf};
+use omp_model::{
+    DataEnv, DataflowHints, ErasedVec, MapClause, MapDir, OmpError, RedOp, TargetRegion, TypeTag,
+};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Why a transfer was elided.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -187,6 +194,20 @@ impl MapPlan {
     /// Raw bytes planned host→cloud across every decision.
     pub fn upload_bytes(&self) -> u64 {
         self.decisions.iter().map(|d| d.upload.bytes_moved()).sum()
+    }
+
+    /// Raw bytes the cluster consumes off the host's side of the store
+    /// (`ExecProfile::bytes_to_device`): what the plan ships, plus every
+    /// cache hit in full — the device still reads the reused object
+    /// whole, only the host's put is spared.
+    pub(crate) fn device_input_bytes(&self) -> u64 {
+        self.decisions
+            .iter()
+            .map(|d| match d.upload {
+                UploadAction::Cached { full_bytes } => full_bytes,
+                ref shipped => shipped.bytes_moved(),
+            })
+            .sum()
     }
 
     /// Raw bytes planned cloud→host across every decision.
@@ -544,6 +565,382 @@ impl DeltaLedger {
         }
         Ok(out)
     }
+}
+
+/// What the device remembers between offloads so that unchanged bytes
+/// stay home: the upload cache (`data-caching`) and the dirty-tile delta
+/// ledger (`delta-transfers`). The planner consults them back to back
+/// and stage-in commits to both at the same point — after the cloud
+/// side holds the payload — so they share one lock.
+pub(crate) struct TransferMemory {
+    pub cache: UploadCache,
+    pub delta: DeltaLedger,
+}
+
+/// Where the cluster's copy of one mapped variable comes from.
+pub(crate) enum InputSource {
+    /// Put under `key` this round and fetched back: in full, as a
+    /// narrowed prefix or as a delta patch, as `upload` says.
+    Staged { key: String, upload: UploadAction },
+    /// Unchanged per the upload cache: fetched from the object an
+    /// earlier offload staged under `key`.
+    Cached { key: String },
+    /// A producer region's output consumed in place — the driver-side
+    /// copy of the version committed under `key`; the host upload is
+    /// elided entirely.
+    Resident { key: String, bytes: Vec<u8> },
+    /// The delta diff came back clean: zero bytes travel and the cluster
+    /// copy is the ledger's committed payload, whose crc32 this is.
+    DeltaClean { crc: u32 },
+    /// Byte-identical to `of`, staged this round under `key`: the alias
+    /// shares that object.
+    Alias { of: String, key: String },
+    /// `map(from)`/`map(alloc)`: host contents never cross the wire;
+    /// the driver allocates the buffer (see [`allocate_outputs`]).
+    NotUploaded,
+}
+
+/// The plan for one map clause: what stage-in, the region fingerprint
+/// and the published [`MapDecision`] each need to know about it.
+pub(crate) struct InputPlan {
+    pub var: String,
+    pub dir: MapDir,
+    pub tag: TypeTag,
+    /// Element count of the host buffer (what a narrowed prefix is
+    /// padded back to).
+    pub elems: usize,
+    /// Raw bytes the send-everything path would move.
+    pub full_bytes: u64,
+    pub source: InputSource,
+    /// Fingerprint of the full payload when `data-caching` is on and the
+    /// cache missed: what stage-in records once the bytes are cloud-side.
+    pub cache_fp: Option<Fingerprint>,
+}
+
+impl InputPlan {
+    /// The published decision record; `kept` says a later DAG consumer
+    /// reads the output in place.
+    fn decision(&self, kept: bool) -> MapDecision {
+        let full_bytes = self.full_bytes;
+        let elided = |reason| UploadAction::Elided { reason, full_bytes };
+        let upload = match &self.source {
+            InputSource::Staged { upload, .. } => upload.clone(),
+            InputSource::Cached { .. } => UploadAction::Cached { full_bytes },
+            InputSource::Resident { .. } => UploadAction::Resident { full_bytes },
+            InputSource::DeltaClean { .. } => UploadAction::DeltaClean { full_bytes },
+            InputSource::Alias { of, .. } => elided(ElideReason::Dedup { of: of.clone() }),
+            InputSource::NotUploaded if self.dir.is_alloc() => elided(ElideReason::AllocOnly),
+            // `from`-only: the classic dead `to` transfer.
+            InputSource::NotUploaded => elided(ElideReason::DeadTo),
+        };
+        let dead = |reason| DownloadAction::Elided { reason, full_bytes };
+        let download = if self.dir.is_alloc() {
+            dead(ElideReason::AllocOnly)
+        } else if !self.dir.is_output() {
+            dead(ElideReason::DeadFrom)
+        } else if kept {
+            DownloadAction::Resident { full_bytes }
+        } else {
+            DownloadAction::Full { bytes: full_bytes }
+        };
+        MapDecision {
+            var: self.var.clone(),
+            dir: self.dir,
+            upload,
+            download,
+        }
+    }
+}
+
+/// What the plan stage hands stage-in: one [`InputPlan`] per map clause,
+/// in clause order; the serialized payloads to put; the keys of cache
+/// hits to fetch; and the decision record to publish.
+#[derive(Default)]
+pub(crate) struct StagePlan {
+    pub inputs: Vec<InputPlan>,
+    pub uploads: Vec<(String, PoolBuf)>,
+    pub fetch_only: Vec<String>,
+    pub map_plan: MapPlan,
+}
+
+/// Where a plan is made: the knobs, the job's key prefix and the pool
+/// staging buffers are serialized into.
+pub(crate) struct PlanSite<'a> {
+    pub config: &'a CloudConfig,
+    pub prefix: &'a str,
+    pub pool: &'a Arc<BytePool>,
+}
+
+impl TransferMemory {
+    /// Decide, per map clause of `region`, where the cluster's copy comes
+    /// from. `resident` holds the inputs
+    /// the recovery ladder already served. Computed before anything
+    /// moves: no put is issued and no cache or ledger entry is written —
+    /// the cache's hit/miss counters are the only state this moves, so a
+    /// failed stage-in leaves nothing behind that a later offload could
+    /// trust.
+    pub(crate) fn plan(
+        &mut self,
+        region: &TargetRegion,
+        env: &DataEnv,
+        hints: &DataflowHints,
+        mut resident: HashMap<String, Served>,
+        site: &PlanSite<'_>,
+    ) -> Result<StagePlan, OmpError> {
+        let mut plan = StagePlan::default();
+        for m in &region.maps {
+            let mut input = InputPlan {
+                var: m.name.clone(),
+                dir: m.dir,
+                tag: TypeTag::U8,
+                elems: 0,
+                full_bytes: 0,
+                source: InputSource::NotUploaded,
+                cache_fp: None,
+            };
+            if let Some(served) = resident.remove(&m.name) {
+                input.tag = served.version.tag;
+                input.full_bytes = served.bytes.len() as u64;
+                input.source = InputSource::Resident {
+                    key: served.version.key,
+                    bytes: served.bytes,
+                };
+            } else {
+                let host = env.get_erased(&m.name)?;
+                input.tag = host.tag();
+                input.elems = host.len();
+                input.full_bytes = host.byte_len() as u64;
+                let staged = match m.dir.is_input() {
+                    true => self.plan_upload(&mut input, host, region, site, &mut plan),
+                    false => None,
+                };
+                if let Some((upload, payload)) = staged {
+                    let key = format!("{}/in/{}", site.prefix, m.name);
+                    plan.uploads.push((key.clone(), payload));
+                    input.source = InputSource::Staged { key, upload };
+                }
+            }
+            plan.map_plan
+                .decisions
+                .push(input.decision(hints.keeps(&m.name)));
+            plan.inputs.push(input);
+        }
+        plan.map_plan.enabled = site.config.map_optimize;
+        Ok(plan)
+    }
+
+    /// Choose the cheapest legal way to get host input `host` cloud-side:
+    /// cached, deduped or delta-clean (recorded on `input`, nothing to
+    /// put), or narrowed, delta-patched or in full — returned as the
+    /// upload decision and the payload to stage.
+    fn plan_upload(
+        &mut self,
+        input: &mut InputPlan,
+        host: &ErasedVec,
+        region: &TargetRegion,
+        site: &PlanSite<'_>,
+        plan: &mut StagePlan,
+    ) -> Option<(UploadAction, PoolBuf)> {
+        let (config, pool) = (site.config, site.pool);
+        // Serialize into a pooled staging buffer: the allocation is
+        // recycled once the wire form is sealed.
+        let mut bytes = pool.get(host.byte_len());
+        host.write_bytes_into(&mut bytes);
+        let full_bytes = input.full_bytes;
+        let cache_fp = config.data_caching.then(|| Fingerprint::of(&bytes));
+        if let Some(fp) = cache_fp {
+            if let CacheDecision::Hit { storage_key } = self.cache.check(&input.var, fp) {
+                // Unchanged since the last offload: the staged object is
+                // reused wholesale.
+                plan.fetch_only.push(storage_key.clone());
+                input.source = InputSource::Cached { key: storage_key };
+                return None;
+            }
+        }
+        if config.map_optimize {
+            // Dedupe: a byte-identical same-typed buffer already in this
+            // job's upload set is shared, not re-shipped.
+            let twin = plan.inputs.iter().find_map(|other| match &other.source {
+                InputSource::Staged {
+                    key,
+                    upload: UploadAction::Full { .. },
+                } if other.tag == input.tag => plan
+                    .uploads
+                    .iter()
+                    .any(|(k, payload)| k == key && payload[..] == bytes[..])
+                    .then(|| (other.var.clone(), key.clone())),
+                _ => None,
+            });
+            if let Some((of, key)) = twin {
+                input.source = InputSource::Alias { of, key };
+                input.cache_fp = cache_fp;
+                return None;
+            }
+            // Narrowing: a `map(to)` input partitioned in every loop
+            // travels only up to its iteration hull; the cluster copy is
+            // padded back to full length. `tofrom` buffers are exempt
+            // (their untouched tail must round-trip bit-exactly through
+            // the merge), and so are delta rounds (the ledger models
+            // full payloads).
+            if input.dir == MapDir::To && !config.delta_transfers {
+                if let Some(n) = narrow_len(region, &input.var, input.elems) {
+                    let nbytes = n * (host.byte_len() / input.elems);
+                    let mut hull = pool.get(nbytes);
+                    host.write_range_bytes_into(0..n, &mut hull);
+                    let upload = UploadAction::Narrowed {
+                        bytes: nbytes as u64,
+                        full_bytes,
+                    };
+                    return Some((upload, hull));
+                }
+            }
+            // Delta: diff against the last committed payload and ship
+            // only the dirty tiles.
+            if config.delta_transfers {
+                match self.delta.diff(&input.var, &bytes) {
+                    DeltaDiff::Clean => {
+                        input.source = InputSource::DeltaClean {
+                            crc: gzlite::crc32(&bytes),
+                        };
+                        return None;
+                    }
+                    DeltaDiff::Dirty(dirty) => {
+                        let patch = self.delta.encode_patch(&bytes, &dirty);
+                        // A patch as large as the payload loses to a
+                        // plain upload: fall through.
+                        if patch.len() < bytes.len() {
+                            let upload = UploadAction::Delta {
+                                dirty_tiles: dirty.len() as u32,
+                                total_tiles: self.delta.tile_count(bytes.len()) as u32,
+                                bytes: patch.len() as u64,
+                                full_bytes,
+                            };
+                            return Some((upload, patch.into()));
+                        }
+                    }
+                    DeltaDiff::NoBase => {}
+                }
+            }
+        }
+        input.cache_fp = cache_fp;
+        Some((UploadAction::Full { bytes: full_bytes }, bytes))
+    }
+
+    /// Build the cluster data environment from the payloads stage-in's
+    /// round trip fetched, and — only now that the cloud side holds and
+    /// has verified each payload — record it: the upload cache learns
+    /// where an uploaded variable lives, the delta ledger takes the
+    /// payload as the base the next round diffs against. Recording
+    /// after materialization is what keeps a failed or faulty transfer
+    /// from ever being trusted by a later offload.
+    pub(crate) fn materialize(
+        &mut self,
+        inputs: &[InputPlan],
+        mut fetched: HashMap<String, PoolBuf>,
+        delta_on: bool,
+    ) -> Result<DataEnv, String> {
+        let mut cluster_env = DataEnv::new();
+        for input in inputs {
+            let payload = |key: &str| -> &[u8] {
+                &fetched.get(key).expect("every staged input was fetched")[..]
+            };
+            let (var, tag) = (input.var.as_str(), input.tag);
+            let value = match &input.source {
+                // Narrowed prefix: pad back to full length. The tail is
+                // never read by the region (that is what made the
+                // narrowing legal), so identity values are fine.
+                InputSource::Staged {
+                    key,
+                    upload: UploadAction::Narrowed { .. },
+                } => {
+                    let mut v = ErasedVec::identity(tag, input.elems, RedOp::BitOr);
+                    v.write_at(0, &ErasedVec::from_bytes(tag, payload(key)));
+                    v
+                }
+                // Delta patch: reconstruct the full payload against the
+                // committed base, then — and only then — commit it as
+                // the next round's base.
+                InputSource::Staged {
+                    key,
+                    upload: UploadAction::Delta { .. },
+                } => {
+                    let full = self
+                        .delta
+                        .apply_patch(var, payload(key))
+                        .map_err(|e| format!("delta patch for '{var}' failed to apply: {e}"))?;
+                    self.delta.commit(var, &full);
+                    ErasedVec::from_bytes(tag, &full)
+                }
+                // A full payload, put this round or by the earlier
+                // offload the cache remembers.
+                InputSource::Staged { key, .. } | InputSource::Cached { key } => {
+                    let bytes = payload(key);
+                    if let Some(fp) = input.cache_fp {
+                        self.cache.record(var, fp, key.clone());
+                    }
+                    if delta_on {
+                        self.delta.commit(var, bytes);
+                    }
+                    ErasedVec::from_bytes(tag, bytes)
+                }
+                // The cluster reads the producer's output in place
+                // (here: the driver-side copy of the committed key).
+                InputSource::Resident { bytes, .. } => ErasedVec::from_bytes(tag, bytes),
+                // Never left the host: the cluster copy is the ledger's
+                // committed payload (byte-identical by definition).
+                InputSource::DeltaClean { .. } => ErasedVec::from_bytes(
+                    tag,
+                    self.delta
+                        .payload(var)
+                        .expect("a clean diff implies a committed base"),
+                ),
+                // The alias shares its source's materialized buffer and
+                // staged object — and seeds the delta ledger with it, so
+                // a later delta round diffs the alias against this
+                // payload instead of paying a fresh full upload.
+                InputSource::Alias { of, key } => {
+                    let v = ErasedVec::clone(
+                        cluster_env
+                            .get_erased(of)
+                            .expect("a dedupe source precedes its alias in map order"),
+                    );
+                    if let Some(fp) = input.cache_fp {
+                        self.cache.record(var, fp, key.clone());
+                    }
+                    if delta_on {
+                        self.delta.commit(var, &v.to_bytes());
+                    }
+                    v
+                }
+                InputSource::NotUploaded => continue,
+            };
+            cluster_env.insert_erased(var, value);
+            // A staged payload has exactly one reader: hand its buffer
+            // back now, so the next input's copy reuses the allocation.
+            // (A cached object may be shared by several inputs.)
+            if let InputSource::Staged { key, .. } = &input.source {
+                fetched.remove(key);
+            }
+        }
+        Ok(cluster_env)
+    }
+}
+
+/// Allocate on the driver every mapped variable whose host contents
+/// never cross the wire — output-only and `alloc` — full-size (paper
+/// Fig. 3 step 7; sizes come with the job submission). Shared by a
+/// region's stage-in and a `target data` scope's entry.
+pub(crate) fn allocate_outputs(
+    cluster_env: &mut DataEnv,
+    host_env: &DataEnv,
+    maps: &[MapClause],
+) -> Result<(), OmpError> {
+    for m in maps.iter().filter(|m| !m.dir.is_input()) {
+        let host = host_env.get_erased(&m.name)?;
+        let zeroed = ErasedVec::identity(host.tag(), host.len(), RedOp::BitOr);
+        cluster_env.insert_erased(&m.name, zeroed);
+    }
+    Ok(())
 }
 
 #[cfg(test)]

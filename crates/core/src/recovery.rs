@@ -135,7 +135,7 @@ pub fn encode_parts(parts: &[OutPart]) -> Vec<u8> {
     let mut out = Vec::with_capacity(
         4 + parts
             .iter()
-            .map(|p| 22 + p.name.len() + p.data.byte_len())
+            .map(|p| MIN_PART_BYTES + p.name.len() + p.data.byte_len())
             .sum::<usize>(),
     );
     out.extend_from_slice(&(parts.len() as u32).to_le_bytes());
@@ -152,6 +152,10 @@ pub fn encode_parts(parts: &[OutPart]) -> Vec<u8> {
     out
 }
 
+/// Wire size of a part with an empty name and no data: name length,
+/// base, touched, tag, data length.
+const MIN_PART_BYTES: usize = 4 + 8 + 1 + 1 + 8;
+
 /// Decode a journal payload back into output parts; `None` on any
 /// structural mismatch (truncation, bad tag, non-UTF-8 name).
 pub fn decode_parts(payload: &[u8]) -> Option<Vec<OutPart>> {
@@ -160,7 +164,9 @@ pub fn decode_parts(payload: &[u8]) -> Option<Vec<OutPart>> {
         at: 0,
     };
     let count = cur.u32()? as usize;
-    let mut parts = Vec::with_capacity(count.min(1024));
+    // Reserve for what the bytes present can hold, not for what the
+    // count field claims.
+    let mut parts = Vec::with_capacity(count.min(payload.len() / MIN_PART_BYTES));
     for _ in 0..count {
         let name_len = cur.u32()? as usize;
         let name = String::from_utf8(cur.take(name_len)?.to_vec()).ok()?;

@@ -98,7 +98,7 @@ impl DataflowSummary {
 }
 
 /// Full record of one offloaded target region.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OffloadReport {
     /// The tenant that submitted the region (`"default"` outside
     /// multi-tenant programs). Breaker state and recovery counters in

@@ -19,8 +19,8 @@
 //! host-communication costs the paper's §VI contemplates.
 
 use crate::device::{storage_err, CloudDevice};
+use crate::mapopt::allocate_outputs;
 use crate::runtime::CloudRuntime;
-use cloud_storage::PoolBuf;
 use omp_model::{DataEnv, ErasedVec, ExecProfile, MapClause, MapDir, OmpError, TargetRegion};
 
 /// Transfer statistics of a scope's enter/exit boundaries.
@@ -116,19 +116,12 @@ impl Drop for TargetDataScope<'_> {
     }
 }
 
-/// Device-side residency state (one scope at a time, like a single
-/// OpenMP device data environment).
-#[derive(Debug, Default)]
-pub(crate) struct Residency {
-    pub env: Option<DataEnv>,
-}
-
 impl CloudDevice {
     /// Stage the scope's input variables on the device and allocate its
     /// outputs. Returns raw bytes shipped.
     pub(crate) fn scope_enter(&self, env: &DataEnv, maps: &[MapClause]) -> Result<u64, OmpError> {
-        let mut residency = self.residency().lock();
-        if residency.env.is_some() {
+        let mut residency = self.residency.lock();
+        if residency.is_some() {
             return Err(OmpError::Plugin {
                 device: "cloud".into(),
                 detail: "a target-data scope is already open on this device".into(),
@@ -146,57 +139,34 @@ impl CloudDevice {
                 items.push((format!("target-data/{}", m.name), buf.to_bytes().into()));
             }
         }
-        let mut payloads = self.scope_round_trip(items)?.into_iter();
+        // A boundary publishes no profile or report of its own — its
+        // ledger is [`ScopeStats`] — so the time and retry accounting of
+        // the round trip is dropped, here and at exit.
+        let (payloads, _) = self.round_trip(items, Vec::new()).map_err(storage_err)?;
         let mut resident = DataEnv::new();
-        for m in maps {
-            let host = env.get_erased(&m.name)?;
-            if m.dir.is_input() {
-                let (_, bytes) = payloads.next().expect("one payload per input key");
-                resident.insert_erased(&m.name, ErasedVec::from_bytes(host.tag(), &bytes));
-            } else {
-                resident.insert_erased(
-                    &m.name,
-                    ErasedVec::identity(host.tag(), host.len(), omp_model::RedOp::BitOr),
-                );
-            }
+        for (m, (_, bytes)) in maps.iter().filter(|m| m.dir.is_input()).zip(payloads) {
+            let tag = env.get_erased(&m.name)?.tag();
+            resident.insert_erased(&m.name, ErasedVec::from_bytes(tag, &bytes));
         }
-        residency.env = Some(resident);
+        allocate_outputs(&mut resident, env, maps)?;
+        *residency = Some(resident);
         Ok(bytes_in)
     }
 
     /// Run a region against the resident environment (no host-target
     /// transfers).
     pub(crate) fn scope_offload(&self, region: &TargetRegion) -> Result<ExecProfile, OmpError> {
-        let mut residency = self.residency().lock();
-        let resident = residency.env.take().ok_or_else(|| OmpError::Plugin {
+        let mut residency = self.residency.lock();
+        let resident = residency.take().ok_or_else(|| OmpError::Plugin {
             device: "cloud".into(),
             detail: "no open target-data scope".into(),
         })?;
-        let sc = self.spark_context();
-        let outcome = match crate::offload::run_spark_job(
-            &sc,
-            self.config(),
-            region,
-            resident,
-            self.tile_residency(),
-            None,
-        ) {
-            Ok(o) => o,
-            Err(e) => {
-                // Residency is lost on failure; the scope must be
-                // re-entered (matching OpenMP's undefined device state
-                // after an error).
-                return Err(e);
-            }
-        };
-        let mut profile = ExecProfile::new(format!("{}+resident", self.name_str()));
-        for l in &outcome.loops {
-            profile.tasks += l.tiles as u64;
-            profile.compute_s += l.compute_s;
-            profile.overhead_s += l.overhead_s;
-        }
+        // Residency is lost on failure; the scope must be re-entered
+        // (matching OpenMP's undefined device state after an error).
+        let mut profile = ExecProfile::new(format!("{}+resident", self.name));
+        let outcome = self.run(region, resident, None, &mut profile)?;
         profile.note("target-data scope: no host-target transfers".to_string());
-        residency.env = Some(outcome.env);
+        *residency = Some(outcome.env);
         Ok(profile)
     }
 
@@ -207,8 +177,8 @@ impl CloudDevice {
         env: &mut DataEnv,
         maps: &[MapClause],
     ) -> Result<u64, OmpError> {
-        let mut residency = self.residency().lock();
-        let resident = residency.env.take().ok_or_else(|| OmpError::Plugin {
+        let mut residency = self.residency.lock();
+        let resident = residency.take().ok_or_else(|| OmpError::Plugin {
             device: "cloud".into(),
             detail: "no open target-data scope".into(),
         })?;
@@ -220,33 +190,19 @@ impl CloudDevice {
             bytes_out += buf.byte_len() as u64;
             items.push((format!("target-data/out/{}", m.name), buf.to_bytes().into()));
         }
-        let payloads = self.scope_round_trip(items)?;
+        let (payloads, _) = self.round_trip(items, Vec::new()).map_err(storage_err)?;
         for (m, (_, bytes)) in outputs().zip(payloads) {
             let tag = env.get_erased(&m.name)?.tag();
             env.write_back(&m.name, ErasedVec::from_bytes(tag, &bytes))?;
         }
         // Storage hygiene: the scope's staging area is garbage now.
-        self.transfer_ref().delete_prefix("target-data");
+        self.transfer.delete_prefix("target-data");
         Ok(bytes_out)
-    }
-
-    /// One boundary crossing of a scope. A boundary publishes no profile
-    /// or report of its own — its ledger is [`ScopeStats`] — so the
-    /// time and retry accounting of the round trip is dropped.
-    fn scope_round_trip(
-        &self,
-        items: Vec<(String, PoolBuf)>,
-    ) -> Result<Vec<(String, PoolBuf)>, OmpError> {
-        let mut profile = ExecProfile::new(String::new());
-        let (payloads, _) = self
-            .round_trip(items, Vec::new(), &mut profile, &mut Default::default())
-            .map_err(storage_err)?;
-        Ok(payloads)
     }
 
     /// Release residency without downloading anything (dropped scope).
     pub(crate) fn scope_abandon(&self) {
-        self.residency().lock().env = None;
+        *self.residency.lock() = None;
     }
 }
 

@@ -119,7 +119,10 @@ fn chaos_on_tenant_a_never_touches_tenant_b() {
     // Breaker isolation: hog's open, bob's (and the default) closed.
     assert!(runtime.cloud().breaker_open_for("hog"));
     assert!(!runtime.cloud().breaker_open_for("bob"));
-    assert!(!runtime.cloud().breaker().is_open(), "default tenant clean");
+    assert!(
+        !runtime.cloud().breakers().default_breaker().is_open(),
+        "default tenant clean"
+    );
 
     // Bob's reports carry bob's scoped fault state: no stage fallbacks,
     // no tripped breaker, and the tenant tag.

@@ -89,6 +89,13 @@ pub struct DataflowHints {
     pub recovery: bool,
 }
 
+impl DataflowHints {
+    /// Does a later DAG region consume output `var` in place?
+    pub fn keeps(&self, var: &str) -> bool {
+        self.keep_resident.iter().any(|v| v == var)
+    }
+}
+
 /// What a [`Device::materialize_resident`] call actually moved back to
 /// the host.
 #[derive(Debug, Clone, Default)]

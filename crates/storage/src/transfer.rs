@@ -1668,17 +1668,20 @@ mod tests {
 
     #[test]
     fn pipelined_path_retries_and_heals_under_chaos() {
+        // The two faults are scoped to different objects, so they can
+        // never land on the same get (a transient error would hide the
+        // corruption it preempts): every second op on `c03` fails once —
+        // its put lands, its get is retried — and the first get of `c07`
+        // comes back corrupted.
         let plan = FaultPlan::new(77)
-            .rule(FaultRule::new(
-                OpFilter::Any,
-                Trigger::EveryNth(5),
-                FaultKind::Transient,
-            ))
-            .rule(FaultRule::new(
-                OpFilter::Get,
-                Trigger::OpIndex(2),
-                FaultKind::Corrupt,
-            ));
+            .rule(
+                FaultRule::new(OpFilter::Any, Trigger::EveryNth(2), FaultKind::Transient)
+                    .on_keys("in/c03"),
+            )
+            .rule(
+                FaultRule::new(OpFilter::Get, Trigger::OpIndex(0), FaultKind::Corrupt)
+                    .on_keys("in/c07"),
+            );
         let (tm, _) = chaos_manager(64, plan);
         // Ten objects of their own: the fault schedule counts store ops.
         let items: Vec<(String, Vec<u8>)> = (0..10)

@@ -108,6 +108,15 @@ impl StorageUri {
         }
     }
 
+    /// `leaf` under the key prefix: `<prefix>/<leaf>`, or `leaf` alone
+    /// when the URI names no prefix.
+    pub fn key_under(&self, leaf: &str) -> String {
+        match self.key_prefix() {
+            "" => leaf.to_string(),
+            prefix => format!("{prefix}/{leaf}"),
+        }
+    }
+
     /// Scheme label.
     pub fn scheme(&self) -> &'static str {
         match self {

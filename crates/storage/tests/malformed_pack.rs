@@ -2,7 +2,9 @@
 //! a pack, `download` returns `StorageError::Corrupted` (or buffers, when
 //! the damage stayed inside a payload and verification is off) — never a
 //! panic, never an allocation sized by a header field alone. Same law,
-//! same recording allocator as `gzlite`'s `tests/malformed.rs`.
+//! same recording allocator as `gzlite`'s `tests/malformed.rs`. The
+//! commit manifest (`CommitManifest::from_bytes`, reached through
+//! `read_manifest`) is held to the same law at the end of this file.
 
 use cloud_storage::{
     ChaosStore, FaultKind, FaultPlan, FaultRule, ObjectStore, OpFilter, RetryPolicy, S3Store,
@@ -266,4 +268,156 @@ proptest! {
         }
         prop_assert!(largest <= 2 * stored + SLACK, "{} bytes reserved", largest);
     }
+}
+
+const REGION: &str = "jobs/region-00c0ffee";
+const OUTPUTS: [&str; 3] = ["out/y", "out/z", "out/flags"];
+
+/// A manager that has staged three outputs of [`REGION`] and published
+/// their commit manifest; returns the manifest's key with it.
+fn committed(verify: bool) -> (TransferManager, S3Store, String) {
+    let bucket = S3Store::standalone("malformed-manifest");
+    let manager = TransferManager::new(
+        Arc::new(bucket.clone()),
+        TransferConfig {
+            min_compression_size: usize::MAX,
+            verify_integrity: verify,
+            retry: RetryPolicy::default().without_backoff(),
+            ..TransferConfig::default()
+        },
+    );
+    let items: Vec<(String, Vec<u8>)> = OUTPUTS
+        .iter()
+        .enumerate()
+        .map(|(i, name)| (TransferManager::staged_key(REGION, name), member(i)))
+        .collect();
+    manager.upload(items).unwrap();
+    let names: Vec<String> = OUTPUTS.iter().map(|n| n.to_string()).collect();
+    let manifest = manager.publish_manifest(REGION, &names).unwrap();
+    assert_eq!(manifest.entries.len(), OUTPUTS.len());
+    (manager, bucket, TransferManager::manifest_key(REGION))
+}
+
+/// Read the manifest with the stored object replaced by `bytes`: the
+/// names it listed (or the error) and the largest allocation granted.
+fn read_tampered(
+    manager: &TransferManager,
+    bucket: &S3Store,
+    key: &str,
+    bytes: Vec<u8>,
+) -> (Result<Vec<String>, StorageError>, usize) {
+    bucket.put(key, bytes).unwrap();
+    LARGEST.with(|l| l.set(0));
+    let outcome = manager.read_manifest(REGION);
+    let largest = LARGEST.with(Cell::get);
+    (
+        outcome.map(|m| m.entries.into_iter().map(|e| e.name).collect()),
+        largest,
+    )
+}
+
+/// The manifest is line-oriented text, so a cut or a flip can leave a
+/// shorter or differently-named but well-formed manifest: either that —
+/// never more entries than lines present — or `Corrupted`.
+fn assert_manifest_law(
+    outcome: &Result<Vec<String>, StorageError>,
+    largest: usize,
+    bytes: &[u8],
+    what: &str,
+) {
+    match outcome {
+        Ok(names) => {
+            let lines = bytes
+                .split(|b| *b == b'\n')
+                .filter(|l| !l.is_empty())
+                .count();
+            assert!(names.len() <= lines, "{what}: {names:?} from {lines} lines");
+        }
+        Err(e) => assert!(matches!(e, StorageError::Corrupted(_)), "{what}: {e:?}"),
+    }
+    assert!(
+        largest <= 2 * bytes.len() + SLACK,
+        "{what}: {largest} bytes reserved for a {}-byte manifest",
+        bytes.len()
+    );
+}
+
+#[test]
+fn the_intact_manifest_reads_back() {
+    let (manager, bucket, key) = committed(false);
+    let good = bucket.get(&key).unwrap();
+    let (outcome, _) = read_tampered(&manager, &bucket, &key, good);
+    assert_eq!(outcome.unwrap(), OUTPUTS);
+}
+
+#[test]
+fn truncated_and_bit_flipped_manifests_never_panic() {
+    let (manager, bucket, key) = committed(false);
+    let good = bucket.get(&key).unwrap();
+    for cut in 0..good.len() {
+        let bytes = good[..cut].to_vec();
+        let (outcome, largest) = read_tampered(&manager, &bucket, &key, bytes.clone());
+        assert_manifest_law(&outcome, largest, &bytes, "truncated");
+    }
+    for at in 0..good.len() {
+        // 0x04 keeps the byte ASCII; 0x80 breaks the utf-8.
+        for mask in [0x04u8, 0x80] {
+            let mut bytes = good.clone();
+            bytes[at] ^= mask;
+            let (outcome, largest) = read_tampered(&manager, &bucket, &key, bytes.clone());
+            assert_manifest_law(&outcome, largest, &bytes, "bit flip");
+            if mask == 0x80 {
+                assert!(outcome.is_err(), "non-utf-8 manifest accepted");
+            }
+        }
+    }
+}
+
+#[test]
+fn structurally_hostile_manifests_are_corruption() {
+    let (manager, bucket, key) = committed(false);
+    let cases: Vec<Vec<u8>> = vec![
+        b"out/y\n".to_vec(),
+        b"out/y\tjobs/region-00c0ffee/_tmp/out/y\n".to_vec(),
+        b"out/y\tkey\tnot-hex!\n".to_vec(),
+        b"out/y\tkey\t123456789\n".to_vec(),
+        b"out/y\tkey\t\n".to_vec(),
+        vec![0xff, 0xfe, 0x00, 0x9e],
+        [
+            b"out/y\tkey\t".to_vec(),
+            vec![b'f'; 1 << 16],
+            b"\n".to_vec(),
+        ]
+        .concat(),
+    ];
+    for bytes in cases {
+        let (outcome, largest) = read_tampered(&manager, &bucket, &key, bytes.clone());
+        assert!(
+            matches!(outcome, Err(StorageError::Corrupted(_))),
+            "{:?} -> {outcome:?}",
+            String::from_utf8_lossy(&bytes[..bytes.len().min(40)])
+        );
+        assert_manifest_law(&outcome, largest, &bytes, "hostile");
+    }
+}
+
+#[test]
+fn any_change_to_the_manifest_is_caught_by_the_ledger_when_verification_is_on() {
+    let (manager, bucket, key) = committed(true);
+    let good = bucket.get(&key).unwrap();
+    for at in [0, 3, good.len() / 2, good.len() - 1] {
+        let mut bytes = good.clone();
+        bytes[at] ^= 0x04;
+        let (outcome, _) = read_tampered(&manager, &bucket, &key, bytes);
+        assert!(
+            matches!(outcome, Err(StorageError::Corrupted(_))),
+            "{outcome:?}"
+        );
+    }
+    let cut = good[..good.len() / 2].to_vec();
+    let (outcome, _) = read_tampered(&manager, &bucket, &key, cut);
+    assert!(
+        matches!(outcome, Err(StorageError::Corrupted(_))),
+        "{outcome:?}"
+    );
 }

@@ -70,16 +70,26 @@ fn permanently_failing_store_degrades_to_host_with_correct_results() {
         "{:?}",
         p1.notes
     );
-    assert!(!runtime.cloud().is_degraded());
-    assert_eq!(runtime.cloud().breaker().total_failures(), 1);
+    assert!(!runtime.cloud().breakers().default_breaker().is_open());
+    assert_eq!(
+        runtime
+            .cloud()
+            .breakers()
+            .default_breaker()
+            .total_failures(),
+        1
+    );
 
     // Offload 2: second consecutive failure trips the breaker open.
     let (p2, r2) = offload_once(&runtime);
     assert_eq!(r2, expected);
     assert!(p2.fallback_from.is_some());
-    assert!(runtime.cloud().is_degraded(), "breaker must be open now");
+    assert!(
+        runtime.cloud().breakers().default_breaker().is_open(),
+        "breaker must be open now"
+    );
     assert!(!runtime.cloud().is_available());
-    assert_eq!(runtime.cloud().breaker().trips(), 1);
+    assert_eq!(runtime.cloud().breakers().default_breaker().trips(), 1);
 
     // Offload 3: the degraded device is skipped outright — no new
     // failure is recorded, the host runs the region immediately.
@@ -92,7 +102,11 @@ fn permanently_failing_store_degrades_to_host_with_correct_results() {
         p3.notes
     );
     assert_eq!(
-        runtime.cloud().breaker().total_failures(),
+        runtime
+            .cloud()
+            .breakers()
+            .default_breaker()
+            .total_failures(),
         2,
         "an open breaker must short-circuit the cloud attempt"
     );
@@ -123,14 +137,14 @@ fn breaker_closes_again_when_the_endpoint_recovers() {
 
     let (p1, _) = offload_once(&runtime);
     assert!(p1.fallback_from.is_some());
-    assert!(runtime.cloud().is_degraded());
+    assert!(runtime.cloud().breakers().default_breaker().is_open());
 
     // Operator reset (or a half-open probe policy) re-arms the device;
     // the endpoint is healthy again so the offload lands on the cloud.
-    runtime.cloud().breaker().reset();
+    runtime.cloud().breakers().default_breaker().reset();
     assert!(runtime.cloud().is_available());
     let (p2, _) = offload_once(&runtime);
     assert!(p2.fallback_from.is_none(), "{:?}", p2.notes);
-    assert!(!runtime.cloud().is_degraded());
+    assert!(!runtime.cloud().breakers().default_breaker().is_open());
     runtime.shutdown();
 }

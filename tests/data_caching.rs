@@ -276,6 +276,137 @@ fn mutating_one_of_many_small_inputs_reuploads_only_that_one() {
     runtime.shutdown();
 }
 
+/// A stage-in that fails has put nothing, so it must leave nothing a
+/// later offload would trust. Only job 0's inputs fail to land; the
+/// store is healthy afterwards. Round 0 falls back to the host; round 1
+/// must then be a cache *miss* that uploads in full and succeeds —
+/// recording a cache entry at plan time instead made rounds 1–2 fetch
+/// `jobs/job-0/in/…` keys that were never written, and opened the
+/// breaker on a healthy store. With `delta-transfers` on, the delta base
+/// must be just as untouched by the failed round.
+#[test]
+fn failed_stage_in_poisons_neither_the_cache_nor_the_delta_base() {
+    use ompcloud_suite::cloud_storage::{
+        ChaosStore, FaultKind, FaultPlan, FaultRule, OpFilter, S3Store, Trigger,
+    };
+    use ompcloud_suite::ompcloud::{CloudDevice, UploadAction};
+    use std::sync::Arc;
+
+    let mut reference = kernels::build(
+        BenchId::Gemm,
+        16,
+        DataKind::Dense,
+        9,
+        DeviceSelector::Default,
+    );
+    DeviceRegistry::with_host_only()
+        .offload(&reference.region, &mut reference.env)
+        .unwrap();
+    let expected = reference.env.get::<f32>("C").unwrap().to_vec();
+
+    for delta_transfers in [false, true] {
+        let plan = FaultPlan::new(11).rule(
+            FaultRule::new(OpFilter::Put, Trigger::Always, FaultKind::Unavailable)
+                .on_keys("job-0/in/"),
+        );
+        let chaos = Arc::new(ChaosStore::new(
+            Arc::new(S3Store::standalone("poison")),
+            plan,
+        ));
+        let config = CloudConfig {
+            workers: 2,
+            vcpus_per_worker: 4,
+            task_cpus: 2,
+            data_caching: true,
+            delta_transfers,
+            max_retries: 1,
+            backoff_base_ms: 0,
+            breaker_threshold: 3,
+            ..CloudConfig::default()
+        };
+        let runtime = CloudRuntime::with_device(CloudDevice::with_store(config, chaos));
+        for round in 0..5 {
+            let mut case = kernels::build(
+                BenchId::Gemm,
+                16,
+                DataKind::Dense,
+                9,
+                CloudRuntime::cloud_selector(),
+            );
+            let profile = runtime.offload(&case.region, &mut case.env).unwrap();
+            assert_eq!(case.env.get::<f32>("C").unwrap(), &expected[..]);
+            if round == 0 {
+                assert!(profile.fallback_from.is_some(), "job 0's inputs never land");
+                continue;
+            }
+            assert!(
+                profile.fallback_from.is_none(),
+                "delta={delta_transfers} round {round} fell back on a healthy store: {:?}",
+                profile.notes
+            );
+            if round == 1 {
+                let report = runtime.cloud().last_report().unwrap();
+                assert!(report.upload.wire_bytes() > 0, "round 1 must upload");
+                for name in ["A", "B", "C"] {
+                    let decision = report.map_plan.decision_for(name).unwrap();
+                    assert!(
+                        matches!(decision.upload, UploadAction::Full { .. }),
+                        "delta={delta_transfers}: '{name}' trusted the failed round: {decision:?}"
+                    );
+                }
+            }
+        }
+        assert!(!runtime.cloud().breakers().default_breaker().is_open());
+        assert_eq!(
+            runtime
+                .cloud()
+                .breakers()
+                .default_breaker()
+                .total_failures(),
+            1
+        );
+        runtime.shutdown();
+    }
+}
+
+/// Two byte-identical inputs share one staged object (the second is a
+/// dedupe alias of the first), and the cache remembers that object for
+/// both. On the next offload both hit — on the *same* key — and each
+/// must still get its payload.
+#[test]
+fn deduped_inputs_both_hit_the_cache_on_their_shared_object() {
+    let region = TargetRegion::builder("dedupe-pair")
+        .device(CloudRuntime::cloud_selector())
+        .map_to("a")
+        .map_to("b")
+        .map_from("y")
+        .parallel_for(8, |l| {
+            l.partition("y", PartitionSpec::rows(1))
+                .body(|i, ins, outs| {
+                    let (a, b) = (ins.view::<f32>("a"), ins.view::<f32>("b"));
+                    outs.view_mut::<f32>("y")[i] = a[i] + b[i] + 1.0;
+                })
+        })
+        .build()
+        .unwrap();
+    let runtime = cached_runtime();
+    for round in 0..2 {
+        let mut env = DataEnv::new();
+        env.insert("a", vec![2.0f32; 256]);
+        env.insert("b", vec![2.0f32; 256]);
+        env.insert("y", vec![0.0f32; 8]);
+        let profile = runtime.offload(&region, &mut env).unwrap();
+        assert!(
+            profile.fallback_from.is_none(),
+            "round {round}: {:?}",
+            profile.notes
+        );
+        assert_eq!(env.get::<f32>("y").unwrap(), &[5.0f32; 8]);
+    }
+    assert_eq!(runtime.cloud().cache_stats().0, 2, "a and b hit in round 1");
+    runtime.shutdown();
+}
+
 #[test]
 fn caching_off_by_default_never_hits() {
     let runtime = CloudRuntime::new(CloudConfig {
