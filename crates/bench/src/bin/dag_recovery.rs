@@ -27,7 +27,9 @@
 use cloud_storage::{LatencyStore, S3Store, StoreHandle};
 use jsonlite::{Json, ToJson};
 use omp_model::prelude::*;
-use ompcloud::{CloudConfig, CloudDevice, CloudRuntime, ResidentFault, ResidentFaultKind};
+use ompcloud::{
+    CloudConfig, CloudDevice, CloudRuntime, DataflowSummary, ResidentFault, ResidentFaultKind,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -45,9 +47,8 @@ struct ModeResult {
     mode: String,
     median_s: f64,
     mean_s: f64,
-    lineage_recomputes: u64,
-    stage_fallbacks: u64,
-    resident_repairs: u64,
+    /// The `DagReport`'s counters (deterministic; read off the warm-up).
+    dataflow: DataflowSummary,
 }
 
 impl ToJson for ModeResult {
@@ -56,9 +57,12 @@ impl ToJson for ModeResult {
             ("mode", self.mode.to_json()),
             ("median_s", self.median_s.to_json()),
             ("mean_s", self.mean_s.to_json()),
-            ("lineage_recomputes", self.lineage_recomputes.to_json()),
-            ("stage_fallbacks", self.stage_fallbacks.to_json()),
-            ("resident_repairs", self.resident_repairs.to_json()),
+            (
+                "lineage_recomputes",
+                self.dataflow.lineage_recomputes.to_json(),
+            ),
+            ("stage_fallbacks", self.dataflow.stage_fallbacks.to_json()),
+            ("resident_repairs", self.dataflow.resident_repairs.to_json()),
         ])
     }
 }
@@ -113,7 +117,7 @@ fn store() -> StoreHandle {
 /// resident kill armed per run when `faulted`.
 fn run_chain(mode: &str, faulted: bool, expected: &[f32]) -> ModeResult {
     let mut times = Vec::with_capacity(REPS);
-    let (mut recomputes, mut fallbacks, mut repairs) = (0u64, 0u64, 0u64);
+    let mut dataflow = DataflowSummary::default();
     for rep in 0..REPS + 1 {
         let rt = CloudRuntime::with_device(CloudDevice::with_store(config(), store()));
         if faulted {
@@ -137,18 +141,19 @@ fn run_chain(mode: &str, faulted: bool, expected: &[f32]) -> ModeResult {
         );
         let want = u32::from(faulted);
         assert_eq!(
-            dag.lineage_recomputes, want,
+            dag.dataflow.lineage_recomputes, want,
             "{mode}: expected {want} recompute(s), saw {}",
-            dag.lineage_recomputes
+            dag.dataflow.lineage_recomputes
         );
-        assert_eq!(dag.stage_fallbacks, 0, "{mode}: stage left the cloud");
+        assert_eq!(
+            dag.dataflow.stage_fallbacks, 0,
+            "{mode}: stage left the cloud"
+        );
         if rep > 0 {
             times.push(elapsed);
         } else {
             // Recovery counters are deterministic; read them once.
-            recomputes = dag.lineage_recomputes as u64;
-            fallbacks = dag.stage_fallbacks as u64;
-            repairs = dag.resident_repairs;
+            dataflow = dag.dataflow;
         }
         rt.shutdown();
     }
@@ -157,9 +162,7 @@ fn run_chain(mode: &str, faulted: bool, expected: &[f32]) -> ModeResult {
         mode: mode.into(),
         median_s: times[times.len() / 2],
         mean_s: times.iter().sum::<f64>() / times.len() as f64,
-        lineage_recomputes: recomputes,
-        stage_fallbacks: fallbacks,
-        resident_repairs: repairs,
+        dataflow,
     }
 }
 
@@ -198,9 +201,9 @@ fn main() {
             r.mode,
             r.median_s,
             r.mean_s,
-            r.lineage_recomputes,
-            r.stage_fallbacks,
-            r.resident_repairs
+            r.dataflow.lineage_recomputes,
+            r.dataflow.stage_fallbacks,
+            r.dataflow.resident_repairs
         );
     }
     println!(
@@ -210,10 +213,13 @@ fn main() {
 
     // --- Machine-checked gates --------------------------------------
     assert_eq!(
-        recovery.lineage_recomputes, 1,
+        recovery.dataflow.lineage_recomputes, 1,
         "exactly one producer replay regenerates the killed buffer"
     );
-    assert_eq!(recovery.stage_fallbacks, 0, "recovery must stay cloud-side");
+    assert_eq!(
+        recovery.dataflow.stage_fallbacks, 0,
+        "recovery must stay cloud-side"
+    );
     assert!(
         overhead_ratio <= GATE_RATIO,
         "recovering one stage of {K} cost {overhead_ratio:.3}x the clean chain, \

@@ -369,10 +369,10 @@ pub fn check_tenancy(obs: &TenancyObservation<'_>) -> Vec<String> {
                     report.tenant
                 ));
             }
-            if report.dataflow.stage_fallbacks != 0 {
+            if report.profile.dataflow.stage_fallbacks != 0 {
                 f.push(format!(
                     "bystander's report counts {} stage fallbacks from the hog's faults",
-                    report.dataflow.stage_fallbacks
+                    report.profile.dataflow.stage_fallbacks
                 ));
             }
             if report.resilience.breaker_tripped {
@@ -387,7 +387,7 @@ pub fn check_tenancy(obs: &TenancyObservation<'_>) -> Vec<String> {
 /// fault accounting of the single-region path reads the *last* region's
 /// report, which no longer covers the whole execution; instead the DAG
 /// path audits residency: byte conservation across stages and the
-/// dataflow counters the runtime published per job.
+/// dataflow counters the `DagReport` sums over the chain.
 fn check_chained(input: &OracleInput<'_>, f: &mut Vec<String>) {
     let spec = input.spec;
     let Some(dag) = input.dag else {
@@ -424,40 +424,43 @@ fn check_chained(input: &OracleInput<'_>, f: &mut Vec<String>) {
     // A resident fault must be absorbed by the recovery layer, never by
     // a fallback: Rot is repaired from the durable copy (no recompute),
     // Expire forces exactly one producer replay.
+    let counted = dag.dataflow;
     if let Some(rf) = &spec.resident_fault {
         match rf.flavor {
             ResidentFaultFlavor::Rot => {
-                if dag.resident_repairs < 1 {
+                if counted.resident_repairs < 1 {
                     f.push("resident rot fired but no durable repair was counted".into());
                 }
-                if dag.lineage_recomputes != 0 {
+                if counted.lineage_recomputes != 0 {
                     f.push(format!(
                         "resident rot triggered {} recomputes; the durable copy repairs it",
-                        dag.lineage_recomputes
+                        counted.lineage_recomputes
                     ));
                 }
             }
             ResidentFaultFlavor::Expire => {
-                if dag.lineage_recomputes != 1 {
+                if counted.lineage_recomputes != 1 {
                     f.push(format!(
                         "expired resident buffer replayed {} producers, expected exactly 1",
-                        dag.lineage_recomputes
+                        counted.lineage_recomputes
                     ));
                 }
             }
         }
-        if dag.stage_fallbacks != 0 {
+        if counted.stage_fallbacks != 0 {
             f.push(format!(
                 "resident fault pushed {} stages to the host; recovery must keep the chain cloud-side",
-                dag.stage_fallbacks
+                counted.stage_fallbacks
             ));
         }
     } else if spec.chaos.is_none()
-        && (dag.lineage_recomputes != 0 || dag.stage_fallbacks != 0 || dag.resident_repairs != 0)
+        && (counted.lineage_recomputes != 0
+            || counted.stage_fallbacks != 0
+            || counted.resident_repairs != 0)
     {
         f.push(format!(
             "undisturbed chain counted recovery work: {} recomputes, {} stage fallbacks, {} repairs",
-            dag.lineage_recomputes, dag.stage_fallbacks, dag.resident_repairs
+            counted.lineage_recomputes, counted.stage_fallbacks, counted.resident_repairs
         ));
     }
 
@@ -516,13 +519,12 @@ fn check_chained(input: &OracleInput<'_>, f: &mut Vec<String>) {
 
     // --- Dataflow counters -----------------------------------------
     // Each of the `chain - 1` hand-offs is one elided download on the
-    // producer side and one resident-input hit on the consumer side. An
-    // Expire recovery replays one producer as an extra job whose kept
-    // output is likewise elided.
-    let elided: usize = input.jobs.iter().map(|m| m.elided_downloads).sum();
-    let hits: usize = input.jobs.iter().map(|m| m.resident_hits).sum();
-    let handoffs = spec.chain - 1;
-    let recovery_jobs = usize::from(matches!(
+    // producer side and exactly one resident-input hit on the consumer
+    // side. An Expire recovery replays one producer as an extra job whose
+    // kept output is likewise elided; its pinned read is not a hit.
+    let (elided, hits) = (counted.elided_downloads, counted.resident_hits);
+    let handoffs = (spec.chain - 1) as u32;
+    let recovery_jobs = u32::from(matches!(
         spec.resident_fault.as_ref().map(|r| r.flavor),
         Some(ResidentFaultFlavor::Expire)
     ));
@@ -532,9 +534,9 @@ fn check_chained(input: &OracleInput<'_>, f: &mut Vec<String>) {
             handoffs + recovery_jobs
         ));
     }
-    if hits < handoffs {
+    if hits != handoffs {
         f.push(format!(
-            "{handoffs}-hand-off chain counted only {hits} resident hits"
+            "{handoffs}-hand-off chain counted {hits} resident hits"
         ));
     }
 }

@@ -43,8 +43,8 @@ use cloud_storage::{
 };
 use cloudsim::Fleet;
 use omp_model::{
-    Construct, DagReport, DataEnv, DataflowHints, Device, DeviceKind, ErasedVec, ExecProfile,
-    MaterializeReport, OmpError, TargetRegion,
+    Availability, Construct, DataEnv, DataflowDevice, DataflowHints, Device, DeviceKind, ErasedVec,
+    ExecProfile, MaterializeReport, OmpError, TargetRegion,
 };
 use parking_lot::Mutex;
 use sparkle::{SparkConf, SparkContext};
@@ -75,8 +75,8 @@ pub struct CloudDevice {
     /// Per-tenant circuit breakers: one tenant's failure streak opens
     /// its own breaker, never another tenant's.
     breakers: BreakerBank,
-    /// Device-resident intermediate buffers of the active dataflow DAG,
-    /// their lineage, and the counters carried between offloads.
+    /// Device-resident intermediate buffers of the active dataflow DAG
+    /// and their lineage.
     resident: ResidentStore,
 }
 
@@ -284,28 +284,6 @@ impl CloudDevice {
     fn dataflow_root(&self, dag: &str) -> String {
         self.config.storage.key_under(&format!("dataflow/{dag}"))
     }
-
-    /// Serve resident reads into the host environment: the newest
-    /// version of a variable, or (`Some(epoch)`) the exact version that
-    /// epoch produced.
-    fn materialize<'a>(
-        &self,
-        reads: impl Iterator<Item = (&'a String, Option<usize>)>,
-        env: &mut DataEnv,
-    ) -> Result<MaterializeReport, OmpError> {
-        let t = Instant::now();
-        let mut report = MaterializeReport::default();
-        for (var, pin) in reads {
-            let served = self.resident.serve(&self.transfer, var, pin)?;
-            let value = ErasedVec::from_bytes(served.version.tag, &served.bytes);
-            env.write_back(var, value)?;
-            report.vars.push(var.clone());
-            report.wire_bytes += served.version.wire_len;
-            report.repairs += u64::from(served.rung.repaired());
-        }
-        report.seconds = t.elapsed().as_secs_f64();
-        Ok(report)
-    }
 }
 
 impl Device for CloudDevice {
@@ -317,29 +295,18 @@ impl Device for CloudDevice {
         DeviceKind::Cloud
     }
 
-    fn is_available(&self) -> bool {
-        !self.config.simulate_unreachable && !self.breakers.default_breaker().is_open()
-    }
-
-    fn degraded(&self) -> bool {
-        // Unavailable *because of us*: the breaker opened after
-        // consecutive failed offloads. Lets the registry record
-        // `BreakerOpen` instead of a generic `Unavailable` fallback.
-        self.breakers.default_breaker().is_open()
-    }
-
-    fn available_for(&self, tenant: &str) -> bool {
-        // Tenant-scoped availability: only *this* tenant's failure
-        // streak can close the device to it.
-        !self.config.simulate_unreachable && !self.breakers.is_open_for(tenant)
-    }
-
-    fn degraded_for(&self, tenant: &str) -> bool {
-        self.breakers.is_open_for(tenant)
-    }
-
-    fn absorb_dag_report(&self, report: &DagReport) {
-        self.resident.absorb_dag_report(report);
+    fn availability(&self, tenant: &str) -> Availability {
+        // Tenant-scoped: only *this* tenant's failure streak can close
+        // the device to it. Unavailable *because of us* — the breaker
+        // opened after consecutive failed offloads — lets the registry
+        // record `BreakerOpen` instead of a generic `Unavailable`.
+        if self.breakers.is_open_for(tenant) {
+            Availability::BreakerOpen
+        } else if self.config.simulate_unreachable {
+            Availability::Down
+        } else {
+            Availability::Up
+        }
     }
 
     fn supports(&self, construct: Construct) -> bool {
@@ -352,10 +319,12 @@ impl Device for CloudDevice {
         self.execute_dataflow(region, env, &DataflowHints::default())
     }
 
-    fn supports_dataflow(&self) -> bool {
-        self.config.dataflow
+    fn dataflow(&self) -> Option<&dyn DataflowDevice> {
+        self.config.dataflow.then_some(self as &dyn DataflowDevice)
     }
+}
 
+impl DataflowDevice for CloudDevice {
     /// The breaker-wrapped offload ([`Device::execute`] is this with no
     /// hints).
     fn execute_dataflow(
@@ -398,20 +367,23 @@ impl Device for CloudDevice {
         }
     }
 
-    fn materialize_resident(
+    fn materialize(
         &self,
-        vars: &[String],
+        reads: &[(String, Option<usize>)],
         env: &mut DataEnv,
     ) -> Result<MaterializeReport, OmpError> {
-        self.materialize(vars.iter().map(|var| (var, None)), env)
-    }
-
-    fn materialize_pinned(
-        &self,
-        pins: &[(String, usize)],
-        env: &mut DataEnv,
-    ) -> Result<MaterializeReport, OmpError> {
-        self.materialize(pins.iter().map(|(var, epoch)| (var, Some(*epoch))), env)
+        let t = Instant::now();
+        let mut report = MaterializeReport::default();
+        for (var, pin) in reads {
+            let served = self.resident.serve(&self.transfer, var, *pin)?;
+            let value = ErasedVec::from_bytes(served.version.tag, &served.bytes);
+            env.write_back(var, value)?;
+            report.vars.push(var.clone());
+            report.wire_bytes += served.version.wire_len;
+            report.repairs += u32::from(served.rung.repaired());
+        }
+        report.seconds = t.elapsed().as_secs_f64();
+        Ok(report)
     }
 
     fn adopt_resident(
@@ -581,7 +553,7 @@ impl CloudDevice {
         hints: &DataflowHints,
         run: &mut RegionRun,
     ) -> Result<StagePlan, ExecFailure> {
-        let dataflow = &mut run.report.dataflow;
+        let dataflow = &mut run.report.profile.dataflow;
         let mut resident = HashMap::new();
         for m in region.input_maps() {
             let pin = hints.pinned_inputs.iter().find(|(v, _)| v == &m.name);
@@ -590,7 +562,9 @@ impl CloudDevice {
             }
             let pin = pin.map(|(_, epoch)| *epoch);
             let served = self.resident.serve(&self.transfer, &m.name, pin)?;
-            dataflow.resident_hits += 1;
+            // One hit per hand-off: a replay's pinned read re-reads what
+            // the original run already counted.
+            dataflow.resident_hits += u32::from(served.rung != Rung::Pinned);
             // The scheduler hinted the input resident, so a vanished
             // entry was lost (chaos, racing GC) before it was reinstated.
             dataflow.resident_misses += u32::from(served.rung == Rung::Reinstated);
@@ -657,10 +631,10 @@ impl CloudDevice {
                 })
             })?;
         allocate_outputs(&mut cluster_env, env, &region.maps)?;
-        if report.dataflow.resident_hits > 0 {
+        if report.profile.dataflow.resident_hits > 0 {
             report.profile.note(format!(
                 "dataflow: {} input(s) consumed device-resident, upload elided",
-                report.dataflow.resident_hits
+                report.profile.dataflow.resident_hits
             ));
         }
         report.profile.overhead_s += t_driver.elapsed().as_secs_f64();
@@ -952,7 +926,7 @@ impl CloudDevice {
             let tag = env.get_erased(&m.name)?.tag();
             env.write_back(&m.name, ErasedVec::from_bytes(tag, &bytes))?;
         }
-        self.close_dataflow(region, hints, &mut report);
+        Self::close_dataflow(region, hints, &mut report.profile);
         report.profile.wire_bytes_from = report.download.wire_bytes();
         if report.profile.overlap_s > 0.0 {
             report.profile.note(format!(
@@ -1011,73 +985,24 @@ impl CloudDevice {
         Ok(profile)
     }
 
-    /// The dataflow half of stage-out: count what stayed resident, fold
-    /// in the counters carried from between-offload events, and annotate
-    /// the Spark job's metrics with the dataflow and map-plan tallies.
-    fn close_dataflow(
-        &self,
-        region: &TargetRegion,
-        hints: &DataflowHints,
-        report: &mut OffloadReport,
-    ) {
-        let OffloadReport {
-            profile,
-            dataflow,
-            map_plan,
-            ..
-        } = report;
-        dataflow.elided_downloads = region
+    /// The dataflow half of stage-out: count what stayed resident and
+    /// note what the plan stage's resident reads had to repair.
+    fn close_dataflow(region: &TargetRegion, hints: &DataflowHints, profile: &mut ExecProfile) {
+        profile.dataflow.elided_downloads = region
             .output_maps()
             .filter(|m| hints.keeps(&m.name))
             .count() as u32;
-        if dataflow.elided_downloads > 0 {
+        if profile.dataflow.elided_downloads > 0 {
             profile.note(format!(
                 "dataflow: {} output(s) kept device-resident, download elided",
-                dataflow.elided_downloads
+                profile.dataflow.elided_downloads
             ));
         }
-        if hints.recovery {
-            dataflow.lineage_recomputes = 1;
-            profile.note(
-                "lineage recovery: producing region re-executed to regenerate a lost \
-                 resident buffer"
-                    .to_string(),
-            );
-        }
-        // Counters of stage adoptions and of regions an implicit barrier
-        // drained: they surface in this report instead of vanishing with
-        // the discarded barrier result.
-        let carry = self.resident.take_carry();
-        dataflow.stage_fallbacks = carry.stage_fallbacks;
-        dataflow.lineage_recomputes += carry.lineage_recomputes;
-        dataflow.resident_repairs += carry.resident_repairs;
-        if dataflow.resident_repairs > 0 {
+        if profile.dataflow.resident_repairs > 0 {
             profile.note(format!(
                 "dataflow: {} resident input(s) repaired from the durable store copy",
-                dataflow.resident_repairs
+                profile.dataflow.resident_repairs
             ));
-        }
-        profile.resident_repairs = dataflow.resident_repairs as u64;
-        let sc = self.context();
-        if dataflow.any() {
-            sc.annotate_dataflow(
-                dataflow.resident_hits as u64,
-                dataflow.resident_misses as u64,
-                dataflow.elided_downloads as u64,
-                dataflow.lineage_recomputes as u64,
-                dataflow.stage_fallbacks as u64,
-                dataflow.resident_repairs as u64,
-            );
-        }
-        if map_plan.any() {
-            sc.annotate_map_plan(
-                map_plan.uploads_elided() as u64,
-                map_plan.downloads_elided() as u64,
-                map_plan.narrowed() as u64,
-                map_plan.delta_rounds() as u64,
-                map_plan.delta_dirty_tiles() as u64,
-                map_plan.upload_bytes_saved(),
-            );
         }
     }
 }

@@ -58,9 +58,10 @@ pub use mapopt::{
     UploadAction,
 };
 pub use offload::LoopStats;
+pub use omp_model::DataflowSummary;
 pub use plan::{derive_plan, measure_ratio, PlanRatios};
 pub use recovery::RegionRecovery;
-pub use report::{DataflowSummary, OffloadReport, ResilienceSummary};
+pub use report::{OffloadReport, ResilienceSummary};
 pub use resident::{ResidentFault, ResidentFaultKind};
 pub use runtime::CloudRuntime;
 pub use scope::{ScopeStats, TargetDataScope};

@@ -60,43 +60,6 @@ impl ResilienceSummary {
     }
 }
 
-/// What the inter-region dataflow runtime did during one offload of a
-/// `depend`/`nowait` DAG member.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DataflowSummary {
-    /// Inputs served from a device-resident producer output instead of
-    /// being uploaded from the host (each hit elides one upload).
-    pub resident_hits: u32,
-    /// Inputs the scheduler hinted as resident that had no live entry —
-    /// the producer fell back to the host, so the input was re-sourced
-    /// from the (fresh) host environment.
-    pub resident_misses: u32,
-    /// Outputs kept device-resident for a later consumer instead of
-    /// being downloaded to the host.
-    pub elided_downloads: u32,
-    /// Producing regions re-executed to regenerate a lost resident
-    /// buffer (lineage recovery): 1 when this offload IS such a replay.
-    pub lineage_recomputes: u32,
-    /// Stages that failed individually and were contained (host re-run
-    /// with outputs re-adopted resident) instead of collapsing the DAG.
-    pub stage_fallbacks: u32,
-    /// Resident inputs whose driver-side copy was damaged and repaired
-    /// from the durable store copy.
-    pub resident_repairs: u32,
-}
-
-impl DataflowSummary {
-    /// Whether the dataflow runtime did anything observable.
-    pub fn any(&self) -> bool {
-        self.resident_hits > 0
-            || self.resident_misses > 0
-            || self.elided_downloads > 0
-            || self.lineage_recomputes > 0
-            || self.stage_fallbacks > 0
-            || self.resident_repairs > 0
-    }
-}
-
 /// Full record of one offloaded target region.
 #[derive(Debug, Clone, Default)]
 pub struct OffloadReport {
@@ -104,7 +67,8 @@ pub struct OffloadReport {
     /// multi-tenant programs). Breaker state and recovery counters in
     /// this report are scoped to this tenant.
     pub tenant: String,
-    /// The three-way timing decomposition plus byte/task counts.
+    /// The three-way timing decomposition plus byte/task counts, and
+    /// the region's inter-region dataflow counters (`profile.dataflow`).
     pub profile: ExecProfile,
     /// Per-loop (per map-reduce stage) statistics.
     pub loops: Vec<LoopStats>,
@@ -116,8 +80,6 @@ pub struct OffloadReport {
     pub cost: Option<CostReport>,
     /// Fault-handling counters accumulated across the offload.
     pub resilience: ResilienceSummary,
-    /// Inter-region dataflow counters (all zero outside a DAG).
-    pub dataflow: DataflowSummary,
     /// The map-transfer optimizer's per-variable decision record: what
     /// was shipped, narrowed, delta-patched, deduped, or elided.
     pub map_plan: MapPlan,
@@ -195,25 +157,17 @@ impl std::fmt::Display for OffloadReport {
                 self.resilience.heartbeat_misses,
             )?;
         }
-        if self.dataflow.any() {
+        // A device reports four of the six dataflow counters; stage
+        // fallbacks and lineage recomputes are the DAG scheduler's.
+        let dataflow = self.profile.dataflow;
+        if dataflow.any() {
             write!(
                 f,
                 "\n  dataflow: {} resident hits, {} misses, {} downloads elided",
-                self.dataflow.resident_hits,
-                self.dataflow.resident_misses,
-                self.dataflow.elided_downloads,
+                dataflow.resident_hits, dataflow.resident_misses, dataflow.elided_downloads,
             )?;
-            if self.dataflow.lineage_recomputes > 0
-                || self.dataflow.stage_fallbacks > 0
-                || self.dataflow.resident_repairs > 0
-            {
-                write!(
-                    f,
-                    ", {} lineage recomputes, {} stage fallbacks, {} repairs",
-                    self.dataflow.lineage_recomputes,
-                    self.dataflow.stage_fallbacks,
-                    self.dataflow.resident_repairs,
-                )?;
+            if dataflow.resident_repairs > 0 {
+                write!(f, ", {} repairs", dataflow.resident_repairs)?;
             }
         }
         if self.map_plan.any() {

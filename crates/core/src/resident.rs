@@ -9,17 +9,17 @@
 //! driver copy can be refetched and a recovery replay can pin the exact
 //! version a region originally consumed.
 //!
-//! **Lock rule.** All of it — resident entries, lineage, the counters
-//! carried from one offload's report to the next, the armed test fault —
-//! sits behind one lock, and no method holds that lock across a
+//! **Lock rule.** All of it — resident entries, lineage, the retry
+//! accounting carried from an adoption to the next offload's report, the
+//! armed test fault — sits behind one lock, and no method holds that lock across a
 //! [`TransferManager`] or object-store call: a method snapshots what it
 //! needs, releases, does its I/O, and re-locks to record the result. An
 //! entry that changed in between wins over what the I/O brought back.
 
 use crate::cache::Fingerprint;
-use crate::report::{DataflowSummary, ResilienceSummary};
+use crate::report::ResilienceSummary;
 use cloud_storage::{StorageError, TransferManager, TransferReport};
-use omp_model::{DagReport, ErasedVec, OmpError, ResidentLossReason, TypeTag};
+use omp_model::{ErasedVec, OmpError, ResidentLossReason, TypeTag};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 
@@ -116,9 +116,6 @@ struct State {
     /// are retained until the DAG ends, so recovery replays can pin
     /// ancestor versions.
     lineage: HashMap<(String, usize), Version>,
-    /// Recovery counters handed from between-offload events (a stage
-    /// adoption, an implicit-barrier drain) to the next published report.
-    carry: DataflowSummary,
     /// What the retry layer did for resident adoptions since the last
     /// offload — the next offload's [`ResilienceSummary`] starts from it.
     carried_resilience: ResilienceSummary,
@@ -284,35 +281,18 @@ impl ResidentStore {
     }
 
     /// A stage that fell back to the host had its outputs adopted
-    /// resident by `put`: count the contained fallback and carry the
-    /// put's retry accounting into the next offload's report (adoption
-    /// happens between offloads).
+    /// resident by `put`: carry the put's retry accounting into the next
+    /// offload's report — adoption happens between offloads, and this is
+    /// the only record of its retries. (The fallback itself is counted
+    /// by the DAG scheduler that decided it.)
     pub(crate) fn note_adoption(&self, put: &TransferReport) {
-        let mut st = self.state.lock();
-        st.carried_resilience.absorb(put);
-        st.carry.stage_fallbacks += 1;
-    }
-
-    /// An implicit barrier drained deferred regions; their recovery
-    /// counters would otherwise vanish with the discarded [`DagReport`].
-    /// Park them until the next published report.
-    pub(crate) fn absorb_dag_report(&self, report: &DagReport) {
-        let mut st = self.state.lock();
-        st.carry.stage_fallbacks += report.stage_fallbacks;
-        st.carry.lineage_recomputes += report.lineage_recomputes;
-        st.carry.resident_repairs += report.resident_repairs as u32;
+        self.state.lock().carried_resilience.absorb(put);
     }
 
     /// The retry accounting carried since the last offload; an offload
     /// takes it as it starts.
     pub(crate) fn take_resilience(&self) -> ResilienceSummary {
         std::mem::take(&mut self.state.lock().carried_resilience)
-    }
-
-    /// The dataflow counters carried since the last published report;
-    /// an offload takes them as it publishes its own.
-    pub(crate) fn take_carry(&self) -> DataflowSummary {
-        std::mem::take(&mut self.state.lock().carry)
     }
 
     /// Drop `vars` and every durable version of them: a host-side write
@@ -338,12 +318,11 @@ impl ResidentStore {
     }
 
     /// The DAG window closed: forget every entry, version and carried
-    /// counter (the caller deletes the keys with the DAG's root).
+    /// retry count (the caller deletes the keys with the DAG's root).
     pub(crate) fn end_dag(&self) {
         let mut st = self.state.lock();
         st.resident.clear();
         st.lineage.clear();
-        st.carry = DataflowSummary::default();
         st.carried_resilience = ResilienceSummary::default();
     }
 
@@ -640,32 +619,24 @@ mod tests {
     }
 
     #[test]
-    fn carried_counters_are_handed_over_once_and_cleared_with_the_dag() {
+    fn adoption_retries_are_handed_over_once_and_cleared_with_the_dag() {
         let rig = Rig::new();
         let buf = ErasedVec::F32(vec![1.0; 64]);
-        let put = rig
+        let mut put = rig
             .resident
             .commit(&rig.transfer, ROOT, 0, vec![("x", &buf)])
             .unwrap();
+        put.items[0].retries = 2;
         rig.resident.note_adoption(&put);
-        rig.resident.absorb_dag_report(&DagReport {
-            lineage_recomputes: 2,
-            resident_repairs: 3,
-            ..DagReport::default()
-        });
-        let carry = rig.resident.take_carry();
+        assert_eq!(rig.resident.take_resilience().transient_retries, 2);
         assert_eq!(
-            (
-                carry.stage_fallbacks,
-                carry.lineage_recomputes,
-                carry.resident_repairs
-            ),
-            (1, 2, 3)
+            rig.resident.take_resilience().transient_retries,
+            0,
+            "taken once"
         );
-        assert_eq!(rig.resident.take_carry().stage_fallbacks, 0, "taken once");
         rig.resident.note_adoption(&put);
         rig.resident.end_dag();
-        assert_eq!(rig.resident.take_carry().stage_fallbacks, 0);
+        assert_eq!(rig.resident.take_resilience().transient_retries, 0);
         assert_loss(rig.serve("x"), "x", ResidentLossReason::Miss);
     }
 }

@@ -3,7 +3,7 @@
 //! host round-trips paid only at the edges of the DAG.
 
 use omp_model::prelude::*;
-use ompcloud::{CloudConfig, CloudRuntime};
+use ompcloud::{CloudConfig, CloudRuntime, DataflowSummary};
 
 fn small_config() -> CloudConfig {
     CloudConfig {
@@ -91,24 +91,19 @@ fn chained_regions_elide_intermediate_round_trips() {
     // stage itself, nothing is left for the drain.
     assert!(dag.drain.vars.is_empty(), "drain: {:?}", dag.drain.vars);
 
-    // The device-side counters saw K-1 hits and K-1 elided downloads.
-    let hits: usize = runtime
-        .cloud()
-        .job_metrics()
-        .iter()
-        .map(|m| m.resident_hits)
-        .sum();
-    let elided: usize = runtime
-        .cloud()
-        .job_metrics()
-        .iter()
-        .map(|m| m.elided_downloads)
-        .sum();
-    assert!(hits >= k - 1, "resident hits: {hits}");
-    assert_eq!(elided, k - 1, "elided downloads: {elided}");
+    // The DAG's counters are the sum of its stages': exactly one hit
+    // and one elided download per hand-off, nothing else.
+    assert_eq!(
+        dag.dataflow,
+        DataflowSummary {
+            resident_hits: (k - 1) as u32,
+            elided_downloads: (k - 1) as u32,
+            ..DataflowSummary::default()
+        }
+    );
     let report = runtime.cloud().last_report().unwrap();
-    assert_eq!(report.dataflow.resident_hits, 1);
-    assert_eq!(report.dataflow.resident_misses, 0);
+    assert_eq!(report.profile.dataflow.resident_hits, 1);
+    assert_eq!(report.profile.dataflow.resident_misses, 0);
 
     // Storage hygiene: no resident keys outlive the taskwait.
     let leftovers = runtime.cloud().store().list("");
@@ -223,7 +218,10 @@ fn dataflow_knob_off_pays_every_round_trip_but_stays_correct() {
         assert_eq!(p.bytes_from_device, bytes);
     }
     let report = runtime.cloud().last_report().unwrap();
-    assert!(!report.dataflow.any(), "no dataflow with the knob off");
+    assert!(
+        !report.profile.dataflow.any() && !dag.dataflow.any(),
+        "no dataflow with the knob off"
+    );
     runtime.shutdown();
 }
 

@@ -128,7 +128,7 @@ fn chaos_on_tenant_a_never_touches_tenant_b() {
     // no tripped breaker, and the tenant tag.
     for report in &bob_reports {
         assert_eq!(report.tenant, "bob");
-        assert_eq!(report.dataflow.stage_fallbacks, 0);
+        assert_eq!(report.profile.dataflow.stage_fallbacks, 0);
         assert!(!report.resilience.breaker_tripped);
         assert_eq!(report.resilience.breaker_consecutive_failures, 0);
     }

@@ -5,11 +5,12 @@
 //! code should prefer passing a [`DeviceRegistry`] explicitly — the global
 //! is for application `main`s and the examples.
 
-use crate::device::{Device, DeviceRegistry};
+use crate::device::Device;
 use crate::env::DataEnv;
 use crate::error::OmpError;
 use crate::profile::ExecProfile;
 use crate::region::TargetRegion;
+use crate::registry::DeviceRegistry;
 use parking_lot::RwLock;
 use std::sync::{Arc, OnceLock};
 

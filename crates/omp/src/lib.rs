@@ -12,10 +12,13 @@
 //! 2. a **target-agnostic offloading wrapper** — here, the
 //!    [`DeviceRegistry`] with its capability checks, dynamic availability
 //!    fallback, and `omp_*` user-level routines ([`api`]);
-//! 3. **target-specific plug-ins** — implementations of the [`Device`]
-//!    trait. This crate ships the host plug-in ([`HostDevice`], both the
-//!    sequential baseline and the *OmpThread* multi-threaded baseline);
-//!    the cloud plug-in lives in the `ompcloud` crate.
+//! 3. **target-specific plug-ins** — implementations of the six-method
+//!    [`Device`] trait, plus the [`DataflowDevice`] capability for
+//!    devices that keep buffers resident between the regions of a
+//!    `depend`/`nowait` DAG. This crate ships the host plug-in
+//!    ([`HostDevice`], both the sequential baseline and the *OmpThread*
+//!    multi-threaded baseline); the cloud plug-in lives in the
+//!    `ompcloud` crate.
 //!
 //! The programmatic region builder plays the role of the compiler: the
 //! pragmas of the paper's Listing 1 become
@@ -61,6 +64,7 @@
 pub mod api;
 pub mod chunk;
 pub mod clause;
+mod dag;
 pub mod device;
 pub mod env;
 pub mod erased;
@@ -70,6 +74,7 @@ pub mod partition;
 pub mod pod;
 pub mod profile;
 pub mod region;
+pub mod registry;
 pub mod tenant;
 pub mod view;
 
@@ -77,7 +82,8 @@ pub use clause::{
     Construct, DependClause, DependDir, MapClause, MapDir, PartitionMap, ReductionClause,
 };
 pub use device::{
-    DagReport, DataflowHints, Device, DeviceKind, DeviceRegistry, DeviceSelector, MaterializeReport,
+    Availability, DagReport, DataflowDevice, DataflowHints, Device, DeviceKind, DeviceSelector,
+    MaterializeReport,
 };
 pub use env::DataEnv;
 pub use erased::{ErasedSlice, ErasedVec, RedOp};
@@ -85,15 +91,16 @@ pub use error::{OmpError, ResidentLossReason};
 pub use host::HostDevice;
 pub use partition::{LinearExpr, PartitionSpec};
 pub use pod::{Pod, TypeTag};
-pub use profile::{ExecProfile, FallbackReason, RESUME_EXHAUSTED};
+pub use profile::{DataflowSummary, ExecProfile, FallbackReason, RESUME_EXHAUSTED};
 pub use region::{LoopBody, ParallelLoop, TargetRegion, TargetRegionBuilder};
+pub use registry::DeviceRegistry;
 pub use tenant::{AdmissionController, RejectReason, TenancyPolicy, TenantId, TenantStats};
 pub use view::{Inputs, Outputs, VarView, VarViewMut};
 
 /// Everything a kernel author needs in scope.
 pub mod prelude {
     pub use crate::clause::{Construct, DependDir, MapDir};
-    pub use crate::device::{DagReport, Device, DeviceKind, DeviceRegistry, DeviceSelector};
+    pub use crate::device::{DagReport, Device, DeviceKind, DeviceSelector};
     pub use crate::env::DataEnv;
     pub use crate::erased::{ErasedVec, RedOp};
     pub use crate::error::{OmpError, ResidentLossReason};
@@ -101,6 +108,7 @@ pub mod prelude {
     pub use crate::partition::{LinearExpr, PartitionSpec};
     pub use crate::profile::ExecProfile;
     pub use crate::region::TargetRegion;
+    pub use crate::registry::DeviceRegistry;
     pub use crate::tenant::{RejectReason, TenancyPolicy, TenantId};
     pub use crate::view::{Inputs, Outputs};
 }

@@ -44,6 +44,57 @@ impl std::fmt::Display for FallbackReason {
     }
 }
 
+/// What the inter-region dataflow runtime did — the only declaration of
+/// these six counters. [`ExecProfile::dataflow`] is what a device reports
+/// for one region (hits, misses, elided downloads, repairs);
+/// [`DagReport::dataflow`](crate::DagReport::dataflow) is the sum over a
+/// DAG's regions, its recovery replays and its drain, plus the two
+/// events the DAG scheduler itself decides (stage fallbacks, lineage
+/// recomputes).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DataflowSummary {
+    /// Inputs the scheduler hinted resident and the device served from
+    /// the producer's resident output instead of a host upload. Exactly
+    /// one per hand-off: a stage that fails on a lost buffer publishes
+    /// no profile, and the version-pinned reads of a recovery replay are
+    /// not hits.
+    pub resident_hits: u32,
+    /// Hinted resident inputs whose driver-side entry had vanished and
+    /// was reinstated from the newest lineage version.
+    pub resident_misses: u32,
+    /// Outputs kept device-resident for a later consumer instead of
+    /// being downloaded to the host.
+    pub elided_downloads: u32,
+    /// Producing regions re-executed on their device to regenerate a
+    /// lost resident buffer (lineage recovery).
+    pub lineage_recomputes: u32,
+    /// DAG stages run on the host individually — the device was down,
+    /// failed mid-flight, or lost a buffer past recovery — while the
+    /// rest of the chain stayed where it was.
+    pub stage_fallbacks: u32,
+    /// Resident reads whose driver-side copy was damaged or gone and
+    /// repaired from the durable store copy.
+    pub resident_repairs: u32,
+}
+
+impl DataflowSummary {
+    /// Whether the dataflow runtime did anything observable.
+    pub fn any(&self) -> bool {
+        *self != DataflowSummary::default()
+    }
+}
+
+impl std::ops::AddAssign for DataflowSummary {
+    fn add_assign(&mut self, other: DataflowSummary) {
+        self.resident_hits += other.resident_hits;
+        self.resident_misses += other.resident_misses;
+        self.elided_downloads += other.elided_downloads;
+        self.lineage_recomputes += other.lineage_recomputes;
+        self.stage_fallbacks += other.stage_fallbacks;
+        self.resident_repairs += other.resident_repairs;
+    }
+}
+
 /// Timing/traffic breakdown of one offloaded target region.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecProfile {
@@ -77,9 +128,10 @@ pub struct ExecProfile {
     /// Critical-path store seconds of the transfer pipelines (puts +
     /// gets), normalized like `compress_busy_s`.
     pub store_busy_s: f64,
-    /// Resident dataflow inputs whose driver-side copy was damaged and
-    /// repaired from the durable store copy during this offload.
-    pub resident_repairs: u64,
+    /// Inter-region dataflow counters of this region (all zero outside
+    /// a `depend`/`nowait` DAG). An eager region that drained a pending
+    /// DAG carries that DAG's sum as well.
+    pub dataflow: DataflowSummary,
     /// Free-form annotations ("fallback to host", codec choices, ...).
     pub notes: Vec<String>,
     /// Device this region was originally dispatched to, when it could

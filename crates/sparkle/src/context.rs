@@ -226,50 +226,6 @@ impl SparkContext {
         self.inner.dispatcher.record_integrity_refetch(idx);
     }
 
-    /// Fold the offloading device's inter-region dataflow counters into
-    /// the most recent job's metrics (the job that ran the region the
-    /// counters describe). No-op if no job has run yet.
-    pub fn annotate_dataflow(
-        &self,
-        resident_hits: u64,
-        resident_misses: u64,
-        elided_downloads: u64,
-        lineage_recomputes: u64,
-        stage_fallbacks: u64,
-        resident_repairs: u64,
-    ) {
-        if let Some(m) = self.inner.metrics.lock().last_mut() {
-            m.resident_hits += resident_hits as usize;
-            m.resident_misses += resident_misses as usize;
-            m.elided_downloads += elided_downloads as usize;
-            m.lineage_recomputes += lineage_recomputes as usize;
-            m.stage_fallbacks += stage_fallbacks as usize;
-            m.resident_repairs += resident_repairs as usize;
-        }
-    }
-
-    /// Fold the offloading device's map-transfer optimizer counters into
-    /// the most recent job's metrics (the job that ran the region the
-    /// decisions describe). No-op if no job has run yet.
-    pub fn annotate_map_plan(
-        &self,
-        uploads_elided: u64,
-        downloads_elided: u64,
-        narrowed: u64,
-        delta_rounds: u64,
-        delta_dirty_tiles: u64,
-        bytes_saved: u64,
-    ) {
-        if let Some(m) = self.inner.metrics.lock().last_mut() {
-            m.map_uploads_elided += uploads_elided as usize;
-            m.map_downloads_elided += downloads_elided as usize;
-            m.map_narrowed += narrowed as usize;
-            m.delta_rounds += delta_rounds as usize;
-            m.delta_dirty_tiles += delta_dirty_tiles as usize;
-            m.map_bytes_saved += bytes_saved;
-        }
-    }
-
     /// Metrics of every job run so far, oldest first.
     pub fn job_metrics(&self) -> Vec<JobMetrics> {
         self.inner.metrics.lock().clone()
@@ -358,9 +314,9 @@ impl SparkContext {
         for t in &driven.metrics.tasks {
             if let Some(Some(want)) = hints.get(t.task) {
                 if t.executor == *want {
-                    driven.metrics.resident_hits += 1;
+                    driven.metrics.locality_hits += 1;
                 } else {
-                    driven.metrics.resident_misses += 1;
+                    driven.metrics.locality_misses += 1;
                 }
             }
         }

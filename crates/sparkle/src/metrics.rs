@@ -66,37 +66,10 @@ pub struct JobMetrics {
     /// Heartbeat windows an executor missed while holding running tasks.
     pub heartbeat_misses: usize,
     /// Tasks whose winning attempt ran on the executor their locality
-    /// hint named (inter-region/residency locality paid off).
-    pub resident_hits: usize,
+    /// hint named (tile residency from an earlier map phase paid off).
+    pub locality_hits: usize,
     /// Tasks that carried a locality hint but ran elsewhere.
-    pub resident_misses: usize,
-    /// Host downloads the dataflow runtime elided for this job's region
-    /// (annotated by the offloading device after the job completes).
-    pub elided_downloads: usize,
-    /// Producer regions re-executed to regenerate a lost resident buffer
-    /// (annotated by the offloading device, like `elided_downloads`).
-    pub lineage_recomputes: usize,
-    /// DAG stages contained to an individual host fallback instead of
-    /// collapsing the whole chain.
-    pub stage_fallbacks: usize,
-    /// Resident inputs repaired from their durable store copy after the
-    /// driver-side copy was damaged.
-    pub resident_repairs: usize,
-    /// Uploads the map-transfer optimizer elided for this job's region
-    /// (dead `to` transfers, alloc scratch, deduped buffers; annotated
-    /// by the offloading device like `elided_downloads`).
-    pub map_uploads_elided: usize,
-    /// Downloads the optimizer classified dead (never-written buffers,
-    /// alloc scratch).
-    pub map_downloads_elided: usize,
-    /// Inputs narrowed to their iteration hull before upload.
-    pub map_narrowed: usize,
-    /// Inputs served as dirty-tile delta rounds (patched or clean).
-    pub delta_rounds: usize,
-    /// Dirty tiles re-uploaded across this job's delta rounds.
-    pub delta_dirty_tiles: usize,
-    /// Raw upload bytes the optimizer kept off the wire.
-    pub map_bytes_saved: u64,
+    pub locality_misses: usize,
 }
 
 impl JobMetrics {
@@ -114,18 +87,8 @@ impl JobMetrics {
             failed_attempts: 0,
             quarantine_trips: 0,
             heartbeat_misses: 0,
-            resident_hits: 0,
-            resident_misses: 0,
-            elided_downloads: 0,
-            lineage_recomputes: 0,
-            stage_fallbacks: 0,
-            resident_repairs: 0,
-            map_uploads_elided: 0,
-            map_downloads_elided: 0,
-            map_narrowed: 0,
-            delta_rounds: 0,
-            delta_dirty_tiles: 0,
-            map_bytes_saved: 0,
+            locality_hits: 0,
+            locality_misses: 0,
         }
     }
 

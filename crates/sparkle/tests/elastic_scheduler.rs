@@ -181,6 +181,7 @@ fn locality_hints_pin_tasks_inside_the_wait_window() {
         metrics.tasks.iter().all(|t| t.executor == 1),
         "hinted tasks must run on their resident executor within the wait window"
     );
+    assert_eq!((metrics.locality_hits, metrics.locality_misses), (8, 0));
     // Hints are consumed: the next job spreads normally again.
     let out = sc
         .parallelize((0..32i64).collect::<Vec<_>>(), 16)
@@ -196,6 +197,7 @@ fn locality_hints_pin_tasks_inside_the_wait_window() {
         metrics.executors_used() >= 2,
         "stale hints must not leak onto later jobs"
     );
+    assert_eq!((metrics.locality_hits, metrics.locality_misses), (0, 0));
     sc.stop();
 }
 
@@ -225,6 +227,9 @@ fn expired_locality_wait_releases_hinted_tasks_to_thieves() {
         metrics.tasks.iter().any(|t| t.executor == 1),
         "expired delay-scheduling window must allow stealing"
     );
+    // Every hinted task is a hit or a miss; the stolen ones are misses.
+    assert_eq!(metrics.locality_hits + metrics.locality_misses, 16);
+    assert!(metrics.locality_misses >= 1);
     sc.stop();
 }
 

@@ -8,6 +8,7 @@ use ompcloud_suite::cloud_storage::{
     ChaosStore, FaultKind, FaultPlan, FaultRule, OpFilter, S3Store, Trigger,
 };
 use ompcloud_suite::kernels::{self, BenchId, DataKind};
+use ompcloud_suite::omp_model::Availability;
 use ompcloud_suite::ompcloud::CloudDevice;
 use ompcloud_suite::prelude::*;
 use std::sync::Arc;
@@ -88,7 +89,10 @@ fn permanently_failing_store_degrades_to_host_with_correct_results() {
         runtime.cloud().breakers().default_breaker().is_open(),
         "breaker must be open now"
     );
-    assert!(!runtime.cloud().is_available());
+    assert_eq!(
+        runtime.cloud().availability("default"),
+        Availability::BreakerOpen
+    );
     assert_eq!(runtime.cloud().breakers().default_breaker().trips(), 1);
 
     // Offload 3: the degraded device is skipped outright — no new
@@ -142,7 +146,7 @@ fn breaker_closes_again_when_the_endpoint_recovers() {
     // Operator reset (or a half-open probe policy) re-arms the device;
     // the endpoint is healthy again so the offload lands on the cloud.
     runtime.cloud().breakers().default_breaker().reset();
-    assert!(runtime.cloud().is_available());
+    assert_eq!(runtime.cloud().availability("default"), Availability::Up);
     let (p2, _) = offload_once(&runtime);
     assert!(p2.fallback_from.is_none(), "{:?}", p2.notes);
     assert!(!runtime.cloud().breakers().default_breaker().is_open());
