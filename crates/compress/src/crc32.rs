@@ -38,8 +38,18 @@ fn tables() -> &'static [[u32; 256]; 16] {
 
 /// Compute the CRC-32 checksum of `data`.
 pub fn crc32(data: &[u8]) -> u32 {
+    crc32_append(0, data)
+}
+
+/// Continue a checksum: given `crc`, the CRC-32 of the bytes so far (0 for
+/// none), return the CRC-32 of those bytes followed by `data` — zlib's
+/// `crc32(crc, buf, len)`. However a payload is split over calls, the
+/// result equals [`crc32`] of the whole, so a caller holding a buffer in
+/// another form (typed elements) can checksum it through a bounded
+/// scratch instead of serializing all of it first.
+pub fn crc32_append(crc: u32, data: &[u8]) -> u32 {
     let t = tables();
-    let mut crc = !0u32;
+    let mut crc = !crc;
     let mut chunks = data.chunks_exact(16);
     for chunk in &mut chunks {
         let a = u32::from_le_bytes(chunk[0..4].try_into().unwrap()) ^ crc;
@@ -153,7 +163,15 @@ mod tests {
 
     #[test]
     fn incremental_vs_whole() {
-        // crc32 is stateless here, but flipping order must change output.
         assert_ne!(crc32(b"ab"), crc32(b"ba"));
+        // Any split of the payload over `crc32_append` calls — including
+        // pieces that leave a 1..=15 byte tail mid-stream — reads the
+        // same as one call over the whole.
+        let data: Vec<u8> = (0..1037u32).map(|i| (i * 31 % 251) as u8).collect();
+        assert_eq!(crc32_append(crc32(&data), b""), crc32(&data));
+        for piece in [1, 3, 15, 16, 17, 64, 1000, 2000] {
+            let crc = data.chunks(piece).fold(0, crc32_append);
+            assert_eq!(crc, crc32(&data), "pieces of {piece}");
+        }
     }
 }

@@ -45,7 +45,7 @@ pub mod stream;
 mod testdata;
 mod varint;
 
-pub use crc32::crc32;
+pub use crc32::{crc32, crc32_append};
 pub use frame::{FRAME_OVERHEAD, MAGIC};
 pub use stream::{
     compress_stream, compress_stream_parallel, decompress_stream, decompress_stream_parallel,

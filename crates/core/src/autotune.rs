@@ -112,6 +112,12 @@ impl TunedProfile {
         if profile.io_threads == 0 {
             return Err(bad_profile("io-threads must be at least 1"));
         }
+        // `f64::from_str` reads "nan", "inf" and "1e999" as numbers.
+        if !(profile.throughput_mb_s.is_finite() && profile.throughput_mb_s >= 0.0) {
+            return Err(bad_profile(
+                "throughput-mb-s must be a finite, non-negative number",
+            ));
+        }
         Ok(profile)
     }
 

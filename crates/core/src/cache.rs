@@ -14,6 +14,7 @@
 //! layer. (A production system would use a stronger digest; the cache
 //! API is oblivious to the choice.)
 
+use omp_model::ErasedVec;
 use std::collections::HashMap;
 
 /// Fingerprint of a buffer's wire form.
@@ -32,6 +33,21 @@ impl Fingerprint {
             crc: gzlite::crc32(bytes),
             len: bytes.len() as u64,
         }
+    }
+
+    /// Fingerprint a typed buffer in place: the same `(crc, len)` as
+    /// `Fingerprint::of(&buf.to_bytes())`, serialized through a scratch
+    /// of at most 64 KiB instead of a second copy of the buffer.
+    pub fn of_erased(buf: &ErasedVec) -> Fingerprint {
+        const CHUNK_ELEMS: usize = 8192;
+        let (mut crc, mut scratch) = (0, Vec::new());
+        for start in (0..buf.len()).step_by(CHUNK_ELEMS) {
+            scratch.clear();
+            buf.write_range_bytes_into(start..buf.len().min(start + CHUNK_ELEMS), &mut scratch);
+            crc = gzlite::crc32_append(crc, &scratch);
+        }
+        let len = buf.byte_len() as u64;
+        Fingerprint { crc, len }
     }
 }
 
@@ -203,6 +219,37 @@ impl ResidencyMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn in_place_fingerprint_equals_the_serialized_one() {
+        // Empty, one element, odd lengths, and lengths on either side of
+        // the scratch chunk (8192 elements) so the crc crosses a chunk
+        // boundary with and without a tail.
+        for len in [0usize, 1, 3, 17, 8191, 8192, 8193, 20_001] {
+            let ramp = |scale: usize| (0..len).map(move |i| i * scale % 65_521);
+            let bufs = [
+                ErasedVec::from_vec(ramp(3).map(|v| v as f32 * 0.25 - 9.0).collect()),
+                ErasedVec::from_vec(ramp(5).map(|v| v as f64 * -1.5).collect()),
+                ErasedVec::from_vec(ramp(7).map(|v| v as i32 - 30_000).collect()),
+                ErasedVec::from_vec(ramp(11).map(|v| -(v as i64) << 20).collect()),
+                ErasedVec::from_vec(ramp(13).map(|v| v as u8).collect()),
+                ErasedVec::from_vec(ramp(17).map(|v| v as u16).collect()),
+                ErasedVec::from_vec(ramp(19).map(|v| v as u32 * 65_537).collect()),
+                ErasedVec::from_vec(ramp(23).map(|v| (v as u64) << 33 | 1).collect()),
+            ];
+            let mut tags = std::collections::HashSet::new();
+            for buf in &bufs {
+                tags.insert(buf.tag());
+                assert_eq!(
+                    Fingerprint::of_erased(buf),
+                    Fingerprint::of(&buf.to_bytes()),
+                    "{} x {len}",
+                    buf.tag()
+                );
+            }
+            assert_eq!(tags.len(), 8, "one buffer per TypeTag");
+        }
+    }
 
     #[test]
     fn miss_then_hit_then_invalidate() {

@@ -23,7 +23,7 @@
 use crate::cache::{Fingerprint, ResidencyMap};
 use crate::config::CloudConfig;
 use crate::tiling;
-use omp_model::chunk::{chunk_outputs, merge_policy, MergeAcc, MergePolicy};
+use omp_model::chunk::{chunk_outputs, merge_policy, run_chunk, MergeAcc, MergePolicy};
 use omp_model::view::OutPart;
 use omp_model::RedOp;
 use omp_model::{
@@ -51,7 +51,7 @@ struct TileDesc {
     /// block is a zero-copy view sharing the driver's staged buffer.
     inputs: Vec<(String, usize, ErasedSlice)>,
     /// Identity/prefilled private buffer per output.
-    outputs: Vec<OutPart>,
+    outputs: Outputs,
 }
 
 /// One element of `RDD_OUT`: the tile's private output buffers (Eq. 7).
@@ -189,7 +189,7 @@ fn run_loop(
                         scatter_bytes.fetch_add(block.byte_len() as u64, Ordering::Relaxed);
                         inputs.push((name.clone(), hull.start, block));
                     }
-                    let outputs = chunk_outputs(region, loop_, env, iters.clone())?.into_parts();
+                    let outputs = chunk_outputs(region, loop_, env, iters.clone())?;
                     Ok(TileDesc {
                         tile_id: t,
                         iter_start: iters.start,
@@ -277,7 +277,7 @@ fn run_loop(
     // offloads — a changed buffer silently drops its stale residency.
     let scatter_fps: HashMap<String, Fingerprint> = scatter_specs
         .iter()
-        .map(|(name, _, buf)| (name.clone(), Fingerprint::of(&buf.to_bytes())))
+        .map(|(name, _, buf)| (name.clone(), Fingerprint::of_erased(buf)))
         .collect();
     let tile_hulls: Vec<Vec<(String, usize, usize)>> = pending
         .iter()
@@ -322,6 +322,9 @@ fn run_loop(
     let rdd = sc.parallelize(pending, ntiles);
     let mapped = rdd.map(move |tile: TileDesc| {
         let tile_id = tile.tile_id;
+        // Fill the tile's input table once — scattered blocks at their
+        // hull base, broadcast buffers whole — then make the one "JNI
+        // invocation": the per-tile loop the host device runs too.
         let mut ins = Inputs::new();
         for (name, base, block) in tile.inputs {
             ins.add_slice(name, base, block);
@@ -329,15 +332,8 @@ fn run_loop(
         for (name, buf) in bcast_handle.iter() {
             ins.add(name.clone(), 0, Arc::clone(buf));
         }
-        let mut outs = Outputs::new();
-        for part in tile.outputs {
-            outs.add(part.name, part.base, part.data);
-        }
-        // One "JNI invocation" per tile: run the native loop body over
-        // the tile's iterations.
-        for i in tile.iter_start..tile.iter_end {
-            body(i, &ins, &mut outs);
-        }
+        let mut outs = tile.outputs;
+        run_chunk(&body, tile.iter_start..tile.iter_end, &ins, &mut outs);
         TileOut {
             tile_id,
             parts: outs.into_parts(),

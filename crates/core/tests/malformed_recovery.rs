@@ -4,10 +4,16 @@
 //! panic, never an allocation sized by a count or length field alone.
 //! Same law, same recording allocator as `cloud-storage`'s
 //! `tests/malformed_pack.rs`.
+//!
+//! The second half holds `core`'s other two decoders to it:
+//! `DeltaLedger::apply_patch` (`DPT1` patches, fetched from the store)
+//! and `TunedProfile::from_ini` (a file `sparkle-offload autotune` wrote
+//! some other day).
 
 use omp_model::view::OutPart;
 use omp_model::ErasedVec;
 use ompcloud::recovery::{decode_parts, decode_tile, encode_parts, encode_tile};
+use ompcloud::{DeltaDiff, DeltaLedger, TunedProfile};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -186,4 +192,208 @@ fn inflated_counts_and_lengths_decode_to_none() {
         assert!(!as_parts && !as_tile, "{what} decoded: {bytes:?}");
         assert_bounded(largest, bytes.len(), what);
     }
+}
+
+// ---------------------------------------------------------------------
+// `DPT1` delta patches
+// ---------------------------------------------------------------------
+
+const PATCH_TILE: usize = 16;
+const PATCH_BASE_LEN: usize = 100;
+/// "DPT1" | u32 tile_bytes | u32 total_tiles | u64 full_len | u32 full_crc
+/// | u32 n_dirty
+const PATCH_HEADER: usize = 28;
+
+/// A ledger holding a 100-byte base of `x` (seven 16-byte tiles, the last
+/// one short), the next round's payload, and the patch between them:
+/// tiles 0, 2 and 6 dirty.
+fn ledger_and_patch() -> (DeltaLedger, Vec<u8>, Vec<u8>) {
+    let mut ledger = DeltaLedger::new(PATCH_TILE);
+    let base: Vec<u8> = (0..PATCH_BASE_LEN).map(|i| (i * 7 % 251) as u8).collect();
+    ledger.commit("x", &base);
+    let mut next = base;
+    next[3] ^= 0x55;
+    next[40] = 0;
+    next[99] ^= 1;
+    let DeltaDiff::Dirty(dirty) = ledger.diff("x", &next) else {
+        panic!("three tiles changed");
+    };
+    assert_eq!(dirty, [0, 2, 6]);
+    let patch = ledger.encode_patch(&next, &dirty);
+    (ledger, next, patch)
+}
+
+/// `apply_patch` of `patch`, and that it reserved nothing out of
+/// proportion. Copying the committed base is legitimate — the ledger owns
+/// it and the header had to match its geometry first — so it is taken
+/// off the largest allocation before the bound is applied.
+fn apply_bounded(ledger: &DeltaLedger, patch: &[u8], what: &str) -> Result<Vec<u8>, String> {
+    LARGEST.with(|l| l.set(0));
+    let result = ledger.apply_patch("x", patch);
+    let beyond_base = LARGEST.with(Cell::get).saturating_sub(PATCH_BASE_LEN);
+    assert_bounded(beyond_base, patch.len(), what);
+    result
+}
+
+#[test]
+fn the_intact_patch_applies() {
+    let (ledger, next, patch) = ledger_and_patch();
+    assert_eq!(patch.len(), PATCH_HEADER + 3 * 4 + 2 * PATCH_TILE + 4);
+    assert_eq!(apply_bounded(&ledger, &patch, "intact").unwrap(), next);
+}
+
+#[test]
+fn every_truncation_of_a_patch_is_an_error() {
+    let (ledger, _, patch) = ledger_and_patch();
+    for cut in 0..patch.len() {
+        let result = apply_bounded(&ledger, &patch[..cut], "truncated");
+        assert!(result.is_err(), "cut at {cut} applied");
+    }
+}
+
+#[test]
+fn every_bit_flip_in_a_patch_is_an_error() {
+    // The header fields one by one, then the tile indices and payloads:
+    // a structural field fails its own check, and whatever still parses
+    // reconstructs a payload the patch's full crc32 does not match.
+    let (ledger, _, patch) = ledger_and_patch();
+    for at in 0..patch.len() {
+        for bit in 0..8 {
+            let mut bytes = patch.clone();
+            bytes[at] ^= 1 << bit;
+            let result = apply_bounded(&ledger, &bytes, "bit flip");
+            assert!(result.is_err(), "byte {at} bit {bit} applied");
+        }
+    }
+}
+
+#[test]
+fn oversized_patch_counts_are_errors() {
+    let (ledger, _, patch) = ledger_and_patch();
+    let (tile_bytes_at, total_tiles_at, full_len_at, n_dirty_at) = (4, 8, 12, 24);
+    let mut cases: Vec<(&str, Vec<u8>)> = Vec::new();
+    for v in [0u32, 1, 1 << 20, u32::MAX] {
+        for (what, at) in [
+            ("tile bytes", tile_bytes_at),
+            ("total tiles", total_tiles_at),
+            ("dirty count", n_dirty_at),
+        ] {
+            let mut p = patch.clone();
+            p[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            cases.push((what, p));
+        }
+    }
+    for len in [0u64, 101, 1 << 40, u64::MAX] {
+        let mut p = patch.clone();
+        p[full_len_at..full_len_at + 8].copy_from_slice(&len.to_le_bytes());
+        cases.push(("full length", p));
+    }
+    // A huge dirty count with nothing behind the header, and a tile
+    // index past the end.
+    let mut bare = patch[..PATCH_HEADER].to_vec();
+    bare[n_dirty_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+    cases.push(("bare dirty count", bare));
+    let mut far = patch.clone();
+    far[PATCH_HEADER..PATCH_HEADER + 4].copy_from_slice(&7u32.to_le_bytes());
+    cases.push(("tile index", far));
+    for (what, bytes) in cases {
+        let result = apply_bounded(&ledger, &bytes, what);
+        assert!(result.is_err(), "{what} applied: {bytes:?}");
+    }
+    // No base to patch, and a ledger cut to another granularity.
+    assert!(ledger.apply_patch("y", &patch).is_err());
+    let mut other = DeltaLedger::new(PATCH_TILE * 2);
+    other.commit("x", &[0u8; PATCH_BASE_LEN]);
+    assert!(other.apply_patch("x", &patch).is_err());
+}
+
+// ---------------------------------------------------------------------
+// Autotune profiles
+// ---------------------------------------------------------------------
+
+fn profile() -> TunedProfile {
+    TunedProfile {
+        tile_size: 4096,
+        io_threads: 4,
+        min_compression_size: 1024,
+        throughput_mb_s: 123.456,
+    }
+}
+
+/// `from_ini` of `text`, and that it reserved nothing out of proportion.
+fn parse_bounded(text: &str) -> Result<TunedProfile, omp_model::OmpError> {
+    LARGEST.with(|l| l.set(0));
+    let result = TunedProfile::from_ini(text);
+    assert_bounded(LARGEST.with(Cell::get), text.len(), "profile");
+    result
+}
+
+#[test]
+fn every_truncation_of_a_profile_is_an_error_or_a_valid_profile() {
+    let text = profile().to_ini();
+    assert_eq!(parse_bounded(&text).unwrap().tile_size, 4096);
+    // Text carries no length or checksum: a cut inside the last required
+    // value (`1024` → `10`) or anywhere in the optional throughput line
+    // still reads as a profile. Everything shorter must not.
+    let last_key = "min-compression-size = ";
+    let complete = text.find(last_key).unwrap() + last_key.len() + 1;
+    for cut in 0..text.len() {
+        // A cut inside the header comment's dash is not UTF-8:
+        // `TunedProfile::load` fails that at `read_to_string`.
+        let Ok(prefix) = std::str::from_utf8(&text.as_bytes()[..cut]) else {
+            continue;
+        };
+        if let Ok(p) = parse_bounded(prefix) {
+            assert!(cut >= complete, "cut at {cut} parsed");
+            assert_eq!((p.tile_size, p.io_threads), (4096, 4));
+            assert!(p.throughput_mb_s.is_finite() && p.throughput_mb_s >= 0.0);
+        }
+    }
+}
+
+#[test]
+fn missing_negative_zero_and_overflowing_profile_values_are_errors() {
+    let with = |key: &str, value: &str| -> String {
+        let mut out = String::new();
+        for line in profile().to_ini().lines() {
+            match line.split_once(" = ") {
+                Some((k, _)) if k == key => out.push_str(&format!("{k} = {value}\n")),
+                _ => out.push_str(&format!("{line}\n")),
+            }
+        }
+        out
+    };
+    let required = ["tile-size", "io-threads", "min-compression-size"];
+    for key in required {
+        let without: String = (profile().to_ini().lines())
+            .filter(|l| !l.starts_with(key))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert!(parse_bounded(&without).is_err(), "{key} missing");
+        for bad in [
+            "",
+            "-1",
+            "-0.5",
+            "4.5",
+            "0x10",
+            "18446744073709551616",
+            "1e3",
+            "four",
+        ] {
+            assert!(parse_bounded(&with(key, bad)).is_err(), "{key} = {bad}");
+        }
+    }
+    // Zero worker threads cannot move a byte; zero for the other two is a
+    // setting (auto tiling, compress everything).
+    assert!(parse_bounded(&with("io-threads", "0")).is_err());
+    assert!(parse_bounded(&with("tile-size", "0")).is_ok());
+    assert!(parse_bounded(&with("min-compression-size", "0")).is_ok());
+    // The throughput is optional, but a number when present.
+    for bad in ["-1.0", "nan", "inf", "-inf", "1e999", "fast", ""] {
+        let text = with("throughput-mb-s", bad);
+        assert!(parse_bounded(&text).is_err(), "throughput-mb-s = {bad}");
+    }
+    assert!(parse_bounded("").is_err());
+    assert!(parse_bounded("[profile]\n").is_err());
+    assert!(parse_bounded("tile-size = 1\nio-threads = 1\nmin-compression-size = 1\n").is_err());
 }

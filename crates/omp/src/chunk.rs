@@ -12,7 +12,7 @@ use crate::clause::MapDir;
 use crate::env::DataEnv;
 use crate::erased::{ErasedSlice, ErasedVec, RedOp};
 use crate::error::OmpError;
-use crate::region::{ParallelLoop, TargetRegion};
+use crate::region::{LoopBody, ParallelLoop, TargetRegion};
 use crate::view::{Inputs, Outputs};
 use std::ops::Range;
 use std::sync::Arc;
@@ -133,15 +133,13 @@ pub fn chunk_outputs(
     Ok(outputs)
 }
 
-/// Run the loop body over every iteration of the chunk.
-pub fn run_chunk(
-    loop_: &ParallelLoop,
-    iters: Range<usize>,
-    inputs: &Inputs,
-    outputs: &mut Outputs,
-) {
+/// Run the loop body over every iteration of the chunk: the one "JNI
+/// invocation" per tile, on the host and on a cluster worker alike. It
+/// takes the body rather than the loop because that is all a map task
+/// owns.
+pub fn run_chunk(body: &LoopBody, iters: Range<usize>, inputs: &Inputs, outputs: &mut Outputs) {
     for i in iters {
-        (loop_.body)(i, inputs, outputs);
+        body(i, inputs, outputs);
     }
 }
 
@@ -261,7 +259,7 @@ pub fn execute_loop_chunked(
     for iters in omp_parfor::split_even(loop_.trip_count, chunk_count) {
         let inputs = chunk_inputs(region, loop_, env, iters.clone())?;
         let mut outputs = chunk_outputs(region, loop_, env, iters.clone())?;
-        run_chunk(loop_, iters, &inputs, &mut outputs);
+        run_chunk(&loop_.body, iters, &inputs, &mut outputs);
         acc.absorb(outputs.into_parts());
     }
     acc.finish(env)

@@ -107,7 +107,7 @@ impl Device for HostDevice {
                 for iters in chunks {
                     let inputs = chunk_inputs(region, loop_, env, iters.clone())?;
                     let mut outputs = chunk_outputs(region, loop_, env, iters.clone())?;
-                    run_chunk(loop_, iters, &inputs, &mut outputs);
+                    run_chunk(&loop_.body, iters, &inputs, &mut outputs);
                     acc.absorb(outputs.into_parts());
                 }
                 compute_s += t_par.elapsed().as_secs_f64();
@@ -139,7 +139,7 @@ impl Device for HostDevice {
                                     .and_then(|inputs| {
                                         let mut outputs =
                                             chunk_outputs(region, loop_, env_ref, iters.clone())?;
-                                        run_chunk(loop_, iters, &inputs, &mut outputs);
+                                        run_chunk(&loop_.body, iters, &inputs, &mut outputs);
                                         Ok(outputs)
                                     });
                                 slots.lock()[idx] = Some(result);

@@ -9,15 +9,53 @@
 //! native function through JNI on every target.
 
 use crate::erased::{ErasedSlice, ErasedVec};
-use crate::pod::Pod;
+use crate::pod::{Pod, TypeTag};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Index, IndexMut};
 use std::sync::Arc;
+
+/// Name → variable table of one tile: filled once per tile, read by the
+/// body on every iteration. Names come from the program's own map
+/// clauses, never from the wire, so nobody can craft colliding ones and
+/// the hash needs no key: FNV-1a instead of `HashMap`'s default SipHash,
+/// which cost more than the arithmetic of the loop body behind it.
+type VarTable<V> = HashMap<String, V, BuildHasherDefault<NameHasher>>;
+
+/// FNV-1a over the bytes of a variable name.
+struct NameHasher(u64);
+
+impl Default for NameHasher {
+    fn default() -> Self {
+        NameHasher(0xcbf2_9ce4_8422_2325)
+    }
+}
+
+impl Hasher for NameHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Out of line, so an inlined `view`/`view_mut` carries a call, not the
+/// message's formatting.
+#[cold]
+fn mistyped(verb: &str, name: &str, asked: TypeTag, holds: TypeTag) -> ! {
+    panic!("kernel {verb} variable '{name}' as {asked} but it holds {holds}")
+}
 
 /// Read-only variables visible to a loop body.
 #[derive(Debug, Clone, Default)]
 pub struct Inputs {
-    vars: HashMap<String, InputVar>,
+    vars: VarTable<InputVar>,
 }
 
 #[derive(Debug, Clone)]
@@ -48,18 +86,20 @@ impl Inputs {
     /// Panics on unknown names or element-type mismatches — inside an
     /// offloaded kernel this is the moral equivalent of a native-code
     /// fault, and the executor catches it at task granularity.
+    ///
+    /// Inlined into the body so that a literal `name` hashes and compares
+    /// at compile time: what is left per call is the probe and the
+    /// tag/range check of the typed slice.
+    #[inline(always)]
     pub fn view<T: Pod>(&self, name: &str) -> VarView<'_, T> {
         let var = self
             .vars
             .get(name)
             .unwrap_or_else(|| panic!("kernel read unmapped variable '{name}'"));
-        let data = var.data.as_slice::<T>().unwrap_or_else(|| {
-            panic!(
-                "kernel read variable '{name}' as {} but it holds {}",
-                T::TAG,
-                var.data.tag()
-            )
-        });
+        let data = var
+            .data
+            .as_slice::<T>()
+            .unwrap_or_else(|| mistyped("read", name, T::TAG, var.data.tag()));
         VarView {
             base: var.base,
             data,
@@ -128,12 +168,12 @@ impl<'a, T: Pod> Index<usize> for VarView<'a, T> {
 
 /// Writable variables visible to a loop body (the task's private output
 /// buffers, later merged by the driver).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Outputs {
-    vars: HashMap<String, OutputVar>,
+    vars: VarTable<OutputVar>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct OutputVar {
     base: usize,
     data: ErasedVec,
@@ -164,6 +204,7 @@ impl Outputs {
 
     /// Typed mutable view of `name`. Panics like [`Inputs::view`].
     /// Requesting a mutable view marks the variable as written.
+    #[inline(always)]
     pub fn view_mut<T: Pod>(&mut self, name: &str) -> VarViewMut<'_, T> {
         let var = self
             .vars
@@ -172,13 +213,10 @@ impl Outputs {
         var.touched = true;
         let base = var.base;
         let tag = var.data.tag();
-        let data = var.data.as_mut_slice::<T>().unwrap_or_else(|| {
-            panic!(
-                "kernel wrote variable '{name}' as {} but it holds {}",
-                T::TAG,
-                tag
-            )
-        });
+        let data = var
+            .data
+            .as_mut_slice::<T>()
+            .unwrap_or_else(|| mistyped("wrote", name, T::TAG, tag));
         VarViewMut { base, data }
     }
 
@@ -322,7 +360,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "outside its partition")]
+    #[should_panic(expected = "kernel read global element 9 outside its partition [10, 11)")]
     fn input_view_oob_panics() {
         let mut ins = Inputs::new();
         ins.add("A", 10, Arc::new(ErasedVec::from_vec(vec![5.0f32])));
@@ -330,18 +368,108 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unmapped variable")]
+    #[should_panic(expected = "kernel read unmapped variable 'missing'")]
     fn unknown_input_panics() {
         let ins = Inputs::new();
         let _ = ins.view::<f32>("missing");
     }
 
     #[test]
-    #[should_panic(expected = "holds f32")]
+    #[should_panic(expected = "kernel read variable 'A' as i32 but it holds f32")]
     fn wrong_type_panics() {
         let mut ins = Inputs::new();
         ins.add("A", 0, Arc::new(ErasedVec::from_vec(vec![5.0f32])));
         let _ = ins.view::<i32>("A");
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel wrote unmapped variable 'missing'")]
+    fn unknown_output_panics() {
+        let _ = Outputs::new().view_mut::<f32>("missing");
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel wrote variable 'C' as f64 but it holds f32")]
+    fn wrong_output_type_panics() {
+        let mut outs = Outputs::new();
+        outs.add("C", 0, ErasedVec::from_vec(vec![0.0f32]));
+        let _ = outs.view_mut::<f64>("C");
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel wrote global element 6 outside its output partition [4, 6)")]
+    fn output_view_oob_write_panics() {
+        let mut outs = Outputs::new();
+        outs.add("C", 4, ErasedVec::from_vec(vec![0.0f32; 2]));
+        outs.view_mut::<f32>("C")[6] = 1.0;
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "kernel accessed global element 3 outside its output partition [4, 6)"
+    )]
+    fn output_view_oob_read_panics() {
+        let mut outs = Outputs::new();
+        outs.add("C", 4, ErasedVec::from_vec(vec![0.0f32; 2]));
+        let _ = outs.view_mut::<f32>("C").get(3);
+    }
+
+    #[test]
+    fn ten_thousand_names_each_resolve_to_their_own_buffer() {
+        use std::hash::BuildHasher;
+        let names: Vec<String> = (0..10_000).map(|k| format!("var_{k:05}")).collect();
+        // The unkeyed hash sends some of them to the same bucket: two
+        // hashes that agree in their low 16 bits start their probe
+        // together in every table of up to 65 536 buckets.
+        let hasher = BuildHasherDefault::<NameHasher>::default();
+        let mut homes: HashMap<u64, usize> = HashMap::new();
+        for name in &names {
+            *homes.entry(hasher.hash_one(name) & 0xFFFF).or_default() += 1;
+        }
+        assert!(homes.values().any(|&sharing| sharing > 1));
+
+        let mut ins = Inputs::new();
+        let mut outs = Outputs::new();
+        for (k, name) in names.iter().enumerate() {
+            ins.add(
+                name.clone(),
+                k,
+                Arc::new(ErasedVec::from_vec(vec![k as u32])),
+            );
+            outs.add(name.clone(), k, ErasedVec::from_vec(vec![0u64]));
+        }
+        for (k, name) in names.iter().enumerate() {
+            let v = ins.view::<u32>(name);
+            assert_eq!((v.base(), v[k]), (k, k as u32), "{name}");
+            outs.view_mut::<u64>(name)[k] = 7 * k as u64;
+        }
+        assert_eq!(ins.names().len(), names.len());
+        let parts = outs.into_parts();
+        assert_eq!(parts.len(), names.len());
+        for (k, part) in parts.iter().enumerate() {
+            // Zero-padded, so name order is generation order.
+            assert_eq!((part.name.as_str(), part.base), (names[k].as_str(), k));
+            assert_eq!(part.data.as_slice::<u64>().unwrap(), &[7 * k as u64]);
+        }
+    }
+
+    #[test]
+    fn re_adding_a_name_replaces_the_earlier_entry() {
+        let mut ins = Inputs::new();
+        ins.add("A", 0, Arc::new(ErasedVec::from_vec(vec![1.0f32])));
+        ins.add("A", 5, Arc::new(ErasedVec::from_vec(vec![2u8, 3])));
+        assert_eq!(ins.names(), vec!["A"]);
+        let a = ins.view::<u8>("A");
+        assert_eq!((a.base(), a.len(), a[6]), (5, 2, 3));
+
+        let mut outs = Outputs::new();
+        outs.add("C", 0, ErasedVec::from_vec(vec![0.0f32; 4]));
+        outs.view_mut::<f32>("C")[0] = 1.0;
+        outs.add("C", 2, ErasedVec::from_vec(vec![0i32; 2]));
+        let parts = outs.into_parts();
+        assert_eq!(parts.len(), 1);
+        assert_eq!((parts[0].base, parts[0].touched), (2, false));
+        assert_eq!(parts[0].data.as_slice::<i32>().unwrap(), &[0, 0]);
     }
 
     #[test]
