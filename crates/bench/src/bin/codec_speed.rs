@@ -29,17 +29,19 @@ use std::time::Instant;
 
 /// Most a cell of each payload class may keep of its raw bytes: the ratio
 /// of its 4 KiB cell (the worst: its frame carries a header and its window
-/// never fills) when the class was added, plus a twentieth. A codec or
-/// probe change that makes a class ship more bytes than this fails
-/// `--check`.
+/// never fills) when the class was added, plus a twentieth — for
+/// `dense-f32` and `integer-f32` when their planes got an entropy stage
+/// (0.840 and 0.344; 0.910 and 0.417 before it), so that gain is gated
+/// too. A codec or probe change that makes a class ship more bytes than
+/// this fails `--check`.
 fn ratio_ceiling(kind: &str) -> f64 {
     match kind {
         "zeros" => 0.01,
         "text" => 0.23,
         "random" => 1.0,
-        "dense-f32" => 0.93,
+        "dense-f32" => 0.89,
         "sparse-f32" => 0.09,
-        "integer-f32" => 0.44,
+        "integer-f32" => 0.37,
         other => unreachable!("unknown payload kind {other}"),
     }
 }

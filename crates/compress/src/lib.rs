@@ -16,9 +16,12 @@
 //! * [`Codec::Lz77`] — a greedy hash-chain LZ77 with varint-coded tokens,
 //!   the general-purpose workhorse (a simplified DEFLATE match stage).
 //!
-//! [`Codec::Shuffle4Lz77`] / [`Codec::Shuffle8Lz77`] put a byte-plane
-//! transpose in front of the match stage, which is what makes dense and
-//! integer-valued floats compressible at all.
+//! [`Codec::Planes4`] / [`Codec::Planes8`] transpose the buffer into byte
+//! planes and give each plane its own coder — stored, order-0 Huffman or
+//! the match stage — which is what makes dense and integer-valued floats
+//! compressible at all. ([`Codec::Shuffle4Lz77`] / [`Codec::Shuffle8Lz77`],
+//! one match pass over all planes, are what earlier releases wrote; they
+//! still decode.)
 //!
 //! [`compress_auto`] samples the input, estimates what each codec would
 //! keep ([`probe`]) and picks the smallest, which is what the OmpCloud
@@ -37,7 +40,9 @@
 
 mod crc32;
 mod frame;
+mod huffman;
 mod lz77;
+mod planes;
 mod rle;
 pub mod shuffle;
 pub mod stream;
@@ -68,6 +73,11 @@ pub enum Codec {
     Shuffle4Lz77,
     /// Byte-shuffle with stride 8 (f64/i64 planes) followed by LZ77.
     Shuffle8Lz77,
+    /// Byte-shuffle with stride 4, each plane stored, Huffman-coded or
+    /// LZ77-matched on its own. What the probe picks for `f32`/`i32` data.
+    Planes4,
+    /// The same with stride 8 (f64/i64 planes).
+    Planes8,
 }
 
 impl Codec {
@@ -78,6 +88,8 @@ impl Codec {
             Codec::Lz77 => 2,
             Codec::Shuffle4Lz77 => 3,
             Codec::Shuffle8Lz77 => 4,
+            Codec::Planes4 => 5,
+            Codec::Planes8 => 6,
         }
     }
 
@@ -88,14 +100,16 @@ impl Codec {
             2 => Some(Codec::Lz77),
             3 => Some(Codec::Shuffle4Lz77),
             4 => Some(Codec::Shuffle8Lz77),
+            5 => Some(Codec::Planes4),
+            6 => Some(Codec::Planes8),
             _ => None,
         }
     }
 
     fn shuffle_stride(self) -> Option<usize> {
         match self {
-            Codec::Shuffle4Lz77 => Some(4),
-            Codec::Shuffle8Lz77 => Some(8),
+            Codec::Shuffle4Lz77 | Codec::Planes4 => Some(4),
+            Codec::Shuffle8Lz77 | Codec::Planes8 => Some(8),
             _ => None,
         }
     }
@@ -109,6 +123,8 @@ impl fmt::Display for Codec {
             Codec::Lz77 => write!(f, "lz77"),
             Codec::Shuffle4Lz77 => write!(f, "shuffle4+lz77"),
             Codec::Shuffle8Lz77 => write!(f, "shuffle8+lz77"),
+            Codec::Planes4 => write!(f, "planes4"),
+            Codec::Planes8 => write!(f, "planes8"),
         }
     }
 }
@@ -177,6 +193,8 @@ pub fn compress(input: &[u8], codec: Codec) -> Vec<u8> {
         Codec::Lz77 => Some(lz77::encode(input)),
         Codec::Shuffle4Lz77 => Some(lz77::encode(&shuffle::shuffle(input, 4))),
         Codec::Shuffle8Lz77 => Some(lz77::encode(&shuffle::shuffle(input, 8))),
+        Codec::Planes4 => Some(planes::encode(input, 4)),
+        Codec::Planes8 => Some(planes::encode(input, 8)),
     };
     match payload {
         Some(p) if p.len() < input.len() => frame::seal(codec, input.len(), &p, crc32(input)),
@@ -188,6 +206,36 @@ pub fn compress(input: &[u8], codec: Codec) -> Vec<u8> {
 /// sample ([`probe`]), the strategy used by the OmpCloud transfer threads.
 pub fn compress_auto(input: &[u8]) -> Vec<u8> {
     compress(input, probe(input))
+}
+
+/// Bytes a greedy parse of `history[from..]` keeps, matching against one
+/// earlier candidate per hash slot of `table` — a cheap stand-in for the
+/// LZ77 match stage that catches data which repeats (text, periodic
+/// records, ramps) though its byte entropy looks incompressible.
+fn greedy_parse(history: &[u8], from: usize, table: &mut [u32; 4096]) -> usize {
+    let word = |at: usize| u32::from_le_bytes(history[at..at + 4].try_into().expect("4 bytes"));
+    let (mut pos, mut kept) = (from, 0);
+    while pos + 4 <= history.len() {
+        let here = word(pos);
+        let slot = (here.wrapping_mul(2654435761) >> 20) as usize;
+        let cand = table[slot] as usize;
+        table[slot] = pos as u32;
+        if cand < pos && word(cand) == here {
+            let len = history[cand..]
+                .iter()
+                .zip(&history[pos..])
+                .take_while(|(a, b)| a == b)
+                .count();
+            if let Some(cost) = lz77::token_cost(len, pos - cand) {
+                kept += cost;
+                pos += len;
+                continue;
+            }
+        }
+        kept += 1;
+        pos += 1;
+    }
+    kept + history.len().saturating_sub(pos)
 }
 
 /// What one pass over a (possibly windowed) sample measured: enough to
@@ -240,35 +288,9 @@ impl ProbeStats {
             self.hist8[i & 7][b as usize] += 1;
         }
         end_zero_run(zero_run);
-        // Parse the sample greedily against one earlier candidate per
-        // hash slot — a cheap stand-in for the LZ77 match stage that
-        // catches repetitive data (text, periodic records) whose byte
-        // entropy looks incompressible.
         let base = history.len();
         history.extend_from_slice(window);
-        let word = |at: usize| u32::from_le_bytes(history[at..at + 4].try_into().expect("4 bytes"));
-        let mut pos = base;
-        while pos + 4 <= history.len() {
-            let here = word(pos);
-            let slot = (here.wrapping_mul(2654435761) >> 20) as usize;
-            let cand = table[slot] as usize;
-            table[slot] = pos as u32;
-            if cand < pos && word(cand) == here {
-                let len = history[cand..]
-                    .iter()
-                    .zip(&history[pos..])
-                    .take_while(|(a, b)| a == b)
-                    .count();
-                if let Some(cost) = lz77::token_cost(len, pos - cand) {
-                    self.lz_bytes += cost;
-                    pos += len;
-                    continue;
-                }
-            }
-            self.lz_bytes += 1;
-            pos += 1;
-        }
-        self.lz_bytes += history.len().saturating_sub(pos);
+        self.lz_bytes += greedy_parse(history, base, table);
     }
 
     fn entropy(hist: &[u32; 256], total: usize) -> f64 {
@@ -298,13 +320,15 @@ impl ProbeStats {
         (0.02 + 0.31 * h).min(1.0) * n as f64
     }
 
-    /// [`Self::lz_model`] summed over the byte planes a shuffle makes.
+    /// What the planes codec keeps: [`planes::choose`] summed over the
+    /// byte planes a shuffle makes, on their byte counts alone — what
+    /// repeats inside a plane is the encoder's to find.
     fn shuffled_model<const K: usize>(planes: &[[u32; 256]; K]) -> f64 {
         planes
             .iter()
             .map(|plane| {
                 let n: usize = plane.iter().map(|&c| c as usize).sum();
-                Self::lz_model(Self::entropy(plane, n), n)
+                planes::choose(plane, n, f64::INFINITY).1
             })
             .sum()
     }
@@ -323,8 +347,8 @@ impl ProbeStats {
         for candidate in [
             (Codec::ZeroRle, raw - self.rle_saved as f64),
             (Codec::Lz77, lz),
-            (Codec::Shuffle4Lz77, Self::shuffled_model(&self.hist4)),
-            (Codec::Shuffle8Lz77, Self::shuffled_model(&self.hist8)),
+            (Codec::Planes4, Self::shuffled_model(&self.hist4)),
+            (Codec::Planes8, Self::shuffled_model(&self.hist8)),
         ] {
             if candidate.1 < best.1 - MARGIN * raw {
                 best = candidate;
@@ -482,6 +506,10 @@ pub fn decompress(frame_bytes: &[u8]) -> Result<Vec<u8>, Error> {
             let planes = lz77::decode(parsed.payload, parsed.original_len)?;
             shuffle::unshuffle(&planes, stride)
         }
+        Codec::Planes4 | Codec::Planes8 => {
+            let stride = parsed.codec.shuffle_stride().expect("planes codec");
+            planes::decode(parsed.payload, parsed.original_len, stride)?
+        }
     };
     if out.len() != parsed.original_len {
         return Err(Error::LengthMismatch {
@@ -542,6 +570,16 @@ pub fn compress_with_stats(input: &[u8]) -> (Vec<u8>, Stats) {
 mod tests {
     use super::*;
 
+    const ALL_CODECS: [Codec; 7] = [
+        Codec::Store,
+        Codec::ZeroRle,
+        Codec::Lz77,
+        Codec::Shuffle4Lz77,
+        Codec::Shuffle8Lz77,
+        Codec::Planes4,
+        Codec::Planes8,
+    ];
+
     fn roundtrip(data: &[u8], codec: Codec) {
         let frame = compress(data, codec);
         assert_eq!(decompress(&frame).unwrap(), data, "codec {codec}");
@@ -549,14 +587,14 @@ mod tests {
 
     #[test]
     fn empty_input_roundtrips_all_codecs() {
-        for codec in [Codec::Store, Codec::ZeroRle, Codec::Lz77] {
+        for codec in ALL_CODECS {
             roundtrip(&[], codec);
         }
     }
 
     #[test]
     fn single_byte_roundtrips() {
-        for codec in [Codec::Store, Codec::ZeroRle, Codec::Lz77] {
+        for codec in ALL_CODECS {
             roundtrip(&[42], codec);
         }
     }
@@ -618,12 +656,8 @@ mod tests {
                         Codec::ZeroRle,
                     ),
                     ("zeros", vec![0u8; len], Codec::ZeroRle),
-                    (
-                        "dense f32",
-                        testdata::dense_f32(len, seed),
-                        Codec::Shuffle4Lz77,
-                    ),
-                    ("f64", testdata::dense_f64(len, seed), Codec::Shuffle8Lz77),
+                    ("dense f32", testdata::dense_f32(len, seed), Codec::Planes4),
+                    ("f64", testdata::dense_f64(len, seed), Codec::Planes8),
                     ("text", testdata::text(len, seed), Codec::Lz77),
                     ("noise", testdata::noise(len, seed), Codec::Store),
                 ];
@@ -631,7 +665,7 @@ mod tests {
                     table.push((
                         "integer-valued f32",
                         testdata::integer_f32(len, seed, stages),
-                        Codec::Shuffle4Lz77,
+                        Codec::Planes4,
                     ));
                 }
                 for (class, data, want) in table {
@@ -655,17 +689,11 @@ mod tests {
         ];
         classes.extend((0..=4).map(|stages| testdata::integer_f32(len, 3, stages)));
         for (i, data) in classes.iter().enumerate() {
-            let best = [
-                Codec::Store,
-                Codec::ZeroRle,
-                Codec::Lz77,
-                Codec::Shuffle4Lz77,
-                Codec::Shuffle8Lz77,
-            ]
-            .map(|codec| compress(data, codec).len())
-            .into_iter()
-            .min()
-            .expect("five codecs");
+            let best = ALL_CODECS
+                .map(|codec| compress(data, codec).len())
+                .into_iter()
+                .min()
+                .expect("seven codecs");
             let chosen = compress_auto(data).len();
             assert!(
                 chosen as f64 <= best as f64 + 0.03 * len as f64,
@@ -744,7 +772,7 @@ mod tests {
         let floats: Vec<u8> = (0..4096)
             .flat_map(|i| (0.5f32 + (i as f32).sin()).to_le_bytes())
             .collect();
-        for codec in [Codec::Shuffle4Lz77, Codec::Shuffle8Lz77] {
+        for codec in ALL_CODECS {
             let frame = compress(&floats, codec);
             assert_eq!(decompress(&frame).unwrap(), floats, "{codec}");
         }
@@ -778,10 +806,41 @@ mod tests {
             shuffled.len(),
             dense.len()
         );
-        // And auto-probe now picks the shuffle codec for such data.
+        // The auto-probe picks the shuffle for such data, with each plane
+        // coded on its own: the exponent plane's skew is worth more to a
+        // prefix code than to the matcher.
         let auto = compress_auto(&dense);
-        assert_eq!(frame_codec(&auto).unwrap(), Codec::Shuffle4Lz77);
+        assert_eq!(frame_codec(&auto).unwrap(), Codec::Planes4);
+        assert!(auto.len() < shuffled.len());
         assert_eq!(decompress(&auto).unwrap(), dense);
+    }
+
+    /// Byte counts cannot see what repeats: the low planes of a ramp hold
+    /// every byte value equally often, in a period or in runs. The
+    /// encoder's parse of each plane hands them to the matcher, as one
+    /// match pass over all planes used to find them.
+    #[test]
+    fn planes_that_repeat_without_being_skewed_go_to_the_matcher() {
+        let ramps: [Vec<u8>; 3] = [
+            (0..1 << 16)
+                .flat_map(|i| (i as f32).to_le_bytes())
+                .collect(),
+            (0..1 << 16)
+                .flat_map(|i: i32| (3 * i).to_le_bytes())
+                .collect(),
+            (0..1 << 15)
+                .flat_map(|i| f64::from(i).to_le_bytes())
+                .collect(),
+        ];
+        for ramp in ramps {
+            let frame = compress_auto(&ramp);
+            assert!(matches!(
+                frame_codec(&frame).unwrap(),
+                Codec::Planes4 | Codec::Planes8
+            ));
+            assert!(frame.len() < ramp.len() / 30, "ramp kept {}", frame.len());
+            assert_eq!(decompress(&frame).unwrap(), ramp);
+        }
     }
 
     #[test]

@@ -443,6 +443,38 @@ mod tests {
         }
     }
 
+    /// Coding each plane on its own does not cost bytes against one match
+    /// pass over all of them: on every payload class as the offload path
+    /// hands it to a codec, at one probe window, one stream chunk and the
+    /// largest single frame, the planes frame is at most 1 % (and 64
+    /// bytes, and a code-length table per plane, which is what shows at
+    /// 4 KiB) larger than the `ShuffleKLz77` frame. The classes that are
+    /// byte planes already are left out: shuffled a second time, each of
+    /// their planes changes character part-way, which one pass of the
+    /// matcher follows and one table per plane cannot (up to 23 % more
+    /// bytes on the integer class). No codec meets them — they are what
+    /// the match stage is handed inside one.
+    #[test]
+    fn planes_frames_are_never_larger_than_shuffled_lz77_frames() {
+        use crate::{compress, huffman::TABLE_BYTES, Codec};
+        for len in [4 << 10, 256 << 10, 1 << 20] {
+            let classes = payload_classes(len, 2017);
+            for (name, data) in classes.iter().filter(|(name, _)| !name.ends_with("planes")) {
+                for (planes, shuffled, stride) in [
+                    (Codec::Planes4, Codec::Shuffle4Lz77, 4),
+                    (Codec::Planes8, Codec::Shuffle8Lz77, 8),
+                ] {
+                    let new = compress(data, planes).len();
+                    let old = compress(data, shuffled).len();
+                    assert!(
+                        new * 100 <= old * 101 + (64 + TABLE_BYTES * stride) * 100,
+                        "{name} ({len} bytes): {planes} {new} vs {shuffled} {old}"
+                    );
+                }
+            }
+        }
+    }
+
     /// `reference_encode` is the previous release's encoder, not a cousin:
     /// it reproduces the frames that release sealed, byte for byte.
     #[test]

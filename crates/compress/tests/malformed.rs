@@ -94,19 +94,21 @@ fn sample(kind: u8, len: usize) -> Vec<u8> {
         .collect()
 }
 
-const CODECS: [Codec; 5] = [
+const CODECS: [Codec; 7] = [
     Codec::Store,
     Codec::ZeroRle,
     Codec::Lz77,
     Codec::Shuffle4Lz77,
     Codec::Shuffle8Lz77,
+    Codec::Planes4,
+    Codec::Planes8,
 ];
 
 #[test]
 fn hostile_declared_length_is_an_error_not_an_allocation() {
     // The 18-byte frame that used to abort the process with "memory
     // allocation of 1152921504606846976 bytes failed".
-    for codec_id in 0..=4u8 {
+    for codec_id in 0..=6u8 {
         for declared in [1u64 << 60, u64::MAX, 1 << 40, 1 << 32, 70_000] {
             for payload in [&[][..], &[1, 7, 0][..], &[0x80, 0x80][..]] {
                 let bytes = frame(codec_id, declared, payload);
@@ -178,6 +180,223 @@ fn hostile_stream_counts_and_frame_lengths_are_errors() {
     }
 }
 
+/// A buffer whose byte planes (of either stride) are, in turn, constant,
+/// noise and skewed: a planes frame of it holds a matched, a stored and a
+/// Huffman-coded plane.
+fn three_mode_input(len: usize) -> Vec<u8> {
+    let mut x = 0x9E37_79B9u32;
+    (0..len)
+        .map(|i| {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            match i % 4 {
+                0 => 0,
+                1 => (x >> 24) as u8,
+                _ => [7, 7, 7, 7, 9, 9, 200, 3][(x >> 29) as usize],
+            }
+        })
+        .collect()
+}
+
+/// The plane modes of a sealed planes frame, read off the documented
+/// layout: `stride x (mode, coded_len varint, coded bytes)`.
+fn plane_modes(frame: &[u8], stride: usize) -> Vec<u8> {
+    let read_varint = |pos: &mut usize| {
+        let mut value = 0usize;
+        for shift in (0..).step_by(7) {
+            value |= usize::from(frame[*pos] & 0x7F) << shift;
+            *pos += 1;
+            if frame[*pos - 1] < 0x80 {
+                break;
+            }
+        }
+        value
+    };
+    let mut pos = 5;
+    read_varint(&mut pos);
+    (0..stride)
+        .map(|_| {
+            let mode = frame[pos];
+            pos += 1;
+            pos += read_varint(&mut pos);
+            mode
+        })
+        .collect()
+}
+
+/// Every truncation and every single-bit flip of a frame that exercises all
+/// three plane decoders: an error or the original bytes, never a panic,
+/// never memory the damaged bytes do not justify.
+#[test]
+fn damaged_planes_frames_never_panic_or_lie() {
+    for (codec, stride) in [(Codec::Planes4, 4), (Codec::Planes8, 8)] {
+        let data = three_mode_input(4099);
+        let valid = compress(&data, codec);
+        let mut modes = plane_modes(&valid, stride);
+        modes.sort_unstable();
+        modes.dedup();
+        assert_eq!(modes, [0, 1, 2], "{codec} frame lacks a plane mode");
+        assert_eq!(decompress(&valid).unwrap(), data);
+        let budget = RESERVE_FACTOR * valid.len().max(data.len()) + RESERVE_SLACK;
+        for cut in 0..valid.len() {
+            let (frame, stream, largest) = decode_both(&valid[..cut]);
+            assert!(frame.is_err() && stream.is_err(), "{codec} cut at {cut}");
+            assert!(
+                largest <= budget,
+                "{codec} cut at {cut}: reserved {largest}"
+            );
+        }
+        for bit in 0..valid.len() * 8 {
+            let mut flipped = valid.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let (frame, stream, largest) = decode_both(&flipped);
+            assert!(stream.is_err());
+            if let Ok(decoded) = frame {
+                assert_eq!(decoded, data, "{codec} bit {bit} flipped: a lie");
+            }
+            assert!(largest <= budget, "{codec} bit {bit}: reserved {largest}");
+        }
+    }
+}
+
+/// A stride-4 planes frame over `n` elements `[symbol, 0, 0, 0]`: plane 0
+/// is `plane0` verbatim (mode, length and all), the other three are
+/// stored zeros, and the crc is right — so a decoder that let a forbidden
+/// `plane0` through would return `Ok`.
+fn planes_frame(n: usize, symbol: u8, plane0: &[u8]) -> Vec<u8> {
+    let data: Vec<u8> = (0..4 * n)
+        .map(|i| if i % 4 == 0 { symbol } else { 0 })
+        .collect();
+    let mut out = b"GZL1\x05".to_vec();
+    out.extend(varint(data.len() as u64));
+    out.extend_from_slice(plane0);
+    for _ in 0..3 {
+        out.push(0);
+        out.extend(varint(n as u64));
+        out.extend(std::iter::repeat_n(0u8, n));
+    }
+    out.extend_from_slice(&gzlite::crc32(&data).to_le_bytes());
+    out
+}
+
+/// A Huffman plane: mode byte, length, the code-length table giving
+/// `lengths[k]` to symbol `k`, the three stream lengths, the streams.
+fn huffman_plane(lengths: &[u8], streams: [&[u8]; 4]) -> Vec<u8> {
+    let mut coded = vec![0u8; 128];
+    for (symbol, len) in lengths.iter().enumerate() {
+        coded[symbol / 2] |= len << (symbol % 2 * 4);
+    }
+    for stream in &streams[..3] {
+        coded.extend(varint(stream.len() as u64));
+    }
+    coded.extend(streams.concat());
+    let mut plane = vec![1];
+    plane.extend(varint(coded.len() as u64));
+    plane.extend(coded);
+    plane
+}
+
+fn assert_rejected(bytes: &[u8], what: &str) {
+    let (frame, stream, largest) = decode_both(bytes);
+    assert!(frame.is_err(), "{what}: decoded to {frame:?}");
+    assert!(stream.is_err());
+    assert!(
+        largest <= RESERVE_FACTOR * bytes.len() + RESERVE_SLACK,
+        "{what}: reserved {largest} for {} input bytes",
+        bytes.len()
+    );
+}
+
+#[test]
+fn hostile_plane_headers_are_errors() {
+    const N: usize = 64;
+    let zeros = [0u8; N];
+    // All-zero streams decode, if at all, to symbol 0 throughout. With two
+    // 1-bit codes or four 2-bit codes they are valid: the baselines.
+    let one_bit = huffman_plane(&[1, 1], [&zeros[..2]; 4]);
+    let two_bit = huffman_plane(&[2, 2, 2, 2], [&zeros[..4]; 4]);
+    for valid in [&one_bit, &two_bit] {
+        assert_eq!(
+            decompress(&planes_frame(N, 0, valid)).unwrap(),
+            [0u8; 4 * N]
+        );
+    }
+    let mut steep: Vec<u8> = (1..=13).collect();
+    steep.push(13);
+    for (what, lengths) in [
+        ("all-zero table", &[][..]),
+        ("single-symbol table", &[1]),
+        ("incomplete table", &[1, 2]),
+        ("over-subscribed table", &[1, 1, 1]),
+        ("code over the length limit", &steep),
+        ("length nibble 15", &[1, 15]),
+    ] {
+        for stream in [&zeros[..2], &zeros[..4], &zeros[..16]] {
+            assert_rejected(
+                &planes_frame(N, 0, &huffman_plane(lengths, [stream; 4])),
+                what,
+            );
+        }
+    }
+    // The bit stream ends inside the last symbols, or goes on after them,
+    // in the last quarter and in an earlier one.
+    for (what, streams) in [
+        (
+            "last stream short",
+            [&zeros[..4], &zeros[..4], &zeros[..4], &zeros[..3]],
+        ),
+        (
+            "last stream long",
+            [&zeros[..4], &zeros[..4], &zeros[..4], &zeros[..5]],
+        ),
+        (
+            "first stream short",
+            [&zeros[..3], &zeros[..4], &zeros[..4], &zeros[..4]],
+        ),
+        (
+            "second stream long",
+            [&zeros[..4], &zeros[..5], &zeros[..4], &zeros[..4]],
+        ),
+        ("no streams", [&[][..]; 4]),
+    ] {
+        assert_rejected(
+            &planes_frame(N, 0, &huffman_plane(&[2, 2, 2, 2], streams)),
+            what,
+        );
+    }
+    // Plane and stream lengths that are absent, short, far past the payload
+    // or past `usize`, under every mode including ones that do not exist.
+    for mode in [0u8, 1, 2, 3, 255] {
+        for coded_len in [0u64, 1, 1 << 20, u64::MAX] {
+            let mut plane = vec![mode];
+            plane.extend(varint(coded_len));
+            assert_rejected(&planes_frame(N, 0, &plane), "plane length");
+            // The same in front of a plane's worth of real bytes.
+            plane.extend_from_slice(&two_bit[2..]);
+            assert_rejected(&planes_frame(N, 0, &plane), "plane length");
+        }
+        for stream_len in [1u64 << 20, u64::MAX] {
+            let mut coded = vec![0x22, 0x22];
+            coded.resize(128, 0);
+            coded.extend(varint(stream_len));
+            coded.extend_from_slice(&[4, 4]);
+            coded.extend_from_slice(&zeros[..16]);
+            let mut plane = vec![mode];
+            plane.extend(varint(coded.len() as u64));
+            plane.extend(coded);
+            assert_rejected(&planes_frame(N, 0, &plane), "stream length");
+        }
+    }
+    // A valid plane under a header that declares far more: a Huffman plane
+    // of n bytes needs n / 8 bytes of payload, so nothing is reserved.
+    for declared in [1u64 << 26, 1 << 40, u64::MAX] {
+        let mut bytes = b"GZL1\x05".to_vec();
+        bytes.extend(varint(declared));
+        bytes.extend_from_slice(&two_bit);
+        bytes.extend_from_slice(&[0; 4]);
+        assert_rejected(&bytes, "declared length");
+    }
+}
+
 proptest! {
     /// Any bytes at all.
     #[test]
@@ -195,7 +414,7 @@ proptest! {
     fn damaged_frames_never_panic_or_lie(
         kind in any::<u8>(),
         len in 0usize..3000,
-        codec in 0usize..5,
+        codec in 0usize..7,
         at in 0.0f64..1.0,
         mask in 1u8..=255,
     ) {

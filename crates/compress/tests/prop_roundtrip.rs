@@ -4,6 +4,23 @@
 use gzlite::{compress, compress_auto, decompress, Codec};
 use proptest::prelude::*;
 
+/// Every length around the strides, on bytes skewed enough that the
+/// longer inputs take the Huffman coder: the tail behind the last whole
+/// element and the ragged last quarter of a plane both round-trip.
+#[test]
+fn planes_roundtrip_at_every_small_length() {
+    for codec in [Codec::Planes4, Codec::Planes8] {
+        for len in (0..70).chain(4000..4070) {
+            let data: Vec<u8> = (0..len)
+                .map(|i| [1, 1, 1, 2, 1, 3, 1, 1, 2][i % 9])
+                .collect();
+            let frame = compress(&data, codec);
+            assert_eq!(decompress(&frame).unwrap(), data, "{codec} {len}");
+            assert!(len < 4000 || frame.len() < len / 2, "{codec} {len}: stored");
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn roundtrip_store(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
@@ -33,6 +50,24 @@ proptest! {
     fn roundtrip_shuffle8(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
         let frame = compress(&data, Codec::Shuffle8Lz77);
         prop_assert_eq!(decompress(&frame).unwrap(), data);
+    }
+
+    /// Both planes codecs over arbitrary bytes — lengths that are no
+    /// multiple of the stride and the empty input included — as drawn
+    /// (stored planes) and masked down to a few symbols a byte, which is
+    /// what sends planes to the Huffman coder and, at mask 0, the matcher.
+    #[test]
+    fn roundtrip_planes(
+        data in proptest::collection::vec(any::<u8>(), 0..4096),
+        mask in any::<u8>(),
+    ) {
+        let masked: Vec<u8> = data.iter().map(|byte| byte & mask).collect();
+        for codec in [Codec::Planes4, Codec::Planes8] {
+            for input in [&data, &masked] {
+                let frame = compress(input, codec);
+                prop_assert_eq!(&decompress(&frame).unwrap(), input);
+            }
+        }
     }
 
     #[test]

@@ -730,7 +730,7 @@ impl TransferMemory {
     }
 
     /// Choose the cheapest legal way to get host input `host` cloud-side:
-    /// cached, deduped or delta-clean (recorded on `input`, nothing to
+    /// delta-clean, cached or deduped (recorded on `input`, nothing to
     /// put), or narrowed, delta-patched or in full — returned as the
     /// upload decision and the payload to stage.
     fn plan_upload(
@@ -747,6 +747,17 @@ impl TransferMemory {
         let mut bytes = pool.get(host.byte_len());
         host.write_bytes_into(&mut bytes);
         let full_bytes = input.full_bytes;
+        // Delta first: a clean diff means the driver's ledger already holds
+        // these bytes, so not even a cache hit's fetch is needed. The cache
+        // entry stays as it is, for a later round without delta.
+        let diff = (config.map_optimize && config.delta_transfers)
+            .then(|| self.delta.diff(&input.var, &bytes));
+        if diff == Some(DeltaDiff::Clean) {
+            input.source = InputSource::DeltaClean {
+                crc: gzlite::crc32(&bytes),
+            };
+            return None;
+        }
         let cache_fp = config.data_caching.then(|| Fingerprint::of(&bytes));
         if let Some(fp) = cache_fp {
             if let CacheDecision::Hit { storage_key } = self.cache.check(&input.var, fp) {
@@ -794,31 +805,20 @@ impl TransferMemory {
                     return Some((upload, hull));
                 }
             }
-            // Delta: diff against the last committed payload and ship
-            // only the dirty tiles.
-            if config.delta_transfers {
-                match self.delta.diff(&input.var, &bytes) {
-                    DeltaDiff::Clean => {
-                        input.source = InputSource::DeltaClean {
-                            crc: gzlite::crc32(&bytes),
-                        };
-                        return None;
-                    }
-                    DeltaDiff::Dirty(dirty) => {
-                        let patch = self.delta.encode_patch(&bytes, &dirty);
-                        // A patch as large as the payload loses to a
-                        // plain upload: fall through.
-                        if patch.len() < bytes.len() {
-                            let upload = UploadAction::Delta {
-                                dirty_tiles: dirty.len() as u32,
-                                total_tiles: self.delta.tile_count(bytes.len()) as u32,
-                                bytes: patch.len() as u64,
-                                full_bytes,
-                            };
-                            return Some((upload, patch.into()));
-                        }
-                    }
-                    DeltaDiff::NoBase => {}
+            // Delta: ship only the tiles that differ from the last
+            // committed payload.
+            if let Some(DeltaDiff::Dirty(dirty)) = diff {
+                let patch = self.delta.encode_patch(&bytes, &dirty);
+                // A patch as large as the payload loses to a plain
+                // upload: fall through.
+                if patch.len() < bytes.len() {
+                    let upload = UploadAction::Delta {
+                        dirty_tiles: dirty.len() as u32,
+                        total_tiles: self.delta.tile_count(bytes.len()) as u32,
+                        bytes: patch.len() as u64,
+                        full_bytes,
+                    };
+                    return Some((upload, patch.into()));
                 }
             }
         }
@@ -1054,6 +1054,58 @@ mod tests {
             .unwrap();
         // Loop 2 broadcasts x whole: no narrowing.
         assert_eq!(narrow_len(&region, "x", 100), None);
+    }
+
+    /// With caching and delta both on, an unchanged input is served from
+    /// the driver's ledger — no store op at all — rather than re-fetched
+    /// from the object the cache remembers; the cache entry survives for a
+    /// round without delta.
+    #[test]
+    fn unchanged_input_is_delta_clean_before_it_is_a_cache_hit() {
+        let region = TargetRegion::builder("r")
+            .map_to("w")
+            .map_from("y")
+            .parallel_for(4, |l| l.body(|_, _, _| {}))
+            .build()
+            .unwrap();
+        let w = payload(256);
+        let mut env = DataEnv::new();
+        env.insert("w", w.clone());
+        env.insert("y", vec![0u8; 4]);
+        let mut memory = TransferMemory {
+            cache: UploadCache::new(),
+            delta: DeltaLedger::new(64),
+        };
+        memory
+            .cache
+            .record("w", Fingerprint::of(&w), "job-0/in/w".into());
+        memory.delta.commit("w", &w);
+        let mut config = CloudConfig {
+            data_caching: true,
+            delta_transfers: true,
+            ..CloudConfig::default()
+        };
+        let pool = BytePool::new();
+        let mut source_of_w = |config: &CloudConfig| {
+            let site = PlanSite {
+                config,
+                prefix: "job-1",
+                pool: &pool,
+            };
+            let hints = DataflowHints::default();
+            let mut plan = memory
+                .plan(&region, &env, &hints, HashMap::new(), &site)
+                .unwrap();
+            assert!(plan.uploads.is_empty());
+            (plan.inputs.swap_remove(0).source, plan.fetch_only)
+        };
+        let (source, fetch_only) = source_of_w(&config);
+        assert!(matches!(source, InputSource::DeltaClean { crc } if crc == gzlite::crc32(&w)));
+        assert!(fetch_only.is_empty(), "a clean diff fetches nothing");
+        config.delta_transfers = false;
+        let (source, fetch_only) = source_of_w(&config);
+        assert!(matches!(source, InputSource::Cached { key } if key == "job-0/in/w"));
+        assert_eq!(fetch_only, ["job-0/in/w"]);
     }
 
     #[test]
