@@ -723,7 +723,7 @@ impl CloudDevice {
         mut attempt: impl FnMut(DataEnv, &mut RegionRun) -> Result<T, ExecFailure>,
     ) -> Result<T, ExecFailure> {
         let sc = self.context();
-        let jobs_before = sc.job_metrics().len();
+        let jobs_before = sc.job_count();
         let max_resumes = journal.map_or(0, |_| self.config.checkpoint_max_resumes);
         let mut resumes = 0usize;
         let mut cluster_env = Some(cluster_env);
@@ -766,7 +766,7 @@ impl CloudDevice {
                 Err(e) => return Err(e),
             }
         };
-        for m in &sc.job_metrics()[jobs_before..] {
+        for m in &sc.job_metrics_since(jobs_before) {
             run.report.resilience.quarantine_trips += m.quarantine_trips as u32;
             run.report.resilience.heartbeat_misses += m.heartbeat_misses as u32;
         }

@@ -210,8 +210,38 @@ pub fn flops(id: BenchId, n: usize) -> f64 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use omp_model::{Device, HostDevice};
+
+    /// Offload `id` on the sequential and on a three-thread host device,
+    /// dense and sparse, at sizes that are no multiple of any vector
+    /// width, and require every output to equal the handwritten
+    /// `sequential()` reference bit for bit: a loop body may be reordered
+    /// for speed only while each output element still sees the same
+    /// floating-point operations in the same order.
+    pub(crate) fn assert_bits_match_reference(id: BenchId) {
+        for kind in [DataKind::Dense, DataKind::Sparse] {
+            for n in [1, 7, 33, 130] {
+                let mut want = build(id, n, kind, 9, DeviceSelector::Default).env;
+                run_host(id, n, &mut want);
+                for device in [HostDevice::sequential(), HostDevice::threaded(3)] {
+                    let mut case = build(id, n, kind, 9, DeviceSelector::Default);
+                    device.execute(&case.region, &mut case.env).unwrap();
+                    for var in case.outputs {
+                        assert!(
+                            case.env.get_erased(var).unwrap().to_bytes()
+                                == want.get_erased(var).unwrap().to_bytes(),
+                            "{} {} n={n} on {}: '{var}' differs in bits from sequential()",
+                            id.name(),
+                            kind.label(),
+                            device.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn all_eight_build_and_validate() {

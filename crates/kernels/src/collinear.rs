@@ -28,7 +28,7 @@ pub fn region(n: usize, device: DeviceSelector) -> TargetRegion {
             l.partition("count", PartitionSpec::rows(1))
                 .flops_per_iter(flops(n) / n as f64)
                 .body(move |i, ins, outs| {
-                    let p = ins.view::<f32>("points");
+                    let p = ins.view::<f32>("points").slice(0..2 * n);
                     let mut count = outs.view_mut::<u32>("count");
                     let (xi, yi) = (p[2 * i], p[2 * i + 1]);
                     let mut c = 0u32;
@@ -94,22 +94,16 @@ pub const OUTPUTS: &[&str] = &["count"];
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::case::{tests::assert_bits_match_reference, BenchId};
 
     #[test]
     fn host_offload_matches_reference() {
-        let n = 48;
-        let mut e = env(n, 77);
-        let mut expected = vec![0u32; n];
-        sequential(n, e.get::<f32>("points").unwrap(), &mut expected);
-        DeviceRegistry::with_host_only()
-            .offload(&region(n, DeviceSelector::Default), &mut e)
-            .unwrap();
-        assert_eq!(e.get::<u32>("count").unwrap(), expected.as_slice());
+        assert_bits_match_reference(BenchId::Collinear);
         // The planted line guarantees some collinear triples exist.
-        assert!(
-            expected.iter().any(|&c| c > 0),
-            "expected collinear triples"
-        );
+        let n = 48;
+        let mut count = vec![0u32; n];
+        sequential(n, &points(n, 77), &mut count);
+        assert!(count.iter().any(|&c| c > 0), "expected collinear triples");
     }
 
     #[test]

@@ -27,29 +27,37 @@ pub fn region(n: usize, m: usize, device: DeviceSelector) -> TargetRegion {
             l.partition("mean", PartitionSpec::rows(1))
                 .flops_per_iter((2 * m) as f64)
                 .body(move |i, ins, outs| {
-                    let d = ins.view::<f32>("data");
-                    let mut mean = outs.view_mut::<f32>("mean");
+                    let d = ins.view::<f32>("data").slice(0..m * n);
                     let mut acc = 0.0f32;
-                    for k in 0..m {
-                        acc += d[k * n + i];
+                    for d_k in d.chunks_exact(n) {
+                        acc += d_k[i];
                     }
-                    mean[i] = acc / m as f32;
+                    outs.view_mut::<f32>("mean")[i] = acc / m as f32;
                 })
         })
         .parallel_for(n, move |l| {
             l.partition("cov", PartitionSpec::rows(n))
                 .flops_per_iter((n * (3 * m + 1)) as f64)
                 .body(move |i, ins, outs| {
-                    let d = ins.view::<f32>("data");
-                    let mean = ins.view::<f32>("mean");
+                    let d = ins.view::<f32>("data").slice(0..m * n);
+                    let mean = ins.view::<f32>("mean").slice(0..n);
                     let mut cov = outs.view_mut::<f32>("cov");
-                    let denom = (m.max(2) - 1) as f32;
-                    for j in 0..n {
-                        let mut acc = 0.0f32;
-                        for k in 0..m {
-                            acc += (d[k * n + i] - mean[i]) * (d[k * n + j] - mean[j]);
+                    let cov_row = cov.slice_mut(i * n..(i + 1) * n);
+                    // Observation `k` outermost, so the inner loop walks one
+                    // row of `data`, `mean` and `cov` contiguously. Every
+                    // `cov[i][j]` still sums its `m` products `k` ascending
+                    // from `+0.0` and is divided once at the end: the bits
+                    // of `sequential()`'s `j`-outer nest.
+                    cov_row.fill(0.0);
+                    for d_k in d.chunks_exact(n) {
+                        let d_ki = d_k[i] - mean[i];
+                        for ((c, &d_kj), &mean_j) in cov_row.iter_mut().zip(d_k).zip(mean) {
+                            *c += d_ki * (d_kj - mean_j);
                         }
-                        cov[i * n + j] = acc / denom;
+                    }
+                    let denom = (m.max(2) - 1) as f32;
+                    for c in cov_row {
+                        *c /= denom;
                     }
                 })
         })
@@ -94,18 +102,11 @@ pub const OUTPUTS: &[&str] = &["cov"];
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::assert_close;
+    use crate::case::{tests::assert_bits_match_reference, BenchId};
 
     #[test]
     fn host_offload_matches_reference() {
-        let (n, m) = (12, 30);
-        let mut e = env(n, m, DataKind::Dense, 17);
-        let mut expected = vec![0.0f32; n * n];
-        sequential(n, m, e.get::<f32>("data").unwrap(), &mut expected);
-        DeviceRegistry::with_host_only()
-            .offload(&region(n, m, DeviceSelector::Default), &mut e)
-            .unwrap();
-        assert_close(e.get::<f32>("cov").unwrap(), &expected, 1e-3, "covar");
+        assert_bits_match_reference(BenchId::Covar);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! broadcast whole to every worker.
 
 use crate::data::{matrix, DataKind};
+use crate::matmul::product_row;
 use omp_model::prelude::*;
 use omp_model::TargetRegion;
 
@@ -33,16 +34,12 @@ pub fn region(n: usize, device: DeviceSelector) -> TargetRegion {
                 .partition("C", PartitionSpec::rows(n))
                 .flops_per_iter(flops(n) / n as f64)
                 .body(move |i, ins, outs| {
-                    let a = ins.view::<f32>("A");
-                    let b = ins.view::<f32>("B");
-                    let c_in = ins.view::<f32>("C");
+                    product_row(n, i, ins, outs, ["A", "B", "C"]);
+                    let row = i * n..(i + 1) * n;
                     let mut c = outs.view_mut::<f32>("C");
-                    for j in 0..n {
-                        let mut acc = 0.0f32;
-                        for k in 0..n {
-                            acc += a[i * n + k] * b[k * n + j];
-                        }
-                        c[i * n + j] = ALPHA * acc + BETA * c_in[i * n + j];
+                    let c_in = ins.view::<f32>("C").slice(row.clone());
+                    for (c, &c_in) in c.slice_mut(row).iter_mut().zip(c_in) {
+                        *c = ALPHA * *c + BETA * c_in;
                     }
                 })
         })
@@ -78,23 +75,11 @@ pub const OUTPUTS: &[&str] = &["C"];
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::assert_close;
+    use crate::case::{tests::assert_bits_match_reference, BenchId};
 
     #[test]
     fn host_offload_matches_reference() {
-        let n = 20;
-        let mut e = env(n, DataKind::Dense, 9);
-        let mut expected = e.get::<f32>("C").unwrap().to_vec();
-        sequential(
-            n,
-            e.get::<f32>("A").unwrap(),
-            e.get::<f32>("B").unwrap(),
-            &mut expected,
-        );
-        DeviceRegistry::with_host_only()
-            .offload(&region(n, DeviceSelector::Default), &mut e)
-            .unwrap();
-        assert_close(e.get::<f32>("C").unwrap(), &expected, 1e-3, "gemm");
+        assert_bits_match_reference(BenchId::Gemm);
     }
 
     #[test]

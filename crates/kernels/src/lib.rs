@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
-// Matrix kernels are written with explicit indices on purpose: they
-// mirror the paper's C loops one-to-one.
+// The `sequential()` references are written with explicit indices on
+// purpose: they mirror the paper's C loops one-to-one.
 #![allow(clippy::needless_range_loop)]
 
 //! `ompcloud-kernels` — the evaluation benchmarks of the ICPP'17 paper.
@@ -13,6 +13,12 @@
 //! (with the paper's partition/broadcast split), a handwritten sequential
 //! reference, data generators for the dense and sparse input classes, and
 //! a flop model for the performance projections.
+//!
+//! The region bodies take their rows as slices (`VarView::slice`) and run
+//! the loop order whose inner loop is contiguous; the references keep the
+//! naive order. The two must agree bit for bit (`case::tests`), so a body
+//! may reorder loops only while every output element still sees the same
+//! floating-point operations in the same order.
 
 pub mod case;
 pub mod collinear;

@@ -9,6 +9,32 @@ pub fn flops(n: usize) -> f64 {
     (n * n) as f64 * 2.0 * n as f64
 }
 
+/// The loop body `c[i][..] = a[i][..] × b` over `n x n` matrices mapped
+/// under the names `[a, b, c]`: the nest every `row of A × matrix` loop of
+/// this crate shares (GEMM, Mat-mul, both of 2MM, all three of 3MM).
+///
+/// `k` is the outer loop and `j` the inner one (PolyBench 4's own `gemm.c`
+/// order), so the inner loop walks `c[i]` and one row of `b` contiguously
+/// and vectorizes across `j`. Each `c[i][j]` still starts from `+0.0` and
+/// takes its products `k` ascending, one multiply and one add each — the
+/// operations of `acc += a[i][k] * b[k][j]` in the same order — so it
+/// carries the bits of the `j`-outer `sequential()` references. Keep it
+/// so: no `mul_add`, no skipped zero operand, no partial sums.
+pub(crate) fn product_row(n: usize, i: usize, ins: &Inputs, outs: &mut Outputs, vars: [&str; 3]) {
+    let [a, b, c] = vars;
+    let row = i * n..(i + 1) * n;
+    let a_row = ins.view::<f32>(a).slice(row.clone());
+    let b = ins.view::<f32>(b).slice(0..n * n);
+    let mut c = outs.view_mut::<f32>(c);
+    let c_row = c.slice_mut(row);
+    c_row.fill(0.0);
+    for (&a_ik, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+        for (c_ij, &b_kj) in c_row.iter_mut().zip(b_row) {
+            *c_ij += a_ik * b_kj;
+        }
+    }
+}
+
 /// The offloadable target region (Listing 1 + the Listing 2 partition).
 pub fn region(n: usize, device: DeviceSelector) -> TargetRegion {
     TargetRegion::builder("matmul")
@@ -20,18 +46,7 @@ pub fn region(n: usize, device: DeviceSelector) -> TargetRegion {
             l.partition("A", PartitionSpec::rows(n))
                 .partition("C", PartitionSpec::rows(n))
                 .flops_per_iter(flops(n) / n as f64)
-                .body(move |i, ins, outs| {
-                    let a = ins.view::<f32>("A");
-                    let b = ins.view::<f32>("B");
-                    let mut c = outs.view_mut::<f32>("C");
-                    for j in 0..n {
-                        let mut acc = 0.0f32;
-                        for k in 0..n {
-                            acc += a[i * n + k] * b[k * n + j];
-                        }
-                        c[i * n + j] = acc;
-                    }
-                })
+                .body(move |i, ins, outs| product_row(n, i, ins, outs, ["A", "B", "C"]))
         })
         .build()
         .expect("matmul region is valid")
@@ -64,23 +79,10 @@ pub const OUTPUTS: &[&str] = &["C"];
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::data::assert_close;
+    use crate::case::{tests::assert_bits_match_reference, BenchId};
 
     #[test]
     fn host_offload_matches_reference() {
-        let n = 16;
-        let mut e = env(n, DataKind::Sparse, 3);
-        let mut expected = vec![0.0f32; n * n];
-        sequential(
-            n,
-            e.get::<f32>("A").unwrap(),
-            e.get::<f32>("B").unwrap(),
-            &mut expected,
-        );
-        DeviceRegistry::with_host_only()
-            .offload(&region(n, DeviceSelector::Default), &mut e)
-            .unwrap();
-        assert_close(e.get::<f32>("C").unwrap(), &expected, 1e-4, "matmul");
+        assert_bits_match_reference(BenchId::MatMul);
     }
 }

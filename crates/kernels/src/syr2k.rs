@@ -5,6 +5,7 @@
 //! therefore broadcast; only `C` rows are partitioned.
 
 use crate::data::{matrix, DataKind};
+use crate::syrk::row_dots;
 use omp_model::prelude::*;
 use omp_model::TargetRegion;
 
@@ -29,16 +30,14 @@ pub fn region(n: usize, device: DeviceSelector) -> TargetRegion {
             l.partition("C", PartitionSpec::rows(n))
                 .flops_per_iter(flops(n) / n as f64)
                 .body(move |i, ins, outs| {
-                    let a = ins.view::<f32>("A");
-                    let b = ins.view::<f32>("B");
-                    let c_in = ins.view::<f32>("C");
+                    let row = i * n..(i + 1) * n;
+                    let a = ins.view::<f32>("A").slice(0..n * n);
+                    let b = ins.view::<f32>("B").slice(0..n * n);
                     let mut c = outs.view_mut::<f32>("C");
-                    for j in 0..n {
-                        let mut acc = 0.0f32;
-                        for k in 0..n {
-                            acc += a[i * n + k] * b[j * n + k] + b[i * n + k] * a[j * n + k];
-                        }
-                        c[i * n + j] = ALPHA * acc + BETA * c_in[i * n + j];
+                    let c_row = c.slice_mut(row.clone());
+                    row_dots([(&a[row.clone()], b), (&b[row.clone()], a)], c_row);
+                    for (c, &c_in) in c_row.iter_mut().zip(ins.view::<f32>("C").slice(row)) {
+                        *c = ALPHA * *c + BETA * c_in;
                     }
                 })
         })
@@ -73,23 +72,10 @@ pub const OUTPUTS: &[&str] = &["C"];
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::data::assert_close;
+    use crate::case::{tests::assert_bits_match_reference, BenchId};
 
     #[test]
     fn host_offload_matches_reference() {
-        let n = 15;
-        let mut e = env(n, DataKind::Sparse, 31);
-        let mut expected = e.get::<f32>("C").unwrap().to_vec();
-        sequential(
-            n,
-            e.get::<f32>("A").unwrap(),
-            e.get::<f32>("B").unwrap(),
-            &mut expected,
-        );
-        DeviceRegistry::with_host_only()
-            .offload(&region(n, DeviceSelector::Default), &mut e)
-            .unwrap();
-        assert_close(e.get::<f32>("C").unwrap(), &expected, 1e-3, "syr2k");
+        assert_bits_match_reference(BenchId::Syr2k);
     }
 }

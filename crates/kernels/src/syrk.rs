@@ -19,6 +19,46 @@ pub fn flops(n: usize) -> f64 {
     (n * n) as f64 * (2.0 * n as f64 + 3.0)
 }
 
+/// Outputs computed side by side by [`row_dots`]. Four measured fastest at
+/// `n = 384`: two is 1.1x slower, eight 1.2-1.6x, sixteen (SYR2K) 3x —
+/// past four the rows and sums no longer fit the registers.
+const LANES: usize = 4;
+
+/// `out[j] = Σ_k Σ_p x_p[k] · M_p[j][k]` for `pairs` of a row `x_p` and a
+/// row-major `n x n` matrix `M_p`, `n = out.len()`: the row·row dot
+/// products of SYRK (one pair) and SYR2K (two).
+///
+/// One such sum is a chain of dependent adds that may not be reassociated
+/// — each `out[j]` takes its terms `k` ascending from `+0.0`, a term's
+/// products added left to right, as the `sequential()` references do — so
+/// [`LANES`] outputs are summed at once and their independent chains
+/// overlap.
+pub(crate) fn row_dots<const P: usize>(pairs: [(&[f32], &[f32]); P], out: &mut [f32]) {
+    let n = out.len();
+    for (block, out) in out.chunks_mut(LANES).enumerate() {
+        // A lane past the last row recomputes that row and is dropped,
+        // which spares a tail loop.
+        let rows: [[&[f32]; LANES]; P] = std::array::from_fn(|p| {
+            std::array::from_fn(|lane| {
+                let j = (block * LANES + lane).min(n - 1);
+                &pairs[p].1[j * n..][..n]
+            })
+        });
+        let xs: [&[f32]; P] = std::array::from_fn(|p| &pairs[p].0[..n]);
+        let mut acc = [0.0f32; LANES];
+        for k in 0..n {
+            for lane in 0..LANES {
+                let mut term = xs[0][k] * rows[0][lane][k];
+                for p in 1..P {
+                    term += xs[p][k] * rows[p][lane][k];
+                }
+                acc[lane] += term;
+            }
+        }
+        out.copy_from_slice(&acc[..out.len()]);
+    }
+}
+
 /// The offloadable target region.
 pub fn region(n: usize, device: DeviceSelector) -> TargetRegion {
     TargetRegion::builder("syrk")
@@ -29,15 +69,13 @@ pub fn region(n: usize, device: DeviceSelector) -> TargetRegion {
             l.partition("C", PartitionSpec::rows(n))
                 .flops_per_iter(flops(n) / n as f64)
                 .body(move |i, ins, outs| {
-                    let a = ins.view::<f32>("A");
-                    let c_in = ins.view::<f32>("C");
+                    let row = i * n..(i + 1) * n;
+                    let a = ins.view::<f32>("A").slice(0..n * n);
                     let mut c = outs.view_mut::<f32>("C");
-                    for j in 0..n {
-                        let mut acc = 0.0f32;
-                        for k in 0..n {
-                            acc += a[i * n + k] * a[j * n + k];
-                        }
-                        c[i * n + j] = ALPHA * acc + BETA * c_in[i * n + j];
+                    let c_row = c.slice_mut(row.clone());
+                    row_dots([(&a[row.clone()], a)], c_row);
+                    for (c, &c_in) in c_row.iter_mut().zip(ins.view::<f32>("C").slice(row)) {
+                        *c = ALPHA * *c + BETA * c_in;
                     }
                 })
         })
@@ -72,18 +110,11 @@ pub const OUTPUTS: &[&str] = &["C"];
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::data::assert_close;
+    use crate::case::{tests::assert_bits_match_reference, BenchId};
 
     #[test]
     fn host_offload_matches_reference() {
-        let n = 18;
-        let mut e = env(n, DataKind::Dense, 21);
-        let mut expected = e.get::<f32>("C").unwrap().to_vec();
-        sequential(n, e.get::<f32>("A").unwrap(), &mut expected);
-        DeviceRegistry::with_host_only()
-            .offload(&region(n, DeviceSelector::Default), &mut e)
-            .unwrap();
-        assert_close(e.get::<f32>("C").unwrap(), &expected, 1e-3, "syrk");
+        assert_bits_match_reference(BenchId::Syrk);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! cores).
 
 use crate::data::{matrix, DataKind};
+use crate::matmul::product_row;
 use omp_model::prelude::*;
 use omp_model::TargetRegion;
 
@@ -27,52 +28,19 @@ pub fn region(n: usize, device: DeviceSelector) -> TargetRegion {
             l.partition("A", PartitionSpec::rows(n))
                 .partition("E", PartitionSpec::rows(n))
                 .flops_per_iter(2.0 * (n * n) as f64)
-                .body(move |i, ins, outs| {
-                    let a = ins.view::<f32>("A");
-                    let b = ins.view::<f32>("B");
-                    let mut e = outs.view_mut::<f32>("E");
-                    for j in 0..n {
-                        let mut acc = 0.0f32;
-                        for k in 0..n {
-                            acc += a[i * n + k] * b[k * n + j];
-                        }
-                        e[i * n + j] = acc;
-                    }
-                })
+                .body(move |i, ins, outs| product_row(n, i, ins, outs, ["A", "B", "E"]))
         })
         .parallel_for(n, move |l| {
             l.partition("Cm", PartitionSpec::rows(n))
                 .partition("F", PartitionSpec::rows(n))
                 .flops_per_iter(2.0 * (n * n) as f64)
-                .body(move |i, ins, outs| {
-                    let c = ins.view::<f32>("Cm");
-                    let d = ins.view::<f32>("Dm");
-                    let mut f = outs.view_mut::<f32>("F");
-                    for j in 0..n {
-                        let mut acc = 0.0f32;
-                        for k in 0..n {
-                            acc += c[i * n + k] * d[k * n + j];
-                        }
-                        f[i * n + j] = acc;
-                    }
-                })
+                .body(move |i, ins, outs| product_row(n, i, ins, outs, ["Cm", "Dm", "F"]))
         })
         .parallel_for(n, move |l| {
             l.partition("E", PartitionSpec::rows(n))
                 .partition("G", PartitionSpec::rows(n))
                 .flops_per_iter(2.0 * (n * n) as f64)
-                .body(move |i, ins, outs| {
-                    let e = ins.view::<f32>("E");
-                    let f = ins.view::<f32>("F");
-                    let mut g = outs.view_mut::<f32>("G");
-                    for j in 0..n {
-                        let mut acc = 0.0f32;
-                        for k in 0..n {
-                            acc += e[i * n + k] * f[k * n + j];
-                        }
-                        g[i * n + j] = acc;
-                    }
-                })
+                .body(move |i, ins, outs| product_row(n, i, ins, outs, ["E", "F", "G"]))
         })
         .build()
         .expect("3mm region is valid")
@@ -116,25 +84,10 @@ pub const OUTPUTS: &[&str] = &["G"];
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::data::assert_close;
+    use crate::case::{tests::assert_bits_match_reference, BenchId};
 
     #[test]
     fn host_offload_matches_reference() {
-        let n = 12;
-        let mut e = env(n, DataKind::Dense, 11);
-        let mut expected = vec![0.0f32; n * n];
-        sequential(
-            n,
-            e.get::<f32>("A").unwrap(),
-            e.get::<f32>("B").unwrap(),
-            e.get::<f32>("Cm").unwrap(),
-            e.get::<f32>("Dm").unwrap(),
-            &mut expected,
-        );
-        DeviceRegistry::with_host_only()
-            .offload(&region(n, DeviceSelector::Default), &mut e)
-            .unwrap();
-        assert_close(e.get::<f32>("G").unwrap(), &expected, 1e-1, "3mm");
+        assert_bits_match_reference(BenchId::ThreeMm);
     }
 }

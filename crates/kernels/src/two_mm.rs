@@ -6,6 +6,7 @@
 //! staying in cluster memory (§III-D).
 
 use crate::data::{matrix, DataKind};
+use crate::matmul::product_row;
 use omp_model::prelude::*;
 use omp_model::TargetRegion;
 
@@ -34,15 +35,9 @@ pub fn region(n: usize, device: DeviceSelector) -> TargetRegion {
                 .partition("tmp", PartitionSpec::rows(n))
                 .flops_per_iter((n * (2 * n + 1)) as f64)
                 .body(move |i, ins, outs| {
-                    let a = ins.view::<f32>("A");
-                    let b = ins.view::<f32>("B");
-                    let mut tmp = outs.view_mut::<f32>("tmp");
-                    for j in 0..n {
-                        let mut acc = 0.0f32;
-                        for k in 0..n {
-                            acc += a[i * n + k] * b[k * n + j];
-                        }
-                        tmp[i * n + j] = ALPHA * acc;
+                    product_row(n, i, ins, outs, ["A", "B", "tmp"]);
+                    for t in outs.view_mut::<f32>("tmp").slice_mut(i * n..(i + 1) * n) {
+                        *t *= ALPHA;
                     }
                 })
         })
@@ -51,16 +46,12 @@ pub fn region(n: usize, device: DeviceSelector) -> TargetRegion {
                 .partition("D", PartitionSpec::rows(n))
                 .flops_per_iter((n * (2 * n + 2)) as f64)
                 .body(move |i, ins, outs| {
-                    let tmp = ins.view::<f32>("tmp");
-                    let c = ins.view::<f32>("Cm");
-                    let d_in = ins.view::<f32>("D");
+                    product_row(n, i, ins, outs, ["tmp", "Cm", "D"]);
+                    let row = i * n..(i + 1) * n;
                     let mut d = outs.view_mut::<f32>("D");
-                    for j in 0..n {
-                        let mut acc = 0.0f32;
-                        for k in 0..n {
-                            acc += tmp[i * n + k] * c[k * n + j];
-                        }
-                        d[i * n + j] = acc + BETA * d_in[i * n + j];
+                    let d_in = ins.view::<f32>("D").slice(row.clone());
+                    for (d, &d_in) in d.slice_mut(row).iter_mut().zip(d_in) {
+                        *d += BETA * d_in;
                     }
                 })
         })
@@ -107,24 +98,10 @@ pub const OUTPUTS: &[&str] = &["D"];
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::data::assert_close;
+    use crate::case::{tests::assert_bits_match_reference, BenchId};
 
     #[test]
     fn host_offload_matches_reference() {
-        let n = 14;
-        let mut e = env(n, DataKind::Dense, 5);
-        let mut expected = e.get::<f32>("D").unwrap().to_vec();
-        sequential(
-            n,
-            e.get::<f32>("A").unwrap(),
-            e.get::<f32>("B").unwrap(),
-            e.get::<f32>("Cm").unwrap(),
-            &mut expected,
-        );
-        DeviceRegistry::with_host_only()
-            .offload(&region(n, DeviceSelector::Default), &mut e)
-            .unwrap();
-        assert_close(e.get::<f32>("D").unwrap(), &expected, 1e-2, "2mm");
+        assert_bits_match_reference(BenchId::TwoMm);
     }
 }

@@ -12,7 +12,7 @@ use crate::erased::{ErasedSlice, ErasedVec};
 use crate::pod::{Pod, TypeTag};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::ops::{Index, IndexMut};
+use std::ops::{Index, IndexMut, Range};
 use std::sync::Arc;
 
 /// Name → variable table of one tile: filled once per tile, read by the
@@ -50,6 +50,17 @@ impl Hasher for NameHasher {
 #[cold]
 fn mistyped(verb: &str, name: &str, asked: TypeTag, holds: TypeTag) -> ! {
     panic!("kernel {verb} variable '{name}' as {asked} but it holds {holds}")
+}
+
+/// The one failure of `slice`/`slice_mut`, out of line like [`mistyped`].
+#[cold]
+fn outside(verb: &str, asked: Range<usize>, partition: &str, base: usize, len: usize) -> ! {
+    panic!(
+        "kernel {verb} global elements [{}, {}) outside its {partition} [{base}, {})",
+        asked.start,
+        asked.end,
+        base + len
+    )
 }
 
 /// Read-only variables visible to a loop body.
@@ -147,6 +158,22 @@ impl<'a, T: Pod> VarView<'a, T> {
     #[inline]
     pub fn get(&self, g: usize) -> T {
         self[g]
+    }
+
+    /// The elements at global indices `range` as a plain slice: one
+    /// translation and one range check for the whole run, where indexing
+    /// pays both per element (and keeps the loop from vectorizing).
+    /// Panics like indexing when any of `range` lies outside the
+    /// partition, or when it is reversed.
+    #[inline]
+    pub fn slice(&self, range: Range<usize>) -> &'a [T] {
+        // A start below `base` wraps past every valid end, so `get`
+        // refuses it as it refuses a reversed or overlong range.
+        let local = range.start.wrapping_sub(self.base)..range.end.wrapping_sub(self.base);
+        let Some(run) = self.data.get(local) else {
+            outside("read", range, "partition", self.base, self.data.len())
+        };
+        run
     }
 }
 
@@ -306,6 +333,18 @@ impl<'a, T: Pod> VarViewMut<'a, T> {
     pub fn local_mut(&mut self) -> &mut [T] {
         self.data
     }
+
+    /// The elements at global indices `range` as a plain mutable slice;
+    /// checked once and panicking like [`VarView::slice`].
+    #[inline]
+    pub fn slice_mut(&mut self, range: Range<usize>) -> &mut [T] {
+        let (base, len) = (self.base, self.data.len());
+        let local = range.start.wrapping_sub(base)..range.end.wrapping_sub(base);
+        let Some(run) = self.data.get_mut(local) else {
+            outside("wrote", range, "output partition", base, len)
+        };
+        run
+    }
 }
 
 impl<'a, T: Pod> Index<usize> for VarViewMut<'a, T> {
@@ -412,6 +451,74 @@ mod tests {
         let mut outs = Outputs::new();
         outs.add("C", 4, ErasedVec::from_vec(vec![0.0f32; 2]));
         let _ = outs.view_mut::<f32>("C").get(3);
+    }
+
+    /// `A` = [5, 6, 7] at globals [10, 13), as an input and as an output.
+    fn tables_at_10() -> (Inputs, Outputs) {
+        let mut ins = Inputs::new();
+        ins.add(
+            "A",
+            10,
+            Arc::new(ErasedVec::from_vec(vec![5.0f32, 6.0, 7.0])),
+        );
+        let mut outs = Outputs::new();
+        outs.add("A", 10, ErasedVec::from_vec(vec![5.0f32, 6.0, 7.0]));
+        (ins, outs)
+    }
+
+    #[test]
+    fn slices_translate_a_global_range_once() {
+        let (ins, mut outs) = tables_at_10();
+        let a = ins.view::<f32>("A");
+        let mut c = outs.view_mut::<f32>("A");
+        // The whole hull, a part of it, and the empty range at either edge.
+        assert_eq!(a.slice(10..13), &[5.0, 6.0, 7.0]);
+        assert_eq!(a.slice(11..13), &[6.0, 7.0]);
+        assert!(a.slice(10..10).is_empty() && a.slice(13..13).is_empty());
+        assert_eq!(c.slice_mut(10..13), &mut [5.0, 6.0, 7.0]);
+        assert!(c.slice_mut(10..10).is_empty() && c.slice_mut(13..13).is_empty());
+        c.slice_mut(11..13).fill(0.5);
+        assert_eq!(c.slice_mut(10..13), &mut [5.0, 0.5, 0.5]);
+    }
+
+    #[test]
+    #[allow(clippy::reversed_empty_ranges)] // reversed on purpose
+    fn slices_outside_the_partition_panic_naming_range_and_partition() {
+        let message = |range: Range<usize>, write: bool| -> String {
+            let (ins, mut outs) = tables_at_10();
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                if write {
+                    outs.view_mut::<f32>("A").slice_mut(range).len()
+                } else {
+                    ins.view::<f32>("A").slice(range).len()
+                }
+            }));
+            *caught.unwrap_err().downcast::<String>().unwrap()
+        };
+        for range in [
+            9..11,          // straddles the lower edge
+            12..14,         // straddles the upper edge
+            3..12,          // start below `base`: the subtraction wraps
+            3..5,           // both ends below `base`, both wrap
+            9..9,           // empty, but below the partition
+            14..14,         // empty, but past it
+            12..11,         // reversed
+            13..10,         // reversed, hull edge to hull edge
+            10..usize::MAX, // an end no partition reaches
+            usize::MAX..usize::MAX,
+        ] {
+            let asked = format!("[{}, {})", range.start, range.end);
+            assert_eq!(
+                message(range.clone(), false),
+                format!("kernel read global elements {asked} outside its partition [10, 13)")
+            );
+            assert_eq!(
+                message(range, true),
+                format!(
+                    "kernel wrote global elements {asked} outside its output partition [10, 13)"
+                )
+            );
+        }
     }
 
     #[test]

@@ -228,7 +228,22 @@ impl SparkContext {
 
     /// Metrics of every job run so far, oldest first.
     pub fn job_metrics(&self) -> Vec<JobMetrics> {
-        self.inner.metrics.lock().clone()
+        self.job_metrics_since(0)
+    }
+
+    /// Number of jobs run so far.
+    pub fn job_count(&self) -> usize {
+        self.inner.metrics.lock().len()
+    }
+
+    /// Metrics of the jobs after the first `n`, oldest first (none when
+    /// fewer than `n` have run): what a caller that noted [`job_count`]
+    /// reads back, without copying the history before it.
+    ///
+    /// [`job_count`]: SparkContext::job_count
+    pub fn job_metrics_since(&self, n: usize) -> Vec<JobMetrics> {
+        let jobs = self.inner.metrics.lock();
+        jobs.get(n..).unwrap_or_default().to_vec()
     }
 
     /// Metrics of the most recent job.
@@ -515,5 +530,30 @@ impl Drop for Inner {
         for e in self.executors.drain(..) {
             e.shutdown();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn job_metrics_since_reads_only_the_tail() {
+        let sc = SparkContext::new(SparkConf::cluster(2, 2));
+        assert_eq!(sc.job_count(), 0);
+        assert!(sc.job_metrics_since(0).is_empty());
+        for _ in 0..3 {
+            sc.parallelize(vec![1u8, 2, 3], 2).collect().unwrap();
+        }
+        let all = sc.job_metrics();
+        assert_eq!((sc.job_count(), all.len()), (3, 3));
+        for n in 0..=3 {
+            // Exactly the jobs after the first `n`; none at `n == len`.
+            assert_eq!(sc.job_metrics_since(n), all[n..], "since {n}");
+        }
+        // Past the end is "nothing yet", not a panic.
+        assert!(sc.job_metrics_since(4).is_empty());
+        assert!(sc.job_metrics_since(usize::MAX).is_empty());
+        sc.stop();
     }
 }

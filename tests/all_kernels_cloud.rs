@@ -137,6 +137,44 @@ fn kernels_match_handwritten_references() {
 }
 
 #[test]
+fn every_kernel_is_bit_equal_to_its_sequential_reference() {
+    // All eight kernels, dense and sparse, at sizes that are no multiple
+    // of any vector width, on both host devices and on the cloud: every
+    // output must carry the bits of the handwritten `sequential()`
+    // reference — a tolerance would let a reordered summation through,
+    // and with it different wire bytes, codec choices and delta ledgers.
+    let runtime = cloud();
+    for &id in kernels::ALL {
+        for kind in [DataKind::Dense, DataKind::Sparse] {
+            for n in [1, 7, 33, 130] {
+                let mut want = kernels::build(id, n, kind, 9, DeviceSelector::Default).env;
+                kernels::run_host(id, n, &mut want);
+                for device in ["host-seq", "host-3t", "cloud"] {
+                    let mut case = kernels::build(id, n, kind, 9, CloudRuntime::cloud_selector());
+                    let profile = match device {
+                        "host-seq" => HostDevice::sequential().execute(&case.region, &mut case.env),
+                        "host-3t" => HostDevice::threaded(3).execute(&case.region, &mut case.env),
+                        _ => runtime.offload(&case.region, &mut case.env),
+                    }
+                    .unwrap_or_else(|e| panic!("{} n={n} on {device}: {e}", id.name()));
+                    assert_eq!(profile.fallback_from, None, "{} n={n}", id.name());
+                    for var in case.outputs {
+                        assert!(
+                            case.env.get_erased(var).unwrap().to_bytes()
+                                == want.get_erased(var).unwrap().to_bytes(),
+                            "{} {} n={n} on {device}: '{var}' differs in bits from sequential()",
+                            id.name(),
+                            kind.label()
+                        );
+                    }
+                }
+            }
+        }
+    }
+    runtime.shutdown();
+}
+
+#[test]
 fn different_cluster_shapes_same_results() {
     // The tiling adapts to the cluster size without recompilation; the
     // numbers must not depend on it (same per-iteration arithmetic).

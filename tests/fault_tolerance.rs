@@ -125,6 +125,73 @@ fn kernel_panic_fails_the_offload_not_the_process() {
 }
 
 #[test]
+fn slice_past_the_hull_fails_like_an_element_read_past_it() {
+    // The last iteration reads the row after its own, one row past the
+    // hull of its `rows(n)`-partitioned tile: through a slice that must
+    // fail the offload exactly as reading one element of that row does —
+    // a kernel fault caught at task granularity, no silent host fallback
+    // — and leave the runtime usable.
+    let n = 8;
+    let runtime = CloudRuntime::new(CloudConfig {
+        workers: 2,
+        vcpus_per_worker: 4,
+        task_cpus: 2,
+        ..CloudConfig::default()
+    });
+    let failure = |sliced: bool| {
+        let region = TargetRegion::builder("past-the-hull")
+            .device(CloudRuntime::cloud_selector())
+            .map_to("A")
+            .map_from("y")
+            .parallel_for(n, move |l| {
+                l.partition("A", PartitionSpec::rows(n))
+                    .partition("y", PartitionSpec::rows(1))
+                    .body(move |i, ins, outs| {
+                        let a = ins.view::<f32>("A");
+                        let row = if i + 1 == n { i + 1 } else { i };
+                        let row = row * n..(row + 1) * n;
+                        outs.view_mut::<f32>("y")[i] = if sliced {
+                            a.slice(row).iter().sum()
+                        } else {
+                            row.map(|g| a[g]).sum()
+                        };
+                    })
+            })
+            .build()
+            .unwrap();
+        let mut env = DataEnv::new();
+        env.insert("A", vec![1.0f32; n * n]);
+        env.insert("y", vec![0.0f32; n]);
+        let err = runtime.offload(&region, &mut env).unwrap_err();
+        assert_eq!(env.get::<f32>("y").unwrap(), vec![0.0f32; n], "{err}");
+        err
+    };
+    let (indexed, sliced) = (failure(false), failure(true));
+    // Same variant, same task, same attempt count: the texts differ only
+    // in what was asked for.
+    assert!(matches!(indexed, OmpError::Plugin { .. }), "{indexed:?}");
+    assert!(matches!(sliced, OmpError::Plugin { .. }), "{sliced:?}");
+    let indexed = indexed.to_string();
+    assert!(
+        indexed.ends_with("kernel read global element 64 outside its partition [48, 64)"),
+        "{indexed}"
+    );
+    assert_eq!(
+        sliced.to_string(),
+        indexed.replace("element 64", "elements [64, 72)")
+    );
+    let mut case = kernels::build(
+        BenchId::MatMul,
+        12,
+        DataKind::Dense,
+        1,
+        CloudRuntime::cloud_selector(),
+    );
+    runtime.offload(&case.region, &mut case.env).unwrap();
+    runtime.shutdown();
+}
+
+#[test]
 fn storage_corruption_is_detected_not_propagated() {
     // Flip bytes in a staged (compressed) input object between offloads:
     // the decompression CRC must catch it.
