@@ -27,7 +27,7 @@
 //! falls back to host execution automatically.
 
 use crate::breaker::BreakerBank;
-use crate::cache::{ResidencyMap, UploadCache};
+use crate::cache::{Fingerprint, ResidencyMap, UploadCache};
 use crate::config::CloudConfig;
 use crate::mapopt::{
     allocate_outputs, DeltaLedger, InputPlan, InputSource, PlanSite, StagePlan, TransferMemory,
@@ -50,6 +50,7 @@ use parking_lot::Mutex;
 use sparkle::{SparkConf, SparkContext};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The Spark-cluster offloading device.
@@ -57,7 +58,9 @@ pub struct CloudDevice {
     pub(crate) name: String,
     config: CloudConfig,
     store: StoreHandle,
-    pub(crate) transfer: TransferManager,
+    /// Shared with its write-behind writer thread, which runs from the
+    /// first resident commit to [`shutdown`](Self::shutdown).
+    pub(crate) transfer: Arc<TransferManager>,
     sc: Mutex<Option<SparkContext>>,
     job_counter: AtomicU64,
     started_at: Instant,
@@ -128,7 +131,7 @@ impl CloudDevice {
     /// Device over an explicit storage backend (shared with other
     /// devices/tests).
     pub fn with_store(config: CloudConfig, store: StoreHandle) -> CloudDevice {
-        let transfer = TransferManager::new(
+        let transfer = Arc::new(TransferManager::new(
             StoreHandle::clone(&store),
             TransferConfig {
                 min_compression_size: config.min_compression_size,
@@ -137,7 +140,7 @@ impl CloudDevice {
                 codec_threads: config.io_threads,
                 ..TransferConfig::default()
             },
-        );
+        ));
         CloudDevice {
             name: format!("cloud-{:?}", config.provider).to_ascii_lowercase(),
             store,
@@ -162,11 +165,11 @@ impl CloudDevice {
     /// storage URI (S3 bucket or HDFS cluster).
     pub fn from_config(config: CloudConfig) -> CloudDevice {
         let store: StoreHandle = match &config.storage {
-            StorageUri::S3 { bucket, .. } => std::sync::Arc::new(S3Store::standalone(bucket)),
+            StorageUri::S3 { bucket, .. } => Arc::new(S3Store::standalone(bucket)),
             StorageUri::Hdfs { .. } => HdfsStore::with_defaults(config.workers.max(3)),
             StorageUri::Azure {
                 account, container, ..
-            } => std::sync::Arc::new(AzureBlobStore::standalone(account, container)),
+            } => Arc::new(AzureBlobStore::standalone(account, container)),
         };
         Self::with_store(config, store)
     }
@@ -270,8 +273,11 @@ impl CloudDevice {
         self.resident.arm(fault);
     }
 
-    /// Shut the in-process cluster down (tests/examples hygiene).
+    /// Shut the in-process cluster down and join the write-behind
+    /// writer (tests/examples hygiene; dropping the device does the
+    /// same). The device stays usable: both restart on demand.
     pub fn shutdown(&self) {
+        self.transfer.stop_writer();
         if let Some(sc) = self.sc.lock().take() {
             sc.stop();
         }
@@ -283,6 +289,13 @@ impl CloudDevice {
     /// [`TransferManager`] lease protects from orphan collection.
     fn dataflow_root(&self, dag: &str) -> String {
         self.config.storage.key_under(&format!("dataflow/{dag}"))
+    }
+}
+
+impl Drop for CloudDevice {
+    /// The writer thread holds the transfer manager; never leak either.
+    fn drop(&mut self) {
+        self.transfer.stop_writer();
     }
 }
 
@@ -373,6 +386,9 @@ impl DataflowDevice for CloudDevice {
         env: &mut DataEnv,
     ) -> Result<MaterializeReport, OmpError> {
         let t = Instant::now();
+        // A buffer comes home with what its store object weighs, which a
+        // pending version does not know yet.
+        let _ = self.transfer.settle();
         let mut report = MaterializeReport::default();
         for (var, pin) in reads {
             let served = self.resident.serve(&self.transfer, var, *pin)?;
@@ -403,15 +419,12 @@ impl DataflowDevice for CloudDevice {
             .iter()
             .map(|name| Ok((name.as_str(), &**env.get_erased(name)?)))
             .collect::<Result<Vec<_>, OmpError>>()?;
-        let put = self
-            .resident
+        self.resident
             .commit(&self.transfer, &root, epoch, bufs)
             .map_err(|e| OmpError::Plugin {
                 device: self.name.clone(),
                 detail: format!("resident adoption failed: {e}"),
-            })?;
-        self.resident.note_adoption(&put);
-        Ok(())
+            })
     }
 
     fn recovery_depth(&self) -> usize {
@@ -424,9 +437,9 @@ impl DataflowDevice for CloudDevice {
 
     fn end_dataflow(&self, dag: &str) {
         let root = self.dataflow_root(dag);
+        self.resident.end_dag(&self.transfer);
         self.transfer.release(&root);
         self.transfer.delete_prefix(&root);
-        self.resident.end_dag();
     }
 }
 
@@ -462,6 +475,7 @@ impl CloudDevice {
     ) -> Result<ExecProfile, ExecFailure> {
         let mut run = self.open_region(region, hints);
         let plan = self.plan(region, env, hints, &mut run)?;
+        let verified = plan.verified();
         let (cluster_env, journal) = self.stage_in(region, env, plan, &mut run)?;
         // Steps 4–8 under the resume budget: an infrastructure failure
         // inside this window retries the whole block, and the journal
@@ -469,7 +483,8 @@ impl CloudDevice {
         let journal = journal.as_ref();
         let home = self.with_resume_budget(cluster_env, journal, &mut run, |inputs, run| {
             let recovery = journal.map(|j| &j.recovery);
-            let outcome = self.run(region, inputs, recovery, &mut run.report.profile)?;
+            let profile = &mut run.report.profile;
+            let outcome = self.run(region, inputs, &verified, recovery, profile)?;
             self.commit(region, hints, outcome, journal, run)
         })?;
         self.stage_out(region, env, hints, journal, home, run)
@@ -483,7 +498,6 @@ impl CloudDevice {
             report: OffloadReport {
                 tenant: region.tenant.to_string(),
                 profile: ExecProfile::new(self.name.clone()),
-                resilience: self.resident.take_resilience(),
                 ..OffloadReport::default()
             },
             prefix: self.config.storage.key_under(&format!("job-{job_id}")),
@@ -783,6 +797,7 @@ impl CloudDevice {
         &self,
         region: &TargetRegion,
         cluster_env: DataEnv,
+        verified: &HashMap<String, Fingerprint>,
         recovery: Option<&RegionRecovery>,
         profile: &mut ExecProfile,
     ) -> Result<JobOutcome, OmpError> {
@@ -791,6 +806,7 @@ impl CloudDevice {
             &self.config,
             region,
             cluster_env,
+            verified,
             &self.tile_residency,
             recovery,
         )?;
@@ -829,13 +845,14 @@ impl CloudDevice {
                 .map(|m| Ok((m.name.as_str(), &**outcome.env.get_erased(&m.name)?)))
                 .collect::<Result<Vec<_>, OmpError>>()?;
             if !bufs.is_empty() {
+                // Foreground staging plus the wait, if any, for the
+                // previous commit's put; this one's runs beside the
+                // consumer and is booked by whoever settles it.
                 let t = Instant::now();
-                let put = self
-                    .resident
+                self.resident
                     .commit(&self.transfer, &self.dataflow_root(dag), hints.epoch, bufs)
                     .map_err(infra)?;
                 run.report.profile.overhead_s += t.elapsed().as_secs_f64();
-                run.report.resilience.absorb(&put);
             }
             if !hints.recovery {
                 self.resident.fire_armed(&self.transfer, hints.epoch);
@@ -908,6 +925,9 @@ impl CloudDevice {
             report.resilience.tiles_resumed += l.tiles_resumed as u32;
             report.resilience.tiles_replayed += l.tiles_replayed as u32;
         }
+        // Resident puts this region (or an adoption before it) waited
+        // for: their retries are counted here, once.
+        report.resilience.absorb(&self.resident.take_settled_puts());
         let resilience = report.resilience;
         if resilience.tiles_resumed > 0 {
             report.profile.note(format!(
@@ -1029,7 +1049,6 @@ fn infra(e: StorageError) -> ExecFailure {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::Fingerprint;
     use crate::mapopt::{ElideReason, MapPlan, UploadAction};
     use cloud_storage::LatencyStore;
     use omp_model::PartitionSpec;
@@ -1204,6 +1223,7 @@ mod tests {
             .resident
             .commit(&device.transfer, &root, 0, vec![("c", &produced)])
             .unwrap();
+        device.transfer.settle().unwrap();
         let a = env.get_erased("a").unwrap().to_bytes();
         device
             .memory

@@ -586,9 +586,14 @@ pub(crate) enum InputSource {
     /// earlier offload staged under `key`.
     Cached { key: String },
     /// A producer region's output consumed in place — the driver-side
-    /// copy of the version committed under `key`; the host upload is
-    /// elided entirely.
-    Resident { key: String, bytes: Vec<u8> },
+    /// copy (shared, not cloned) of the version committed under `key`,
+    /// with the fingerprint the ladder has just checked it against; the
+    /// host upload is elided entirely.
+    Resident {
+        key: String,
+        bytes: Arc<Vec<u8>>,
+        fp: Fingerprint,
+    },
     /// The delta diff came back clean: zero bytes travel and the cluster
     /// copy is the ledger's committed payload, whose crc32 this is.
     DeltaClean { crc: u32 },
@@ -663,6 +668,19 @@ pub(crate) struct StagePlan {
     pub map_plan: MapPlan,
 }
 
+impl StagePlan {
+    /// The fingerprint of every input the resident ladder served: it has
+    /// just checked the bytes against it, so the map phase's residency
+    /// lookup need not checksum them again.
+    pub(crate) fn verified(&self) -> HashMap<String, Fingerprint> {
+        let served = self.inputs.iter().filter_map(|input| match &input.source {
+            InputSource::Resident { fp, .. } => Some((input.var.clone(), *fp)),
+            _ => None,
+        });
+        served.collect()
+    }
+}
+
 /// Where a plan is made: the knobs, the job's key prefix and the pool
 /// staging buffers are serialized into.
 pub(crate) struct PlanSite<'a> {
@@ -704,6 +722,7 @@ impl TransferMemory {
                 input.source = InputSource::Resident {
                     key: served.version.key,
                     bytes: served.bytes,
+                    fp: served.version.fp,
                 };
             } else {
                 let host = env.get_erased(&m.name)?;

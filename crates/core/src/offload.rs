@@ -99,12 +99,14 @@ pub struct JobOutcome {
 
 /// Execute every `parallel for` of `region` as successive Spark jobs
 /// against `cluster_env` (the driver's copy of the uploaded inputs plus
-/// zero-initialized output variables).
+/// zero-initialized output variables). `verified` holds the fingerprint
+/// of each input stage-in has already checked.
 pub fn run_spark_job(
     sc: &SparkContext,
     config: &CloudConfig,
     region: &TargetRegion,
     mut cluster_env: DataEnv,
+    verified: &HashMap<String, Fingerprint>,
     residency: &Mutex<ResidencyMap>,
     recovery: Option<&crate::recovery::RegionRecovery>,
 ) -> Result<JobOutcome, OmpError> {
@@ -117,6 +119,7 @@ pub fn run_spark_job(
             loop_,
             loop_idx,
             &mut cluster_env,
+            verified,
             residency,
             recovery,
         )?;
@@ -136,6 +139,7 @@ fn run_loop(
     loop_: &ParallelLoop,
     loop_idx: usize,
     cluster_env: &mut DataEnv,
+    verified: &HashMap<String, Fingerprint>,
     residency: &Mutex<ResidencyMap>,
     recovery: Option<&crate::recovery::RegionRecovery>,
 ) -> Result<LoopStats, OmpError> {
@@ -275,9 +279,16 @@ fn run_loop(
     // seeded there and shielded from thieves for the delay-scheduling
     // window. Whole-variable fingerprints guard against mutation between
     // offloads — a changed buffer silently drops its stale residency.
+    // What stage-in has just checked against its fingerprint (`verified`:
+    // a resident input) is not checksummed again — by the first loop,
+    // that is: a later one may read what an earlier one rewrote.
     let scatter_fps: HashMap<String, Fingerprint> = scatter_specs
         .iter()
-        .map(|(name, _, buf)| (name.clone(), Fingerprint::of_erased(buf)))
+        .map(|(name, _, buf)| {
+            let known = verified.get(name).filter(|_| loop_idx == 0).copied();
+            let fp = known.unwrap_or_else(|| Fingerprint::of_erased(buf));
+            (name.clone(), fp)
+        })
         .collect();
     let tile_hulls: Vec<Vec<(String, usize, usize)>> = pending
         .iter()

@@ -33,7 +33,9 @@ use crate::{StorageError, StoreHandle};
 use gzlite::MAGIC;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of the transfer engine.
@@ -415,6 +417,28 @@ impl Ledger {
     }
 }
 
+/// A batch for the write-behind writer: buffers shared with their owner,
+/// and where the put's outcome goes.
+type BehindJob = (
+    Vec<(String, Arc<Vec<u8>>)>,
+    Sender<Result<TransferReport, StorageError>>,
+);
+
+/// What the owner of a write-behind put is told when it settles.
+type OnSettled = Box<dyn FnOnce(&TransferManager, Result<&TransferReport, &StorageError>) + Send>;
+
+/// The write-behind side of a manager (see
+/// [`TransferManager::upload_behind`]): one writer thread, and at most
+/// one put it has not been asked about yet.
+#[derive(Default)]
+struct WriteBehind {
+    /// Started by the first write-behind put, joined by
+    /// [`TransferManager::stop_writer`].
+    writer: Option<(Sender<BehindJob>, JoinHandle<()>)>,
+    /// The put in flight: where its outcome arrives, and whom to tell.
+    pending: Option<(Receiver<Result<TransferReport, StorageError>>, OnSettled)>,
+}
+
 /// Moves batches of named buffers between host memory and a cloud store.
 pub struct TransferManager {
     store: StoreHandle,
@@ -427,6 +451,9 @@ pub struct TransferManager {
     /// live dataflow sessions whose resident intermediates have no
     /// commit manifest by design.
     leases: parking_lot::Mutex<std::collections::HashSet<String>>,
+    /// Held across a settle, so no op of this manager can slip in front
+    /// of the put it waits for. The writer thread never takes it.
+    behind: parking_lot::Mutex<WriteBehind>,
 }
 
 impl TransferManager {
@@ -438,6 +465,7 @@ impl TransferManager {
             ledger: parking_lot::Mutex::new(Ledger::default()),
             pool: BytePool::new(),
             leases: parking_lot::Mutex::new(std::collections::HashSet::new()),
+            behind: parking_lot::Mutex::default(),
         }
     }
 
@@ -506,6 +534,7 @@ impl TransferManager {
         region: &str,
         names: &[String],
     ) -> Result<CommitManifest, StorageError> {
+        self.settle()?;
         let entries = names
             .iter()
             .map(|name| {
@@ -532,6 +561,7 @@ impl TransferManager {
 
     /// Fetch and parse `region`'s commit manifest.
     pub fn read_manifest(&self, region: &str) -> Result<CommitManifest, StorageError> {
+        self.settle()?;
         let key = Self::manifest_key(region);
         let (manifest, ..) =
             self.fetch_with_retry(&key, None, |bytes| CommitManifest::from_bytes(&key, &bytes))?;
@@ -573,6 +603,8 @@ impl TransferManager {
     /// with a region that is still staging (a mid-upload region is
     /// indistinguishable from a crashed one).
     pub fn collect_orphans(&self, prefix: &str) -> usize {
+        // A listing cannot fail; the put's owner has been told.
+        let _ = self.settle();
         let mut by_region: HashMap<String, Vec<String>> = HashMap::new();
         let mut dataflow_orphans: Vec<String> = Vec::new();
         for key in self.store.list(prefix) {
@@ -913,7 +945,13 @@ impl TransferManager {
         &self,
         items: Vec<(String, B)>,
     ) -> Result<TransferReport, StorageError> {
-        let items = items.into_iter().map(|(k, b)| (k, b.into())).collect();
+        self.settle()?;
+        self.upload_now(items.into_iter().map(|(k, b)| (k, b.into())).collect())
+    }
+
+    /// [`upload`](Self::upload) without the settle: what the write-behind
+    /// writer runs, being the put everyone else settles.
+    fn upload_now(&self, items: Vec<(String, PoolBuf)>) -> Result<TransferReport, StorageError> {
         let t0 = Instant::now();
         let results = self.run_parallel(self.layout(items), |mut object| {
             let t = Instant::now();
@@ -932,11 +970,96 @@ impl TransferManager {
         })
     }
 
+    /// Write-behind [`upload`](Self::upload): hand `items` to this
+    /// manager's writer thread and return. At most one such put is ever
+    /// pending, and it is *settled* — waited for, `on_settled` told its
+    /// outcome — immediately before this manager issues its next store
+    /// operation of any kind: a transfer, a manifest read or write, an
+    /// orphan listing, the next write-behind put (whose `Err` is then the
+    /// previous put's, with nothing of this one queued). The store thus
+    /// sees the ops of a synchronous caller in the same order; only the
+    /// wall-clock moment of the put moves, and a failed put surfaces as
+    /// the error of exactly the next operation. Deletes by key prefix do
+    /// not settle: whoever deletes keys a pending put may be writing calls
+    /// [`settle`](Self::settle) first.
+    ///
+    /// The buffers stay shared with the caller; the writer stages its own
+    /// pooled copy. The thread starts on first use and runs until
+    /// [`stop_writer`](Self::stop_writer), which the manager's owner must
+    /// call: the thread keeps the manager alive.
+    pub fn upload_behind(
+        self: &Arc<Self>,
+        items: Vec<(String, Arc<Vec<u8>>)>,
+        on_settled: impl FnOnce(&TransferManager, Result<&TransferReport, &StorageError>)
+            + Send
+            + 'static,
+    ) -> Result<(), StorageError> {
+        let mut behind = self.behind.lock();
+        self.settle_in(&mut behind)?;
+        let (jobs, _) = behind.writer.get_or_insert_with(|| {
+            let (jobs, queue) = channel::<BehindJob>();
+            let manager = Arc::clone(self);
+            let writer = std::thread::Builder::new()
+                .name("write-behind".into())
+                .spawn(move || {
+                    for (items, done) in queue {
+                        let staged = items.iter().map(|(key, shared)| {
+                            let mut buf = manager.pool.get(shared.len());
+                            buf.extend_from_slice(shared);
+                            (key.clone(), buf)
+                        });
+                        let _ = done.send(manager.upload_now(staged.collect()));
+                    }
+                })
+                .expect("spawn write-behind writer");
+            (jobs, writer)
+        });
+        let (done, outcome) = channel();
+        // The thread leaves its loop early only by panicking in the store.
+        jobs.send((items, done)).map_err(|_| {
+            StorageError::Unavailable("write-behind writer is gone; nothing was queued".into())
+        })?;
+        behind.pending = Some((outcome, Box::new(on_settled)));
+        Ok(())
+    }
+
+    /// Wait for the pending write-behind put, if there is one, tell its
+    /// owner, and return its error. Every operation of this manager that
+    /// touches the store starts here.
+    pub fn settle(&self) -> Result<(), StorageError> {
+        self.settle_in(&mut self.behind.lock())
+    }
+
+    fn settle_in(&self, behind: &mut WriteBehind) -> Result<(), StorageError> {
+        let Some((outcome, on_settled)) = behind.pending.take() else {
+            return Ok(());
+        };
+        let outcome = outcome.recv().unwrap_or_else(|_| {
+            Err(StorageError::Unavailable(
+                "write-behind writer exited before its put finished".into(),
+            ))
+        });
+        on_settled(self, outcome.as_ref());
+        outcome.map(drop)
+    }
+
+    /// Settle, then stop and join the writer thread. A later
+    /// [`upload_behind`](Self::upload_behind) starts a fresh one.
+    pub fn stop_writer(&self) {
+        let mut behind = self.behind.lock();
+        let _ = self.settle_in(&mut behind);
+        if let Some((jobs, writer)) = behind.writer.take() {
+            drop(jobs); // the queue closes, the thread leaves its loop
+            let _ = writer.join();
+        }
+    }
+
     /// Download a batch of keys, transparently decompressing gzlite
     /// frames and unpacking packed buffers (a pack is fetched once for
     /// all the keys it holds). Returns the payloads in the order
     /// requested plus a report with one item per store object read.
     pub fn download(&self, keys: Vec<String>) -> Result<DownloadResult, StorageError> {
+        self.settle()?;
         let t0 = Instant::now();
         let total = keys.len();
         let results = self.run_parallel(self.locate(keys, 0), |object| {
@@ -993,6 +1116,8 @@ impl TransferManager {
         if total == 0 {
             return Ok((Vec::new(), PipelineReport::default()));
         }
+        // Inside the wall: the caller waited on the store either way.
+        self.settle()?;
         let n_put_items = put_items.len();
         let to_put = self.layout(put_items);
         let to_get = self.locate(fetch_only, n_put_items);
