@@ -4,8 +4,9 @@
 //! The groups sweep 4 KiB / 256 KiB / 4 MiB payloads across the classes
 //! of `ompcloud_bench::payloads` for crc32 and the wire encode/decode
 //! paths, all with `Throughput::Bytes` so criterion reports MB/s
-//! directly. The machine-checkable ledger (`BENCH_codec.json`) comes from the
-//! `codec_speed` bin; these benches are for profiling individual cells.
+//! directly. The machine-checkable gates (round trip, ratio ceiling per
+//! class) are `tests/codec_gates.rs`; these benches are for profiling
+//! individual cells.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ompcloud_bench::payloads::{payload, KINDS, SIZES};

@@ -1,17 +1,17 @@
-//! Measures what the resilience layer costs when nothing goes wrong —
-//! and what latency it buys back when something does.
+//! Measures what retries cost a fan-in region when something goes
+//! wrong, beside the same region when nothing does.
 //!
-//! Three configurations over the same fan-in region on a latency
-//! store:
+//! Two legs over the same fan-in region on a latency store, both on the
+//! one transfer path there is (wire crc32 ledger verified on every
+//! download, retry policy armed with 2 ms backoff):
 //!
-//! * `off`  — integrity verification disabled, zero backoff: the bare
-//!   transfer path.
-//! * `on`   — the default hardened path (wire crc32 ledger, retry
-//!   policy armed). Zero faults are injected, so the difference to
-//!   `off` is pure bookkeeping overhead; the gate is < 5%.
-//! * `chaos` — hardened path under a seeded 5%-transient fault plan
-//!   with 2ms backoff; reported as p50/p95 wall time so the tail cost
-//!   of retries is visible.
+//! * `on`    — zero faults injected.
+//! * `chaos` — a seeded 5%-transient fault plan; reported as p50/p95
+//!   wall time so the tail cost of retries is visible.
+//!
+//! (Until PR 24 a third leg, `off`, ran with `verify-integrity = no` and
+//! zero backoff; its three-run medians against `on` are in
+//! EXPERIMENTS.md "Knob diet, second cut".)
 //!
 //! Usage: `cargo run --release -p ompcloud-bench --bin resilience_overhead
 //!         [-- --json PATH]` (default PATH: BENCH_resilience.json)
@@ -89,16 +89,15 @@ fn env() -> DataEnv {
     env
 }
 
-fn config(hardened: bool) -> CloudConfig {
+fn config() -> CloudConfig {
     CloudConfig {
         workers: 2,
         vcpus_per_worker: 4,
         task_cpus: 2,
         min_compression_size: 1024,
         io_threads: 32,
-        verify_integrity: hardened,
-        backoff_base_ms: if hardened { 2 } else { 0 },
-        backoff_cap_ms: if hardened { 50 } else { 0 },
+        backoff_base_ms: 2,
+        backoff_cap_ms: 50,
         ..CloudConfig::default()
     }
 }
@@ -113,19 +112,13 @@ fn p95(sorted: &[f64]) -> f64 {
 
 /// Run `reps` offloads through `make_store`'s stores, returning wall
 /// times plus summed resilience counters.
-fn run_mode(
-    mode: &str,
-    hardened: bool,
-    reps: usize,
-    make_store: impl Fn(usize) -> StoreHandle,
-) -> ModeResult {
+fn run_mode(mode: &str, reps: usize, make_store: impl Fn(usize) -> StoreHandle) -> ModeResult {
     let mut times = Vec::with_capacity(reps);
     let (mut retries, mut refetches) = (0u64, 0u64);
     // One discarded warm-up rep: thread pools and allocator caches make
     // whichever mode runs first look slower otherwise.
     for rep in 0..reps + 1 {
-        let rt =
-            CloudRuntime::with_device(CloudDevice::with_store(config(hardened), make_store(rep)));
+        let rt = CloudRuntime::with_device(CloudDevice::with_store(config(), make_store(rep)));
         let mut e = env();
         let t0 = Instant::now();
         rt.offload(&region(CloudRuntime::cloud_selector()), &mut e)
@@ -173,9 +166,8 @@ fn main() {
          latency, {CLEAN_REPS} clean + {CHAOS_REPS} chaos runs\n"
     );
 
-    let off = run_mode("off", false, CLEAN_REPS, |_| latency_store());
-    let on = run_mode("on", true, CLEAN_REPS, |_| latency_store());
-    let chaos = run_mode("chaos", true, CHAOS_REPS, |rep| {
+    let on = run_mode("on", CLEAN_REPS, |_| latency_store());
+    let chaos = run_mode("chaos", CHAOS_REPS, |rep| {
         let plan = FaultPlan::new(CHAOS_SEED.wrapping_add(rep as u64)).rule(FaultRule::new(
             OpFilter::Any,
             Trigger::Probability(0.05),
@@ -186,17 +178,15 @@ fn main() {
 
     // Medians, not means: per-run wall times are tens of milliseconds,
     // where scheduler noise dominates a mean but barely moves a median.
-    let overhead_pct = (on.median_s / off.median_s - 1.0) * 100.0;
     let chaos_tail_pct = (chaos.p95_s / on.median_s - 1.0) * 100.0;
 
-    for r in [&off, &on, &chaos] {
+    for r in [&on, &chaos] {
         println!(
             "{:>6}: median {:6.3}s  mean {:6.3}s  p95 {:6.3}s  ({} retries, {} re-fetches)",
             r.mode, r.median_s, r.mean_s, r.p95_s, r.retries, r.refetches
         );
     }
-    println!("\nzero-fault overhead (on vs off, median): {overhead_pct:.2}%");
-    println!("chaos p95 vs clean median: {chaos_tail_pct:+.1}%");
+    println!("\nchaos p95 vs clean median: {chaos_tail_pct:+.1}%");
     assert!(
         chaos.retries > 0,
         "the 5% transient plan must actually exercise the retry path"
@@ -209,10 +199,8 @@ fn main() {
         ("clean_repetitions", (CLEAN_REPS as u64).to_json()),
         ("chaos_repetitions", (CHAOS_REPS as u64).to_json()),
         ("chaos_seed", CHAOS_SEED.to_json()),
-        ("off", off.to_json()),
         ("on", on.to_json()),
         ("chaos", chaos.to_json()),
-        ("overhead_pct", overhead_pct.to_json()),
         ("chaos_tail_pct", chaos_tail_pct.to_json()),
     ]);
     std::fs::write(&json_path, jsonlite::to_string_pretty(&doc)).expect("write json");

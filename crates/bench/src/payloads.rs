@@ -1,6 +1,6 @@
-//! The payload matrix of the codec benches (`codec_speed`,
-//! `benches/codec.rs`): three entropy classes and the three classes an
-//! offload actually carries, at three sizes.
+//! The payload matrix of the codec bench (`benches/codec.rs`) and the
+//! codec gates (`tests/codec_gates.rs`): three entropy classes and the
+//! three classes an offload actually carries, at three sizes.
 
 use ompcloud_kernels::data::{matrix, DataKind};
 

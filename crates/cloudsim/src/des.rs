@@ -51,7 +51,6 @@ pub struct Sim {
     now: SimTime,
     seq: u64,
     queue: BinaryHeap<Entry>,
-    executed: u64,
 }
 
 impl Sim {
@@ -63,11 +62,6 @@ impl Sim {
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events executed so far.
-    pub fn events_executed(&self) -> u64 {
-        self.executed
     }
 
     /// Schedule `f` at absolute virtual time `at` (clamped to now).
@@ -92,26 +86,9 @@ impl Sim {
     pub fn run(&mut self) -> SimTime {
         while let Some(Entry { at, f, .. }) = self.queue.pop() {
             self.now = at;
-            self.executed += 1;
             f(self);
         }
         self.now
-    }
-
-    /// Run events up to and including virtual time `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        while let Some(head) = self.queue.peek() {
-            if head.at > t {
-                break;
-            }
-            let Entry { at, f, .. } = self.queue.pop().expect("peeked");
-            self.now = at;
-            self.executed += 1;
-            f(self);
-        }
-        if self.now < t {
-            self.now = t;
-        }
     }
 }
 
@@ -146,11 +123,6 @@ impl Resource {
     /// Maximum slots ever held at once.
     pub fn peak_in_use(&self) -> usize {
         self.peak_in_use
-    }
-
-    /// Queued acquisitions.
-    pub fn queue_len(&self) -> usize {
-        self.waiters.len()
     }
 }
 
@@ -240,22 +212,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(*hits.borrow(), 2);
-        assert_eq!(sim.events_executed(), 2);
-    }
-
-    #[test]
-    fn run_until_stops_at_horizon() {
-        let hits = Rc::new(RefCell::new(0u32));
-        let mut sim = Sim::new();
-        for t in [1.0, 2.0, 10.0] {
-            let h = Rc::clone(&hits);
-            sim.schedule_at(t, move |_| *h.borrow_mut() += 1);
-        }
-        sim.run_until(5.0);
-        assert_eq!(*hits.borrow(), 2);
-        assert_eq!(sim.now(), 5.0);
-        sim.run();
-        assert_eq!(*hits.borrow(), 3);
     }
 
     #[test]

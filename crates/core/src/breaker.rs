@@ -137,25 +137,6 @@ impl BreakerBank {
         }
         self.others.lock().get(tenant).is_some_and(|b| b.is_open())
     }
-
-    /// Is *any* tenant's breaker open? (Coarse health signal for
-    /// reports and operators; dispatch decisions stay per-tenant.)
-    pub fn any_open(&self) -> bool {
-        self.default.is_open() || self.others.lock().values().any(|b| b.is_open())
-    }
-
-    /// Lifetime trips summed across every tenant's breaker.
-    pub fn total_trips(&self) -> u64 {
-        self.default.trips() + self.others.lock().values().map(|b| b.trips()).sum::<u64>()
-    }
-
-    /// Force every breaker closed (operator reset).
-    pub fn reset_all(&self) {
-        self.default.reset();
-        for b in self.others.lock().values() {
-            b.reset();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -216,10 +197,7 @@ mod tests {
         assert!(bank.is_open_for("a"));
         assert!(!bank.is_open_for("b"), "b's breaker never saw a failure");
         assert!(!bank.is_open_for(DEFAULT_TENANT));
-        assert!(bank.any_open());
-        assert_eq!(bank.total_trips(), 1);
-        bank.reset_all();
-        assert!(!bank.any_open());
+        assert_eq!(a.trips(), 1);
     }
 
     #[test]

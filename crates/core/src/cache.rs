@@ -195,11 +195,6 @@ impl ResidencyMap {
             .retain(|(v, _, _), (fp, _)| v != var || *fp == fingerprint);
     }
 
-    /// Forget every tile of one variable.
-    pub fn invalidate_var(&mut self, var: &str) {
-        self.entries.retain(|(v, _, _), _| v != var);
-    }
-
     /// Drop everything (cluster restarted; nothing is resident).
     pub fn clear(&mut self) {
         self.entries.clear();
@@ -343,14 +338,12 @@ mod tests {
     }
 
     #[test]
-    fn residency_invalidate_and_clear() {
+    fn residency_clear() {
         let mut map = ResidencyMap::new();
         let fp = Fingerprint::of(b"x");
         map.record("A", fp, 0, 8, 0);
-        map.record("A", fp, 8, 16, 1);
         map.record("B", fp, 0, 8, 2);
-        map.invalidate_var("A");
-        assert_eq!(map.len(), 1);
+        assert_eq!(map.len(), 2);
         assert!(!map.is_empty());
         map.clear();
         assert!(map.is_empty());

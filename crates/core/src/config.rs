@@ -85,12 +85,6 @@ pub struct CloudConfig {
     /// Iterations per tile; 0 = auto (Algorithm 1's even split across
     /// the cluster's task slots). The autotuner sweeps this.
     pub tile_size: usize,
-    /// Map-transfer optimizer: analyze the region's map set and tile
-    /// plan before execution to elide dead transfers (`from`-only
-    /// uploads, `alloc` scratch), narrow over-approximated bounds to
-    /// the iteration hull actually touched, and dedupe byte-identical
-    /// buffers within one upload set.
-    pub map_optimize: bool,
     /// Dirty-tile delta transfers for iterative regions: re-upload only
     /// the tiles of an input buffer whose crc32 changed since the last
     /// committed offload, riding the wire-crc ledger. Off by default —
@@ -132,9 +126,6 @@ pub struct CloudConfig {
     /// Whole-transfer retry budget per op (attempts + backoff); 0
     /// disables it.
     pub transfer_deadline_ms: u64,
-    /// Verify the crc32 of every downloaded object against the
-    /// upload-time ledger / backend checksum.
-    pub verify_integrity: bool,
     /// Consecutive failed offloads that mark the device degraded (the
     /// circuit breaker opens and regions fall back to the host); 0
     /// disables the breaker.
@@ -153,13 +144,8 @@ pub struct CloudConfig {
     /// lineage recovery.
     pub recovery_depth: usize,
     /// Executor failure score that trips quarantine (task failure = 1,
-    /// heartbeat miss = 0.5, integrity re-fetch = 0.25); 0 disables
-    /// quarantine.
+    /// heartbeat miss = 0.5); 0 disables quarantine.
     pub quarantine_threshold: f64,
-    /// How long a tripped executor stays blacklisted.
-    pub quarantine_penalty_ms: u64,
-    /// Half-life of the failure score decay between incidents.
-    pub quarantine_decay_ms: u64,
     /// Heartbeat window: an executor holding running tasks that has not
     /// stamped progress within this window is scored a miss; 0 disables
     /// heartbeat monitoring.
@@ -205,7 +191,6 @@ impl Default for CloudConfig {
             io_threads: 8,
             dataflow: true,
             tile_size: 0,
-            map_optimize: true,
             delta_transfers: false,
             delta_tile_bytes: 64 * 1024,
             autotune: crate::autotune::AutotuneConfig::default(),
@@ -219,14 +204,11 @@ impl Default for CloudConfig {
             backoff_cap_ms: 1000,
             op_deadline_ms: 0,
             transfer_deadline_ms: 0,
-            verify_integrity: true,
             breaker_threshold: 3,
             checkpoint: false,
             checkpoint_max_resumes: 2,
             recovery_depth: 2,
             quarantine_threshold: 3.0,
-            quarantine_penalty_ms: 2000,
-            quarantine_decay_ms: 5000,
             quarantine_heartbeat_ms: 0,
             tenancy_enabled: false,
             tenancy_admission_window: 64,
@@ -243,256 +225,7 @@ impl CloudConfig {
     pub fn from_str(text: &str) -> Result<CloudConfig, OmpError> {
         let ini = Ini::parse(text).map_err(|e| bad_config(e.to_string()))?;
         let mut cfg = CloudConfig::default();
-
-        if let Some(p) = ini.get("cloud", "provider") {
-            cfg.provider = p.parse().map_err(bad_config)?;
-        }
-        if let Some(d) = ini.get("cloud", "spark-driver") {
-            cfg.spark_driver = d.to_string();
-        }
-        if let Some(s) = ini.get("cloud", "storage") {
-            cfg.storage = StorageUri::parse(s).map_err(|e| bad_config(e.to_string()))?;
-        }
-        if let Some(k) = ini.get("cloud", "access-key") {
-            cfg.access_key = k.to_string();
-        }
-        if let Some(k) = ini.get("cloud", "secret-key") {
-            cfg.secret_key = k.to_string();
-        }
-        if let Some(w) = ini
-            .get_parsed::<usize>("cluster", "workers")
-            .map_err(bad_config)?
-        {
-            cfg.workers = w;
-        }
-        if let Some(v) = ini
-            .get_parsed::<usize>("cluster", "vcpus-per-worker")
-            .map_err(bad_config)?
-        {
-            cfg.vcpus_per_worker = v;
-        }
-        if let Some(t) = ini
-            .get_parsed::<usize>("cluster", "task-cpus")
-            .map_err(bad_config)?
-        {
-            cfg.task_cpus = t;
-        }
-        if let Some(s) = ini
-            .get_parsed::<usize>("offload", "min-compression-size")
-            .map_err(bad_config)?
-        {
-            cfg.min_compression_size = s;
-        }
-        if let Some(v) = ini.get_bool("offload", "verbose").map_err(bad_config)? {
-            cfg.verbose = v;
-        }
-        if let Some(a) = ini
-            .get_bool("offload", "ec2-autostart")
-            .map_err(bad_config)?
-        {
-            cfg.ec2_autostart = a;
-        }
-        if let Some(t) = ini.get("offload", "instance-type") {
-            cfg.instance_type = t.to_string();
-        }
-        if let Some(c) = ini
-            .get_bool("offload", "data-caching")
-            .map_err(bad_config)?
-        {
-            cfg.data_caching = c;
-        }
-        if let Some(d) = ini
-            .get_bool("offload", "distributed-reduce")
-            .map_err(bad_config)?
-        {
-            cfg.distributed_reduce = d;
-        }
-        if let Some(t) = ini
-            .get_parsed::<usize>("offload", "io-threads")
-            .map_err(bad_config)?
-        {
-            cfg.io_threads = t;
-        }
-        if let Some(d) = ini.get_bool("offload", "dataflow").map_err(bad_config)? {
-            cfg.dataflow = d;
-        }
-        if let Some(t) = ini
-            .get_parsed::<usize>("offload", "tile-size")
-            .map_err(bad_config)?
-        {
-            cfg.tile_size = t;
-        }
-        if let Some(m) = ini
-            .get_bool("offload", "map-optimize")
-            .map_err(bad_config)?
-        {
-            cfg.map_optimize = m;
-        }
-        if let Some(d) = ini
-            .get_bool("offload", "delta-transfers")
-            .map_err(bad_config)?
-        {
-            cfg.delta_transfers = d;
-        }
-        if let Some(b) = ini
-            .get_parsed::<usize>("offload", "delta-tile-bytes")
-            .map_err(bad_config)?
-        {
-            cfg.delta_tile_bytes = b;
-        }
-        if let Some(e) = ini.get_bool("autotune", "enabled").map_err(bad_config)? {
-            cfg.autotune.enabled = e;
-        }
-        if let Some(p) = ini.get("autotune", "profile") {
-            cfg.autotune.profile = p.to_string();
-        }
-        if let Some(l) = ini.get("autotune", "tile-sizes") {
-            cfg.autotune.tile_sizes = parse_list(l).map_err(bad_config)?;
-        }
-        if let Some(l) = ini.get("autotune", "io-threads") {
-            cfg.autotune.io_threads = parse_list(l).map_err(bad_config)?;
-        }
-        if let Some(l) = ini.get("autotune", "compression-thresholds") {
-            cfg.autotune.thresholds = parse_list(l).map_err(bad_config)?;
-        }
-        if let Some(s) = ini
-            .get_parsed::<sparkle::ScheduleMode>("offload", "schedule")
-            .map_err(bad_config)?
-        {
-            cfg.schedule = s;
-        }
-        if let Some(f) = ini
-            .get_parsed::<f64>("offload", "spec-factor")
-            .map_err(bad_config)?
-        {
-            cfg.spec_factor = f;
-        }
-        if let Some(w) = ini
-            .get_parsed::<u64>("offload", "locality-wait-ms")
-            .map_err(bad_config)?
-        {
-            cfg.locality_wait_ms = w;
-        }
-        if let Some(u) = ini
-            .get_bool("offload", "simulate-unreachable")
-            .map_err(bad_config)?
-        {
-            cfg.simulate_unreachable = u;
-        }
-        if let Some(r) = ini
-            .get_parsed::<usize>("resilience", "max-retries")
-            .map_err(bad_config)?
-        {
-            cfg.max_retries = r;
-        }
-        if let Some(r) = ini
-            .get_parsed::<usize>("resilience", "max-refetches")
-            .map_err(bad_config)?
-        {
-            cfg.max_refetches = r;
-        }
-        if let Some(b) = ini
-            .get_parsed::<u64>("resilience", "backoff-base-ms")
-            .map_err(bad_config)?
-        {
-            cfg.backoff_base_ms = b;
-        }
-        if let Some(c) = ini
-            .get_parsed::<u64>("resilience", "backoff-cap-ms")
-            .map_err(bad_config)?
-        {
-            cfg.backoff_cap_ms = c;
-        }
-        if let Some(d) = ini
-            .get_parsed::<u64>("resilience", "op-deadline-ms")
-            .map_err(bad_config)?
-        {
-            cfg.op_deadline_ms = d;
-        }
-        if let Some(d) = ini
-            .get_parsed::<u64>("resilience", "transfer-deadline-ms")
-            .map_err(bad_config)?
-        {
-            cfg.transfer_deadline_ms = d;
-        }
-        if let Some(v) = ini
-            .get_bool("resilience", "verify-integrity")
-            .map_err(bad_config)?
-        {
-            cfg.verify_integrity = v;
-        }
-        if let Some(t) = ini
-            .get_parsed::<u64>("resilience", "breaker-threshold")
-            .map_err(bad_config)?
-        {
-            cfg.breaker_threshold = t;
-        }
-        if let Some(c) = ini
-            .get_bool("resilience", "checkpoint")
-            .map_err(bad_config)?
-        {
-            cfg.checkpoint = c;
-        }
-        if let Some(r) = ini
-            .get_parsed::<usize>("resilience", "checkpoint-max-resumes")
-            .map_err(bad_config)?
-        {
-            cfg.checkpoint_max_resumes = r;
-        }
-        if let Some(d) = ini
-            .get_parsed::<usize>("resilience", "recovery-depth")
-            .map_err(bad_config)?
-        {
-            cfg.recovery_depth = d;
-        }
-        if let Some(t) = ini
-            .get_parsed::<f64>("resilience", "quarantine-threshold")
-            .map_err(bad_config)?
-        {
-            cfg.quarantine_threshold = t;
-        }
-        if let Some(p) = ini
-            .get_parsed::<u64>("resilience", "quarantine-penalty-ms")
-            .map_err(bad_config)?
-        {
-            cfg.quarantine_penalty_ms = p;
-        }
-        if let Some(d) = ini
-            .get_parsed::<u64>("resilience", "quarantine-decay-ms")
-            .map_err(bad_config)?
-        {
-            cfg.quarantine_decay_ms = d;
-        }
-        if let Some(h) = ini
-            .get_parsed::<u64>("resilience", "quarantine-heartbeat-ms")
-            .map_err(bad_config)?
-        {
-            cfg.quarantine_heartbeat_ms = h;
-        }
-        if let Some(e) = ini.get_bool("tenancy", "enabled").map_err(bad_config)? {
-            cfg.tenancy_enabled = e;
-        }
-        if let Some(w) = ini
-            .get_parsed::<usize>("tenancy", "admission-window")
-            .map_err(bad_config)?
-        {
-            cfg.tenancy_admission_window = w;
-        }
-        if let Some(p) = ini
-            .get_parsed::<usize>("tenancy", "max-pending")
-            .map_err(bad_config)?
-        {
-            cfg.tenancy_max_pending = p;
-        }
-        if let Some(s) = ini
-            .get_parsed::<f64>("tenancy", "shed-watermark")
-            .map_err(bad_config)?
-        {
-            cfg.tenancy_shed_watermark = s;
-        }
-        if let Some(w) = ini.get("tenancy", "weights") {
-            cfg.tenancy_weights = parse_weights(w).map_err(bad_config)?;
-        }
+        cfg.read_keys(&ini).map_err(bad_config)?;
         // Every key this parser knows has been looked up by now, so what
         // the file holds beyond those would be silently ignored: a typo,
         // or a key of an older version whose setting no longer applies.
@@ -503,6 +236,60 @@ impl CloudConfig {
         }
         cfg.validate()?;
         Ok(cfg)
+    }
+
+    /// Every key this version reads, one line each. `cluster.conf.example`
+    /// and DESIGN's configuration ledger list exactly these (a test holds
+    /// the three together); a key absent from the file keeps its default.
+    #[rustfmt::skip] // a table: one key per line, whatever the line's width
+    fn read_keys(&mut self, ini: &Ini) -> Result<(), String> {
+        let uri = |s: &str| StorageUri::parse(s).map_err(|e| e.to_string());
+        ini.read_with("cloud", "provider", &mut self.provider, str::parse)?;
+        ini.read_into("cloud", "spark-driver", &mut self.spark_driver)?;
+        ini.read_with("cloud", "storage", &mut self.storage, uri)?;
+        ini.read_into("cloud", "access-key", &mut self.access_key)?;
+        ini.read_into("cloud", "secret-key", &mut self.secret_key)?;
+        ini.read_into("cluster", "workers", &mut self.workers)?;
+        ini.read_into("cluster", "vcpus-per-worker", &mut self.vcpus_per_worker)?;
+        ini.read_into("cluster", "task-cpus", &mut self.task_cpus)?;
+        ini.read_into("offload", "min-compression-size", &mut self.min_compression_size)?;
+        ini.read_bool_into("offload", "verbose", &mut self.verbose)?;
+        ini.read_bool_into("offload", "ec2-autostart", &mut self.ec2_autostart)?;
+        ini.read_into("offload", "instance-type", &mut self.instance_type)?;
+        ini.read_bool_into("offload", "data-caching", &mut self.data_caching)?;
+        ini.read_bool_into("offload", "distributed-reduce", &mut self.distributed_reduce)?;
+        ini.read_into("offload", "io-threads", &mut self.io_threads)?;
+        ini.read_bool_into("offload", "dataflow", &mut self.dataflow)?;
+        ini.read_into("offload", "tile-size", &mut self.tile_size)?;
+        ini.read_bool_into("offload", "delta-transfers", &mut self.delta_transfers)?;
+        ini.read_into("offload", "delta-tile-bytes", &mut self.delta_tile_bytes)?;
+        ini.read_into("offload", "schedule", &mut self.schedule)?;
+        ini.read_into("offload", "spec-factor", &mut self.spec_factor)?;
+        ini.read_into("offload", "locality-wait-ms", &mut self.locality_wait_ms)?;
+        ini.read_bool_into("offload", "simulate-unreachable", &mut self.simulate_unreachable)?;
+        ini.read_into("resilience", "max-retries", &mut self.max_retries)?;
+        ini.read_into("resilience", "max-refetches", &mut self.max_refetches)?;
+        ini.read_into("resilience", "backoff-base-ms", &mut self.backoff_base_ms)?;
+        ini.read_into("resilience", "backoff-cap-ms", &mut self.backoff_cap_ms)?;
+        ini.read_into("resilience", "op-deadline-ms", &mut self.op_deadline_ms)?;
+        ini.read_into("resilience", "transfer-deadline-ms", &mut self.transfer_deadline_ms)?;
+        ini.read_into("resilience", "breaker-threshold", &mut self.breaker_threshold)?;
+        ini.read_bool_into("resilience", "checkpoint", &mut self.checkpoint)?;
+        ini.read_into("resilience", "checkpoint-max-resumes", &mut self.checkpoint_max_resumes)?;
+        ini.read_into("resilience", "recovery-depth", &mut self.recovery_depth)?;
+        ini.read_into("resilience", "quarantine-threshold", &mut self.quarantine_threshold)?;
+        ini.read_into("resilience", "quarantine-heartbeat-ms", &mut self.quarantine_heartbeat_ms)?;
+        let tune = &mut self.autotune;
+        ini.read_bool_into("autotune", "enabled", &mut tune.enabled)?;
+        ini.read_into("autotune", "profile", &mut tune.profile)?;
+        ini.read_with("autotune", "tile-sizes", &mut tune.tile_sizes, parse_list)?;
+        ini.read_with("autotune", "io-threads", &mut tune.io_threads, parse_list)?;
+        ini.read_with("autotune", "compression-thresholds", &mut tune.thresholds, parse_list)?;
+        ini.read_bool_into("tenancy", "enabled", &mut self.tenancy_enabled)?;
+        ini.read_into("tenancy", "admission-window", &mut self.tenancy_admission_window)?;
+        ini.read_into("tenancy", "max-pending", &mut self.tenancy_max_pending)?;
+        ini.read_into("tenancy", "shed-watermark", &mut self.tenancy_shed_watermark)?;
+        ini.read_with("tenancy", "weights", &mut self.tenancy_weights, parse_weights)
     }
 
     /// Read and parse a configuration file. When `[autotune] enabled`
@@ -583,11 +370,6 @@ impl CloudConfig {
                 self.quarantine_threshold
             )));
         }
-        if self.quarantine_threshold > 0.0 && self.quarantine_penalty_ms == 0 {
-            return Err(bad_config(
-                "quarantine-penalty-ms must be positive when quarantine is enabled",
-            ));
-        }
         if !(self.tenancy_shed_watermark.is_finite()
             && (0.0..=1.0).contains(&self.tenancy_shed_watermark))
         {
@@ -620,15 +402,17 @@ impl CloudConfig {
         })
     }
 
-    /// The executor quarantine policy these knobs describe.
+    /// The executor quarantine policy `quarantine-threshold` describes:
+    /// a tripped executor sits out two seconds, and half a failure score
+    /// is forgiven after five quiet ones.
     pub fn quarantine_config(&self) -> sparkle::QuarantineConfig {
         if self.quarantine_threshold <= 0.0 {
             return sparkle::QuarantineConfig::disabled();
         }
         sparkle::QuarantineConfig {
             threshold: self.quarantine_threshold,
-            penalty: std::time::Duration::from_millis(self.quarantine_penalty_ms),
-            decay: std::time::Duration::from_millis(self.quarantine_decay_ms),
+            penalty: std::time::Duration::from_secs(2),
+            decay: std::time::Duration::from_secs(5),
         }
     }
 
@@ -808,12 +592,64 @@ instance-type = c3.8xlarge
 
     #[test]
     fn a_retired_key_is_rejected_not_ignored() {
-        // Both were booleans selecting a second data path until PR 15;
-        // `= no` must not pass for a setting that still does something.
-        for key in ["pipelined-transfers", "streaming-collect"] {
-            let err = CloudConfig::from_str(&format!("[offload]\n{key} = no\n")).unwrap_err();
-            assert!(detail(err).contains(&format!("[offload] {key} ")));
+        // Booleans that selected a second data path (PR 15) or switched
+        // the optimizer or the integrity check off (PR 24), and two
+        // quarantine timings that became constants: `= no` must not pass
+        // for a setting that still does something.
+        for (section, key) in [
+            ("offload", "pipelined-transfers"),
+            ("offload", "streaming-collect"),
+            ("offload", "map-optimize"),
+            ("resilience", "verify-integrity"),
+            ("resilience", "quarantine-penalty-ms"),
+            ("resilience", "quarantine-decay-ms"),
+        ] {
+            let err = CloudConfig::from_str(&format!("[{section}]\n{key} = no\n")).unwrap_err();
+            assert_eq!(
+                detail(err),
+                format!("[{section}] {key} is not a setting this version reads")
+            );
         }
+    }
+
+    /// The keys `read_keys` looks up, the keys `cluster.conf.example`
+    /// lists and the key column of DESIGN's configuration ledger are one
+    /// set: a key added to or dropped from any one of the three alone
+    /// fails here.
+    #[test]
+    fn parser_example_and_ledger_list_the_same_keys() {
+        let ini = Ini::parse("").unwrap();
+        CloudConfig::default().read_keys(&ini).unwrap();
+        let parser = ini.asked();
+        assert!(
+            parser.contains(&"[cloud] storage".to_string()),
+            "lookups recorded"
+        );
+
+        let example = Ini::parse(include_str!("../../../cluster.conf.example")).unwrap();
+        assert_eq!(example.keys(), parser, "cluster.conf.example vs the parser");
+
+        // Ledger rows read `| \`[section]\` | \`key\` | default | ...`.
+        let design = include_str!("../../../DESIGN.md");
+        let section = design
+            .split_once("Configuration ledger\n")
+            .expect("DESIGN has the ledger section")
+            .1;
+        let section = section.split("\n## ").next().unwrap();
+        let mut ledger: Vec<String> = section
+            .lines()
+            .filter_map(|row| row.strip_prefix("| `["))
+            .map(|row| {
+                let (section, rest) = row.split_once("]` | `").expect("section cell");
+                let (key, _) = rest.split_once('`').expect("key cell");
+                format!("[{section}] {key}")
+            })
+            .collect();
+        ledger.sort();
+        assert_eq!(
+            ledger, parser,
+            "DESIGN's configuration ledger vs the parser"
+        );
     }
 
     #[test]
@@ -872,13 +708,12 @@ instance-type = c3.8xlarge
         assert_eq!(cfg.backoff_base_ms, 10);
         assert_eq!(cfg.backoff_cap_ms, 1000);
         assert_eq!(cfg.op_deadline_ms, 0);
-        assert!(cfg.verify_integrity);
         assert_eq!(cfg.breaker_threshold, 3);
 
         let cfg = CloudConfig::from_str(
             "[resilience]\nmax-retries = 5\nmax-refetches = 1\nbackoff-base-ms = 2\n\
              backoff-cap-ms = 50\nop-deadline-ms = 200\ntransfer-deadline-ms = 4000\n\
-             verify-integrity = no\nbreaker-threshold = 7\n",
+             breaker-threshold = 7\n",
         )
         .unwrap();
         assert_eq!(cfg.max_retries, 5);
@@ -887,7 +722,6 @@ instance-type = c3.8xlarge
         assert_eq!(cfg.backoff_cap_ms, 50);
         assert_eq!(cfg.op_deadline_ms, 200);
         assert_eq!(cfg.transfer_deadline_ms, 4000);
-        assert!(!cfg.verify_integrity);
         assert_eq!(cfg.breaker_threshold, 7);
 
         let policy = cfg.retry_policy();
@@ -907,23 +741,20 @@ instance-type = c3.8xlarge
         assert!(!cfg.checkpoint, "checkpoint is opt-in");
         assert_eq!(cfg.checkpoint_max_resumes, 2);
         assert!((cfg.quarantine_threshold - 3.0).abs() < 1e-12);
-        assert_eq!(cfg.quarantine_penalty_ms, 2000);
-        assert_eq!(cfg.quarantine_decay_ms, 5000);
         assert_eq!(cfg.quarantine_heartbeat_ms, 0, "heartbeats are opt-in");
         assert!(cfg.quarantine_config().enabled());
 
         let cfg = CloudConfig::from_str(
             "[resilience]\ncheckpoint = yes\ncheckpoint-max-resumes = 4\n\
-             quarantine-threshold = 1.5\nquarantine-penalty-ms = 500\n\
-             quarantine-decay-ms = 800\nquarantine-heartbeat-ms = 250\n",
+             quarantine-threshold = 1.5\nquarantine-heartbeat-ms = 250\n",
         )
         .unwrap();
         assert!(cfg.checkpoint);
         assert_eq!(cfg.checkpoint_max_resumes, 4);
         let q = cfg.quarantine_config();
         assert!((q.threshold - 1.5).abs() < 1e-12);
-        assert_eq!(q.penalty, std::time::Duration::from_millis(500));
-        assert_eq!(q.decay, std::time::Duration::from_millis(800));
+        assert_eq!(q.penalty, std::time::Duration::from_secs(2));
+        assert_eq!(q.decay, std::time::Duration::from_secs(5));
         assert_eq!(cfg.quarantine_heartbeat_ms, 250);
 
         // Threshold 0 switches the policy off entirely.
@@ -941,10 +772,6 @@ instance-type = c3.8xlarge
         assert_eq!(cfg.recovery_depth, 5);
 
         assert!(CloudConfig::from_str("[resilience]\nquarantine-threshold = -1\n").is_err());
-        assert!(CloudConfig::from_str(
-            "[resilience]\nquarantine-threshold = 2\nquarantine-penalty-ms = 0\n"
-        )
-        .is_err());
     }
 
     #[test]
@@ -972,17 +799,14 @@ instance-type = c3.8xlarge
     }
 
     #[test]
-    fn map_optimizer_knobs_parse_and_default_sane() {
+    fn delta_knobs_parse_and_default_sane() {
         let cfg = CloudConfig::default();
-        assert!(cfg.map_optimize, "map optimizer is on by default");
         assert!(!cfg.delta_transfers, "delta transfers are opt-in");
         assert_eq!(cfg.delta_tile_bytes, 64 * 1024);
 
-        let cfg = CloudConfig::from_str(
-            "[offload]\nmap-optimize = no\ndelta-transfers = yes\ndelta-tile-bytes = 4096\n",
-        )
-        .unwrap();
-        assert!(!cfg.map_optimize);
+        let cfg =
+            CloudConfig::from_str("[offload]\ndelta-transfers = yes\ndelta-tile-bytes = 4096\n")
+                .unwrap();
         assert!(cfg.delta_transfers);
         assert_eq!(cfg.delta_tile_bytes, 4096);
 

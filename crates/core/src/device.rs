@@ -91,6 +91,10 @@ pub struct CloudDevice {
 /// would just fail again, or is the DAG scheduler's call to make.
 enum ExecFailure {
     Infra(OmpError),
+    /// An infrastructure failure that outlasted the checkpoint resume
+    /// budget: counted and surfaced like `Infra`, and marked as such on
+    /// the `DeviceUnavailable` the registry classifies.
+    ResumeExhausted(OmpError),
     App(OmpError),
 }
 
@@ -136,7 +140,6 @@ impl CloudDevice {
             TransferConfig {
                 min_compression_size: config.min_compression_size,
                 retry: config.retry_policy(),
-                verify_integrity: config.verify_integrity,
                 codec_threads: config.io_threads,
                 ..TransferConfig::default()
             },
@@ -346,38 +349,38 @@ impl DataflowDevice for CloudDevice {
         env: &mut DataEnv,
         hints: &DataflowHints,
     ) -> Result<ExecProfile, OmpError> {
-        match self.try_execute(region, env, hints) {
-            Ok(profile) => Ok(profile),
-            Err(ExecFailure::App(e)) => Err(e),
-            Err(ExecFailure::Infra(e)) => {
-                // A mid-flight infrastructure failure: count it against
-                // the *owning tenant's* breaker and surface
-                // `DeviceUnavailable`, so the registry re-runs the
-                // region on the host. The data environment is untouched
-                // — outputs are only written back after the whole
-                // offload succeeded.
-                let breaker = self.breakers.breaker_for(region.tenant.as_str());
-                let tripped = breaker.record_failure();
-                let reason = if tripped {
-                    format!(
-                        "offload aborted ({e}); breaker OPEN for tenant '{}' after {} \
-                         consecutive failures — degraded for that tenant until one of its \
-                         offloads succeeds or the breaker is reset",
-                        region.tenant,
-                        breaker.consecutive_failures()
-                    )
-                } else {
-                    format!("offload aborted ({e})")
-                };
-                if self.config.verbose {
-                    eprintln!("[ompcloud] {}: {reason}", self.name);
-                }
-                Err(OmpError::DeviceUnavailable {
-                    device: self.name.clone(),
-                    reason,
-                })
-            }
+        let (e, resume_exhausted) = match self.try_execute(region, env, hints) {
+            Ok(profile) => return Ok(profile),
+            Err(ExecFailure::App(e)) => return Err(e),
+            Err(ExecFailure::Infra(e)) => (e, false),
+            Err(ExecFailure::ResumeExhausted(e)) => (e, true),
+        };
+        // A mid-flight infrastructure failure: count it against the
+        // *owning tenant's* breaker and surface `DeviceUnavailable`, so
+        // the registry re-runs the region on the host. The data
+        // environment is untouched — outputs are only written back after
+        // the whole offload succeeded.
+        let breaker = self.breakers.breaker_for(region.tenant.as_str());
+        let tripped = breaker.record_failure();
+        let reason = if tripped {
+            format!(
+                "offload aborted ({e}); breaker OPEN for tenant '{}' after {} \
+                 consecutive failures — degraded for that tenant until one of its \
+                 offloads succeeds or the breaker is reset",
+                region.tenant,
+                breaker.consecutive_failures()
+            )
+        } else {
+            format!("offload aborted ({e})")
+        };
+        if self.config.verbose {
+            eprintln!("[ompcloud] {}: {reason}", self.name);
         }
+        Err(OmpError::DeviceUnavailable {
+            device: self.name.clone(),
+            reason,
+            resume_exhausted,
+        })
     }
 
     fn materialize(
@@ -633,11 +636,10 @@ impl CloudDevice {
         // by arrival order.
         let t_driver = Instant::now();
         let fetched: HashMap<String, PoolBuf> = fetched.into_iter().collect();
-        let delta_on = self.config.map_optimize && self.config.delta_transfers;
         let mut cluster_env = self
             .memory
             .lock()
-            .materialize(&plan.inputs, fetched, delta_on)
+            .materialize(&plan.inputs, fetched, self.config.delta_transfers)
             .map_err(|detail| {
                 ExecFailure::Infra(OmpError::Plugin {
                     device: "cloud".into(),
@@ -652,7 +654,7 @@ impl CloudDevice {
             ));
         }
         report.profile.overhead_s += t_driver.elapsed().as_secs_f64();
-        if report.map_plan.enabled && report.map_plan.any() {
+        if report.map_plan.any() {
             report
                 .profile
                 .note(format!("map optimizer: {}", report.map_plan));
@@ -769,11 +771,10 @@ impl CloudDevice {
                     };
                     journal.recovery.finish();
                     // The journal stays: a later run resumes from it.
-                    return Err(ExecFailure::Infra(OmpError::Plugin {
+                    return Err(ExecFailure::ResumeExhausted(OmpError::Plugin {
                         device: "cloud".into(),
                         detail: format!(
-                            "{} after {resumes} resume attempts: {e}",
-                            omp_model::RESUME_EXHAUSTED
+                            "resume budget exhausted after {resumes} resume attempts: {e}"
                         ),
                     }));
                 }
@@ -1075,7 +1076,9 @@ mod tests {
         let mut run = device.open_region(region, hints);
         match device.plan(region, env, hints, &mut run) {
             Ok(plan) => (plan.map_plan, run.report.profile.bytes_to_device),
-            Err(ExecFailure::Infra(e) | ExecFailure::App(e)) => panic!("plan failed: {e}"),
+            Err(ExecFailure::Infra(e) | ExecFailure::ResumeExhausted(e) | ExecFailure::App(e)) => {
+                panic!("plan failed: {e}")
+            }
         }
     }
 

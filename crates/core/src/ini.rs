@@ -149,15 +149,71 @@ impl Ini {
         }
     }
 
-    /// Section names present in the document.
-    pub fn section_names(&self) -> Vec<&str> {
-        self.sections.keys().map(String::as_str).collect()
+    /// `*field = parse(value)` when the document sets `key`; a key it
+    /// does not set leaves `field` as it is.
+    pub fn read_with<T>(
+        &self,
+        section: &str,
+        key: &str,
+        field: &mut T,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<(), String> {
+        if let Some(value) = self.get(section, key) {
+            *field = parse(value)?;
+        }
+        Ok(())
+    }
+
+    /// [`read_with`](Ini::read_with) the type's own `FromStr`.
+    pub fn read_into<T: std::str::FromStr>(
+        &self,
+        section: &str,
+        key: &str,
+        field: &mut T,
+    ) -> Result<(), String> {
+        if let Some(value) = self.get_parsed(section, key)? {
+            *field = value;
+        }
+        Ok(())
+    }
+
+    /// [`read_with`](Ini::read_with) [`get_bool`](Ini::get_bool)'s
+    /// spellings.
+    pub fn read_bool_into(&self, section: &str, key: &str, field: &mut bool) -> Result<(), String> {
+        if let Some(value) = self.get_bool(section, key)? {
+            *field = value;
+        }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What the configuration drift test compares, as sorted
+    /// `[section] key` lines: the keys a reader has asked this document
+    /// for, and the keys a document holds.
+    impl Ini {
+        pub(crate) fn asked(&self) -> Vec<String> {
+            let asked = self.asked.borrow();
+            let named = |(s, keys): (&String, &BTreeSet<String>)| {
+                keys.iter()
+                    .map(|k| format!("[{s}] {k}"))
+                    .collect::<Vec<_>>()
+            };
+            asked.iter().flat_map(named).collect()
+        }
+
+        pub(crate) fn keys(&self) -> Vec<String> {
+            let named = |(s, keys): (&String, &BTreeMap<String, String>)| {
+                keys.keys()
+                    .map(|k| format!("[{s}] {k}"))
+                    .collect::<Vec<_>>()
+            };
+            self.sections.iter().flat_map(named).collect()
+        }
+    }
 
     const SAMPLE: &str = r#"
 # OmpCloud cluster configuration
@@ -181,7 +237,6 @@ min-compression-size = 1024
         assert_eq!(ini.get("cloud", "provider"), Some("aws"));
         assert_eq!(ini.get("cloud", "storage"), Some("s3://ompcloud/jobs"));
         assert_eq!(ini.get("cluster", "workers"), Some("16"));
-        assert_eq!(ini.section_names(), vec!["cloud", "cluster", "offload"]);
     }
 
     #[test]
@@ -234,7 +289,7 @@ min-compression-size = 1024
     #[test]
     fn empty_document_is_fine() {
         let ini = Ini::parse("").unwrap();
-        assert!(ini.section_names().is_empty());
         assert_eq!(ini.get("a", "b"), None);
+        assert_eq!(ini.unread(), None);
     }
 }

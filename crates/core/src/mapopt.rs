@@ -179,8 +179,6 @@ pub struct MapDecision {
 /// The full decision record of one offload — one entry per map clause.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MapPlan {
-    /// Whether `[offload] map-optimize` was on for this offload.
-    pub enabled: bool,
     /// Per-variable decisions, in map-clause order.
     pub decisions: Vec<MapDecision>,
 }
@@ -244,14 +242,6 @@ impl MapPlan {
         self.decisions
             .iter()
             .filter(|d| matches!(d.upload, UploadAction::Elided { .. }))
-            .count() as u32
-    }
-
-    /// Downloads elided outright (dead or alloc-only).
-    pub fn downloads_elided(&self) -> u32 {
-        self.decisions
-            .iter()
-            .filter(|d| matches!(d.download, DownloadAction::Elided { .. }))
             .count() as u32
     }
 
@@ -744,7 +734,6 @@ impl TransferMemory {
                 .push(input.decision(hints.keeps(&m.name)));
             plan.inputs.push(input);
         }
-        plan.map_plan.enabled = site.config.map_optimize;
         Ok(plan)
     }
 
@@ -769,7 +758,8 @@ impl TransferMemory {
         // Delta first: a clean diff means the driver's ledger already holds
         // these bytes, so not even a cache hit's fetch is needed. The cache
         // entry stays as it is, for a later round without delta.
-        let diff = (config.map_optimize && config.delta_transfers)
+        let diff = config
+            .delta_transfers
             .then(|| self.delta.diff(&input.var, &bytes));
         if diff == Some(DeltaDiff::Clean) {
             input.source = InputSource::DeltaClean {
@@ -787,58 +777,56 @@ impl TransferMemory {
                 return None;
             }
         }
-        if config.map_optimize {
-            // Dedupe: a byte-identical same-typed buffer already in this
-            // job's upload set is shared, not re-shipped.
-            let twin = plan.inputs.iter().find_map(|other| match &other.source {
-                InputSource::Staged {
-                    key,
-                    upload: UploadAction::Full { .. },
-                } if other.tag == input.tag => plan
-                    .uploads
-                    .iter()
-                    .any(|(k, payload)| k == key && payload[..] == bytes[..])
-                    .then(|| (other.var.clone(), key.clone())),
-                _ => None,
-            });
-            if let Some((of, key)) = twin {
-                input.source = InputSource::Alias { of, key };
-                input.cache_fp = cache_fp;
-                return None;
+        // Dedupe: a byte-identical same-typed buffer already in this
+        // job's upload set is shared, not re-shipped.
+        let twin = plan.inputs.iter().find_map(|other| match &other.source {
+            InputSource::Staged {
+                key,
+                upload: UploadAction::Full { .. },
+            } if other.tag == input.tag => plan
+                .uploads
+                .iter()
+                .any(|(k, payload)| k == key && payload[..] == bytes[..])
+                .then(|| (other.var.clone(), key.clone())),
+            _ => None,
+        });
+        if let Some((of, key)) = twin {
+            input.source = InputSource::Alias { of, key };
+            input.cache_fp = cache_fp;
+            return None;
+        }
+        // Narrowing: a `map(to)` input partitioned in every loop
+        // travels only up to its iteration hull; the cluster copy is
+        // padded back to full length. `tofrom` buffers are exempt
+        // (their untouched tail must round-trip bit-exactly through
+        // the merge), and so are delta rounds (the ledger models
+        // full payloads).
+        if input.dir == MapDir::To && !config.delta_transfers {
+            if let Some(n) = narrow_len(region, &input.var, input.elems) {
+                let nbytes = n * (host.byte_len() / input.elems);
+                let mut hull = pool.get(nbytes);
+                host.write_range_bytes_into(0..n, &mut hull);
+                let upload = UploadAction::Narrowed {
+                    bytes: nbytes as u64,
+                    full_bytes,
+                };
+                return Some((upload, hull));
             }
-            // Narrowing: a `map(to)` input partitioned in every loop
-            // travels only up to its iteration hull; the cluster copy is
-            // padded back to full length. `tofrom` buffers are exempt
-            // (their untouched tail must round-trip bit-exactly through
-            // the merge), and so are delta rounds (the ledger models
-            // full payloads).
-            if input.dir == MapDir::To && !config.delta_transfers {
-                if let Some(n) = narrow_len(region, &input.var, input.elems) {
-                    let nbytes = n * (host.byte_len() / input.elems);
-                    let mut hull = pool.get(nbytes);
-                    host.write_range_bytes_into(0..n, &mut hull);
-                    let upload = UploadAction::Narrowed {
-                        bytes: nbytes as u64,
-                        full_bytes,
-                    };
-                    return Some((upload, hull));
-                }
-            }
-            // Delta: ship only the tiles that differ from the last
-            // committed payload.
-            if let Some(DeltaDiff::Dirty(dirty)) = diff {
-                let patch = self.delta.encode_patch(&bytes, &dirty);
-                // A patch as large as the payload loses to a plain
-                // upload: fall through.
-                if patch.len() < bytes.len() {
-                    let upload = UploadAction::Delta {
-                        dirty_tiles: dirty.len() as u32,
-                        total_tiles: self.delta.tile_count(bytes.len()) as u32,
-                        bytes: patch.len() as u64,
-                        full_bytes,
-                    };
-                    return Some((upload, patch.into()));
-                }
+        }
+        // Delta: ship only the tiles that differ from the last
+        // committed payload.
+        if let Some(DeltaDiff::Dirty(dirty)) = diff {
+            let patch = self.delta.encode_patch(&bytes, &dirty);
+            // A patch as large as the payload loses to a plain
+            // upload: fall through.
+            if patch.len() < bytes.len() {
+                let upload = UploadAction::Delta {
+                    dirty_tiles: dirty.len() as u32,
+                    total_tiles: self.delta.tile_count(bytes.len()) as u32,
+                    bytes: patch.len() as u64,
+                    full_bytes,
+                };
+                return Some((upload, patch.into()));
             }
         }
         input.cache_fp = cache_fp;
@@ -1130,7 +1118,6 @@ mod tests {
     #[test]
     fn map_plan_tallies_bytes_and_elisions() {
         let plan = MapPlan {
-            enabled: true,
             decisions: vec![
                 MapDecision {
                     var: "a".into(),
@@ -1190,7 +1177,6 @@ mod tests {
         assert_eq!(plan.upload_bytes(), 100 + 40 + 28);
         assert_eq!(plan.download_bytes(), 200 + 50);
         assert_eq!(plan.uploads_elided(), 2);
-        assert_eq!(plan.downloads_elided(), 3);
         assert_eq!(plan.narrowed(), 1);
         assert_eq!(plan.delta_rounds(), 1);
         assert_eq!(plan.delta_dirty_tiles(), 2);

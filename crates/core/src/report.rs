@@ -90,20 +90,6 @@ impl OffloadReport {
     pub fn total_tiles(&self) -> usize {
         self.loops.iter().map(|l| l.tiles).sum()
     }
-
-    /// Achieved host→cloud compression ratio.
-    pub fn upload_ratio(&self) -> f64 {
-        self.upload.ratio()
-    }
-
-    /// Total intra-cluster traffic (scatter + broadcast + collect), raw
-    /// bytes.
-    pub fn cluster_traffic_bytes(&self) -> u64 {
-        self.loops
-            .iter()
-            .map(|l| l.scatter_bytes + l.broadcast.total_traffic() + l.collect_bytes)
-            .sum()
-    }
 }
 
 impl std::fmt::Display for OffloadReport {

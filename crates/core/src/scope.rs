@@ -118,6 +118,13 @@ impl Drop for TargetDataScope<'_> {
 }
 
 impl CloudDevice {
+    /// Root of a scope's staged objects: like every key the device
+    /// writes, under the configured storage prefix, so devices sharing a
+    /// bucket never stage — or clean up — each other's objects.
+    fn scope_root(&self) -> String {
+        self.config().storage.key_under("target-data")
+    }
+
     /// Stage the scope's input variables on the device and allocate its
     /// outputs. Returns raw bytes shipped.
     pub(crate) fn scope_enter(&self, env: &DataEnv, maps: &[MapClause]) -> Result<u64, OmpError> {
@@ -131,13 +138,14 @@ impl CloudDevice {
         // Ship the inputs through cloud storage and read them back,
         // exactly as an offload's stage-in does; the outputs are
         // allocated full-size on the driver.
+        let root = self.scope_root();
         let mut items = Vec::new();
         let mut bytes_in = 0u64;
         for m in maps {
             let buf = env.get_erased(&m.name)?;
             if m.dir.is_input() {
                 bytes_in += buf.byte_len() as u64;
-                items.push((format!("target-data/{}", m.name), buf.to_bytes().into()));
+                items.push((format!("{root}/{}", m.name), buf.to_bytes().into()));
             }
         }
         // A boundary publishes no profile or report of its own — its
@@ -186,12 +194,13 @@ impl CloudDevice {
             detail: "no open target-data scope".into(),
         })?;
         let outputs = || maps.iter().filter(|m| m.dir.is_output());
+        let root = self.scope_root();
         let mut bytes_out = 0u64;
         let mut items = Vec::new();
         for m in outputs() {
             let buf = resident.get_erased(&m.name)?;
             bytes_out += buf.byte_len() as u64;
-            items.push((format!("target-data/out/{}", m.name), buf.to_bytes().into()));
+            items.push((format!("{root}/out/{}", m.name), buf.to_bytes().into()));
         }
         let (payloads, _) = self.round_trip(items, Vec::new()).map_err(storage_err)?;
         for (m, (_, bytes)) in outputs().zip(payloads) {
@@ -199,7 +208,7 @@ impl CloudDevice {
             env.write_back(&m.name, ErasedVec::from_bytes(tag, &bytes))?;
         }
         // Storage hygiene: the scope's staging area is garbage now.
-        self.transfer.delete_prefix("target-data");
+        self.transfer.delete_prefix(&root);
         Ok(bytes_out)
     }
 

@@ -115,17 +115,11 @@ impl DataEnv {
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Arc<ErasedVec>)> {
         self.vars.iter().map(|(n, b)| (n.as_str(), b))
     }
-
-    /// Total bytes across all variables (wire form).
-    pub fn total_bytes(&self) -> u64 {
-        self.vars.values().map(|b| b.byte_len() as u64).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pod::TypeTag;
 
     #[test]
     fn insert_get_typed() {
@@ -175,14 +169,5 @@ mod tests {
         // The old handle still sees the original data.
         assert_eq!(shared.as_slice::<u32>().unwrap(), &[1, 2, 3]);
         assert_eq!(env.get::<u32>("A").unwrap(), &[99, 2, 3]);
-    }
-
-    #[test]
-    fn total_bytes_counts_wire_size() {
-        let mut env = DataEnv::new();
-        env.insert("A", vec![0.0f32; 10]); // 40 bytes
-        env.insert("B", vec![0u8; 3]); // 3 bytes
-        assert_eq!(env.total_bytes(), 43);
-        assert_eq!(env.get_erased("A").unwrap().tag(), TypeTag::F32);
     }
 }

@@ -380,11 +380,6 @@ impl ErasedSlice {
     pub fn write_bytes_into(&self, out: &mut Vec<u8>) {
         self.buf.write_range_bytes_into(self.range.clone(), out)
     }
-
-    /// Materialize the viewed range as an owned buffer.
-    pub fn to_owned_vec(&self) -> ErasedVec {
-        self.buf.slice_copy(self.range.clone())
-    }
 }
 
 #[cfg(test)]
@@ -507,7 +502,6 @@ mod tests {
         assert_eq!(s.tag(), TypeTag::U32);
         assert_eq!(s.as_slice::<u32>().unwrap(), &[3, 4, 5, 6]);
         assert!(s.as_slice::<f32>().is_none());
-        assert_eq!(s.to_owned_vec(), buf.slice_copy(3..7));
         assert_eq!(s.to_bytes(), buf.range_to_bytes(3..7));
     }
 

@@ -40,6 +40,11 @@ pub enum OmpError {
         device: String,
         /// Why it is unreachable.
         reason: String,
+        /// The device resumed the region from its checkpoint journal as
+        /// often as the resume budget allowed and still could not finish
+        /// — "recovery was tried and lost", as opposed to an ordinary
+        /// mid-flight abort. The registry's fallback record keys off this.
+        resume_exhausted: bool,
     },
     /// Malformed target region (no loops, zero-length body, ...).
     InvalidRegion(String),
@@ -121,7 +126,7 @@ impl fmt::Display for OmpError {
                 )
             }
             OmpError::NoDevice(selector) => write!(f, "no device matches selector '{selector}'"),
-            OmpError::DeviceUnavailable { device, reason } => {
+            OmpError::DeviceUnavailable { device, reason, .. } => {
                 write!(f, "device '{device}' unavailable: {reason}")
             }
             OmpError::InvalidRegion(detail) => write!(f, "invalid target region: {detail}"),

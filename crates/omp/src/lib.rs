@@ -91,7 +91,7 @@ pub use error::{OmpError, ResidentLossReason};
 pub use host::HostDevice;
 pub use partition::{LinearExpr, PartitionSpec};
 pub use pod::{Pod, TypeTag};
-pub use profile::{DataflowSummary, ExecProfile, FallbackReason, RESUME_EXHAUSTED};
+pub use profile::{DataflowSummary, ExecProfile, FallbackReason};
 pub use region::{LoopBody, ParallelLoop, TargetRegion, TargetRegionBuilder};
 pub use registry::DeviceRegistry;
 pub use tenant::{AdmissionController, RejectReason, TenancyPolicy, TenantId, TenantStats};

@@ -10,13 +10,6 @@
 //! off uniformly whether the numbers come from real threads or the
 //! discrete-event model.
 
-/// Marker a device plug-in embeds in a `DeviceUnavailable` reason when a
-/// checkpointed region consumed its whole in-region resume budget. The
-/// registry keys [`FallbackReason::ResumeExhausted`] off this substring,
-/// so the fallback record distinguishes "recovery was tried and lost"
-/// from an ordinary mid-flight abort.
-pub const RESUME_EXHAUSTED: &str = "resume budget exhausted";
-
 /// Why a region could not complete on the device it was dispatched to
 /// and was re-executed on the host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

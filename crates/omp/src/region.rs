@@ -129,11 +129,6 @@ impl TargetRegion {
         self.maps.iter().filter(|m| m.dir.is_alloc())
     }
 
-    /// Look up the map clause for `var`.
-    pub fn map_for(&self, var: &str) -> Option<&MapClause> {
-        self.maps.iter().find(|m| m.name == var)
-    }
-
     /// Variables this region declares a read dependence on
     /// (`depend(in:)` / `depend(inout:)`).
     pub fn depend_reads(&self) -> impl Iterator<Item = &str> {

@@ -6,7 +6,7 @@ use crate::dag::DagRun;
 use crate::device::{Availability, DagReport, DataflowHints, Device, DeviceKind, DeviceSelector};
 use crate::env::DataEnv;
 use crate::error::OmpError;
-use crate::profile::{ExecProfile, FallbackReason, RESUME_EXHAUSTED};
+use crate::profile::{ExecProfile, FallbackReason};
 use crate::region::TargetRegion;
 use crate::tenant::{AdmissionController, TenancyPolicy};
 use parking_lot::Mutex;
@@ -256,15 +256,16 @@ impl DeviceRegistry {
                 // re-running a region that, say, panicked in user code
                 // would hide a bug.
                 match result {
-                    Err(OmpError::DeviceUnavailable { reason, .. })
-                        if device.kind() != DeviceKind::Host =>
-                    {
+                    Err(OmpError::DeviceUnavailable {
+                        reason,
+                        resume_exhausted,
+                        ..
+                    }) if device.kind() != DeviceKind::Host => {
                         // Distinguish "checkpoint resume was tried and its
                         // budget ran out" from an ordinary mid-flight abort.
-                        let kind = if reason.contains(RESUME_EXHAUSTED) {
-                            FallbackReason::ResumeExhausted
-                        } else {
-                            FallbackReason::MidFlight
+                        let kind = match resume_exhausted {
+                            true => FallbackReason::ResumeExhausted,
+                            false => FallbackReason::MidFlight,
                         };
                         (kind, format!("failed mid-flight ({reason})"))
                     }
@@ -357,6 +358,7 @@ impl DeviceRegistry {
             OmpError::DeviceUnavailable {
                 device: device.name().to_string(),
                 reason: format!("device {why} and no host device registered for fallback"),
+                resume_exhausted: false,
             }
         })?;
         let mut profile = host.execute(region, env)?;
@@ -388,6 +390,8 @@ pub(crate) mod tests {
         /// this reason — models a device that accepts the region but
         /// degrades mid-flight.
         fail_midflight: Option<String>,
+        /// Whether that failure says the resume budget ran out.
+        resume_exhausted: bool,
         /// Tenant whose (per-tenant) breaker is open: the device refuses
         /// that tenant's submissions while serving everyone else.
         tripped_for: Option<String>,
@@ -421,6 +425,7 @@ pub(crate) mod tests {
                 return Err(OmpError::DeviceUnavailable {
                     device: self.name.clone(),
                     reason: reason.clone(),
+                    resume_exhausted: self.resume_exhausted,
                 });
             }
             Ok(ExecProfile::new(self.name.clone()))
@@ -433,6 +438,7 @@ pub(crate) mod tests {
             kind,
             availability: Availability::Up,
             fail_midflight: None,
+            resume_exhausted: false,
             tripped_for: None,
             executions: Mutex::new(0),
         }
@@ -515,7 +521,6 @@ pub(crate) mod tests {
     fn parity_table() -> Vec<Row> {
         let region = || TargetRegion::builder("t").device(CLOUD);
         let cloud = || bare("cloud-0", DeviceKind::Cloud);
-        let exhausted = format!("{RESUME_EXHAUSTED} after 2 attempts (data unavailable)");
         vec![
             Row {
                 outcome: "runs on the device",
@@ -584,9 +589,10 @@ pub(crate) mod tests {
                 notes: &["failed mid-flight", "storage endpoint lost"],
             },
             Row {
-                outcome: "mid-flight with RESUME_EXHAUSTED",
+                outcome: "mid-flight with the resume budget exhausted",
                 cloud: FakeDevice {
-                    fail_midflight: Some(exhausted),
+                    fail_midflight: Some("data unavailable".into()),
+                    resume_exhausted: true,
                     ..cloud()
                 },
                 region,
@@ -766,6 +772,7 @@ pub(crate) mod tests {
                 return Err(OmpError::DeviceUnavailable {
                     device: self.name.clone(),
                     reason: "storage endpoint lost".into(),
+                    resume_exhausted: false,
                 });
             }
             let lost = {

@@ -136,20 +136,6 @@ where
     partials.into_iter().flatten().fold(identity, combine)
 }
 
-/// OpenMP `collapse(2)`: run `body(i, j)` for every `(i, j)` in
-/// `(0..n1) x (0..n2)`, flattening the two loop nests into one iteration
-/// space so the schedule balances across the full `n1 * n2` domain —
-/// important when `n1` is smaller than the thread count.
-pub fn parallel_for_collapse2<F>(threads: usize, n1: usize, n2: usize, schedule: Schedule, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    if n2 == 0 {
-        return;
-    }
-    parallel_for(threads, n1 * n2, schedule, |k| body(k / n2, k % n2));
-}
-
 /// Split `0..n` into at most `parts` contiguous near-equal ranges
 /// (difference of at most one element), in order. Used by the static
 /// schedule and re-exported for anyone chunking work by hand.
@@ -264,38 +250,6 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn collapse2_covers_the_cross_product() {
-        let (n1, n2) = (5usize, 7usize);
-        let hits: Vec<AtomicUsize> = (0..n1 * n2).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for_collapse2(4, n1, n2, Schedule::Dynamic { chunk: 3 }, |i, j| {
-            hits[i * n2 + j].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn collapse2_balances_when_outer_loop_is_tiny() {
-        // n1 = 2 with 8 threads: un-collapsed, 6 threads idle; collapsed,
-        // all 16 (i, j) cells spread out. We just verify correctness and
-        // that every cell runs once.
-        let (n1, n2) = (2usize, 8usize);
-        let sum = std::sync::atomic::AtomicUsize::new(0);
-        parallel_for_collapse2(8, n1, n2, Schedule::default(), |i, j| {
-            sum.fetch_add(i * 100 + j, Ordering::Relaxed);
-        });
-        let expected: usize = (0..n1)
-            .flat_map(|i| (0..n2).map(move |j| i * 100 + j))
-            .sum();
-        assert_eq!(sum.load(Ordering::Relaxed), expected);
-    }
-
-    #[test]
-    fn collapse2_empty_dimensions() {
-        parallel_for_collapse2(4, 0, 5, Schedule::default(), |_, _| panic!("no iterations"));
-        parallel_for_collapse2(4, 5, 0, Schedule::default(), |_, _| panic!("no iterations"));
     }
 
     #[test]

@@ -145,11 +145,6 @@ impl<T> TaskHandle<T> {
     pub fn join(self) -> T {
         self.rx.recv().expect("pool job panicked")
     }
-
-    /// Non-blocking poll.
-    pub fn try_join(&self) -> Option<T> {
-        self.rx.try_recv().ok()
-    }
 }
 
 #[cfg(test)]

@@ -155,11 +155,6 @@ impl SparkContext {
         Rdd::source(self.clone(), data, partitions)
     }
 
-    /// `parallelize` with `spark.default.parallelism` partitions.
-    pub fn parallelize_default<T: Data>(&self, data: Vec<T>) -> Rdd<T> {
-        self.parallelize(data, self.inner.conf.default_parallelism)
-    }
-
     /// Distribute a collection with a custom partitioner: element `x`
     /// lands in partition `bucket(x) % partitions`.
     pub fn parallelize_by<T: Data, F>(&self, data: Vec<T>, partitions: usize, bucket: F) -> Rdd<T>
@@ -207,23 +202,9 @@ impl SparkContext {
         self.inner.executors[idx].status()
     }
 
-    /// Tasks queued or running on executor `idx` right now.
-    pub fn executor_inflight(&self, idx: usize) -> usize {
-        debug_assert_eq!(self.inner.executors[idx].id, idx);
-        self.inner.executors[idx].inflight()
-    }
-
     /// Make the next `n` task *attempts* fail (deterministic retry tests).
     pub fn fail_next_tasks(&self, n: usize) {
         self.inner.dispatcher.inject_failures(n);
-    }
-
-    /// Charge executor `idx` a light quarantine penalty for serving data
-    /// that failed an integrity check downstream (the transfer layer had
-    /// to re-fetch). Weighted well below a task failure: one bad read is
-    /// noise, a pattern of them is a flapping node.
-    pub fn record_executor_refetch(&self, idx: usize) {
-        self.inner.dispatcher.record_integrity_refetch(idx);
     }
 
     /// Metrics of every job run so far, oldest first.

@@ -77,11 +77,6 @@ impl Executor {
         }
     }
 
-    /// Tasks queued on this executor or running right now.
-    pub fn inflight(&self) -> usize {
-        self.shared.running() + self.dispatcher.queued_on(self.id)
-    }
-
     /// Current status.
     pub fn status(&self) -> ExecutorStatus {
         if !self.shared.is_alive() {
@@ -253,7 +248,6 @@ mod tests {
             Arc::new(|t| Box::new(t as i32 + 42) as Box<dyn Any + Send>),
         );
         assert_eq!(results[0].executor, 0);
-        assert_eq!(rig.execs[0].inflight(), 0, "task drained");
         let boxed = results.into_iter().next().unwrap().outcome.unwrap();
         assert_eq!(*boxed.downcast::<i32>().unwrap(), 42);
         rig.teardown();

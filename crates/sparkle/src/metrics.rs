@@ -118,27 +118,12 @@ impl JobMetrics {
         self.tasks.iter().map(|t| t.seconds).fold(0.0, f64::max)
     }
 
-    /// Wall time not explained by the longest task: queueing, scheduling
-    /// and result collection — the job's scheduling overhead.
-    pub fn scheduling_overhead_seconds(&self) -> f64 {
-        (self.wall_seconds - self.max_task_seconds()).max(0.0)
-    }
-
     /// How many distinct executors participated.
     pub fn executors_used(&self) -> usize {
         let mut ids: Vec<usize> = self.tasks.iter().map(|t| t.executor).collect();
         ids.sort_unstable();
         ids.dedup();
         ids.len()
-    }
-
-    /// Busy seconds per executor, sorted by executor id.
-    pub fn per_executor_seconds(&self) -> Vec<(usize, f64)> {
-        let mut acc: std::collections::BTreeMap<usize, f64> = std::collections::BTreeMap::new();
-        for t in &self.tasks {
-            *acc.entry(t.executor).or_default() += t.seconds;
-        }
-        acc.into_iter().collect()
     }
 
     /// Cluster utilization in [0, 1]: busy task-seconds over the
@@ -157,13 +142,6 @@ impl JobMetrics {
     /// duplicate either wins its race or loses it — nothing dangles.
     pub fn speculation_balanced(&self) -> bool {
         self.spec_wins + self.spec_losses == self.spec_launched
-    }
-
-    /// Attempts whose work was thrown away: speculative losers plus
-    /// failed attempts. Together with the winning attempt per task this
-    /// accounts for every attempt the scheduler launched.
-    pub fn discarded_attempts(&self) -> usize {
-        self.spec_losses + self.failed_attempts
     }
 
     /// Highest executor id that ran a winning attempt, if any task ran.
@@ -196,14 +174,12 @@ mod tests {
         assert_eq!(m.retried_tasks(), 1);
         assert!((m.total_task_seconds() - 1.5).abs() < 1e-12);
         assert!((m.max_task_seconds() - 0.8).abs() < 1e-12);
-        assert!((m.scheduling_overhead_seconds() - 0.2).abs() < 1e-12);
         assert_eq!(m.executors_used(), 2);
     }
 
     #[test]
-    fn per_executor_accounting() {
+    fn utilization_is_busy_seconds_over_slot_capacity() {
         let m = sample();
-        assert_eq!(m.per_executor_seconds(), vec![(0, 0.7), (1, 0.8)]);
         // 1.5 busy seconds over 1.0s x 4 slots.
         assert!((m.utilization(4) - 0.375).abs() < 1e-12);
         assert_eq!(m.utilization(0), m.utilization(1));
@@ -214,7 +190,6 @@ mod tests {
         let m = JobMetrics::from_tasks(0, 0.1, vec![]);
         assert_eq!(m.task_count(), 0);
         assert_eq!(m.max_task_seconds(), 0.0);
-        assert!((m.scheduling_overhead_seconds() - 0.1).abs() < 1e-12);
         assert_eq!(m.stolen_tasks(), 0);
         assert_eq!(
             (m.steals, m.spec_launched, m.spec_wins, m.spec_losses),

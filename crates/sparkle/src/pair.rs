@@ -94,24 +94,6 @@ where
         reduced.collect_partitions()?;
         Ok(reduced)
     }
-
-    /// Group all values of each key (`groupByKey`).
-    pub fn group_by_key(&self, num_partitions: usize) -> Result<Rdd<(K, Vec<V>)>, SparkError> {
-        self.map(|(k, v)| (k, vec![v]))
-            .reduce_by_key(num_partitions, |mut a, mut b| {
-                a.append(&mut b);
-                a
-            })
-    }
-
-    /// Count occurrences per key, returned to the driver
-    /// (`countByKey`).
-    pub fn count_by_key(&self) -> Result<HashMap<K, u64>, SparkError> {
-        let counted = self
-            .map(|(k, _)| (k, 1u64))
-            .reduce_by_key(self.num_partitions(), |a, b| a + b)?;
-        Ok(counted.collect()?.into_iter().collect())
-    }
 }
 
 #[cfg(test)]
@@ -167,38 +149,6 @@ mod tests {
                 );
             }
         }
-        sc.stop();
-    }
-
-    #[test]
-    fn group_by_key_collects_all_values() {
-        let sc = ctx();
-        let pairs = vec![(1u32, 10i64), (2, 20), (1, 11), (3, 30), (1, 12)];
-        let grouped: HashMap<u32, Vec<i64>> = sc
-            .parallelize(pairs, 3)
-            .group_by_key(2)
-            .unwrap()
-            .collect()
-            .unwrap()
-            .into_iter()
-            .collect();
-        let mut ones = grouped[&1].clone();
-        ones.sort_unstable();
-        assert_eq!(ones, vec![10, 11, 12]);
-        assert_eq!(grouped[&2], vec![20]);
-        sc.stop();
-    }
-
-    #[test]
-    fn count_by_key_matches_manual_count() {
-        let sc = ctx();
-        let counts = sc.parallelize(word_pairs(), 2).count_by_key().unwrap();
-        assert_eq!(counts["the"], 3);
-        assert_eq!(
-            counts.values().sum::<u64>(),
-            11,
-            "eleven words in the sentence"
-        );
         sc.stop();
     }
 

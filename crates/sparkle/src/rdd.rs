@@ -170,40 +170,6 @@ impl<T: Data> Rdd<T> {
         }
     }
 
-    /// Pair every element with its global index (`zipWithIndex`). Like
-    /// Spark, this needs the per-partition counts first, so it triggers a
-    /// job.
-    pub fn zip_with_index(&self) -> Result<Rdd<(T, u64)>, SparkError> {
-        let lineage = self.lineage();
-        let counts = self.ctx.run_job(
-            Arc::new({
-                let lineage = Arc::clone(&lineage);
-                move |p| vec![lineage(p).len() as u64]
-            }),
-            self.partitions,
-        )?;
-        let mut offsets = Vec::with_capacity(self.partitions);
-        let mut acc = 0u64;
-        for c in counts.into_iter().flatten() {
-            offsets.push(acc);
-            acc += c;
-        }
-        let compute: Compute<(T, u64)> = Arc::new(move |p| {
-            let base = offsets[p];
-            lineage(p)
-                .into_iter()
-                .enumerate()
-                .map(|(i, x)| (x, base + i as u64))
-                .collect()
-        });
-        Ok(Rdd {
-            ctx: self.ctx.clone(),
-            compute,
-            partitions: self.partitions,
-            cache: Arc::new(Mutex::new(None)),
-        })
-    }
-
     /// Aggregate with a zero value: partitions fold on the executors,
     /// the driver folds the partials (`fold`).
     ///
@@ -311,24 +277,6 @@ impl<T: Data> Rdd<T> {
             *cache = Some(parts.into_iter().map(Arc::new).collect());
         }
         Ok(())
-    }
-
-    /// Run the job on a background thread and return an iterator yielding
-    /// `(partition index, partition)` in arrival order. A job-level error
-    /// surfaces as the iterator's final item. The cache is filled like
-    /// [`Rdd::collect_partitions`].
-    pub fn collect_iter(&self) -> impl Iterator<Item = Result<(usize, Vec<T>), SparkError>> {
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let rdd = self.clone();
-        std::thread::spawn(move || {
-            let tx2 = tx.clone();
-            if let Err(e) = rdd.for_each_partition(move |p, part| {
-                let _ = tx2.send(Ok((p, part.to_vec())));
-            }) {
-                let _ = tx.send(Err(e));
-            }
-        });
-        rx.into_iter()
     }
 
     /// Number of elements (distributed count, partial sums per task).
@@ -484,23 +432,6 @@ mod tests {
         assert_eq!(u.num_partitions(), 5);
         assert_eq!(u.collect().unwrap(), vec![1, 2, 3, 10, 20]);
         assert_eq!(u.count().unwrap(), 5);
-        sc.stop();
-    }
-
-    #[test]
-    fn zip_with_index_is_global_and_ordered() {
-        let sc = ctx();
-        let data: Vec<char> = "sparkle".chars().collect();
-        let zipped = sc
-            .parallelize(data.clone(), 3)
-            .zip_with_index()
-            .unwrap()
-            .collect()
-            .unwrap();
-        for (i, (c, idx)) in zipped.iter().enumerate() {
-            assert_eq!(*idx, i as u64);
-            assert_eq!(*c, data[i]);
-        }
         sc.stop();
     }
 

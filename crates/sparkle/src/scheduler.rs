@@ -97,15 +97,15 @@ impl From<omp_parfor::Schedule> for ScheduleMode {
 
 /// Executor-quarantine policy: a decaying per-executor failure score
 /// that, past a threshold, blacklists the executor for a penalty
-/// window. A flapping machine (task failures, heartbeat misses,
-/// integrity re-fetches) stops receiving work — its queued tiles are
-/// rescued by healthy peers — instead of burning the job's retry
-/// budget, and re-admits itself automatically when the window expires.
+/// window. A flapping machine (task failures, heartbeat misses) stops
+/// receiving work — its queued tiles are rescued by healthy peers —
+/// instead of burning the job's retry budget, and re-admits itself
+/// automatically when the window expires.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuarantineConfig {
     /// Score at which an executor is quarantined. `0.0` disables
     /// quarantine entirely. A plain task failure scores 1.0, a
-    /// heartbeat miss 0.5, an integrity re-fetch 0.25.
+    /// heartbeat miss 0.5.
     pub threshold: f64,
     /// How long a tripped executor is blacklisted.
     pub penalty: Duration,
@@ -469,13 +469,6 @@ impl Dispatcher {
         true
     }
 
-    /// Score an integrity re-fetch attributed to `exec` (weight 0.25):
-    /// a machine that keeps shipping corrupt bytes is flapping even
-    /// when its tasks nominally succeed.
-    pub fn record_integrity_refetch(&self, exec: usize) {
-        self.record_failure_weight(exec, 0.25);
-    }
-
     /// The current tenant's health row, created on first touch.
     fn tenant_health<'a>(
         map: &'a mut HashMap<String, Vec<ExecHealth>>,
@@ -505,7 +498,7 @@ impl Dispatcher {
             health.score += weight;
             // The epsilon absorbs the sliver of decay between
             // back-to-back failures, so "N failures at threshold N"
-            // always trips; it is far below the 0.25 weight quantum.
+            // always trips; it is far below the 0.5 weight quantum.
             if health.until.is_none() && health.score >= cfg.threshold - 1e-3 {
                 health.until = Some(now + cfg.penalty);
                 health.score = 0.0; // a trip clears the slate
@@ -730,15 +723,6 @@ impl Dispatcher {
         self.work_cv.notify_all();
     }
 
-    /// Queued entries currently seeded on `exec`'s local queue.
-    pub fn queued_on(&self, exec: usize) -> usize {
-        self.state
-            .lock()
-            .active
-            .as_ref()
-            .map_or(0, |a| a.queued_for(exec))
-    }
-
     /// Block until there is work for executor `exec` (or shutdown).
     /// Claim order: own local queue → central queue (dynamic/stealing) →
     /// steal from the most-loaded peer (stealing) → rescue entries
@@ -887,6 +871,14 @@ fn claimable(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Dispatcher {
+        /// Queued entries currently seeded on `exec`'s local queue.
+        fn queued_on(&self, exec: usize) -> usize {
+            let state = self.state.lock();
+            state.active.as_ref().map_or(0, |a| a.queued_for(exec))
+        }
+    }
 
     #[test]
     fn schedule_mode_parses_and_displays() {
@@ -1245,9 +1237,11 @@ mod tests {
         );
         assert_eq!(d.total_heartbeat_misses(), 1);
         assert!(!d.is_quarantined(0), "0.5 < threshold 1.0");
-        d.record_integrity_refetch(0);
-        d.record_integrity_refetch(0);
-        assert!(d.is_quarantined(0), "0.5 + 2 × 0.25 reaches 1.0");
+        d.record_task_failure(0);
+        assert!(
+            d.is_quarantined(0),
+            "the miss and a task failure share one score"
+        );
     }
 
     #[test]

@@ -1,271 +1,96 @@
-//! An Azure-Blob-like store: storage accounts holding containers of
-//! block blobs. The paper's plug-in "also support[s] data offloading to
+//! An Azure-Blob-like store: one container of block blobs in a storage
+//! account. The paper's plug-in "also support[s] data offloading to
 //! … Microsoft Azure Storage"; this backend gives the configuration
-//! layer a third scheme to dispatch on, with the Azure-specific notions
-//! the real service exposes — block lists committed atomically, blob
-//! snapshots, and per-container public/private access levels.
+//! layer a third scheme to dispatch on, with the one Azure-specific
+//! notion the offload path can observe — an ETag that changes on every
+//! write, identical content included.
 
 use crate::{ObjectStore, StorageError};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Container access level (mirrors Azure's `private`/`blob`/`container`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AccessLevel {
-    /// Authenticated access only.
-    #[default]
-    Private,
-    /// Anonymous read of blobs.
-    Blob,
-    /// Anonymous read of blobs and listings.
-    Container,
-}
 
 #[derive(Debug, Clone)]
 struct Blob {
     data: Arc<Vec<u8>>,
     etag: u64,
-    snapshots: Vec<Arc<Vec<u8>>>,
-}
-
-#[derive(Debug, Default)]
-struct Container {
-    access: AccessLevel,
-    blobs: BTreeMap<String, Blob>,
 }
 
 #[derive(Default)]
-struct AccountState {
-    containers: BTreeMap<String, Container>,
+struct Container {
+    blobs: BTreeMap<String, Blob>,
+    /// ETag of the last write.
+    last_etag: u64,
 }
 
-/// A storage account: the unit Azure credentials attach to.
-pub struct AzureAccount {
-    name: String,
-    state: RwLock<AccountState>,
-    etag_counter: AtomicU64,
-}
-
-impl AzureAccount {
-    /// Fresh account named `name`.
-    pub fn new(name: &str) -> Arc<AzureAccount> {
-        Arc::new(AzureAccount {
-            name: name.to_string(),
-            state: RwLock::new(AccountState::default()),
-            etag_counter: AtomicU64::new(1),
-        })
-    }
-
-    /// Account name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Create a container with the given access level.
-    pub fn create_container(
-        self: &Arc<Self>,
-        name: &str,
-        access: AccessLevel,
-    ) -> Result<AzureBlobStore, StorageError> {
-        let mut st = self.state.write();
-        if st.containers.contains_key(name) {
-            return Err(StorageError::BucketExists(name.to_string()));
-        }
-        st.containers.insert(
-            name.to_string(),
-            Container {
-                access,
-                ..Default::default()
-            },
-        );
-        Ok(AzureBlobStore {
-            account: Arc::clone(self),
-            container: name.to_string(),
-        })
-    }
-
-    /// Handle to an existing container.
-    pub fn container(self: &Arc<Self>, name: &str) -> Result<AzureBlobStore, StorageError> {
-        if !self.state.read().containers.contains_key(name) {
-            return Err(StorageError::NoSuchBucket(name.to_string()));
-        }
-        Ok(AzureBlobStore {
-            account: Arc::clone(self),
-            container: name.to_string(),
-        })
-    }
-
-    /// Names of all containers.
-    pub fn container_names(&self) -> Vec<String> {
-        self.state.read().containers.keys().cloned().collect()
-    }
-}
-
-/// Handle to one container, implementing [`ObjectStore`].
+/// Handle to one container, implementing [`ObjectStore`]. Clones share
+/// the container.
 #[derive(Clone)]
 pub struct AzureBlobStore {
-    account: Arc<AzureAccount>,
+    account: String,
     container: String,
+    state: Arc<RwLock<Container>>,
 }
 
 impl std::fmt::Debug for AzureBlobStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AzureBlobStore")
-            .field("account", &self.account.name)
+            .field("account", &self.account)
             .field("container", &self.container)
             .finish()
     }
 }
 
 impl AzureBlobStore {
-    /// One-call account + container for tests and examples.
+    /// A fresh, empty container in an account of its own.
     pub fn standalone(account: &str, container: &str) -> AzureBlobStore {
-        AzureAccount::new(account)
-            .create_container(container, AccessLevel::Private)
-            .expect("fresh account")
-    }
-
-    /// The account this container lives in.
-    pub fn account(&self) -> &Arc<AzureAccount> {
-        &self.account
-    }
-
-    /// Access level of this container.
-    pub fn access_level(&self) -> AccessLevel {
-        self.account.state.read().containers[&self.container].access
+        AzureBlobStore {
+            account: account.to_string(),
+            container: container.to_string(),
+            state: Arc::default(),
+        }
     }
 
     /// ETag of a blob (changes on every write).
     pub fn etag(&self, key: &str) -> Option<u64> {
-        self.account
-            .state
-            .read()
-            .containers
-            .get(&self.container)?
-            .blobs
-            .get(key)
-            .map(|b| b.etag)
-    }
-
-    /// Take a point-in-time snapshot of a blob; returns the snapshot
-    /// index. Snapshots survive later overwrites.
-    pub fn snapshot(&self, key: &str) -> Result<usize, StorageError> {
-        let mut st = self.account.state.write();
-        let container = st
-            .containers
-            .get_mut(&self.container)
-            .ok_or_else(|| StorageError::NoSuchBucket(self.container.clone()))?;
-        let blob = container
-            .blobs
-            .get_mut(key)
-            .ok_or_else(|| StorageError::NotFound(key.to_string()))?;
-        blob.snapshots.push(Arc::clone(&blob.data));
-        Ok(blob.snapshots.len() - 1)
-    }
-
-    /// Read a snapshot taken earlier.
-    pub fn read_snapshot(&self, key: &str, index: usize) -> Result<Vec<u8>, StorageError> {
-        let st = self.account.state.read();
-        let blob = st
-            .containers
-            .get(&self.container)
-            .and_then(|c| c.blobs.get(key))
-            .ok_or_else(|| StorageError::NotFound(key.to_string()))?;
-        blob.snapshots
-            .get(index)
-            .map(|d| d.as_ref().clone())
-            .ok_or_else(|| StorageError::NotFound(format!("{key}@snapshot{index}")))
-    }
-
-    /// Upload as a staged block list committed atomically (Azure's
-    /// Put Block / Put Block List flow).
-    pub fn put_block_list(&self, key: &str, blocks: Vec<Vec<u8>>) -> Result<(), StorageError> {
-        let total = blocks.iter().map(Vec::len).sum();
-        let mut data = Vec::with_capacity(total);
-        for b in blocks {
-            data.extend_from_slice(&b);
-        }
-        self.put(key, data)
+        self.state.read().blobs.get(key).map(|b| b.etag)
     }
 }
 
 impl ObjectStore for AzureBlobStore {
     fn put(&self, key: &str, data: Vec<u8>) -> Result<(), StorageError> {
-        let etag = self.account.etag_counter.fetch_add(1, Ordering::Relaxed);
-        let mut st = self.account.state.write();
-        let container = st
-            .containers
-            .get_mut(&self.container)
-            .ok_or_else(|| StorageError::NoSuchBucket(self.container.clone()))?;
-        let snapshots = container
-            .blobs
-            .remove(key)
-            .map(|b| b.snapshots)
-            .unwrap_or_default();
-        container.blobs.insert(
-            key.to_string(),
-            Blob {
-                data: Arc::new(data),
-                etag,
-                snapshots,
-            },
-        );
+        let mut state = self.state.write();
+        state.last_etag += 1;
+        let (data, etag) = (Arc::new(data), state.last_etag);
+        state.blobs.insert(key.to_string(), Blob { data, etag });
         Ok(())
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>, StorageError> {
-        let st = self.account.state.read();
-        st.containers
-            .get(&self.container)
-            .ok_or_else(|| StorageError::NoSuchBucket(self.container.clone()))?
-            .blobs
-            .get(key)
-            .map(|b| b.data.as_ref().clone())
+        let state = self.state.read();
+        let blob = state.blobs.get(key);
+        blob.map(|b| b.data.as_ref().clone())
             .ok_or_else(|| StorageError::NotFound(key.to_string()))
     }
 
     fn delete(&self, key: &str) -> Result<(), StorageError> {
-        let mut st = self.account.state.write();
-        if let Some(c) = st.containers.get_mut(&self.container) {
-            c.blobs.remove(key);
-        }
+        self.state.write().blobs.remove(key);
         Ok(())
     }
 
     fn exists(&self, key: &str) -> bool {
-        self.account
-            .state
-            .read()
-            .containers
-            .get(&self.container)
-            .map(|c| c.blobs.contains_key(key))
-            .unwrap_or(false)
+        self.state.read().blobs.contains_key(key)
     }
 
     fn list(&self, prefix: &str) -> Vec<String> {
-        self.account
-            .state
-            .read()
-            .containers
-            .get(&self.container)
-            .map(|c| {
-                c.blobs
-                    .keys()
-                    .filter(|k| k.starts_with(prefix))
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default()
+        let state = self.state.read();
+        let under = state.blobs.keys().filter(|k| k.starts_with(prefix));
+        under.cloned().collect()
     }
 
     fn size(&self, key: &str) -> Option<u64> {
-        self.account
-            .state
+        self.state
             .read()
-            .containers
-            .get(&self.container)?
             .blobs
             .get(key)
             .map(|b| b.data.len() as u64)
@@ -287,27 +112,12 @@ mod tests {
     }
 
     #[test]
-    fn containers_are_isolated_within_an_account() {
-        let acct = AzureAccount::new("acct");
-        let a = acct.create_container("a", AccessLevel::Private).unwrap();
-        let b = acct.create_container("b", AccessLevel::Blob).unwrap();
-        a.put("k", vec![1]).unwrap();
+    fn clones_share_the_container_and_containers_are_isolated() {
+        let a = AzureBlobStore::standalone("acct", "a");
+        let b = AzureBlobStore::standalone("acct", "b");
+        a.clone().put("k", vec![1]).unwrap();
+        assert!(a.exists("k"));
         assert!(!b.exists("k"));
-        assert_eq!(acct.container_names(), vec!["a", "b"]);
-        assert_eq!(a.access_level(), AccessLevel::Private);
-        assert_eq!(b.access_level(), AccessLevel::Blob);
-    }
-
-    #[test]
-    fn duplicate_container_rejected() {
-        let acct = AzureAccount::new("acct");
-        acct.create_container("x", AccessLevel::Private).unwrap();
-        assert!(matches!(
-            acct.create_container("x", AccessLevel::Private),
-            Err(StorageError::BucketExists(_))
-        ));
-        assert!(acct.container("x").is_ok());
-        assert!(acct.container("y").is_err());
     }
 
     #[test]
@@ -318,34 +128,5 @@ mod tests {
         store.put("k", vec![1]).unwrap();
         let e2 = store.etag("k").unwrap();
         assert_ne!(e1, e2, "Azure bumps the ETag even for identical content");
-    }
-
-    #[test]
-    fn snapshots_survive_overwrites() {
-        let store = AzureBlobStore::standalone("a", "c");
-        store.put("k", b"version one".to_vec()).unwrap();
-        let snap = store.snapshot("k").unwrap();
-        store.put("k", b"version two".to_vec()).unwrap();
-        assert_eq!(store.get("k").unwrap(), b"version two");
-        assert_eq!(store.read_snapshot("k", snap).unwrap(), b"version one");
-    }
-
-    #[test]
-    fn snapshot_of_missing_blob_errors() {
-        let store = AzureBlobStore::standalone("a", "c");
-        assert!(matches!(
-            store.snapshot("nope"),
-            Err(StorageError::NotFound(_))
-        ));
-        assert!(store.read_snapshot("nope", 0).is_err());
-    }
-
-    #[test]
-    fn block_list_commits_in_order() {
-        let store = AzureBlobStore::standalone("a", "c");
-        store
-            .put_block_list("big", vec![vec![1, 2], vec![3], vec![4, 5]])
-            .unwrap();
-        assert_eq!(store.get("big").unwrap(), vec![1, 2, 3, 4, 5]);
     }
 }

@@ -177,20 +177,6 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
     }
-
-    /// A copy of the plan with rule `idx` removed (no-op when `idx` is
-    /// out of range). Shrinkers use this to bisect a failing fault
-    /// schedule down to the rule that matters.
-    pub fn without_rule(&self, idx: usize) -> FaultPlan {
-        let mut rules = self.rules.clone();
-        if idx < rules.len() {
-            rules.remove(idx);
-        }
-        FaultPlan {
-            seed: self.seed,
-            rules,
-        }
-    }
 }
 
 /// Snapshot of the faults a [`ChaosStore`] actually injected — tests use

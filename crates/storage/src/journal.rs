@@ -114,7 +114,6 @@ pub struct RegionJournal {
     store: StoreHandle,
     root: String,
     writer: Mutex<Option<Writer>>,
-    written: Arc<AtomicU64>,
     errors: Arc<AtomicU64>,
 }
 
@@ -131,7 +130,6 @@ impl RegionJournal {
             store,
             root,
             writer: Mutex::new(None),
-            written: Arc::new(AtomicU64::new(0)),
             errors: Arc::new(AtomicU64::new(0)),
         }
     }
@@ -198,16 +196,6 @@ impl RegionJournal {
         self.errors.load(Ordering::Relaxed)
     }
 
-    /// Markers successfully persisted so far.
-    pub fn tiles_written(&self) -> u64 {
-        self.written.load(Ordering::Relaxed)
-    }
-
-    /// Marker puts that failed (those tiles will re-execute on resume).
-    pub fn write_errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
-    }
-
     /// Delete every marker under this journal's root — called after the
     /// region commits, when the evidence is no longer needed. Best
     /// effort: a failed delete leaves a marker the *next* fingerprint
@@ -222,19 +210,13 @@ impl RegionJournal {
     fn spawn_writer(&self) -> Writer {
         let (tx, rx) = channel::<WriterMsg>();
         let store = Arc::clone(&self.store);
-        let written = Arc::clone(&self.written);
         let errors = Arc::clone(&self.errors);
         let handle = std::thread::Builder::new()
             .name("region-journal".into())
             .spawn(move || {
                 while let Ok(WriterMsg::Record { key, frame }) = rx.recv() {
-                    match store.put(&key, frame) {
-                        Ok(()) => {
-                            written.fetch_add(1, Ordering::Relaxed);
-                        }
-                        Err(_) => {
-                            errors.fetch_add(1, Ordering::Relaxed);
-                        }
+                    if store.put(&key, frame).is_err() {
+                        errors.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             })
@@ -303,7 +285,6 @@ mod tests {
         journal.record(0, 1, vec![1; 9]);
         journal.record(2, 0, vec![7; 4]);
         assert_eq!(journal.drain(), 0);
-        assert_eq!(journal.tiles_written(), 3);
         assert_eq!(
             journal.completed(0),
             vec![(1, vec![1; 9]), (3, vec![3; 9])],
@@ -351,7 +332,6 @@ mod tests {
             journal.record(0, tile, vec![tile as u8; 8]);
         }
         assert!(journal.drain() >= 1, "the kill surfaces as write errors");
-        assert_eq!(journal.tiles_written(), 2);
         // A fresh journal over the revived store resumes from exactly
         // the two landed markers.
         let after = RegionJournal::open(Arc::new(inner), "", &fp());

@@ -10,12 +10,11 @@
 //! * [`ObjectStore`] — the uniform key/value surface the cloud plug-in
 //!   programs against (the paper's "modular infrastructure where the
 //!   communication with the cloud can be customized for each service");
-//! * [`S3Store`] — an S3-like bucket store with ETags, versioning counters
-//!   and multipart uploads;
+//! * [`S3Store`] — an S3-like bucket store with ETags;
 //! * [`HdfsStore`] — an HDFS-like block store with a namenode, datanodes,
 //!   configurable block size and replication, surviving datanode loss;
-//! * [`AzureBlobStore`] — an Azure-Storage-like account/container/blob
-//!   store with block lists and snapshots (the paper's third backend);
+//! * [`AzureBlobStore`] — an Azure-Storage-like container of blobs (the
+//!   paper's third backend);
 //! * [`TransferManager`] — the host-side transfer engine: one thread per
 //!   store object (an offloaded buffer, or a pack of small ones),
 //!   gzip-style compression above a size threshold, and a per-object
@@ -35,14 +34,14 @@ mod s3;
 mod transfer;
 mod uri;
 
-pub use azure::{AccessLevel, AzureAccount, AzureBlobStore};
+pub use azure::AzureBlobStore;
 pub use chaos::{ChaosStats, ChaosStore, FaultKind, FaultPlan, FaultRule, OpFilter, Trigger};
 pub use hdfs::{HdfsStore, DEFAULT_BLOCK_SIZE};
 pub use journal::{RegionFingerprint, RegionJournal};
 pub use latency::LatencyStore;
 pub use pool::{BytePool, PoolBuf, PoolStats};
 pub use retry::{RetryPolicy, RetrySession, RetryStats};
-pub use s3::{MultipartUpload, S3Service, S3Store};
+pub use s3::{S3Service, S3Store};
 pub use transfer::{
     CommitManifest, DownloadResult, ItemReport, ManifestEntry, PipelineReport, PipelineResult,
     TransferConfig, TransferManager, TransferReport,

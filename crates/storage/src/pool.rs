@@ -145,11 +145,6 @@ impl BytePool {
             returns: self.returns.load(Ordering::Relaxed),
         }
     }
-
-    /// Total buffers currently shelved (test/diagnostic aid).
-    pub fn idle_buffers(&self) -> usize {
-        self.shelves.iter().map(|s| s.lock().len()).sum()
-    }
 }
 
 /// RAII guard over a pooled (or plain) byte buffer. Derefs to `Vec<u8>`;
@@ -247,6 +242,11 @@ impl PartialEq<&[u8]> for PoolBuf {
 mod tests {
     use super::*;
 
+    /// Total buffers currently shelved.
+    fn idle_buffers(pool: &BytePool) -> usize {
+        pool.shelves.iter().map(|s| s.lock().len()).sum()
+    }
+
     #[test]
     fn checkout_is_always_empty_even_after_dirty_return() {
         let pool = BytePool::new();
@@ -278,14 +278,14 @@ mod tests {
         buf.extend_from_slice(b"payload");
         let vec = buf.detach();
         assert_eq!(vec, b"payload");
-        assert_eq!(pool.idle_buffers(), 0, "detached buffer never returns");
+        assert_eq!(idle_buffers(&pool), 0, "detached buffer never returns");
     }
 
     #[test]
     fn adopted_buffers_check_in_on_drop() {
         let pool = BytePool::new();
         drop(pool.adopt(vec![1u8; 8192]));
-        assert_eq!(pool.idle_buffers(), 1);
+        assert_eq!(idle_buffers(&pool), 1);
         let buf = pool.get(4096);
         assert!(buf.is_empty());
         assert!(buf.capacity() >= 8192, "adopted capacity reused");
@@ -296,7 +296,7 @@ mod tests {
         let pool = BytePool::new();
         drop(pool.get(256 * 1024 * 1024)); // over the largest class
         drop(pool.adopt(vec![1u8; 16])); // under the smallest class
-        assert_eq!(pool.idle_buffers(), 0);
+        assert_eq!(idle_buffers(&pool), 0);
     }
 
     #[test]
@@ -305,7 +305,7 @@ mod tests {
         for _ in 0..100 {
             drop(pool.adopt(vec![0u8; 4096]));
         }
-        assert!(pool.idle_buffers() <= 32 + 1, "shelves bounded per class");
+        assert!(idle_buffers(&pool) <= 32 + 1, "shelves bounded per class");
     }
 
     #[test]
@@ -313,7 +313,7 @@ mod tests {
         let pool = BytePool::new();
         let buf: PoolBuf = vec![1, 2, 3].into();
         drop(buf);
-        assert_eq!(pool.idle_buffers(), 0);
+        assert_eq!(idle_buffers(&pool), 0);
     }
 
     #[test]

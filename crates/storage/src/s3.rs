@@ -1,18 +1,16 @@
 //! An S3-like object service: named buckets of immutable objects with
-//! ETags, a monotonically increasing version counter, multipart uploads,
-//! and injectable transient faults for resilience testing.
+//! ETags, and injectable transient faults for resilience testing.
 
 use crate::{ObjectStore, StorageError};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 struct Object {
     data: Arc<Vec<u8>>,
     etag: u32,
-    version: u64,
 }
 
 #[derive(Default)]
@@ -23,7 +21,6 @@ struct ServiceState {
 /// The whole S3-like service: a set of buckets shared by all handles.
 pub struct S3Service {
     state: RwLock<ServiceState>,
-    version_counter: AtomicU64,
     /// Remaining operations that should fail transiently (fault injection).
     faults_remaining: AtomicUsize,
 }
@@ -33,7 +30,6 @@ impl S3Service {
     pub fn new() -> Arc<Self> {
         Arc::new(S3Service {
             state: RwLock::new(ServiceState::default()),
-            version_counter: AtomicU64::new(0),
             faults_remaining: AtomicUsize::new(0),
         })
     }
@@ -61,11 +57,6 @@ impl S3Service {
             service: Arc::clone(self),
             bucket: name.to_string(),
         })
-    }
-
-    /// Bucket names, sorted.
-    pub fn bucket_names(&self) -> Vec<String> {
-        self.state.read().buckets.keys().cloned().collect()
     }
 
     /// Make the next `n` operations fail with a transient error — the
@@ -115,11 +106,6 @@ impl S3Store {
             .expect("fresh service")
     }
 
-    /// Bucket name.
-    pub fn bucket_name(&self) -> &str {
-        &self.bucket
-    }
-
     /// The service this bucket belongs to.
     pub fn service(&self) -> &Arc<S3Service> {
         &self.service
@@ -129,21 +115,6 @@ impl S3Store {
     pub fn etag(&self, key: &str) -> Option<u32> {
         let st = self.service.state.read();
         st.buckets.get(&self.bucket)?.get(key).map(|o| o.etag)
-    }
-
-    /// Monotone version number of an object (bumped on every overwrite).
-    pub fn version(&self, key: &str) -> Option<u64> {
-        let st = self.service.state.read();
-        st.buckets.get(&self.bucket)?.get(key).map(|o| o.version)
-    }
-
-    /// Begin a multipart upload for `key`.
-    pub fn start_multipart(&self, key: &str) -> MultipartUpload {
-        MultipartUpload {
-            store: self.clone(),
-            key: key.to_string(),
-            parts: Mutex::new(BTreeMap::new()),
-        }
     }
 
     fn with_bucket_mut<R>(
@@ -163,16 +134,9 @@ impl ObjectStore for S3Store {
     fn put(&self, key: &str, data: Vec<u8>) -> Result<(), StorageError> {
         self.service.maybe_fault()?;
         let etag = gzlite::crc32(&data);
-        let version = self.service.version_counter.fetch_add(1, Ordering::Relaxed);
+        let data = Arc::new(data);
         self.with_bucket_mut(|b| {
-            b.insert(
-                key.to_string(),
-                Object {
-                    data: Arc::new(data),
-                    etag,
-                    version,
-                },
-            );
+            b.insert(key.to_string(), Object { data, etag });
         })
     }
 
@@ -234,37 +198,6 @@ impl ObjectStore for S3Store {
     }
 }
 
-/// An in-progress multipart upload: parts may arrive in any order from
-/// any thread; `complete` concatenates them by part number.
-pub struct MultipartUpload {
-    store: S3Store,
-    key: String,
-    parts: Mutex<BTreeMap<u32, Vec<u8>>>,
-}
-
-impl MultipartUpload {
-    /// Upload part number `n` (1-based, like S3).
-    pub fn upload_part(&self, n: u32, data: Vec<u8>) {
-        self.parts.lock().insert(n, data);
-    }
-
-    /// Number of parts received so far.
-    pub fn parts_received(&self) -> usize {
-        self.parts.lock().len()
-    }
-
-    /// Assemble and store the final object.
-    pub fn complete(self) -> Result<(), StorageError> {
-        let parts = self.parts.into_inner();
-        let total: usize = parts.values().map(Vec::len).sum();
-        let mut data = Vec::with_capacity(total);
-        for (_, part) in parts {
-            data.extend_from_slice(&part);
-        }
-        self.store.put(&self.key, data)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,7 +215,6 @@ mod tests {
         let b = svc.create_bucket("b").unwrap();
         a.put("k", vec![1]).unwrap();
         assert!(!b.exists("k"));
-        assert_eq!(svc.bucket_names(), vec!["a", "b"]);
     }
 
     #[test]
@@ -298,28 +230,14 @@ mod tests {
     }
 
     #[test]
-    fn etag_tracks_content_and_version_is_monotone() {
+    fn etag_tracks_content() {
         let s = S3Store::standalone("b");
         s.put("k", vec![1, 2, 3]).unwrap();
-        let (e1, v1) = (s.etag("k").unwrap(), s.version("k").unwrap());
+        let e1 = s.etag("k").unwrap();
         s.put("k", vec![1, 2, 3]).unwrap();
-        let (e2, v2) = (s.etag("k").unwrap(), s.version("k").unwrap());
-        assert_eq!(e1, e2, "same content, same etag");
-        assert!(v2 > v1, "overwrite bumps version");
+        assert_eq!(s.etag("k").unwrap(), e1, "same content, same etag");
         s.put("k", vec![4]).unwrap();
         assert_ne!(s.etag("k").unwrap(), e1);
-    }
-
-    #[test]
-    fn multipart_assembles_in_part_order() {
-        let s = S3Store::standalone("b");
-        let up = s.start_multipart("big");
-        up.upload_part(2, vec![3, 4]);
-        up.upload_part(1, vec![1, 2]);
-        up.upload_part(3, vec![5]);
-        assert_eq!(up.parts_received(), 3);
-        up.complete().unwrap();
-        assert_eq!(s.get("big").unwrap(), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

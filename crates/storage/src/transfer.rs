@@ -57,7 +57,11 @@ pub struct TransferConfig {
     pub retry: RetryPolicy,
     /// Verify the crc32 of the wire bytes on every download against the
     /// upload-time ledger (or the backend checksum). Mismatches surface
-    /// as retryable [`StorageError::Corrupted`].
+    /// as retryable [`StorageError::Corrupted`]. No configuration file
+    /// reaches this — a `CloudDevice` always verifies; `false` is the
+    /// seam the decoder-law tests (`tests/malformed_pack.rs`) use to put
+    /// damaged bytes in front of the pack and manifest parsers, which
+    /// the crc would otherwise turn away first.
     pub verify_integrity: bool,
     /// Cap on concurrent transfer threads (one per object up to this).
     pub max_threads: usize,
@@ -1574,7 +1578,7 @@ mod tests {
     #[test]
     fn integrity_check_can_be_disabled() {
         // With verification off, at-rest damage in a raw (uncompressed)
-        // object is NOT caught — the knob really gates the check.
+        // object is NOT caught — the seam really gates the check.
         let store = S3Store::standalone("xfer");
         let tm = TransferManager::new(
             Arc::new(store.clone()),

@@ -171,15 +171,11 @@ fn kill_mid_region_resumes_only_unfinished_tiles() {
 }
 
 #[test]
-fn a_journal_over_other_data_is_not_resumed_with_integrity_off() {
-    // The region fingerprint is built from the inputs' wire crc32s. They
-    // used to be recorded only when `verify-integrity` was on, so with
-    // it off every input fingerprinted as 0 and a journal left by an
-    // interrupted run over *other* data was restored into this one.
-    let config = || CloudConfig {
-        verify_integrity: false,
-        ..checkpoint_config()
-    };
+fn a_journal_over_other_data_is_not_resumed() {
+    // The region fingerprint is built from the inputs' wire crc32s, which
+    // every put records: a journal left by an interrupted run over
+    // *other* data must never be restored into this one.
+    let config = checkpoint_config;
     // Interrupted run: K tiles journaled, then host fallback.
     let base: Arc<S3Store> = Arc::new(S3Store::standalone("checkpoint-other-data"));
     let runtime =

@@ -188,16 +188,33 @@ enum Edge {
 }
 
 /// [`ObjectStore`] decorator that logs the start and end of every put
-/// and get in one global order, and the most ops it ever saw in flight.
+/// and get in one global order, the most ops it ever saw in flight, and
+/// every key or prefix any op named.
 struct Recorder {
     inner: StoreHandle,
     log: Mutex<Vec<(Edge, String)>>,
     inflight: AtomicUsize,
     max_inflight: AtomicUsize,
+    named: Mutex<Vec<String>>,
 }
 
 impl Recorder {
+    fn over(inner: StoreHandle) -> Arc<Recorder> {
+        Arc::new(Recorder {
+            inner,
+            log: Mutex::new(Vec::new()),
+            inflight: AtomicUsize::new(0),
+            max_inflight: AtomicUsize::new(0),
+            named: Mutex::new(Vec::new()),
+        })
+    }
+
+    fn name(&self, key: &str) {
+        self.named.lock().unwrap().push(key.into());
+    }
+
     fn record<T>(&self, start: Edge, end: Edge, key: &str, op: impl FnOnce() -> T) -> T {
+        self.name(key);
         let now = self.inflight.fetch_add(1, Ordering::SeqCst) + 1;
         self.max_inflight.fetch_max(now, Ordering::SeqCst);
         self.log.lock().unwrap().push((start, key.into()));
@@ -220,22 +237,27 @@ impl ObjectStore for Recorder {
     }
 
     fn delete(&self, key: &str) -> Result<(), StorageError> {
+        self.name(key);
         self.inner.delete(key)
     }
 
     fn exists(&self, key: &str) -> bool {
+        self.name(key);
         self.inner.exists(key)
     }
 
     fn list(&self, prefix: &str) -> Vec<String> {
+        self.name(prefix);
         self.inner.list(prefix)
     }
 
     fn size(&self, key: &str) -> Option<u64> {
+        self.name(key);
         self.inner.size(key)
     }
 
     fn checksum(&self, key: &str) -> Option<u32> {
+        self.name(key);
         self.inner.checksum(key)
     }
 
@@ -280,15 +302,10 @@ fn scope_boundaries_honour_io_threads() {
         .unwrap();
 
     // 5 ms per op: ops issued together are in flight together.
-    let recorder = Arc::new(Recorder {
-        inner: Arc::new(LatencyStore::new(
-            Arc::new(S3Store::standalone("scope")),
-            Duration::from_millis(5),
-        )),
-        log: Mutex::new(Vec::new()),
-        inflight: AtomicUsize::new(0),
-        max_inflight: AtomicUsize::new(0),
-    });
+    let recorder = Recorder::over(Arc::new(LatencyStore::new(
+        Arc::new(S3Store::standalone("scope")),
+        Duration::from_millis(5),
+    )));
     let config = CloudConfig {
         workers: 2,
         vcpus_per_worker: 4,
@@ -331,4 +348,92 @@ fn scope_boundaries_honour_io_threads() {
             assert!(put_returned, "{key} was read before its put returned");
         }
     }
+}
+
+/// A device on `store` whose configured storage prefix is `prefix`.
+fn device_under(prefix: &str, store: StoreHandle) -> CloudRuntime {
+    let config = CloudConfig::from_str(&format!(
+        "[cloud]\nstorage = s3://shared/{prefix}\n[cluster]\nworkers = 2\nvcpus-per-worker = 4\n"
+    ))
+    .unwrap();
+    CloudRuntime::with_device(CloudDevice::with_store(config, store))
+}
+
+fn scope_env(n: usize, seed: usize) -> DataEnv {
+    let mut env = DataEnv::new();
+    env.insert("x", (0..n).map(|i| (i * seed) as f32).collect::<Vec<_>>());
+    env.insert("y", vec![0.0f32; n]);
+    env
+}
+
+/// Everything a scope stages lives under the configured prefix, like
+/// every other key the device writes: nothing lands at the bucket root.
+#[test]
+fn a_scope_touches_only_keys_under_the_configured_prefix() {
+    let n = 64;
+    let recorder = Recorder::over(Arc::new(S3Store::standalone("shared")));
+    let rt = device_under("tenant-a", Arc::clone(&recorder) as StoreHandle);
+    let mut env = scope_env(n, 3);
+    let mut scope = rt
+        .target_data(&env, &[("x", MapDir::To), ("y", MapDir::ToFrom)])
+        .unwrap();
+    scope.offload(&scale_region(n, 2.0, "x", "y")).unwrap();
+    scope.close(&mut env).unwrap();
+    rt.shutdown();
+
+    let named = recorder.named.lock().unwrap().clone();
+    assert!(
+        named.iter().any(|k| k.contains("target-data")),
+        "the scope staged nothing: {named:?}"
+    );
+    for key in &named {
+        assert!(
+            key.starts_with("tenant-a/") || key == "tenant-a",
+            "'{key}' is outside the configured prefix 'tenant-a': {named:?}"
+        );
+    }
+    assert_eq!(recorder.list(""), Vec::<String>::new(), "left behind");
+}
+
+/// Two devices sharing one bucket under prefixes `a` and `b` hold open
+/// scopes at once: each stages its own objects, one's exit leaves the
+/// other's alone, and both close bitwise equal to the host.
+#[test]
+fn two_devices_on_one_bucket_hold_scopes_at_once() {
+    let n = 64;
+    let bucket: StoreHandle = Arc::new(S3Store::standalone("shared"));
+    let region = scale_region(n, 2.0, "x", "y");
+    let maps = [("x", MapDir::To), ("y", MapDir::ToFrom)];
+    let (rt_a, rt_b) = (
+        device_under("a", Arc::clone(&bucket)),
+        device_under("b", Arc::clone(&bucket)),
+    );
+    let (mut env_a, mut env_b) = (scope_env(n, 3), scope_env(n, 7));
+    let host = |env: &DataEnv| {
+        let mut host_env = env.clone();
+        HostDevice::sequential()
+            .execute(&region, &mut host_env)
+            .unwrap();
+        host_env.get_erased("y").unwrap().to_bytes()
+    };
+    let (want_a, want_b) = (host(&env_a), host(&env_b));
+
+    let mut scope_a = rt_a.target_data(&env_a, &maps).unwrap();
+    let mut scope_b = rt_b.target_data(&env_b, &maps).unwrap();
+    let staged = |prefix: &str| bucket.list(&format!("{prefix}/target-data"));
+    // (Inputs this small travel as one pack per scope.)
+    let staged_b = staged("b");
+    assert!(!staged("a").is_empty() && !staged_b.is_empty());
+    scope_a.offload(&region).unwrap();
+    scope_b.offload(&region).unwrap();
+    scope_a.close(&mut env_a).unwrap();
+    assert_eq!(staged("a"), Vec::<String>::new(), "a cleans up its own");
+    assert_eq!(staged("b"), staged_b, "a's exit touched b's staged objects");
+    scope_b.close(&mut env_b).unwrap();
+    assert_eq!(bucket.list(""), Vec::<String>::new(), "left behind");
+
+    assert_eq!(env_a.get_erased("y").unwrap().to_bytes(), want_a);
+    assert_eq!(env_b.get_erased("y").unwrap().to_bytes(), want_b);
+    rt_a.shutdown();
+    rt_b.shutdown();
 }
