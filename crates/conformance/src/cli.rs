@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! conformance [--cases N] [--seed S] [--case K] [--budget-secs B]
-//!             [--no-shrink] [--verbose] [--autotune PROFILE.ini]
+//!             [--no-shrink] [--verbose]
 //! ```
 //!
 //! Environment overrides (used by replay recipes): `CONFORMANCE_SEED`,
@@ -15,7 +15,7 @@
 //! `CONFORMANCE_FAILURES.txt` (override with `CONFORMANCE_FAILURES_FILE`)
 //! so CI can upload them as an artifact.
 
-use crate::exec::run_case_tuned;
+use crate::exec::run_case;
 use crate::gen::{CaseKind, CaseSpec, ResidentFaultFlavor};
 use crate::shrink::{apply_named, shrink_with};
 use std::io::Write as _;
@@ -28,7 +28,6 @@ struct Args {
     budget_secs: Option<u64>,
     shrink: bool,
     verbose: bool,
-    autotune: Option<String>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -39,7 +38,6 @@ fn parse_args() -> Result<Args, String> {
         budget_secs: None,
         shrink: true,
         verbose: false,
-        autotune: None,
     };
     if let Ok(s) = std::env::var("CONFORMANCE_SEED") {
         args.seed = s
@@ -66,13 +64,9 @@ fn parse_args() -> Result<Args, String> {
             "--budget-secs" => args.budget_secs = Some(take("--budget-secs")?),
             "--no-shrink" => args.shrink = false,
             "--verbose" => args.verbose = true,
-            "--autotune" => {
-                args.autotune = Some(it.next().ok_or("--autotune needs a profile path")?);
-            }
             "--help" | "-h" => {
                 return Err("usage: conformance [--cases N] [--seed S] [--case K] \
-                            [--budget-secs B] [--no-shrink] [--verbose] \
-                            [--autotune PROFILE.ini]"
+                            [--budget-secs B] [--no-shrink] [--verbose]"
                     .into())
             }
             other => return Err(format!("unknown argument '{other}' (try --help)")),
@@ -83,20 +77,14 @@ fn parse_args() -> Result<Args, String> {
 
 /// Run one possibly-shrunk case and, on failure, produce the replay
 /// recipe line.
-fn run_and_report(
-    spec: &CaseSpec,
-    shrink: bool,
-    tuned: Option<&ompcloud::TunedProfile>,
-) -> Option<String> {
-    let outcome = run_case_tuned(spec, tuned);
+fn run_and_report(spec: &CaseSpec, shrink: bool) -> Option<String> {
+    let outcome = run_case(spec);
     if outcome.failures.is_empty() {
         return None;
     }
     let first = outcome.failures[0].clone();
     let (_, recipe) = if shrink {
-        shrink_with(spec, |candidate| {
-            !run_case_tuned(candidate, tuned).failures.is_empty()
-        })
+        shrink_with(spec, |candidate| !run_case(candidate).failures.is_empty())
     } else {
         (spec.clone(), Vec::new())
     };
@@ -119,26 +107,6 @@ pub fn main() -> i32 {
             eprintln!("{msg}");
             return 2;
         }
-    };
-
-    // An autotuned wire-path profile applies to every case's cloud
-    // config; the sweep then doubles as the profile's conformance gate.
-    let tuned = match &args.autotune {
-        Some(path) => match ompcloud::TunedProfile::load(std::path::Path::new(path)) {
-            Ok(p) => {
-                eprintln!(
-                    "autotune profile {path}: tile-size={} io-threads={} \
-                     min-compression-size={}",
-                    p.tile_size, p.io_threads, p.min_compression_size
-                );
-                Some(p)
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        },
-        None => None,
     };
 
     let shrink_env = std::env::var("CONFORMANCE_SHRINK").unwrap_or_default();
@@ -197,7 +165,7 @@ pub fn main() -> i32 {
             println!("{}", spec.summary());
         }
         ran += 1;
-        if let Some(line) = run_and_report(&spec, args.shrink, tuned.as_ref()) {
+        if let Some(line) = run_and_report(&spec, args.shrink) {
             println!("FAIL {line}");
             failures.push(line);
             if failures.len() >= 5 {

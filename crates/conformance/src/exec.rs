@@ -66,20 +66,7 @@ impl CaseOutcome {
 
 /// Execute `spec` on both legs and run every oracle over the results.
 pub fn run_case(spec: &CaseSpec) -> CaseOutcome {
-    run_case_tuned(spec, None)
-}
-
-/// [`run_case`] with an autotuned wire-path profile applied on top of
-/// the generated cloud configuration (the `--autotune` CLI path). The
-/// tuned knobs — tile size, io threads, compression threshold — change
-/// performance parameters only, so every oracle and the bitwise
-/// host-vs-cloud check must still hold.
-pub fn run_case_tuned(spec: &CaseSpec, tuned: Option<&ompcloud::TunedProfile>) -> CaseOutcome {
     let mut failures = Vec::new();
-    let mut config = spec.config();
-    if let Some(profile) = tuned {
-        profile.apply(&mut config);
-    }
 
     // --- Cloud leg -------------------------------------------------
     let base = Arc::new(S3Store::standalone("conformance"));
@@ -96,7 +83,7 @@ pub fn run_case_tuned(spec: &CaseSpec, tuned: Option<&ompcloud::TunedProfile>) -
         cs
     });
 
-    let runtime = CloudRuntime::with_device(CloudDevice::with_store(config.clone(), handle));
+    let runtime = CloudRuntime::with_device(CloudDevice::with_store(spec.config(), handle));
     if let Some(rf) = &spec.resident_fault {
         // Arm the device-side half of the fault: Rot damages the driver
         // copy in place (the durable key repairs it); Expire drops the
@@ -246,7 +233,6 @@ pub fn run_case_tuned(spec: &CaseSpec, tuned: Option<&ompcloud::TunedProfile>) -
     // --- Invariant oracles ------------------------------------------
     failures.extend(oracle::check(&oracle::OracleInput {
         spec,
-        config: &config,
         profile: cloud_profile.as_ref(),
         report: report.as_ref(),
         jobs: &jobs,

@@ -35,7 +35,7 @@ pub mod oracle;
 pub mod rng;
 pub mod shrink;
 
-pub use exec::{run_case, run_case_tuned, CaseOutcome, Verdict};
+pub use exec::{run_case, CaseOutcome, Verdict};
 pub use gen::{CaseKind, CaseSpec, ChaosFlavor, ChaosSpec, OutFlavor};
 pub use rng::SplitMix64;
 pub use shrink::{apply_named, shrink_with, TRANSFORMS};

@@ -37,10 +37,6 @@ const EPS: f64 = 1e-9;
 pub struct OracleInput<'a> {
     /// The case that ran.
     pub spec: &'a CaseSpec,
-    /// The cloud configuration the case actually executed with — the
-    /// generated config, possibly with an autotuned profile applied.
-    /// Tile accounting must plan with these knobs, not the spec's.
-    pub config: &'a ompcloud::CloudConfig,
     /// Profile the cloud leg returned (`None` if it errored/panicked).
     pub profile: Option<&'a ExecProfile>,
     /// The cloud device's report (`None` when the offload never
@@ -102,11 +98,12 @@ pub fn check(input: &OracleInput<'_>) -> Vec<String> {
 
     // --- Tile accounting -------------------------------------------
     let region = spec.build_region(omp_model::DeviceSelector::Default);
-    let slots = input.config.total_slots();
+    let config = spec.config();
+    let slots = config.total_slots();
     let planned: Vec<usize> = region
         .loops
         .iter()
-        .map(|l| tile_plan(l.trip_count, slots, input.config.tile_size).len())
+        .map(|l| tile_plan(l.trip_count, slots, config.tile_size).len())
         .collect();
     if report.loops.len() != region.loops.len() {
         f.push(format!(

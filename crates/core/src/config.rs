@@ -83,7 +83,7 @@ pub struct CloudConfig {
     /// round-tripping every output through the host.
     pub dataflow: bool,
     /// Iterations per tile; 0 = auto (Algorithm 1's even split across
-    /// the cluster's task slots). The autotuner sweeps this.
+    /// the cluster's task slots).
     pub tile_size: usize,
     /// Dirty-tile delta transfers for iterative regions: re-upload only
     /// the tiles of an input buffer whose crc32 changed since the last
@@ -92,9 +92,6 @@ pub struct CloudConfig {
     pub delta_transfers: bool,
     /// Tile granularity of the delta ledger, in bytes.
     pub delta_tile_bytes: usize,
-    /// `[autotune]` section: bench-driven calibration of the wire-path
-    /// knobs (tile size, io threads, compression threshold).
-    pub autotune: crate::autotune::AutotuneConfig,
     /// Map-phase dispatch policy: `static` pre-assigns partitions
     /// round-robin (the paper's behavior), `dynamic` is a central
     /// pull-based queue (OpenMP `schedule(dynamic)` at cluster scope),
@@ -193,7 +190,6 @@ impl Default for CloudConfig {
             tile_size: 0,
             delta_transfers: false,
             delta_tile_bytes: 64 * 1024,
-            autotune: crate::autotune::AutotuneConfig::default(),
             schedule: sparkle::ScheduleMode::Stealing,
             spec_factor: 1.5,
             locality_wait_ms: 0,
@@ -279,12 +275,6 @@ impl CloudConfig {
         ini.read_into("resilience", "recovery-depth", &mut self.recovery_depth)?;
         ini.read_into("resilience", "quarantine-threshold", &mut self.quarantine_threshold)?;
         ini.read_into("resilience", "quarantine-heartbeat-ms", &mut self.quarantine_heartbeat_ms)?;
-        let tune = &mut self.autotune;
-        ini.read_bool_into("autotune", "enabled", &mut tune.enabled)?;
-        ini.read_into("autotune", "profile", &mut tune.profile)?;
-        ini.read_with("autotune", "tile-sizes", &mut tune.tile_sizes, parse_list)?;
-        ini.read_with("autotune", "io-threads", &mut tune.io_threads, parse_list)?;
-        ini.read_with("autotune", "compression-thresholds", &mut tune.thresholds, parse_list)?;
         ini.read_bool_into("tenancy", "enabled", &mut self.tenancy_enabled)?;
         ini.read_into("tenancy", "admission-window", &mut self.tenancy_admission_window)?;
         ini.read_into("tenancy", "max-pending", &mut self.tenancy_max_pending)?;
@@ -292,33 +282,11 @@ impl CloudConfig {
         ini.read_with("tenancy", "weights", &mut self.tenancy_weights, parse_weights)
     }
 
-    /// Read and parse a configuration file. When `[autotune] enabled`
-    /// is set and the persisted profile exists, its tuned knobs are
-    /// applied on top of the file's explicit settings.
+    /// Read and parse a configuration file.
     pub fn from_file(path: &std::path::Path) -> Result<CloudConfig, OmpError> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| bad_config(format!("cannot read {}: {e}", path.display())))?;
-        let mut cfg = Self::from_str(&text)?;
-        cfg.apply_autotune_profile()?;
-        Ok(cfg)
-    }
-
-    /// Apply the persisted autotune profile when `[autotune] enabled` is
-    /// on and the profile file exists. Returns whether a profile was
-    /// applied; a missing file is not an error (run
-    /// `sparkle-offload autotune` to create one).
-    pub fn apply_autotune_profile(&mut self) -> Result<bool, OmpError> {
-        if !self.autotune.enabled {
-            return Ok(false);
-        }
-        let path = std::path::Path::new(&self.autotune.profile);
-        if !path.exists() {
-            return Ok(false);
-        }
-        let profile = crate::autotune::TunedProfile::load(path)?;
-        profile.apply(self);
-        self.validate()?;
-        Ok(true)
+        Self::from_str(&text)
     }
 
     /// Sanity checks on the numeric fields.
@@ -346,11 +314,6 @@ impl CloudConfig {
         }
         if self.delta_tile_bytes == 0 {
             return Err(bad_config("delta-tile-bytes must be at least 1"));
-        }
-        if self.autotune.io_threads.contains(&0) {
-            return Err(bad_config(
-                "autotune io-threads candidates must be at least 1",
-            ));
         }
         if self.spec_factor != 0.0 && !(self.spec_factor >= 1.0 && self.spec_factor.is_finite()) {
             return Err(bad_config(format!(
@@ -463,22 +426,6 @@ fn parse_weights(text: &str) -> Result<Vec<(String, f64)>, String> {
             Ok((name.trim().to_string(), weight))
         })
         .collect()
-}
-
-/// Parse a comma-separated list of non-negative integers ("0, 4096, 16k"
-/// style suffixes are not supported — plain numbers only).
-fn parse_list(text: &str) -> Result<Vec<usize>, String> {
-    let vals: Result<Vec<usize>, _> = text
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(|s| s.parse::<usize>().map_err(|_| format!("bad number '{s}'")))
-        .collect();
-    let vals = vals?;
-    if vals.is_empty() {
-        return Err(format!("empty list '{text}'"));
-    }
-    Ok(vals)
 }
 
 #[cfg(test)]
@@ -608,6 +555,22 @@ instance-type = c3.8xlarge
             assert_eq!(
                 detail(err),
                 format!("[{section}] {key} is not a setting this version reads")
+            );
+        }
+        // The calibration sweep's section went whole: no key of it is
+        // looked up, so the error names the section, bare or not.
+        for key in [
+            "",
+            "enabled = no",
+            "profile = ompcloud-autotune.ini",
+            "tile-sizes = 0",
+            "io-threads = 8",
+            "compression-thresholds = 1024",
+        ] {
+            let err = CloudConfig::from_str(&format!("[autotune]\n{key}\n")).unwrap_err();
+            assert_eq!(
+                detail(err),
+                "[autotune] is not a setting this version reads"
             );
         }
     }
@@ -775,27 +738,10 @@ instance-type = c3.8xlarge
     }
 
     #[test]
-    fn tile_size_and_autotune_section_parse() {
-        let cfg = CloudConfig::default();
-        assert_eq!(cfg.tile_size, 0, "auto tiling by default");
-        assert!(!cfg.autotune.enabled, "autotune is opt-in");
-
-        let cfg = CloudConfig::from_str(
-            "[offload]\ntile-size = 4096\n\n[autotune]\nenabled = yes\n\
-             profile = /tmp/profile.ini\ntile-sizes = 0, 1024,4096\nio-threads = 1,2\n\
-             compression-thresholds = 256,65536\n",
-        )
-        .unwrap();
+    fn tile_size_parses_and_defaults_to_auto() {
+        assert_eq!(CloudConfig::default().tile_size, 0, "auto by default");
+        let cfg = CloudConfig::from_str("[offload]\ntile-size = 4096\n").unwrap();
         assert_eq!(cfg.tile_size, 4096);
-        assert!(cfg.autotune.enabled);
-        assert_eq!(cfg.autotune.profile, "/tmp/profile.ini");
-        assert_eq!(cfg.autotune.tile_sizes, vec![0, 1024, 4096]);
-        assert_eq!(cfg.autotune.io_threads, vec![1, 2]);
-        assert_eq!(cfg.autotune.thresholds, vec![256, 65536]);
-
-        assert!(CloudConfig::from_str("[autotune]\ntile-sizes = nope\n").is_err());
-        assert!(CloudConfig::from_str("[autotune]\ntile-sizes = ,\n").is_err());
-        assert!(CloudConfig::from_str("[autotune]\nio-threads = 0,2\n").is_err());
     }
 
     #[test]

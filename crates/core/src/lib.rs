@@ -31,7 +31,6 @@
 //! blocks to the workers that use them; everything else is broadcast via
 //! the BitTorrent-style protocol accounted in `sparkle`.
 
-pub mod autotune;
 pub mod breaker;
 pub mod cache;
 pub mod config;
@@ -48,7 +47,6 @@ pub mod scope;
 pub mod service;
 pub mod tiling;
 
-pub use autotune::{calibrate, AutotuneConfig, CalibrationReport, TunedProfile};
 pub use breaker::{BreakerBank, CircuitBreaker, DEFAULT_TENANT};
 pub use cache::{CacheDecision, Fingerprint, UploadCache};
 pub use config::{CloudConfig, Provider};

@@ -33,11 +33,11 @@ pub fn tile_count(n: usize, c: usize) -> usize {
 
 /// Tile `n` iterations honoring an explicit tile size.
 ///
-/// `tile_size == 0` is "auto" — Algorithm 1's even split across the
-/// cluster's `c` task slots, the paper's behavior. A positive size
-/// instead cuts fixed blocks of `tile_size` iterations (the last one
-/// shorter); this is the knob the autotuner sweeps to trade per-task
-/// dispatch overhead against transfer granularity. Both call sites that
+/// `tile_size` is `[offload] tile-size`; 0 is "auto" — Algorithm 1's
+/// even split across the cluster's `c` task slots, the paper's behavior.
+/// A positive size instead cuts fixed blocks of `tile_size` iterations
+/// (the last one shorter), trading per-task dispatch overhead against
+/// transfer granularity. Both call sites that
 /// derive a tile plan — the Spark job generator and the checkpoint
 /// fingerprint — must go through this function so resumed regions land
 /// on the journal their first run wrote.

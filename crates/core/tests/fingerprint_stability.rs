@@ -145,7 +145,7 @@ fn chained_offload_is_bitwise_stable_across_tile_size() {
         runtime.shutdown();
         out
     };
-    let a = run(0); // autotuned plan
+    let a = run(0); // Algorithm 1's split
     let b = run(3);
     let c = run(17);
     assert_eq!(a, b);

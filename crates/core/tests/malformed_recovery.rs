@@ -5,15 +5,13 @@
 //! Same law, same recording allocator as `cloud-storage`'s
 //! `tests/malformed_pack.rs`.
 //!
-//! The second half holds `core`'s other two decoders to it:
-//! `DeltaLedger::apply_patch` (`DPT1` patches, fetched from the store)
-//! and `TunedProfile::from_ini` (a file `sparkle-offload autotune` wrote
-//! some other day).
+//! The second half holds `core`'s other decoder to it:
+//! `DeltaLedger::apply_patch` (`DPT1` patches, fetched from the store).
 
 use omp_model::view::OutPart;
 use omp_model::ErasedVec;
 use ompcloud::recovery::{decode_parts, decode_tile, encode_parts, encode_tile};
-use ompcloud::{DeltaDiff, DeltaLedger, TunedProfile};
+use ompcloud::{DeltaDiff, DeltaLedger};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -305,95 +303,4 @@ fn oversized_patch_counts_are_errors() {
     let mut other = DeltaLedger::new(PATCH_TILE * 2);
     other.commit("x", &[0u8; PATCH_BASE_LEN]);
     assert!(other.apply_patch("x", &patch).is_err());
-}
-
-// ---------------------------------------------------------------------
-// Autotune profiles
-// ---------------------------------------------------------------------
-
-fn profile() -> TunedProfile {
-    TunedProfile {
-        tile_size: 4096,
-        io_threads: 4,
-        min_compression_size: 1024,
-        throughput_mb_s: 123.456,
-    }
-}
-
-/// `from_ini` of `text`, and that it reserved nothing out of proportion.
-fn parse_bounded(text: &str) -> Result<TunedProfile, omp_model::OmpError> {
-    LARGEST.with(|l| l.set(0));
-    let result = TunedProfile::from_ini(text);
-    assert_bounded(LARGEST.with(Cell::get), text.len(), "profile");
-    result
-}
-
-#[test]
-fn every_truncation_of_a_profile_is_an_error_or_a_valid_profile() {
-    let text = profile().to_ini();
-    assert_eq!(parse_bounded(&text).unwrap().tile_size, 4096);
-    // Text carries no length or checksum: a cut inside the last required
-    // value (`1024` → `10`) or anywhere in the optional throughput line
-    // still reads as a profile. Everything shorter must not.
-    let last_key = "min-compression-size = ";
-    let complete = text.find(last_key).unwrap() + last_key.len() + 1;
-    for cut in 0..text.len() {
-        // A cut inside the header comment's dash is not UTF-8:
-        // `TunedProfile::load` fails that at `read_to_string`.
-        let Ok(prefix) = std::str::from_utf8(&text.as_bytes()[..cut]) else {
-            continue;
-        };
-        if let Ok(p) = parse_bounded(prefix) {
-            assert!(cut >= complete, "cut at {cut} parsed");
-            assert_eq!((p.tile_size, p.io_threads), (4096, 4));
-            assert!(p.throughput_mb_s.is_finite() && p.throughput_mb_s >= 0.0);
-        }
-    }
-}
-
-#[test]
-fn missing_negative_zero_and_overflowing_profile_values_are_errors() {
-    let with = |key: &str, value: &str| -> String {
-        let mut out = String::new();
-        for line in profile().to_ini().lines() {
-            match line.split_once(" = ") {
-                Some((k, _)) if k == key => out.push_str(&format!("{k} = {value}\n")),
-                _ => out.push_str(&format!("{line}\n")),
-            }
-        }
-        out
-    };
-    let required = ["tile-size", "io-threads", "min-compression-size"];
-    for key in required {
-        let without: String = (profile().to_ini().lines())
-            .filter(|l| !l.starts_with(key))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert!(parse_bounded(&without).is_err(), "{key} missing");
-        for bad in [
-            "",
-            "-1",
-            "-0.5",
-            "4.5",
-            "0x10",
-            "18446744073709551616",
-            "1e3",
-            "four",
-        ] {
-            assert!(parse_bounded(&with(key, bad)).is_err(), "{key} = {bad}");
-        }
-    }
-    // Zero worker threads cannot move a byte; zero for the other two is a
-    // setting (auto tiling, compress everything).
-    assert!(parse_bounded(&with("io-threads", "0")).is_err());
-    assert!(parse_bounded(&with("tile-size", "0")).is_ok());
-    assert!(parse_bounded(&with("min-compression-size", "0")).is_ok());
-    // The throughput is optional, but a number when present.
-    for bad in ["-1.0", "nan", "inf", "-inf", "1e999", "fast", ""] {
-        let text = with("throughput-mb-s", bad);
-        assert!(parse_bounded(&text).is_err(), "throughput-mb-s = {bad}");
-    }
-    assert!(parse_bounded("").is_err());
-    assert!(parse_bounded("[profile]\n").is_err());
-    assert!(parse_bounded("tile-size = 1\nio-threads = 1\nmin-compression-size = 1\n").is_err());
 }

@@ -66,11 +66,6 @@ impl BroadcastStats {
             rounds: 1,
         }
     }
-
-    /// Total bytes crossing the fabric.
-    pub fn total_traffic(&self) -> u64 {
-        self.driver_egress + self.peer_traffic
-    }
 }
 
 /// A read-only value shared with every task.
@@ -121,7 +116,6 @@ mod tests {
         let s = BroadcastStats::torrent(1 << 30, 16);
         assert_eq!(s.driver_egress, 1 << 30);
         assert_eq!(s.peer_traffic, 15 << 30);
-        assert_eq!(s.total_traffic(), 16 << 30);
         assert_eq!(s.chunks, 256);
         assert_eq!(s.rounds, 5); // ceil(log2(17)) = 5
     }

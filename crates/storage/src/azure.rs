@@ -1,26 +1,18 @@
 //! An Azure-Blob-like store: one container of block blobs in a storage
 //! account. The paper's plug-in "also support[s] data offloading to
 //! … Microsoft Azure Storage"; this backend gives the configuration
-//! layer a third scheme to dispatch on, with the one Azure-specific
-//! notion the offload path can observe — an ETag that changes on every
-//! write, identical content included.
+//! layer a third scheme to dispatch on. It keeps no content hash
+//! (`ObjectStore::checksum` is the `None` default), so a download is
+//! checked against the transfer layer's upload-time crc ledger only.
 
 use crate::{ObjectStore, StorageError};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-#[derive(Debug, Clone)]
-struct Blob {
-    data: Arc<Vec<u8>>,
-    etag: u64,
-}
-
 #[derive(Default)]
 struct Container {
-    blobs: BTreeMap<String, Blob>,
-    /// ETag of the last write.
-    last_etag: u64,
+    blobs: BTreeMap<String, Arc<Vec<u8>>>,
 }
 
 /// Handle to one container, implementing [`ObjectStore`]. Clones share
@@ -50,26 +42,19 @@ impl AzureBlobStore {
             state: Arc::default(),
         }
     }
-
-    /// ETag of a blob (changes on every write).
-    pub fn etag(&self, key: &str) -> Option<u64> {
-        self.state.read().blobs.get(key).map(|b| b.etag)
-    }
 }
 
 impl ObjectStore for AzureBlobStore {
     fn put(&self, key: &str, data: Vec<u8>) -> Result<(), StorageError> {
         let mut state = self.state.write();
-        state.last_etag += 1;
-        let (data, etag) = (Arc::new(data), state.last_etag);
-        state.blobs.insert(key.to_string(), Blob { data, etag });
+        state.blobs.insert(key.to_string(), Arc::new(data));
         Ok(())
     }
 
     fn get(&self, key: &str) -> Result<Vec<u8>, StorageError> {
         let state = self.state.read();
         let blob = state.blobs.get(key);
-        blob.map(|b| b.data.as_ref().clone())
+        blob.map(|b| b.as_ref().clone())
             .ok_or_else(|| StorageError::NotFound(key.to_string()))
     }
 
@@ -89,11 +74,7 @@ impl ObjectStore for AzureBlobStore {
     }
 
     fn size(&self, key: &str) -> Option<u64> {
-        self.state
-            .read()
-            .blobs
-            .get(key)
-            .map(|b| b.data.len() as u64)
+        self.state.read().blobs.get(key).map(|b| b.len() as u64)
     }
 
     fn kind(&self) -> &'static str {
@@ -118,15 +99,5 @@ mod tests {
         a.clone().put("k", vec![1]).unwrap();
         assert!(a.exists("k"));
         assert!(!b.exists("k"));
-    }
-
-    #[test]
-    fn etags_change_on_every_write() {
-        let store = AzureBlobStore::standalone("a", "c");
-        store.put("k", vec![1]).unwrap();
-        let e1 = store.etag("k").unwrap();
-        store.put("k", vec![1]).unwrap();
-        let e2 = store.etag("k").unwrap();
-        assert_ne!(e1, e2, "Azure bumps the ETag even for identical content");
     }
 }

@@ -47,18 +47,6 @@ impl S3Service {
         })
     }
 
-    /// Handle to an existing bucket.
-    pub fn bucket(self: &Arc<Self>, name: &str) -> Result<S3Store, StorageError> {
-        let st = self.state.read();
-        if !st.buckets.contains_key(name) {
-            return Err(StorageError::NoSuchBucket(name.to_string()));
-        }
-        Ok(S3Store {
-            service: Arc::clone(self),
-            bucket: name.to_string(),
-        })
-    }
-
     /// Make the next `n` operations fail with a transient error — the
     /// retry path of the transfer manager is tested against this.
     pub fn inject_transient_faults(&self, n: usize) {
@@ -225,8 +213,6 @@ mod tests {
             svc.create_bucket("x").unwrap_err(),
             StorageError::BucketExists("x".into())
         );
-        assert!(svc.bucket("x").is_ok());
-        assert!(svc.bucket("y").is_err());
     }
 
     #[test]
