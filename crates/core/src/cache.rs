@@ -15,7 +15,7 @@
 //! API is oblivious to the choice.)
 
 use omp_model::ErasedVec;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// Fingerprint of a buffer's wire form.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,6 +63,9 @@ pub struct UploadCache {
     entries: HashMap<String, Entry>,
     hits: u64,
     misses: u64,
+    /// Key prefixes of the finished jobs that may still hold objects
+    /// the entries reference.
+    pub(crate) jobs: BTreeSet<String>,
 }
 
 /// Decision for one buffer about to be uploaded.
@@ -119,6 +122,11 @@ impl UploadCache {
     /// Drop everything.
     pub fn clear(&mut self) {
         self.entries.clear();
+    }
+
+    /// The storage keys the cached variables live at.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &str> {
+        self.entries.values().map(|e| e.storage_key.as_str())
     }
 
     /// Variables currently cached.

@@ -48,7 +48,7 @@ use omp_model::{
 };
 use parking_lot::Mutex;
 use sparkle::{SparkConf, SparkContext};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -58,8 +58,8 @@ pub struct CloudDevice {
     pub(crate) name: String,
     config: CloudConfig,
     store: StoreHandle,
-    /// Shared with its write-behind writer thread, which runs from the
-    /// first resident commit to [`shutdown`](Self::shutdown).
+    /// Shared with the thread of a pending write-behind put, which
+    /// [`shutdown`](Self::shutdown) and drop join.
     pub(crate) transfer: Arc<TransferManager>,
     sc: Mutex<Option<SparkContext>>,
     job_counter: AtomicU64,
@@ -276,11 +276,13 @@ impl CloudDevice {
         self.resident.arm(fault);
     }
 
-    /// Shut the in-process cluster down and join the write-behind
-    /// writer (tests/examples hygiene; dropping the device does the
-    /// same). The device stays usable: both restart on demand.
+    /// Settle the pending write-behind put, joining its thread, and shut
+    /// the in-process cluster down (tests/examples hygiene; dropping the
+    /// device settles too). The device stays usable: the cluster
+    /// restarts on demand.
     pub fn shutdown(&self) {
-        self.transfer.stop_writer();
+        // Its owner has been told how the put ended.
+        let _ = self.transfer.settle();
         if let Some(sc) = self.sc.lock().take() {
             sc.stop();
         }
@@ -296,9 +298,10 @@ impl CloudDevice {
 }
 
 impl Drop for CloudDevice {
-    /// The writer thread holds the transfer manager; never leak either.
+    /// A pending write-behind put's thread holds the transfer manager;
+    /// never leak either.
     fn drop(&mut self) {
-        self.transfer.stop_writer();
+        let _ = self.transfer.settle();
     }
 }
 
@@ -965,10 +968,12 @@ impl CloudDevice {
         });
 
         // Storage hygiene: staged per-job objects are garbage once the
-        // host has read the results back — unless data caching is on, in
-        // which case the staged inputs are the cache. The integrity
-        // ledger forgets deleted objects with them.
-        if !self.config.data_caching {
+        // host has read the results back — all of them, or with data
+        // caching on the inputs the cache does not reference. The
+        // integrity ledger forgets deleted objects with them.
+        if self.config.data_caching {
+            self.keep_only_cached(prefix);
+        } else {
             self.transfer.delete_prefix(&prefix);
         }
         // Checkpoint hygiene: the results are home, so the journal's
@@ -1004,6 +1009,41 @@ impl CloudDevice {
         let profile = report.profile.clone();
         *self.last_report.lock() = Some(report);
         Ok(profile)
+    }
+
+    /// Data-caching hygiene, after `prefix`'s job: under each job prefix
+    /// an input object stays only while the upload cache references it
+    /// (a pack while it references any member). Delta patches and
+    /// superseded inputs are deleted and forgotten; outputs stay, as they
+    /// always did with caching on. A job the cache no longer references
+    /// holds nothing a later sweep could delete, so it is not listed
+    /// again.
+    fn keep_only_cached(&self, prefix: String) {
+        let (keep, jobs) = {
+            let mut memory = self.memory.lock();
+            memory.cache.jobs.insert(prefix);
+            let keep: HashSet<String> = memory
+                .cache
+                .keys()
+                .map(|k| self.transfer.object_key(k))
+                .collect();
+            (keep, memory.cache.jobs.clone())
+        };
+        for job in jobs {
+            let (kept, rest): (Vec<String>, Vec<String>) = self
+                .store
+                .list(&format!("{job}/"))
+                .into_iter()
+                .partition(|key| keep.contains(key));
+            let outputs = format!("{job}/out/");
+            for key in rest.iter().filter(|key| !key.starts_with(&outputs)) {
+                let _ = self.store.delete(key);
+                self.transfer.forget_prefix(key);
+            }
+            if kept.is_empty() {
+                self.memory.lock().cache.jobs.remove(&job);
+            }
+        }
     }
 
     /// The dataflow half of stage-out: count what stayed resident and

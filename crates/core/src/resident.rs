@@ -10,14 +10,14 @@
 //! version a region originally consumed.
 //!
 //! **Write-behind.** A commit installs the driver copy and the lineage
-//! entry at once and hands the durable put to the transfer manager's
-//! writer thread ([`TransferManager::upload_behind`]): the consumer's map
-//! phase runs beside it. The version is *pending* until the put is
-//! settled — immediately before the device's next store operation, so
-//! the store sees the ops a synchronous commit would issue, in the same
-//! order. A pending version serves a plain hit; every rung that reads the
-//! durable copy, and everything that deletes resident keys, settles
-//! first. A put that failed leaves the driver copy (it is what the
+//! entry at once and hands the durable put to a `write-behind` thread of
+//! the transfer manager ([`TransferManager::upload_behind`]): the
+//! consumer's map phase runs beside it. The version is *pending* until
+//! the put is settled — immediately before the device's next store
+//! operation, so the store sees the ops a synchronous commit would
+//! issue, in the same order. A pending version serves a plain hit; every
+//! rung that reads the durable copy, and everything that deletes
+//! resident keys, settles first. A put that failed leaves the driver copy (it is what the
 //! consumer and a host escape read) and turns the lineage entry into a
 //! tombstone: a later repair or pin of it is a typed loss, never a read
 //! of the version before it.
@@ -57,8 +57,8 @@ pub(crate) struct Version {
 /// decoded copy.
 struct ResidentBuf {
     version: Version,
-    /// Shared with whoever it is served to, and with the writer thread
-    /// while the version's put is pending.
+    /// Shared with whoever it is served to, and with the write-behind
+    /// thread while the version's put is pending.
     bytes: Arc<Vec<u8>>,
     /// DAG epoch (region index) that produced this version.
     epoch: usize,
@@ -535,7 +535,7 @@ mod tests {
     impl Drop for Rig {
         fn drop(&mut self) {
             self.probe.hold_puts.store(false, Ordering::SeqCst);
-            self.transfer.stop_writer();
+            let _ = self.transfer.settle();
         }
     }
 
@@ -862,7 +862,7 @@ mod tests {
             let rig = Rig::new();
             rig.commit_slowly("x", 0, 1.0);
             delete(&rig);
-            rig.transfer.stop_writer();
+            let _ = rig.transfer.settle();
             assert!(
                 rig.bucket.list(ROOT).is_empty(),
                 "a late put resurrected the key"

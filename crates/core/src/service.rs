@@ -142,7 +142,16 @@ impl OffloadService {
                 break;
             };
             let env = envs.entry(tenant.clone()).or_default();
-            let result = self.runtime.offload(&region, env);
+            let result = self.runtime.offload(&region, env).and_then(|deferred| {
+                if !region.nowait {
+                    return Ok(deferred);
+                }
+                // Drained now, against its own tenant's env: left
+                // pending, the chain would run inside the next eager
+                // region's barrier, whosever that is.
+                let dag = self.runtime.taskwait(env)?;
+                Ok(dag.profiles.into_iter().last().unwrap_or(deferred))
+            });
             self.gate.complete(&region.tenant);
             {
                 let mut stats = self.stats.lock();
@@ -199,16 +208,20 @@ mod tests {
     }
 
     fn double_region(name: &str, tenant: &str, n: usize) -> TargetRegion {
+        doubling(name, tenant, ["x", "y"], n)
+    }
+
+    /// `y = 2·x` over `n` elements, for variables named `[x, y]`.
+    fn doubling(name: &str, tenant: &str, [x, y]: [&'static str; 2], n: usize) -> TargetRegion {
         TargetRegion::builder(name)
             .device(DeviceSelector::Kind(DeviceKind::Cloud))
             .tenant(tenant)
-            .map_to("x")
-            .map_from("y")
-            .parallel_for(n, |l| {
-                l.partition("y", PartitionSpec::rows(1))
-                    .body(|i, ins, outs| {
-                        let x = ins.view::<f32>("x");
-                        outs.view_mut::<f32>("y")[i] = 2.0 * x[i];
+            .map_to(x)
+            .map_from(y)
+            .parallel_for(n, move |l| {
+                l.partition(y, PartitionSpec::rows(1))
+                    .body(move |i, ins, outs| {
+                        outs.view_mut::<f32>(y)[i] = 2.0 * ins.view::<f32>(x)[i];
                     })
             })
             .build()
@@ -268,6 +281,41 @@ mod tests {
         service.submit(double_region("q3", "acme", 2)).unwrap();
         let (_, stats) = &service.stats()[0];
         assert_eq!((stats.accepted, stats.rejected), (2, 1));
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_nowait_region_runs_against_its_own_tenants_env() {
+        // Alice's `nowait` region used to stay deferred until the next
+        // eager region's barrier drained it — bob's, against bob's env.
+        let service = OffloadService::with_policy(small_config(), TenancyPolicy::default());
+        let mut deferred = doubling("a1", "alice", ["xa", "ya"], 4);
+        deferred.nowait = true;
+        service.submit(deferred).unwrap();
+        service
+            .submit(doubling("b1", "bob", ["xb", "yb"], 4))
+            .unwrap();
+        let mut envs = HashMap::new();
+        for (tenant, [x, y], scale) in [("alice", ["xa", "ya"], 1.0), ("bob", ["xb", "yb"], 10.0)] {
+            let mut env = DataEnv::new();
+            env.insert(x, (0..4).map(|i| i as f32 * scale).collect::<Vec<f32>>());
+            env.insert(y, vec![0.0f32; 4]);
+            envs.insert(tenant.to_string(), env);
+        }
+        let outcomes = service.drain(&mut envs);
+        assert_eq!(outcomes.len(), 2);
+        for o in &outcomes {
+            assert!(o.result.is_ok(), "{}: {:?}", o.tenant, o.result);
+        }
+        assert_eq!(
+            envs["alice"].get::<f32>("ya").unwrap(),
+            &[0.0, 2.0, 4.0, 6.0]
+        );
+        assert_eq!(
+            envs["bob"].get::<f32>("yb").unwrap(),
+            &[0.0, 20.0, 40.0, 60.0]
+        );
+        assert_eq!(service.runtime().pending_regions(), 0);
         service.shutdown();
     }
 

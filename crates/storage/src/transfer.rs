@@ -3,9 +3,11 @@
 //! Per §III-A of the paper: "Our cloud plugin automatically creates a new
 //! thread for transmitting each offloaded data (possibly after gzip
 //! compression if the data size is larger than a predefined minimal
-//! compression size)." This module keeps that shape per *store object* —
-//! one worker per object, compression decided by the codec's probe,
-//! transparent decompression on download — and reports per-object
+//! compression size)." This module keeps that shape per *store object*,
+//! with one engine for every batch (`TransferManager::run_batch`):
+//! workers seal objects — compression decided by the codec's probe — and
+//! a bounded pool runs their puts and gets one store op at a time, with
+//! transparent decompression on the way back. It reports per-object
 //! raw/wire byte counts and timings, the raw material of the Fig. 5
 //! "host-target communication" bars.
 //!
@@ -33,7 +35,6 @@ use crate::{StorageError, StoreHandle};
 use gzlite::MAGIC;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -63,7 +64,9 @@ pub struct TransferConfig {
     /// damaged bytes in front of the pack and manifest parsers, which
     /// the crc would otherwise turn away first.
     pub verify_integrity: bool,
-    /// Cap on concurrent transfer threads (one per object up to this).
+    /// The I/O width of [`TransferManager::upload`] and
+    /// [`TransferManager::download`] (at most this many store ops in
+    /// flight), and the most objects any batch seals at once.
     pub max_threads: usize,
 }
 
@@ -421,27 +424,12 @@ impl Ledger {
     }
 }
 
-/// A batch for the write-behind writer: buffers shared with their owner,
-/// and where the put's outcome goes.
-type BehindJob = (
-    Vec<(String, Arc<Vec<u8>>)>,
-    Sender<Result<TransferReport, StorageError>>,
-);
-
 /// What the owner of a write-behind put is told when it settles.
 type OnSettled = Box<dyn FnOnce(&TransferManager, Result<&TransferReport, &StorageError>) + Send>;
 
-/// The write-behind side of a manager (see
-/// [`TransferManager::upload_behind`]): one writer thread, and at most
-/// one put it has not been asked about yet.
-#[derive(Default)]
-struct WriteBehind {
-    /// Started by the first write-behind put, joined by
-    /// [`TransferManager::stop_writer`].
-    writer: Option<(Sender<BehindJob>, JoinHandle<()>)>,
-    /// The put in flight: where its outcome arrives, and whom to tell.
-    pending: Option<(Receiver<Result<TransferReport, StorageError>>, OnSettled)>,
-}
+/// The write-behind put not settled yet: the thread running it, and whom
+/// to tell.
+type Pending = (JoinHandle<Result<TransferReport, StorageError>>, OnSettled);
 
 /// Moves batches of named buffers between host memory and a cloud store.
 pub struct TransferManager {
@@ -455,9 +443,11 @@ pub struct TransferManager {
     /// live dataflow sessions whose resident intermediates have no
     /// commit manifest by design.
     leases: parking_lot::Mutex<std::collections::HashSet<String>>,
-    /// Held across a settle, so no op of this manager can slip in front
-    /// of the put it waits for. The writer thread never takes it.
-    behind: parking_lot::Mutex<WriteBehind>,
+    /// The write-behind put not settled yet (see
+    /// [`upload_behind`](Self::upload_behind)). Held across a settle, so
+    /// no op of this manager can slip in front of the put it waits for;
+    /// the put itself never takes it.
+    behind: parking_lot::Mutex<Option<Pending>>,
 }
 
 impl TransferManager {
@@ -938,9 +928,9 @@ impl TransferManager {
         Ok((payload, wire_bytes, compressed))
     }
 
-    /// Upload a batch of `(key, payload)` buffers, one worker thread per
-    /// store object (capped at `max_threads`). Blocks until every object
-    /// landed; the report has one item per object.
+    /// Upload a batch of `(key, payload)` buffers, at most `max_threads`
+    /// store ops in flight (see [`run_batch`](Self::run_batch)). Blocks
+    /// until every object landed; the report has one item per object.
     ///
     /// Payloads may be plain `Vec<u8>`s or [`PoolBuf`]s checked out of
     /// [`pool`](Self::pool); pooled staging buffers cycle back to the
@@ -953,44 +943,31 @@ impl TransferManager {
         self.upload_now(items.into_iter().map(|(k, b)| (k, b.into())).collect())
     }
 
-    /// [`upload`](Self::upload) without the settle: what the write-behind
-    /// writer runs, being the put everyone else settles.
+    /// [`upload`](Self::upload) without the settle: what a write-behind
+    /// put runs, being the put everyone else settles.
     fn upload_now(&self, items: Vec<(String, PoolBuf)>) -> Result<TransferReport, StorageError> {
-        let t0 = Instant::now();
-        let results = self.run_parallel(self.layout(items), |mut object| {
-            let t = Instant::now();
-            let raw_bytes = object.members.iter().map(|m| m.payload.len() as u64).sum();
-            let (wire, compressed) = self.seal(&mut object);
-            let wire_bytes = wire.len() as u64;
-            let stats = self.put_wire(&object.key, &object.members, wire, None)?;
-            let mut report = ItemReport::new(object.key, raw_bytes, wire_bytes, compressed);
-            report.seconds = t.elapsed().as_secs_f64();
-            report.fold_stats(stats);
-            Ok(report)
-        })?;
-        Ok(TransferReport {
-            items: results,
-            wall_seconds: t0.elapsed().as_secs_f64(),
-        })
+        let puts = self.layout(items);
+        let width = self.config.max_threads;
+        let (_, report) = self.run_batch(Instant::now(), puts, false, Vec::new(), width)?;
+        Ok(report.transfer)
     }
 
-    /// Write-behind [`upload`](Self::upload): hand `items` to this
-    /// manager's writer thread and return. At most one such put is ever
-    /// pending, and it is *settled* — waited for, `on_settled` told its
-    /// outcome — immediately before this manager issues its next store
-    /// operation of any kind: a transfer, a manifest read or write, an
-    /// orphan listing, the next write-behind put (whose `Err` is then the
-    /// previous put's, with nothing of this one queued). The store thus
-    /// sees the ops of a synchronous caller in the same order; only the
-    /// wall-clock moment of the put moves, and a failed put surfaces as
-    /// the error of exactly the next operation. Deletes by key prefix do
-    /// not settle: whoever deletes keys a pending put may be writing calls
-    /// [`settle`](Self::settle) first.
+    /// Write-behind [`upload`](Self::upload): start `items`' put on a
+    /// thread of its own, named `write-behind`, and return. At most one
+    /// such put is ever pending, and it is *settled* — joined, and
+    /// `on_settled` told its outcome — immediately before this manager
+    /// issues its next store operation of any kind: a transfer, a
+    /// manifest read or write, an orphan listing, the next write-behind
+    /// put (whose `Err` is then the previous put's, with nothing of this
+    /// one started). The store thus sees the ops of a synchronous caller
+    /// in the same order; only the wall-clock moment of the put moves,
+    /// and a failed put surfaces as the error of exactly the next
+    /// operation. Deletes by key prefix do not settle: whoever deletes
+    /// keys a pending put may be writing calls [`settle`](Self::settle)
+    /// first, and so does whoever needs the put's thread gone.
     ///
-    /// The buffers stay shared with the caller; the writer stages its own
-    /// pooled copy. The thread starts on first use and runs until
-    /// [`stop_writer`](Self::stop_writer), which the manager's owner must
-    /// call: the thread keeps the manager alive.
+    /// The buffers stay shared with the caller; the put stages its own
+    /// pooled copy.
     pub fn upload_behind(
         self: &Arc<Self>,
         items: Vec<(String, Arc<Vec<u8>>)>,
@@ -1000,132 +977,114 @@ impl TransferManager {
     ) -> Result<(), StorageError> {
         let mut behind = self.behind.lock();
         self.settle_in(&mut behind)?;
-        let (jobs, _) = behind.writer.get_or_insert_with(|| {
-            let (jobs, queue) = channel::<BehindJob>();
-            let manager = Arc::clone(self);
-            let writer = std::thread::Builder::new()
-                .name("write-behind".into())
-                .spawn(move || {
-                    for (items, done) in queue {
-                        let staged = items.iter().map(|(key, shared)| {
-                            let mut buf = manager.pool.get(shared.len());
-                            buf.extend_from_slice(shared);
-                            (key.clone(), buf)
-                        });
-                        let _ = done.send(manager.upload_now(staged.collect()));
-                    }
-                })
-                .expect("spawn write-behind writer");
-            (jobs, writer)
-        });
-        let (done, outcome) = channel();
-        // The thread leaves its loop early only by panicking in the store.
-        jobs.send((items, done)).map_err(|_| {
-            StorageError::Unavailable("write-behind writer is gone; nothing was queued".into())
-        })?;
-        behind.pending = Some((outcome, Box::new(on_settled)));
+        let manager = Arc::clone(self);
+        let put = std::thread::Builder::new()
+            .name("write-behind".into())
+            .spawn(move || {
+                let staged = items.iter().map(|(key, shared)| {
+                    let mut buf = manager.pool.get(shared.len());
+                    buf.extend_from_slice(shared);
+                    (key.clone(), buf)
+                });
+                manager.upload_now(staged.collect())
+            })
+            .expect("spawn a write-behind put");
+        *behind = Some((put, Box::new(on_settled)));
         Ok(())
     }
 
-    /// Wait for the pending write-behind put, if there is one, tell its
+    /// Join the pending write-behind put, if there is one, tell its
     /// owner, and return its error. Every operation of this manager that
     /// touches the store starts here.
     pub fn settle(&self) -> Result<(), StorageError> {
         self.settle_in(&mut self.behind.lock())
     }
 
-    fn settle_in(&self, behind: &mut WriteBehind) -> Result<(), StorageError> {
-        let Some((outcome, on_settled)) = behind.pending.take() else {
+    fn settle_in(&self, behind: &mut Option<Pending>) -> Result<(), StorageError> {
+        let Some((put, on_settled)) = behind.take() else {
             return Ok(());
         };
-        let outcome = outcome.recv().unwrap_or_else(|_| {
+        let outcome = put.join().unwrap_or_else(|_| {
             Err(StorageError::Unavailable(
-                "write-behind writer exited before its put finished".into(),
+                "write-behind put panicked before it finished".into(),
             ))
         });
         on_settled(self, outcome.as_ref());
         outcome.map(drop)
     }
 
-    /// Settle, then stop and join the writer thread. A later
-    /// [`upload_behind`](Self::upload_behind) starts a fresh one.
-    pub fn stop_writer(&self) {
-        let mut behind = self.behind.lock();
-        let _ = self.settle_in(&mut behind);
-        if let Some((jobs, writer)) = behind.writer.take() {
-            drop(jobs); // the queue closes, the thread leaves its loop
-            let _ = writer.join();
-        }
-    }
-
     /// Download a batch of keys, transparently decompressing gzlite
     /// frames and unpacking packed buffers (a pack is fetched once for
-    /// all the keys it holds). Returns the payloads in the order
-    /// requested plus a report with one item per store object read.
+    /// all the keys it holds), at most `max_threads` store ops in
+    /// flight. Returns the payloads in the order requested plus a report
+    /// with one item per store object read.
     pub fn download(&self, keys: Vec<String>) -> Result<DownloadResult, StorageError> {
         self.settle()?;
-        let t0 = Instant::now();
-        let total = keys.len();
-        let results = self.run_parallel(self.locate(keys, 0), |object| {
-            let t = Instant::now();
-            let (mut report, payloads) = self.fetch_object(object, None)?;
-            report.seconds = t.elapsed().as_secs_f64();
-            Ok((report, payloads))
-        })?;
-        let (items, payloads): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-        Ok((
-            in_slot_order(total, payloads),
-            TransferReport {
-                items,
-                wall_seconds: t0.elapsed().as_secs_f64(),
-            },
-        ))
+        let gets = self.locate(keys, 0);
+        let width = self.config.max_threads;
+        let (payloads, report) = self.run_batch(Instant::now(), Vec::new(), false, gets, width)?;
+        Ok((payloads, report.transfer))
     }
 
-    /// Fused upload + driver fetch as a two-stage pipeline: a pool of
-    /// compression workers feeds a pool of `io_threads` store-I/O workers
-    /// through a channel, so object *N+1* compresses while object *N* is
-    /// in flight to the store — and each staged object is read back (and
+    /// Fused upload + driver fetch: each staged object is read back (and
     /// decompressed) once its put has landed, instead of waiting for the
-    /// whole upload batch.
-    ///
-    /// The I/O stage schedules store *ops*, not objects: one job is one
-    /// put or one get, taken first in, first out by whichever worker is
-    /// free, so at most `io_threads` ops are in flight and no worker
-    /// idles while an op waits. The only ordering between ops is an
-    /// object's own: its get is queued by the worker whose put of it
-    /// just landed, behind whatever is already waiting. A put that fails
-    /// queues no get.
+    /// whole upload batch, with at most `io_threads` store ops in flight
+    /// (see [`run_batch`](Self::run_batch)).
     ///
     /// `put_items` travel the full compress → put → get → decompress
     /// chain; `fetch_only` keys (already staged, e.g. upload-cache hits)
     /// skip straight to the get. Returns `(key, payload)` pairs —
     /// `put_items` first in request order, then `fetch_only` in request
     /// order — plus per-stage busy-time accounting and one report item
-    /// per store object (written objects first), whose `seconds` is the
-    /// time workers spent on that object, queue waits excluded.
+    /// per store object (written objects first).
     pub fn upload_fetch_pipelined<B: Into<PoolBuf>>(
         &self,
         put_items: Vec<(String, B)>,
         fetch_only: Vec<String>,
         io_threads: usize,
     ) -> Result<PipelineResult, StorageError> {
-        use crossbeam::channel::Sender;
-        use std::sync::atomic::AtomicUsize;
-
         let put_items: Vec<(String, PoolBuf)> =
             put_items.into_iter().map(|(k, b)| (k, b.into())).collect();
         let t0 = Instant::now();
-        let total = put_items.len() + fetch_only.len();
-        if total == 0 {
+        if put_items.is_empty() && fetch_only.is_empty() {
             return Ok((Vec::new(), PipelineReport::default()));
         }
         // Inside the wall: the caller waited on the store either way.
         self.settle()?;
-        let n_put_items = put_items.len();
-        let to_put = self.layout(put_items);
-        let to_get = self.locate(fetch_only, n_put_items);
-        let put_objects = to_put.len();
+        let gets = self.locate(fetch_only, put_items.len());
+        self.run_batch(t0, self.layout(put_items), true, gets, io_threads)
+    }
+
+    /// The one engine every batch runs on: a pool of compression workers
+    /// seals `puts` and feeds a pool of `width` store-I/O workers through
+    /// a channel, so object *N+1* compresses while object *N* is in
+    /// flight to the store.
+    ///
+    /// The I/O stage schedules store *ops*, not objects: one job is one
+    /// put or one get, taken first in, first out by whichever worker is
+    /// free, so at most `width` ops are in flight and no worker idles
+    /// while an op waits. `gets` go straight to the I/O stage. With
+    /// `read_back`, the only ordering between ops is an object's own: its
+    /// get is queued by the worker whose put of it just landed, behind
+    /// whatever is already waiting, and a put that fails queues no get.
+    /// Without, a put finishes its object's report item itself. A batch
+    /// of one store object runs its seal, put and get on the calling
+    /// thread.
+    ///
+    /// Returns the buffers read, in slot order, and one report item per
+    /// store object — `puts` first, then `gets`, each in order — whose
+    /// `seconds` is the time workers spent on that object, queue waits
+    /// excluded; `t0` starts the wall.
+    fn run_batch(
+        &self,
+        t0: Instant,
+        puts: Vec<StoreObject>,
+        read_back: bool,
+        gets: Vec<StoreObject>,
+        width: usize,
+    ) -> Result<PipelineResult, StorageError> {
+        use crossbeam::channel::Sender;
+        use std::sync::atomic::AtomicUsize;
 
         /// One store op waiting for an I/O worker.
         struct IoJob {
@@ -1137,17 +1096,19 @@ impl TransferManager {
         }
 
         enum IoOp {
-            /// Put the sealed wire form, then queue the object's get
-            /// through `then`. Each waiting put holds a sender of its own,
-            /// so the channel disconnects — and the workers leave — once
-            /// the last put has queued its get, failed, or been dropped by
-            /// a panicking worker's unwind: nothing is counted.
+            /// Put the sealed wire form of `raw_bytes`. With `then`, queue
+            /// the object's get through it: each put to be read back
+            /// holds a sender of its own, so the channel disconnects —
+            /// and the workers leave — once the last such put has queued
+            /// its get, failed, or been dropped by a panicking worker's
+            /// unwind: nothing is counted.
             Put {
                 wire: Vec<u8>,
+                raw_bytes: u64,
                 compressed: bool,
-                then: Sender<IoJob>,
+                then: Option<Sender<IoJob>>,
             },
-            /// Get a staged object; `put_*` is what its put, if this run
+            /// Get a staged object; `put_*` is what its put, if this batch
             /// made one, adds to the report.
             Get {
                 put_stats: RetryStats,
@@ -1156,135 +1117,156 @@ impl TransferManager {
         }
 
         type Outcome = Result<(ItemReport, Yield), StorageError>;
-        let outcomes: Vec<parking_lot::Mutex<Option<Outcome>>> = (0..put_objects + to_get.len())
+        let put_objects = puts.len();
+        let outcomes: Vec<parking_lot::Mutex<Option<Outcome>>> = (0..put_objects + gets.len())
             .map(|_| parking_lot::Mutex::new(None))
             .collect();
         let cpu_busy_ns = AtomicU64::new(0);
         let io_busy_ns = AtomicU64::new(0);
-
         let cpu_threads = put_objects.clamp(1, self.config.max_threads.max(1));
-        let io_threads = io_threads.max(1).min(outcomes.len());
-
-        let queue: Vec<parking_lot::Mutex<Option<StoreObject>>> = to_put
+        let io_threads = width.clamp(1, outcomes.len().max(1));
+        let queue: Vec<parking_lot::Mutex<Option<StoreObject>>> = puts
             .into_iter()
             .map(|o| parking_lot::Mutex::new(Some(o)))
             .collect();
         let next = AtomicUsize::new(0);
-
         let (tx, rx) = crossbeam::channel::unbounded::<IoJob>();
 
-        std::thread::scope(|scope| {
-            // Stage B: store-I/O workers, one op at a time; decompression
-            // time is attributed back to the CPU stage.
-            for _ in 0..io_threads {
-                let rx = rx.clone();
-                let (outcomes, cpu_busy_ns, io_busy_ns) = (&outcomes, &cpu_busy_ns, &io_busy_ns);
-                scope.spawn(move || {
-                    for IoJob {
-                        idx,
-                        object,
-                        busy,
-                        op,
-                    } in rx.iter()
-                    {
-                        let t = Instant::now();
-                        match op {
-                            IoOp::Put {
-                                wire,
-                                compressed,
-                                then,
-                            } => {
-                                let key = &object.key;
-                                match self.put_wire(key, &object.members, wire, Some(io_busy_ns)) {
-                                    Ok(stats) => {
-                                        let _ = then.send(IoJob {
-                                            idx,
-                                            object,
-                                            busy: busy + t.elapsed(),
-                                            op: IoOp::Get {
-                                                put_stats: stats,
-                                                put_compressed: compressed,
-                                            },
-                                        });
-                                    }
-                                    Err(e) => *outcomes[idx].lock() = Some(Err(e)),
-                                }
+        // Stage A: seal each object and queue its put.
+        let seal_stage = |tx: Sender<IoJob>| loop {
+            let idx = next.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = queue.get(idx) else {
+                return;
+            };
+            let mut object = slot.lock().take().expect("claimed once");
+            let t = Instant::now();
+            let raw_bytes = object.members.iter().map(|m| m.payload.len() as u64).sum();
+            let (wire, compressed) = self.seal(&mut object);
+            let busy = t.elapsed();
+            cpu_busy_ns.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
+            let then = read_back.then(|| tx.clone());
+            let op = IoOp::Put {
+                wire,
+                raw_bytes,
+                compressed,
+                then,
+            };
+            let _ = tx.send(IoJob {
+                idx,
+                object,
+                busy,
+                op,
+            });
+        };
+
+        // Stage B: store I/O, one op at a time; decompression time is
+        // attributed back to the CPU stage.
+        let io_stage = || {
+            for IoJob {
+                idx,
+                object,
+                busy,
+                op,
+            } in rx.iter()
+            {
+                let t = Instant::now();
+                let outcome = match op {
+                    IoOp::Put {
+                        wire,
+                        raw_bytes,
+                        compressed,
+                        then,
+                    } => {
+                        let wire_bytes = wire.len() as u64;
+                        let put =
+                            self.put_wire(&object.key, &object.members, wire, Some(&io_busy_ns));
+                        match (put, then) {
+                            (Ok(put_stats), Some(then)) => {
+                                let op = IoOp::Get {
+                                    put_stats,
+                                    put_compressed: compressed,
+                                };
+                                let busy = busy + t.elapsed();
+                                let _ = then.send(IoJob {
+                                    idx,
+                                    object,
+                                    busy,
+                                    op,
+                                });
+                                continue;
                             }
-                            IoOp::Get {
-                                put_stats,
-                                put_compressed,
-                            } => {
-                                let timers = Some((io_busy_ns, cpu_busy_ns));
-                                let outcome = self.fetch_object(object, timers).map(
-                                    |(mut report, payloads)| {
-                                        report.compressed |= put_compressed;
-                                        report.fold_stats(put_stats);
-                                        report.seconds = (busy + t.elapsed()).as_secs_f64();
-                                        (report, payloads)
-                                    },
-                                );
-                                *outcomes[idx].lock() = Some(outcome);
-                            }
+                            (put, _) => put.map(|stats| {
+                                let mut report =
+                                    ItemReport::new(object.key, raw_bytes, wire_bytes, compressed);
+                                report.fold_stats(stats);
+                                report.seconds = (busy + t.elapsed()).as_secs_f64();
+                                (report, Yield::new())
+                            }),
                         }
                     }
-                });
-            }
-
-            // Fetch-only objects go straight to the I/O stage.
-            for (i, object) in to_get.into_iter().enumerate() {
-                let _ = tx.send(IoJob {
-                    idx: put_objects + i,
-                    object,
-                    busy: Duration::ZERO,
-                    op: IoOp::Get {
-                        put_stats: RetryStats::default(),
-                        put_compressed: false,
-                    },
-                });
-            }
-
-            // Stage A: compression workers feeding the I/O pool.
-            for _ in 0..cpu_threads {
-                let tx = tx.clone();
-                let (queue, next, cpu_busy_ns) = (&queue, &next, &cpu_busy_ns);
-                scope.spawn(move || loop {
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= queue.len() {
-                        return;
+                    IoOp::Get {
+                        put_stats,
+                        put_compressed,
+                    } => {
+                        let timers = Some((&io_busy_ns, &cpu_busy_ns));
+                        self.fetch_object(object, timers)
+                            .map(|(mut report, payloads)| {
+                                report.compressed |= put_compressed;
+                                report.fold_stats(put_stats);
+                                report.seconds = (busy + t.elapsed()).as_secs_f64();
+                                (report, payloads)
+                            })
                     }
-                    let mut object = queue[idx].lock().take().expect("claimed once");
-                    let t = Instant::now();
-                    let (wire, compressed) = self.seal(&mut object);
-                    let busy = t.elapsed();
-                    cpu_busy_ns.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
-                    let _ = tx.send(IoJob {
-                        idx,
-                        object,
-                        busy,
-                        op: IoOp::Put {
-                            wire,
-                            compressed,
-                            then: tx.clone(),
-                        },
-                    });
-                });
+                };
+                *outcomes[idx].lock() = Some(outcome);
             }
+        };
 
-            // The compression workers' clones and the waiting puts' keep
-            // the channel alive; dropping the original lets the I/O stage
-            // drain and exit.
-            drop(tx);
-        });
+        for (i, object) in gets.into_iter().enumerate() {
+            let op = IoOp::Get {
+                put_stats: RetryStats::default(),
+                put_compressed: false,
+            };
+            let _ = tx.send(IoJob {
+                idx: put_objects + i,
+                object,
+                busy: Duration::ZERO,
+                op,
+            });
+        }
+        if outcomes.len() <= 1 {
+            // One object: its ops run in order on the calling thread.
+            seal_stage(tx);
+            io_stage();
+        } else {
+            std::thread::scope(|scope| {
+                for _ in 0..io_threads {
+                    scope.spawn(io_stage);
+                }
+                for _ in 0..cpu_threads {
+                    let tx = tx.clone();
+                    scope.spawn(move || seal_stage(tx));
+                }
+                // The sealing workers' clones and the waiting puts' keep
+                // the channel alive; dropping the original lets the I/O
+                // stage drain and exit.
+                drop(tx);
+            });
+        }
 
         let mut items = Vec::with_capacity(outcomes.len());
-        let mut payloads = Vec::with_capacity(outcomes.len());
+        let mut payloads = Vec::new();
         for outcome in outcomes {
             let (report, fetched) = outcome.into_inner().expect("every object ran")?;
             items.push(report);
-            payloads.push(fetched);
+            payloads.extend(fetched);
         }
+        payloads.sort_unstable_by_key(|(slot, ..)| *slot);
         Ok((
-            in_slot_order(total, payloads),
+            payloads
+                .into_iter()
+                .map(|(_, key, buf)| (key, buf))
+                .collect(),
             PipelineReport {
                 transfer: TransferReport {
                     items,
@@ -1298,59 +1280,6 @@ impl TransferManager {
             },
         ))
     }
-
-    /// Fan a batch of store objects out over scoped worker threads,
-    /// preserving input order in the results.
-    fn run_parallel<R, F>(&self, objects: Vec<StoreObject>, work: F) -> Result<Vec<R>, StorageError>
-    where
-        R: Send,
-        F: Fn(StoreObject) -> Result<R, StorageError> + Sync,
-    {
-        if objects.len() <= 1 {
-            return objects.into_iter().map(work).collect();
-        }
-        let threads = objects.len().min(self.config.max_threads.max(1));
-        let queue: Vec<parking_lot::Mutex<Option<StoreObject>>> = objects
-            .into_iter()
-            .map(|o| parking_lot::Mutex::new(Some(o)))
-            .collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut slots: Vec<Option<Result<R, StorageError>>> = Vec::new();
-        slots.resize_with(queue.len(), || None);
-        let slots_mutex = parking_lot::Mutex::new(&mut slots);
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if idx >= queue.len() {
-                        return;
-                    }
-                    let object = queue[idx].lock().take().expect("claimed once");
-                    let result = work(object);
-                    slots_mutex.lock()[idx] = Some(result);
-                });
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|s| s.expect("all slots filled"))
-            .collect()
-    }
-}
-
-/// Flatten per-object `(slot, key, payload)` lists into the `total`
-/// `(key, payload)` pairs of a batch, in slot (= request) order.
-fn in_slot_order(total: usize, per_object: Vec<Yield>) -> Vec<(String, PoolBuf)> {
-    let mut slots: Vec<Option<(String, PoolBuf)>> = (0..total).map(|_| None).collect();
-    for (slot, key, payload) in per_object.into_iter().flatten() {
-        slots[slot] = Some((key, payload));
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("every requested key was fetched"))
-        .collect()
 }
 
 /// Encode one payload for the wire. The raw/compress/stream decision is

@@ -11,9 +11,10 @@ use conformance::rng;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::ThreadId;
 use std::time::{Duration, Instant};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Op {
     Put,
     Get,
@@ -34,6 +35,10 @@ enum BadPut {
     Panic,
 }
 
+/// One op as it started: what, on which key, and the issuing thread's id
+/// and name.
+type Issued = (Op, String, ThreadId, Option<String>);
+
 /// [`ObjectStore`] decorator that logs the start and end of every put and
 /// get in one global order, and the most ops it ever saw in flight.
 struct Recorder {
@@ -42,6 +47,8 @@ struct Recorder {
     inflight: AtomicUsize,
     max_inflight: AtomicUsize,
     bad: Option<(&'static str, BadPut)>,
+    /// Every op as it started, with the thread that issued it.
+    threads: parking_lot::Mutex<Vec<Issued>>,
 }
 
 impl Recorder {
@@ -52,6 +59,7 @@ impl Recorder {
             inflight: AtomicUsize::new(0),
             max_inflight: AtomicUsize::new(0),
             bad: None,
+            threads: parking_lot::Mutex::new(Vec::new()),
         }
     }
 
@@ -64,6 +72,11 @@ impl Recorder {
         let now = self.inflight.fetch_add(1, Ordering::SeqCst) + 1;
         self.max_inflight.fetch_max(now, Ordering::SeqCst);
         self.log.lock().push((op, Edge::Start, key.to_string()));
+        let thread = std::thread::current();
+        let name = thread.name().map(str::to_string);
+        self.threads
+            .lock()
+            .push((op, key.to_string(), thread.id(), name));
     }
 
     fn leave(&self, op: Op, key: &str) {
@@ -91,6 +104,7 @@ impl Recorder {
     /// Forget what was seen so far (the staging before the run under test).
     fn reset(&self) {
         self.log.lock().clear();
+        self.threads.lock().clear();
         self.max_inflight.store(0, Ordering::SeqCst);
     }
 }
@@ -432,4 +446,206 @@ fn a_panicking_put_propagates_instead_of_hanging() {
             "{starts:?}"
         );
     }
+}
+
+/// One store object's report item as a batch must keep it: key, raw
+/// bytes, wire bytes and whether it travelled compressed.
+type Item = (String, u64, u64, bool);
+
+/// The buffers of a batch of `objects` store objects: none; three small
+/// buffers that share one pack; or five objects — that pack again, a
+/// buffer past `stream_threshold`, two medium buffers and a small one
+/// alone in its directory, with the pack's members spread between them.
+fn batch(objects: usize) -> Vec<(String, Vec<u8>)> {
+    let sparse = |len, seed| rng::sparse_f32_bytes(len, 0.05, seed);
+    let pack = [
+        ("job-0/in/a", sparse(4_000, 1)),
+        ("job-0/in/b", rng::bytes(2_000, 2)),
+        ("job-0/in/c", sparse(6_000, 3)),
+    ];
+    let items: Vec<(&str, Vec<u8>)> = match objects {
+        0 => vec![],
+        1 => pack.into(),
+        5 => {
+            let [a, b, c] = pack;
+            vec![
+                a,
+                ("job-0/big/m", sparse(1_200_000, 4)),
+                b,
+                ("job-0/wide/r", rng::bytes(150_000, 5)),
+                c,
+                ("job-0/mid/s", sparse(200_000, 6)),
+                ("job-0/solo/t", sparse(5_000, 7)),
+            ]
+        }
+        _ => unreachable!("batches of 0, 1 or 5 objects"),
+    };
+    items.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+}
+
+/// The report items of [`batch`], one per store object in request order.
+fn batch_items(objects: usize) -> Vec<Item> {
+    let rows: &[(&str, u64, u64, bool)] = match objects {
+        0 => &[],
+        1 => &[("job-0/in/pack3-fd98864c", 12_000, 2_840, true)],
+        _ => &[
+            ("job-0/in/pack3-fd98864c", 12_000, 2_840, true),
+            ("job-0/big/m", 1_200_000, 90_741, true),
+            ("job-0/wide/r", 150_000, 150_000, false),
+            ("job-0/mid/s", 200_000, 15_119, true),
+            ("job-0/solo/t", 5_000, 374, true),
+        ],
+    };
+    rows.iter()
+        .map(|&(key, raw, wire, compressed)| (key.to_string(), raw, wire, compressed))
+        .collect()
+}
+
+/// A manager two ops wide over a recorded store with a little latency,
+/// so the ops of a batch overlap when they may.
+fn two_wide_manager() -> (Arc<TransferManager>, Arc<Recorder>) {
+    let slow = LatencyStore::new(
+        Arc::new(S3Store::standalone("batch")),
+        Duration::from_millis(3),
+    );
+    let recorder = Arc::new(Recorder::new(Arc::new(slow)));
+    let config = TransferConfig {
+        max_threads: 2,
+        ..config()
+    };
+    let manager = TransferManager::new(Arc::clone(&recorder) as StoreHandle, config);
+    (Arc::new(manager), recorder)
+}
+
+/// Which thread a one-object batch must run its op on.
+enum Runs {
+    /// The caller's own.
+    On(ThreadId),
+    /// The one named so.
+    Named(&'static str),
+}
+
+/// What every batch entry keeps, whichever engine runs it: each store
+/// object gets exactly one `op`, and one report item in request order
+/// with the same bytes; never more than two ops are in flight; and a
+/// batch of one object runs where `runs` says.
+fn assert_batch(
+    recorder: &Recorder,
+    op: Op,
+    items: &[cloud_storage::ItemReport],
+    want: &[Item],
+    runs: Runs,
+) {
+    let got: Vec<Item> = items
+        .iter()
+        .map(|i| (i.key.clone(), i.raw_bytes, i.wire_bytes, i.compressed))
+        .collect();
+    assert_eq!(got, want, "report items");
+    let mut ops = recorder.starts();
+    ops.sort();
+    let mut want_ops: Vec<(Op, String)> = want.iter().map(|(key, ..)| (op, key.clone())).collect();
+    want_ops.sort();
+    assert_eq!(ops, want_ops, "store ops");
+    assert!(
+        recorder.max_inflight() <= 2,
+        "{} ops in flight",
+        recorder.max_inflight()
+    );
+    if want.len() == 1 {
+        for (op, key, id, name) in recorder.threads.lock().iter() {
+            let here = match &runs {
+                Runs::On(caller) => id == caller,
+                Runs::Named(wanted) => name.as_deref() == Some(*wanted),
+            };
+            assert!(here, "{op:?} {key} ran on {id:?} ({name:?})");
+        }
+    }
+}
+
+#[test]
+fn upload_puts_each_object_once_and_reports_it_in_request_order() {
+    for objects in [0, 1, 5] {
+        let (manager, recorder) = two_wide_manager();
+        let report = manager.upload(batch(objects)).unwrap();
+        let caller = std::thread::current().id();
+        assert_batch(
+            &recorder,
+            Op::Put,
+            &report.items,
+            &batch_items(objects),
+            Runs::On(caller),
+        );
+    }
+}
+
+#[test]
+fn download_gets_each_object_once_and_returns_every_buffer_in_request_order() {
+    for objects in [0, 1, 5] {
+        let (manager, recorder) = two_wide_manager();
+        let items = batch(objects);
+        manager.upload(items.clone()).unwrap();
+        recorder.reset();
+        let keys = items.iter().map(|(key, _)| key.clone()).collect();
+        let (back, report) = manager.download(keys).unwrap();
+        assert_eq!(back.len(), items.len());
+        for ((key, want), (got_key, got)) in items.iter().zip(&back) {
+            assert_eq!(got_key, key);
+            assert!(got == want, "{key} changed on the way");
+        }
+        let caller = std::thread::current().id();
+        assert_batch(
+            &recorder,
+            Op::Get,
+            &report.items,
+            &batch_items(objects),
+            Runs::On(caller),
+        );
+    }
+}
+
+#[test]
+fn a_write_behind_put_runs_like_an_upload_and_settles_with_its_report() {
+    for objects in [0, 1, 5] {
+        let (manager, recorder) = two_wide_manager();
+        let items: Vec<(String, Arc<Vec<u8>>)> = batch(objects)
+            .into_iter()
+            .map(|(key, bytes)| (key, Arc::new(bytes)))
+            .collect();
+        let told = Arc::new(parking_lot::Mutex::new(None));
+        let tell = Arc::clone(&told);
+        manager
+            .upload_behind(items, move |_, put| {
+                *tell.lock() = Some(put.map(|report| report.items.clone()).ok());
+            })
+            .unwrap();
+        manager.settle().unwrap();
+        let settled = told.lock().take().expect("told at the settle");
+        let settled = settled.expect("the put landed");
+        assert_batch(
+            &recorder,
+            Op::Put,
+            &settled,
+            &batch_items(objects),
+            Runs::Named("write-behind"),
+        );
+        assert!(
+            told.lock().is_none() && manager.settle().is_ok(),
+            "told once"
+        );
+    }
+}
+
+#[test]
+fn a_one_object_pipeline_runs_its_put_and_get_on_the_calling_thread() {
+    let (manager, recorder) = two_wide_manager();
+    let items = batch(1);
+    let (back, report) = manager
+        .upload_fetch_pipelined(items.clone(), vec![], 2)
+        .unwrap();
+    assert_eq!(back.len(), 3);
+    let caller = std::thread::current().id();
+    let ops = recorder.threads.lock().clone();
+    assert_eq!(ops.len(), 2, "{ops:?}");
+    assert!(ops.iter().all(|(.., id, _)| *id == caller), "{ops:?}");
+    assert_eq!(report.items.len(), 1);
 }

@@ -484,3 +484,116 @@ fn iterative_workload_amortizes_transfers() {
     assert_eq!(wire_bytes[3], 0, "{wire_bytes:?}");
     runtime.shutdown();
 }
+
+/// With caching on, a job leaves behind only the inputs the upload cache
+/// references (a pack if any of its members is) and its outputs. Eight
+/// delta rounds over a slowly changing `x` (its patches go), then, on a
+/// device without delta, five rounds in which `x` changes whole (each
+/// superseded `x` goes, and the pack `w` shares with the first `x` stays
+/// for `w`). Outputs match the host's bit for bit, and the cache hits
+/// exactly as often as it did before anything was swept.
+#[test]
+fn caching_keeps_only_what_the_cache_references() {
+    const LEN: usize = 8 * 1024;
+    let region = |device: DeviceSelector| {
+        TargetRegion::builder("weighted")
+            .device(device)
+            .map_to("w")
+            .map_to("x")
+            .map_from("y")
+            .parallel_for(LEN, |l| {
+                l.partition("y", PartitionSpec::rows(1))
+                    .body(|i, ins, outs| {
+                        outs.view_mut::<f32>("y")[i] =
+                            ins.view::<f32>("w")[i] * ins.view::<f32>("x")[i] + 1.0;
+                    })
+            })
+            .build()
+            .unwrap()
+    };
+    // `x` of round `round`: a few elements move every delta round, all
+    // of them every whole round.
+    let env_for = |round: usize, whole: bool| {
+        let mut env = DataEnv::new();
+        env.insert("w", (0..LEN).map(|i| (i % 7) as f32).collect::<Vec<_>>());
+        let x = (0..LEN).map(|i| {
+            let moved = whole || i % 1024 < round;
+            (i % 13) as f32 + if moved { round as f32 } else { 0.0 }
+        });
+        env.insert("x", x.collect::<Vec<_>>());
+        env.insert("y", vec![0.0f32; LEN]);
+        env
+    };
+    let host = DeviceRegistry::with_host_only();
+    for (delta_transfers, rounds) in [(true, 8), (false, 5)] {
+        let runtime = CloudRuntime::new(CloudConfig {
+            workers: 2,
+            vcpus_per_worker: 4,
+            task_cpus: 2,
+            data_caching: true,
+            delta_transfers,
+            delta_tile_bytes: 1024,
+            ..CloudConfig::default()
+        });
+        for round in 0..rounds {
+            let mut env = env_for(round, !delta_transfers);
+            let mut want = env_for(round, !delta_transfers);
+            let profile = runtime
+                .offload(&region(CloudRuntime::cloud_selector()), &mut env)
+                .unwrap();
+            assert!(profile.fallback_from.is_none(), "{:?}", profile.notes);
+            host.offload(&region(DeviceSelector::Default), &mut want)
+                .unwrap();
+            let (got, want) = (env.get::<f32>("y").unwrap(), want.get::<f32>("y").unwrap());
+            assert!(
+                got.iter()
+                    .zip(want)
+                    .all(|(g, w)| g.to_bits() == w.to_bits()),
+                "delta={delta_transfers} round {round}: y differs from the host's"
+            );
+            // Every job's output stays. Of the inputs, the first job's
+            // pack holds `w` (and the first `x`); after a whole round `x`
+            // lives in that round's job instead.
+            let keys = runtime.cloud().store().list("");
+            let (mut outputs, mut inputs): (Vec<&str>, Vec<&str>) = keys
+                .iter()
+                .map(String::as_str)
+                .partition(|k| k.contains("/out/"));
+            let want_outputs: Vec<String> = (0..=round)
+                .map(|job| format!("jobs/job-{job}/out/y"))
+                .collect();
+            outputs.sort();
+            assert_eq!(
+                outputs, want_outputs,
+                "delta={delta_transfers} round {round}"
+            );
+            inputs.sort();
+            let pack = inputs
+                .iter()
+                .position(|k| k.starts_with("jobs/job-0/in/pack2-"));
+            assert!(
+                pack.is_some(),
+                "delta={delta_transfers} round {round}: {keys:?}"
+            );
+            inputs.remove(pack.unwrap());
+            let x = format!("jobs/job-{round}/in/x");
+            let want_x: &[&str] = match !delta_transfers && round > 0 {
+                true => &[&x],
+                false => &[],
+            };
+            assert_eq!(
+                inputs, want_x,
+                "delta={delta_transfers} round {round}: {keys:?}"
+            );
+        }
+        // Delta rounds find `w` clean and `x` changed: nothing hits. Whole
+        // rounds hit `w` every time after the first.
+        let hits_and_misses = if delta_transfers {
+            (0, 2 + 7)
+        } else {
+            (4, 2 + 4)
+        };
+        assert_eq!(runtime.cloud().cache_stats(), hits_and_misses);
+        runtime.shutdown();
+    }
+}
