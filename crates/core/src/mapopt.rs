@@ -14,8 +14,8 @@
 //! * byte-identical buffers within one upload set are deduped — the
 //!   second copy aliases the first staged object;
 //! * iterative re-executions ship dirty-tile deltas — the
-//!   [`DeltaLedger`] remembers the per-tile crc32s of the last
-//!   committed upload and re-sends only the tiles that changed.
+//!   [`DeltaLedger`] remembers the last committed upload and re-sends
+//!   only the tiles that changed, XORed with what the cloud already has.
 //!
 //! Every decision is recorded in a [`MapPlan`] that flows into the
 //! [`OffloadReport`](crate::OffloadReport), so elisions are observable
@@ -79,7 +79,7 @@ pub enum UploadAction {
     },
     /// Dirty-tile delta against the last committed upload.
     Delta {
-        /// Tiles whose crc32 changed since the last commit.
+        /// Tiles that changed since the last commit.
         dirty_tiles: u32,
         /// Total tiles of the buffer.
         total_tiles: u32,
@@ -332,8 +332,13 @@ pub fn narrow_len(region: &TargetRegion, var: &str, len: usize) -> Option<usize>
     (hull_end < len).then_some(hull_end)
 }
 
-/// Magic marker of an encoded delta patch (`DPT1`).
-const PATCH_MAGIC: [u8; 4] = *b"DPT1";
+/// Magic marker of an encoded delta patch (`DPT2`: XOR tiles).
+const PATCH_MAGIC: [u8; 4] = *b"DPT2";
+
+/// `dst ^= src`, byte for byte.
+fn xor_into(dst: &mut [u8], src: &[u8]) {
+    dst.iter_mut().zip(src).for_each(|(d, s)| *d ^= s);
+}
 
 /// How a buffer compares against its last committed upload.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -352,8 +357,6 @@ struct DeltaEntry {
     /// The committed payload — the model of the cloud-resident copy the
     /// next round patches.
     payload: Vec<u8>,
-    /// crc32 per tile of `payload`.
-    tile_crcs: Vec<u32>,
     /// crc32 of the whole payload.
     full_crc: u32,
 }
@@ -361,12 +364,12 @@ struct DeltaEntry {
 /// Driver-side dirty-tile ledger for iterative regions.
 ///
 /// After each *successful* upload+verify the full payload is committed
-/// here, tile crc32s and all; the next offload of the same variable
-/// diffs against the committed state and ships only the dirty tiles as
-/// a [`encode_patch`](DeltaLedger::encode_patch) blob. Commits happen
-/// only after the cloud side has materialized and verified the payload,
-/// so a transient fault mid-transfer can never corrupt the base the
-/// next round patches against.
+/// here with its crc32; the next offload of the same variable diffs
+/// against the committed bytes and ships only the dirty tiles, XORed
+/// with the base, as an [`encode_patch`](DeltaLedger::encode_patch)
+/// blob. Commits happen only after the cloud side has materialized and
+/// verified the payload, so a transient fault mid-transfer can never
+/// corrupt the base the next round patches against.
 pub struct DeltaLedger {
     tile_bytes: usize,
     entries: HashMap<String, DeltaEntry>,
@@ -381,28 +384,14 @@ impl DeltaLedger {
         }
     }
 
-    /// Tile granularity in bytes.
-    pub fn tile_bytes(&self) -> usize {
-        self.tile_bytes
-    }
-
     /// Number of tiles a payload of `len` bytes splits into.
     pub fn tile_count(&self, len: usize) -> usize {
         len.div_ceil(self.tile_bytes)
     }
 
-    /// Per-tile crc32s of `bytes`.
-    fn tile_crcs(&self, bytes: &[u8]) -> Vec<u32> {
-        bytes.chunks(self.tile_bytes).map(gzlite::crc32).collect()
-    }
-
-    /// Diff `bytes` against the committed base of `name`.
-    ///
-    /// crc32 detects every single-byte change (a one-byte flip always
-    /// alters the checksum), so a dirty tile can never be missed; a
-    /// colliding multi-byte change is guarded against by the full-crc
-    /// check in [`apply_patch`](DeltaLedger::apply_patch) plus an exact
-    /// byte compare here for tiles whose crc matches.
+    /// Diff `bytes` against the committed base of `name`, tile by tile
+    /// with an exact byte compare: a changed tile is never missed and an
+    /// unchanged one never re-sent.
     pub fn diff(&self, name: &str, bytes: &[u8]) -> DeltaDiff {
         let Some(entry) = self.entries.get(name) else {
             return DeltaDiff::NoBase;
@@ -410,16 +399,11 @@ impl DeltaLedger {
         if entry.payload.len() != bytes.len() {
             return DeltaDiff::NoBase;
         }
-        let mut dirty = Vec::new();
-        for (idx, chunk) in bytes.chunks(self.tile_bytes).enumerate() {
-            let start = idx * self.tile_bytes;
-            let base = &entry.payload[start..start + chunk.len()];
-            // crc first (cheap), memcmp to confirm equality when the
-            // crcs agree — collisions re-upload, they never skip.
-            if gzlite::crc32(chunk) != entry.tile_crcs[idx] || chunk != base {
-                dirty.push(idx);
-            }
-        }
+        let base = entry.payload.chunks(self.tile_bytes);
+        let dirty: Vec<usize> = (bytes.chunks(self.tile_bytes).zip(base))
+            .enumerate()
+            .filter_map(|(idx, (now, base))| (now != base).then_some(idx))
+            .collect();
         if dirty.is_empty() {
             DeltaDiff::Clean
         } else {
@@ -431,7 +415,6 @@ impl DeltaLedger {
     /// cloud side has the full payload materialized and verified.
     pub fn commit(&mut self, name: &str, bytes: &[u8]) {
         let entry = DeltaEntry {
-            tile_crcs: self.tile_crcs(bytes),
             full_crc: gzlite::crc32(bytes),
             payload: bytes.to_vec(),
         };
@@ -448,38 +431,46 @@ impl DeltaLedger {
         self.entries.get(name).map(|e| e.full_crc)
     }
 
-    /// Drop the committed base of `name`.
-    pub fn forget(&mut self, name: &str) {
-        self.entries.remove(name);
-    }
-
-    /// Drop every committed base.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Encode the dirty tiles of `bytes` as a self-describing patch:
+    /// Encode the dirty tiles of `bytes` against the committed base of
+    /// `name` as a self-describing patch:
     ///
     /// ```text
-    /// "DPT1" | u32 tile_bytes | u32 total_tiles | u64 full_len |
-    /// u32 full_crc | u32 n_dirty | n_dirty × (u32 idx | tile bytes)
+    /// "DPT2" | u32 tile_bytes | u32 total_tiles | u64 full_len |
+    /// u32 full_crc | u32 n_dirty | n_dirty × (u32 idx | tile ^ base tile)
     /// ```
     ///
-    /// All integers little-endian; the last tile may be short.
-    pub fn encode_patch(&self, bytes: &[u8], dirty: &[usize]) -> Vec<u8> {
+    /// All integers little-endian; the last tile may be short. A tile
+    /// that changed in a few bytes XORs to nearly all zeros, which the
+    /// wire codec squeezes to almost nothing.
+    ///
+    /// # Panics
+    ///
+    /// If `name` has no committed base as long as `bytes` — a
+    /// [`DeltaDiff::Dirty`] from [`diff`](DeltaLedger::diff) implies one.
+    pub fn encode_patch(&self, name: &str, bytes: &[u8], dirty: &[usize]) -> Vec<u8> {
+        self.patch_with_crc(name, bytes, gzlite::crc32(bytes), dirty)
+    }
+
+    /// [`encode_patch`](DeltaLedger::encode_patch) with the crc32 of
+    /// `bytes` already in hand (the planner shares it with the upload
+    /// cache's fingerprint).
+    fn patch_with_crc(&self, name: &str, bytes: &[u8], crc: u32, dirty: &[usize]) -> Vec<u8> {
+        let base = &self.entries[name].payload;
         let total_tiles = self.tile_count(bytes.len());
         let mut out = Vec::with_capacity(28 + dirty.len() * (4 + self.tile_bytes));
         out.extend_from_slice(&PATCH_MAGIC);
         out.extend_from_slice(&(self.tile_bytes as u32).to_le_bytes());
         out.extend_from_slice(&(total_tiles as u32).to_le_bytes());
         out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&gzlite::crc32(bytes).to_le_bytes());
+        out.extend_from_slice(&crc.to_le_bytes());
         out.extend_from_slice(&(dirty.len() as u32).to_le_bytes());
         for &idx in dirty {
             let start = idx * self.tile_bytes;
             let end = (start + self.tile_bytes).min(bytes.len());
             out.extend_from_slice(&(idx as u32).to_le_bytes());
+            let at = out.len();
             out.extend_from_slice(&bytes[start..end]);
+            xor_into(&mut out[at..], &base[start..end]);
         }
         out
     }
@@ -489,11 +480,14 @@ impl DeltaLedger {
         bytes.len() >= 28 && bytes[..4] == PATCH_MAGIC
     }
 
-    /// Apply `patch` on top of the committed base of `name`, returning
-    /// the reconstructed full payload. The result is verified against
-    /// the patch's full-payload crc32 — a base that drifted from what
-    /// the patch was diffed against is detected, never silently used.
-    pub fn apply_patch(&self, name: &str, patch: &[u8]) -> Result<Vec<u8>, String> {
+    /// Apply `patch` to the committed base of `name` in place and return
+    /// the result, which is the new base (its crc32, just verified, is
+    /// kept). The result is checked against the patch's full-payload
+    /// crc32 — a base that drifted from what the patch was diffed
+    /// against is detected, never silently used. On any error the base
+    /// is left exactly as it was: the patch is parsed whole before a
+    /// byte moves, and a crc mismatch XORs the same tiles back out.
+    pub fn apply_patch(&mut self, name: &str, patch: &[u8]) -> Result<&[u8], String> {
         if !Self::is_patch(patch) {
             return Err("not a delta patch (bad magic or truncated header)".into());
         }
@@ -505,55 +499,64 @@ impl DeltaLedger {
         let full_len =
             u64::from_le_bytes(patch[12..20].try_into().expect("bounds checked")) as usize;
         let full_crc = rd_u32(20);
-        let n_dirty = rd_u32(24) as usize;
         if tile_bytes != self.tile_bytes {
             return Err(format!(
                 "patch tile granularity {tile_bytes} != ledger {}",
                 self.tile_bytes
             ));
         }
-        let base = self
+        let base_len = self
             .payload(name)
-            .ok_or_else(|| format!("no committed base for '{name}'"))?;
-        if base.len() != full_len || self.tile_count(full_len) != total_tiles {
+            .ok_or_else(|| format!("no committed base for '{name}'"))?
+            .len();
+        if base_len != full_len || self.tile_count(full_len) != total_tiles {
             return Err(format!(
                 "patch geometry ({full_len} B, {total_tiles} tiles) does not match \
-                 the committed base ({} B)",
-                base.len()
+                 the committed base ({base_len} B)"
             ));
         }
-        let mut out = base.to_vec();
-        let mut off = 28;
-        for _ in 0..n_dirty {
-            if off + 4 > patch.len() {
-                return Err("truncated patch: missing tile index".into());
+        // `f(range in the base, XORed bytes)` per tile; a structural
+        // fault is an error.
+        let walk = |f: &mut dyn FnMut(std::ops::Range<usize>, &[u8])| -> Result<(), String> {
+            let mut off = 28;
+            for _ in 0..rd_u32(24) {
+                if off + 4 > patch.len() {
+                    return Err("truncated patch: missing tile index".into());
+                }
+                let idx = rd_u32(off);
+                off += 4;
+                let start = (idx as usize).saturating_mul(tile_bytes);
+                if start >= full_len {
+                    return Err(format!("patch tile index {idx} out of range"));
+                }
+                let end = (start + tile_bytes).min(full_len);
+                let Some(tile) = patch.get(off..off + end - start) else {
+                    return Err("truncated patch: missing tile payload".into());
+                };
+                f(start..end, tile);
+                off += tile.len();
             }
-            let idx = u32::from_le_bytes(patch[off..off + 4].try_into().expect("bounds checked"))
-                as usize;
-            off += 4;
-            if idx >= total_tiles {
-                return Err(format!("patch tile index {idx} out of range"));
+            if off != patch.len() {
+                return Err("trailing garbage after the last patch tile".into());
             }
-            let start = idx * tile_bytes;
-            let end = (start + tile_bytes).min(full_len);
-            let n = end - start;
-            if off + n > patch.len() {
-                return Err("truncated patch: missing tile payload".into());
-            }
-            out[start..end].copy_from_slice(&patch[off..off + n]);
-            off += n;
-        }
-        if off != patch.len() {
-            return Err("trailing garbage after the last patch tile".into());
-        }
-        let crc = gzlite::crc32(&out);
+            Ok(())
+        };
+        // Parse the whole patch before a byte of the base moves; on a crc
+        // mismatch, the same XOR restores the base (XOR is its own inverse).
+        walk(&mut |_, _| {})?;
+        let entry = self.entries.get_mut(name).expect("checked above");
+        let xor = |payload: &mut [u8]| walk(&mut |r, tile| xor_into(&mut payload[r], tile));
+        xor(&mut entry.payload)?;
+        let crc = gzlite::crc32(&entry.payload);
         if crc != full_crc {
+            xor(&mut entry.payload)?;
             return Err(format!(
                 "reconstructed payload crc32 {crc:#010x} != patch {full_crc:#010x} \
                  (base drifted?)"
             ));
         }
-        Ok(out)
+        entry.full_crc = crc;
+        Ok(&entry.payload)
     }
 }
 
@@ -762,12 +765,18 @@ impl TransferMemory {
             .delta_transfers
             .then(|| self.delta.diff(&input.var, &bytes));
         if diff == Some(DeltaDiff::Clean) {
-            input.source = InputSource::DeltaClean {
-                crc: gzlite::crc32(&bytes),
-            };
+            let crc = self
+                .delta
+                .full_crc(&input.var)
+                .expect("a clean diff has a base");
+            input.source = InputSource::DeltaClean { crc };
             return None;
         }
-        let cache_fp = config.data_caching.then(|| Fingerprint::of(&bytes));
+        // One crc32 of the serialization serves both the cache fingerprint
+        // and a delta patch's header.
+        let dirty = matches!(diff, Some(DeltaDiff::Dirty(_)));
+        let fp = (config.data_caching || dirty).then(|| Fingerprint::of(&bytes));
+        let cache_fp = fp.filter(|_| config.data_caching);
         if let Some(fp) = cache_fp {
             if let CacheDecision::Hit { storage_key } = self.cache.check(&input.var, fp) {
                 // Unchanged since the last offload: the staged object is
@@ -815,8 +824,10 @@ impl TransferMemory {
         }
         // Delta: ship only the tiles that differ from the last
         // committed payload.
-        if let Some(DeltaDiff::Dirty(dirty)) = diff {
-            let patch = self.delta.encode_patch(&bytes, &dirty);
+        if let (Some(DeltaDiff::Dirty(dirty)), Some(fp)) = (diff, fp) {
+            let patch = self
+                .delta
+                .patch_with_crc(&input.var, &bytes, fp.crc, &dirty);
             // A patch as large as the payload loses to a plain
             // upload: fall through.
             if patch.len() < bytes.len() {
@@ -864,9 +875,9 @@ impl TransferMemory {
                     v.write_at(0, &ErasedVec::from_bytes(tag, payload(key)));
                     v
                 }
-                // Delta patch: reconstruct the full payload against the
-                // committed base, then — and only then — commit it as
-                // the next round's base.
+                // Delta patch: applied in place on the committed base,
+                // which becomes the next round's base only once the
+                // reconstruction verified.
                 InputSource::Staged {
                     key,
                     upload: UploadAction::Delta { .. },
@@ -875,8 +886,7 @@ impl TransferMemory {
                         .delta
                         .apply_patch(var, payload(key))
                         .map_err(|e| format!("delta patch for '{var}' failed to apply: {e}"))?;
-                    self.delta.commit(var, &full);
-                    ErasedVec::from_bytes(tag, &full)
+                    ErasedVec::from_bytes(tag, full)
                 }
                 // A full payload, put this round or by the earlier
                 // offload the cache remembers.
@@ -985,7 +995,7 @@ mod tests {
         let DeltaDiff::Dirty(dirty) = ledger.diff("x", &next) else {
             panic!("expected dirty tiles");
         };
-        let patch = ledger.encode_patch(&next, &dirty);
+        let patch = ledger.encode_patch("x", &next, &dirty);
         assert!(DeltaLedger::is_patch(&patch));
         assert!(
             patch.len() < next.len(),
@@ -1004,7 +1014,7 @@ mod tests {
         let DeltaDiff::Dirty(dirty) = ledger.diff("x", &next) else {
             panic!("expected dirty tiles");
         };
-        let patch = ledger.encode_patch(&next, &dirty);
+        let patch = ledger.encode_patch("x", &next, &dirty);
         // Drift the base after the patch was cut: apply must detect it.
         let mut drifted = base.clone();
         drifted[30] ^= 0xFF;
@@ -1018,7 +1028,7 @@ mod tests {
         ledger.commit("x", &payload(64));
         assert!(ledger.apply_patch("x", b"nope").is_err());
         assert!(ledger.apply_patch("x", &[0u8; 40]).is_err());
-        let patch = ledger.encode_patch(&payload(64), &[1]);
+        let patch = ledger.encode_patch("x", &payload(64), &[1]);
         assert!(ledger.apply_patch("x", &patch[..patch.len() - 1]).is_err());
         assert!(ledger.apply_patch("y", &patch).is_err(), "unknown base");
     }

@@ -6,7 +6,7 @@
 //! `tests/malformed_pack.rs`.
 //!
 //! The second half holds `core`'s other decoder to it:
-//! `DeltaLedger::apply_patch` (`DPT1` patches, fetched from the store).
+//! `DeltaLedger::apply_patch` (`DPT2` patches, fetched from the store).
 
 use omp_model::view::OutPart;
 use omp_model::ErasedVec;
@@ -193,12 +193,12 @@ fn inflated_counts_and_lengths_decode_to_none() {
 }
 
 // ---------------------------------------------------------------------
-// `DPT1` delta patches
+// `DPT2` delta patches
 // ---------------------------------------------------------------------
 
 const PATCH_TILE: usize = 16;
 const PATCH_BASE_LEN: usize = 100;
-/// "DPT1" | u32 tile_bytes | u32 total_tiles | u64 full_len | u32 full_crc
+/// "DPT2" | u32 tile_bytes | u32 total_tiles | u64 full_len | u32 full_crc
 /// | u32 n_dirty
 const PATCH_HEADER: usize = 28;
 
@@ -217,7 +217,7 @@ fn ledger_and_patch() -> (DeltaLedger, Vec<u8>, Vec<u8>) {
         panic!("three tiles changed");
     };
     assert_eq!(dirty, [0, 2, 6]);
-    let patch = ledger.encode_patch(&next, &dirty);
+    let patch = ledger.encode_patch("x", &next, &dirty);
     (ledger, next, patch)
 }
 
@@ -225,26 +225,26 @@ fn ledger_and_patch() -> (DeltaLedger, Vec<u8>, Vec<u8>) {
 /// proportion. Copying the committed base is legitimate — the ledger owns
 /// it and the header had to match its geometry first — so it is taken
 /// off the largest allocation before the bound is applied.
-fn apply_bounded(ledger: &DeltaLedger, patch: &[u8], what: &str) -> Result<Vec<u8>, String> {
+fn apply_bounded(ledger: &mut DeltaLedger, patch: &[u8], what: &str) -> Result<Vec<u8>, String> {
     LARGEST.with(|l| l.set(0));
     let result = ledger.apply_patch("x", patch);
     let beyond_base = LARGEST.with(Cell::get).saturating_sub(PATCH_BASE_LEN);
     assert_bounded(beyond_base, patch.len(), what);
-    result
+    result.map(<[u8]>::to_vec)
 }
 
 #[test]
 fn the_intact_patch_applies() {
-    let (ledger, next, patch) = ledger_and_patch();
+    let (mut ledger, next, patch) = ledger_and_patch();
     assert_eq!(patch.len(), PATCH_HEADER + 3 * 4 + 2 * PATCH_TILE + 4);
-    assert_eq!(apply_bounded(&ledger, &patch, "intact").unwrap(), next);
+    assert_eq!(apply_bounded(&mut ledger, &patch, "intact").unwrap(), next);
 }
 
 #[test]
 fn every_truncation_of_a_patch_is_an_error() {
-    let (ledger, _, patch) = ledger_and_patch();
+    let (mut ledger, _, patch) = ledger_and_patch();
     for cut in 0..patch.len() {
-        let result = apply_bounded(&ledger, &patch[..cut], "truncated");
+        let result = apply_bounded(&mut ledger, &patch[..cut], "truncated");
         assert!(result.is_err(), "cut at {cut} applied");
     }
 }
@@ -254,12 +254,12 @@ fn every_bit_flip_in_a_patch_is_an_error() {
     // The header fields one by one, then the tile indices and payloads:
     // a structural field fails its own check, and whatever still parses
     // reconstructs a payload the patch's full crc32 does not match.
-    let (ledger, _, patch) = ledger_and_patch();
+    let (mut ledger, _, patch) = ledger_and_patch();
     for at in 0..patch.len() {
         for bit in 0..8 {
             let mut bytes = patch.clone();
             bytes[at] ^= 1 << bit;
-            let result = apply_bounded(&ledger, &bytes, "bit flip");
+            let result = apply_bounded(&mut ledger, &bytes, "bit flip");
             assert!(result.is_err(), "byte {at} bit {bit} applied");
         }
     }
@@ -267,7 +267,7 @@ fn every_bit_flip_in_a_patch_is_an_error() {
 
 #[test]
 fn oversized_patch_counts_are_errors() {
-    let (ledger, _, patch) = ledger_and_patch();
+    let (mut ledger, _, patch) = ledger_and_patch();
     let (tile_bytes_at, total_tiles_at, full_len_at, n_dirty_at) = (4, 8, 12, 24);
     let mut cases: Vec<(&str, Vec<u8>)> = Vec::new();
     for v in [0u32, 1, 1 << 20, u32::MAX] {
@@ -295,7 +295,7 @@ fn oversized_patch_counts_are_errors() {
     far[PATCH_HEADER..PATCH_HEADER + 4].copy_from_slice(&7u32.to_le_bytes());
     cases.push(("tile index", far));
     for (what, bytes) in cases {
-        let result = apply_bounded(&ledger, &bytes, what);
+        let result = apply_bounded(&mut ledger, &bytes, what);
         assert!(result.is_err(), "{what} applied: {bytes:?}");
     }
     // No base to patch, and a ledger cut to another granularity.
@@ -303,4 +303,31 @@ fn oversized_patch_counts_are_errors() {
     let mut other = DeltaLedger::new(PATCH_TILE * 2);
     other.commit("x", &[0u8; PATCH_BASE_LEN]);
     assert!(other.apply_patch("x", &patch).is_err());
+}
+
+/// A patch is applied in place on the committed base, so a rejected one
+/// must leave that base exactly as it was: after every truncation and
+/// every bit flip the base is byte-identical to the commit, and the
+/// intact patch still applies on top of it.
+#[test]
+fn a_rejected_patch_leaves_the_base_untouched() {
+    let (mut ledger, next, patch) = ledger_and_patch();
+    let base = ledger.payload("x").unwrap().to_vec();
+    let mut damaged: Vec<Vec<u8>> = (0..patch.len()).map(|cut| patch[..cut].to_vec()).collect();
+    for at in 0..patch.len() {
+        for bit in 0..8 {
+            let mut bytes = patch.clone();
+            bytes[at] ^= 1 << bit;
+            damaged.push(bytes);
+        }
+    }
+    for bytes in &damaged {
+        assert!(ledger.apply_patch("x", bytes).is_err(), "{bytes:?} applied");
+        assert_eq!(
+            ledger.payload("x").unwrap(),
+            base,
+            "rejecting {bytes:?} moved the base"
+        );
+    }
+    assert_eq!(ledger.apply_patch("x", &patch).unwrap(), next);
 }

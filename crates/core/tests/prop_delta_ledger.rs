@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 proptest! {
     /// Flipping a single byte anywhere always dirties exactly the tile
-    /// holding it — crc32 cannot miss a one-byte change.
+    /// holding it — an exact compare cannot miss a one-byte change.
     #[test]
     fn any_single_byte_mutation_marks_its_tile_dirty(
         data in proptest::collection::vec(any::<u8>(), 1..4096),
@@ -68,7 +68,7 @@ proptest! {
         match ledger.diff("x", &mutated) {
             DeltaDiff::Dirty(dirty) => {
                 prop_assert_eq!(&dirty, &want_dirty);
-                let patch = ledger.encode_patch(&mutated, &dirty);
+                let patch = ledger.encode_patch("x", &mutated, &dirty);
                 prop_assert!(DeltaLedger::is_patch(&patch));
                 prop_assert_eq!(ledger.apply_patch("x", &patch).unwrap(), mutated);
             }

@@ -74,7 +74,10 @@ pub fn env(n: usize, m: usize, kind: DataKind, seed: u64) -> DataEnv {
     e
 }
 
-/// Handwritten sequential reference.
+/// Handwritten sequential reference. The covariance rows stream:
+/// observation `k` outer and a contiguous `j` inner, so every
+/// `cov[i][j]` still sums its `m` products `k` ascending from `+0.0` —
+/// the bits of the textbook `j`-outer nest.
 pub fn sequential(n: usize, m: usize, data: &[f32], cov: &mut [f32]) {
     let mut mean = vec![0.0f32; n];
     for (i, mu) in mean.iter_mut().enumerate() {
@@ -85,14 +88,15 @@ pub fn sequential(n: usize, m: usize, data: &[f32], cov: &mut [f32]) {
         *mu = acc / m as f32;
     }
     let denom = (m.max(2) - 1) as f32;
-    for i in 0..n {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for k in 0..m {
-                acc += (data[k * n + i] - mean[i]) * (data[k * n + j] - mean[j]);
+    for (i, cov_row) in cov[..n * n].chunks_exact_mut(n).enumerate() {
+        cov_row.fill(0.0);
+        for d_k in data[..m * n].chunks_exact(n) {
+            let d_ki = d_k[i] - mean[i];
+            for ((c, &d_kj), &mean_j) in cov_row.iter_mut().zip(d_k).zip(&mean) {
+                *c += d_ki * (d_kj - mean_j);
             }
-            cov[i * n + j] = acc / denom;
         }
+        cov_row.iter_mut().for_each(|c| *c /= denom);
     }
 }
 
@@ -104,9 +108,45 @@ mod tests {
     use super::*;
     use crate::case::{tests::assert_bits_match_reference, BenchId};
 
+    /// The textbook nest `sequential()` must equal bit for bit.
+    fn naive(n: usize, m: usize, data: &[f32], cov: &mut [f32]) {
+        let mut mean = vec![0.0f32; n];
+        for (i, mu) in mean.iter_mut().enumerate() {
+            let mut acc = 0.0f32;
+            for k in 0..m {
+                acc += data[k * n + i];
+            }
+            *mu = acc / m as f32;
+        }
+        let denom = (m.max(2) - 1) as f32;
+        for i in 0..n {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for k in 0..m {
+                    acc += (data[k * n + i] - mean[i]) * (data[k * n + j] - mean[j]);
+                }
+                cov[i * n + j] = acc / denom;
+            }
+        }
+    }
+
     #[test]
     fn host_offload_matches_reference() {
         assert_bits_match_reference(BenchId::Covar);
+    }
+
+    #[test]
+    fn sequential_equals_the_textbook_nest_bitwise() {
+        for kind in [DataKind::Dense, DataKind::Sparse] {
+            for n in [1, 7, 33, 130] {
+                let data = matrix(2 * n, n, kind, 5);
+                let (mut got, mut want) = (vec![f32::NAN; n * n], vec![f32::NAN; n * n]);
+                sequential(n, 2 * n, &data, &mut got);
+                naive(n, 2 * n, &data, &mut want);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{} n={n}", kind.label());
+            }
+        }
     }
 
     #[test]

@@ -56,15 +56,21 @@ pub fn env(n: usize, kind: DataKind, seed: u64) -> DataEnv {
     e
 }
 
-/// Handwritten sequential reference.
+/// Handwritten sequential reference, row-streaming: `k` outer and a
+/// contiguous `j` inner, so every `C[i][j]` still sums its `n` products
+/// `k` ascending from `+0.0` — the bits of the textbook `j`-outer nest.
 pub fn sequential(n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    let mut acc = vec![0.0f32; n];
     for i in 0..n {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for k in 0..n {
-                acc += a[i * n + k] * b[k * n + j];
+        acc.fill(0.0);
+        for k in 0..n {
+            let a_ik = a[i * n + k];
+            for (acc_j, &b_kj) in acc.iter_mut().zip(&b[k * n..(k + 1) * n]) {
+                *acc_j += a_ik * b_kj;
             }
-            c[i * n + j] = ALPHA * acc + BETA * c[i * n + j];
+        }
+        for (c_ij, &acc_j) in c[i * n..(i + 1) * n].iter_mut().zip(&acc) {
+            *c_ij = ALPHA * acc_j + BETA * *c_ij;
         }
     }
 }
@@ -77,9 +83,37 @@ mod tests {
     use super::*;
     use crate::case::{tests::assert_bits_match_reference, BenchId};
 
+    /// The textbook nest `sequential()` must equal bit for bit.
+    fn naive(n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        for i in 0..n {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for k in 0..n {
+                    acc += a[i * n + k] * b[k * n + j];
+                }
+                c[i * n + j] = ALPHA * acc + BETA * c[i * n + j];
+            }
+        }
+    }
+
     #[test]
     fn host_offload_matches_reference() {
         assert_bits_match_reference(BenchId::Gemm);
+    }
+
+    #[test]
+    fn sequential_equals_the_textbook_nest_bitwise() {
+        for kind in [DataKind::Dense, DataKind::Sparse] {
+            for n in [1, 7, 33, 130] {
+                let (a, b) = (matrix(n, n, kind, 5), matrix(n, n, kind, 6));
+                let mut got = matrix(n, n, kind, 7);
+                let mut want = got.clone();
+                sequential(n, &a, &b, &mut got);
+                naive(n, &a, &b, &mut want);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{} n={n}", kind.label());
+            }
+        }
     }
 
     #[test]

@@ -116,8 +116,12 @@ impl BytePool {
 
     /// Wrap an existing allocation so it checks into this pool on drop —
     /// used for decoded download payloads, whose capacity feeds the next
-    /// tile's encode staging.
-    pub fn adopt(self: &Arc<Self>, vec: Vec<u8>) -> PoolBuf {
+    /// tile's encode staging. The buffer is shrunk to its length first: a
+    /// decoder's output grows by doubling, and a buffer shelved by a
+    /// capacity well past its length sits a class above every checkout of
+    /// its size, where nothing reuses it.
+    pub fn adopt(self: &Arc<Self>, mut vec: Vec<u8>) -> PoolBuf {
+        vec.shrink_to_fit();
         PoolBuf {
             vec,
             pool: Some(Arc::downgrade(self)),

@@ -254,3 +254,25 @@ fn a_pack_heals_under_faults_scoped_to_its_directory() {
     assert_eq!(u64::from(report.total_retries()), stats.transient);
     assert_eq!(u64::from(report.total_refetches()), stats.corruptions);
 }
+
+/// A decoded payload enters the byte pool when the caller drops it, and
+/// the pool shelves a buffer by its capacity: one that grew past its
+/// length while decoding would land a class above every checkout of its
+/// size and pile up there. The payload is shaped like an XOR delta patch
+/// — 192 KiB of zeros, one byte set every 16 KiB — so it compresses far
+/// more than 64x, the case in which the decoder's output outgrows its
+/// first reservation by doubling.
+#[test]
+fn a_downloaded_payload_holds_no_spare_capacity() {
+    let (manager, _, _) = counted_manager();
+    let mut sparse = vec![0u8; 192 * 1024];
+    for (i, byte) in sparse.iter_mut().step_by(16 * 1024).enumerate() {
+        *byte = 1 + i as u8;
+    }
+    let key = "job/in/patch".to_string();
+    manager.upload(vec![(key.clone(), sparse.clone())]).unwrap();
+    let (payloads, _) = manager.download(vec![key]).unwrap();
+    let (_, payload) = &payloads[0];
+    assert_eq!(payload[..], sparse[..]);
+    assert_eq!(payload.capacity(), payload.len());
+}

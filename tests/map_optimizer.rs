@@ -5,10 +5,12 @@
 //! and dead and alloc maps move zero bytes.
 
 use ompcloud_suite::cloud_storage::{
-    ChaosStore, FaultKind, FaultPlan, FaultRule, OpFilter, S3Store, Trigger,
+    ChaosStore, FaultKind, FaultPlan, FaultRule, ObjectStore, OpFilter, S3Store, StorageError,
+    StoreHandle, Trigger,
 };
 use ompcloud_suite::ompcloud::{DownloadAction, UploadAction};
 use ompcloud_suite::prelude::*;
+use std::sync::{Arc, Mutex};
 
 const X_LEN: usize = 10_240; // 40 KiB of f32
 const TILE_BYTES: usize = 1_024; // 40 tiles
@@ -391,5 +393,125 @@ fn dead_and_alloc_maps_move_zero_bytes() {
         .unwrap();
     host.offload(&hreg, &mut href).unwrap();
     assert_eq!(env.get::<f32>("y").unwrap(), href.get::<f32>("y").unwrap());
+    rt.shutdown();
+}
+
+/// A store that remembers the key and wire length of every put.
+struct PutSizes {
+    inner: S3Store,
+    puts: Mutex<Vec<(String, usize)>>,
+}
+
+impl ObjectStore for PutSizes {
+    fn put(&self, key: &str, data: Vec<u8>) -> Result<(), StorageError> {
+        self.puts
+            .lock()
+            .unwrap()
+            .push((key.to_string(), data.len()));
+        self.inner.put(key, data)
+    }
+    fn get(&self, key: &str) -> Result<Vec<u8>, StorageError> {
+        self.inner.get(key)
+    }
+    fn delete(&self, key: &str) -> Result<(), StorageError> {
+        self.inner.delete(key)
+    }
+    fn exists(&self, key: &str) -> bool {
+        self.inner.exists(key)
+    }
+    fn list(&self, prefix: &str) -> Vec<String> {
+        self.inner.list(prefix)
+    }
+    fn size(&self, key: &str) -> Option<u64> {
+        self.inner.size(key)
+    }
+    fn checksum(&self, key: &str) -> Option<u32> {
+        self.inner.checksum(key)
+    }
+    fn kind(&self) -> &'static str {
+        "put-sizes"
+    }
+}
+
+/// A dirty tile travels XORed with the base the cloud already holds, so
+/// a tile in which one float changed is nearly all zeros on the wire:
+/// three such 64 KiB tiles of a 2 MiB input cost the store a put of well
+/// under 2 KiB, while the raw patch (and so `bytes_to_device`) keeps its
+/// exact length.
+#[test]
+fn a_one_float_change_costs_almost_no_wire_bytes() {
+    const X: usize = 512 * 1024; // 2 MiB of f32
+    const TILE: usize = 64 * 1024;
+    const TILE_ELEMS: usize = TILE / 4;
+    const N: usize = 64;
+    const SPAN: usize = X / N;
+    let reg = TargetRegion::builder("one-float")
+        .device(CloudRuntime::cloud_selector())
+        .map_to("x")
+        .map_from("y")
+        .parallel_for(N, |l| {
+            l.partition("y", PartitionSpec::rows(1))
+                .body(|i, ins, outs| {
+                    let x = ins.view::<f32>("x");
+                    outs.view_mut::<f32>("y")[i] = (0..SPAN).map(|j| x[i * SPAN + j]).sum();
+                })
+        })
+        .build()
+        .unwrap();
+    let store = Arc::new(PutSizes {
+        inner: S3Store::standalone("one-float"),
+        puts: Mutex::new(Vec::new()),
+    });
+    let rt = CloudRuntime::with_device(CloudDevice::with_store(
+        CloudConfig {
+            delta_tile_bytes: TILE,
+            data_caching: true,
+            ..config(true)
+        },
+        Arc::clone(&store) as StoreHandle,
+    ));
+    let mut env = DataEnv::new();
+    // Pseudo-random floats: the full first upload barely compresses.
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let x: Vec<f32> = (0..X)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 40) as f32 / (1u64 << 24) as f32
+        })
+        .collect();
+    env.insert("x", x);
+    env.insert("y", vec![0.0f32; N]);
+    rt.offload(&reg, &mut env).unwrap();
+    for r in 1..=ROUNDS {
+        let mut x = env.get::<f32>("x").unwrap().to_vec();
+        for t in 0..3 {
+            let tile = (r * 7 + t * 11) % (X / TILE_ELEMS);
+            x[tile * TILE_ELEMS + r * 97 + t] += 1.0;
+        }
+        env.insert("x", x);
+        let want = host_reference(&reg, &env, "y");
+        store.puts.lock().unwrap().clear();
+        let profile = rt.offload(&reg, &mut env).unwrap();
+        assert_eq!(
+            env.get_erased("y").unwrap().to_bytes(),
+            want,
+            "round {r} diverged from the host"
+        );
+        assert_eq!(profile.bytes_to_device, 28 + 3 * (4 + TILE as u64));
+        let puts = store.puts.lock().unwrap().clone();
+        let patch: Vec<_> = puts.iter().filter(|(k, _)| k.ends_with("/in/x")).collect();
+        assert_eq!(
+            patch.len(),
+            1,
+            "round {r}: one put of x's patch, got {puts:?}"
+        );
+        assert!(
+            patch[0].1 < 2048,
+            "round {r}: the patch put {} B",
+            patch[0].1
+        );
+    }
     rt.shutdown();
 }
