@@ -306,35 +306,54 @@ pub struct CommitManifest {
 }
 
 impl CommitManifest {
-    /// Serialize as `name\tkey\tcrc` lines.
+    /// Serialize as `name\tkey\tcrc` lines, closed by an `end <count>
+    /// <crc32 of the lines before it>` line: a manifest cut at a line
+    /// boundary must not read back as a shorter one.
     fn to_bytes(&self) -> Vec<u8> {
         let mut out = String::new();
         for e in &self.entries {
             out.push_str(&format!("{}\t{}\t{:08x}\n", e.name, e.key, e.wire_crc));
         }
+        let crc = gzlite::crc32(out.as_bytes());
+        out.push_str(&format!("end {} {crc:08x}\n", self.entries.len()));
         out.into_bytes()
     }
 
     fn from_bytes(key: &str, bytes: &[u8]) -> Result<CommitManifest, StorageError> {
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| StorageError::Corrupted(format!("{key}: manifest is not utf-8")))?;
+        let corrupted = |why: String| StorageError::Corrupted(format!("{key}: {why}"));
+        let text =
+            std::str::from_utf8(bytes).map_err(|_| corrupted("manifest is not utf-8".into()))?;
+        // The last line, newline included, is the closing line.
+        let body_len = bytes[..bytes.len().saturating_sub(1)]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |at| at + 1);
+        let (body, end) = text.split_at(body_len);
         let mut entries = Vec::new();
-        for line in text.lines().filter(|l| !l.is_empty()) {
+        for line in body.lines() {
             let mut fields = line.split('\t');
             let (Some(name), Some(obj), Some(crc)) = (fields.next(), fields.next(), fields.next())
             else {
-                return Err(StorageError::Corrupted(format!(
-                    "{key}: malformed manifest line: {line}"
-                )));
+                return Err(corrupted(format!("malformed manifest line: {line}")));
             };
-            let wire_crc = u32::from_str_radix(crc, 16).map_err(|_| {
-                StorageError::Corrupted(format!("{key}: bad crc in manifest line: {line}"))
-            })?;
+            let wire_crc = u32::from_str_radix(crc, 16)
+                .map_err(|_| corrupted(format!("bad crc in manifest line: {line}")))?;
             entries.push(ManifestEntry {
                 name: name.to_string(),
                 key: obj.to_string(),
                 wire_crc,
             });
+        }
+        let closing = format!(
+            "end {} {:08x}\n",
+            entries.len(),
+            gzlite::crc32(body.as_bytes())
+        );
+        if end != closing {
+            return Err(corrupted(format!(
+                "manifest does not end in `{}`",
+                closing.trim_end()
+            )));
         }
         Ok(CommitManifest { entries })
     }
@@ -348,6 +367,8 @@ impl CommitManifest {
 /// we model (and unbounded on the latency-only ones), so at 128 KiB and
 /// under a round trip always costs more than the bytes do. The cut is on
 /// raw size: it must not depend on what the codec makes of the content.
+/// It bounds a member, not a pack: a directory's small buffers share one
+/// pack however many of them a batch holds.
 const PACK_MEMBER_MAX: usize = 128 * 1024;
 
 /// One logical buffer of a batch: the position of its payload in the
@@ -647,34 +668,28 @@ impl TransferManager {
     /// beside the codec's [`gzlite::plan_wire`]: which buffers get a
     /// store object of their own and which share a pack.
     ///
-    /// A buffer of at most [`PACK_MEMBER_MAX`] raw bytes joins the open
-    /// pack of its key directory, in request order, while the pack stays
-    /// strictly under `stream_threshold`; the buffer that would not fit
-    /// opens the next pack. The cap keeps a pack one frame: at the
-    /// threshold the codec cuts a payload into independently compressed
-    /// chunks, which costs these small repetitive buffers 14–23 % in wire
-    /// bytes. A pack lives in its members' key directory, so everything
-    /// that selects objects by path (orphan collection, leases, per-job
-    /// cleanup, scoped fault rules) treats it as it would its members.
-    /// Every other buffer — and a small one that ends up alone — is the
-    /// object it always was, under its own key.
+    /// Every buffer of at most [`PACK_MEMBER_MAX`] raw bytes joins the
+    /// one pack of its key directory, in request order, however many
+    /// there are: the pack has no size cap, since [`seal`](Self::seal)
+    /// makes it one frame at any size. A pack lives in its members' key
+    /// directory, so everything that selects objects by path (orphan
+    /// collection, leases, per-job cleanup, scoped fault rules) treats it
+    /// as it would its members. Every other buffer — and a small one
+    /// alone in its directory — is the object it always was, under its
+    /// own key.
     fn layout(&self, items: Vec<(String, PoolBuf)>) -> Vec<StoreObject> {
-        let cap = self.config.stream_threshold;
         let mut objects: Vec<StoreObject> = Vec::with_capacity(items.len());
-        // Key directory → (index into `objects`, bytes so far) of its open
-        // pack. A directory without one yet is entered as a full pack.
-        let mut open: HashMap<String, (usize, usize)> = HashMap::new();
+        // Key directory → index into `objects` of its pack.
+        let mut packs: HashMap<String, usize> = HashMap::new();
         for (slot, (key, payload)) in items.into_iter().enumerate() {
-            let (dir, name) = split_dir(&key);
-            let cost = pack::entry_len(name) + payload.len();
-            if payload.len() <= PACK_MEMBER_MAX && pack::HEADER_LEN + cost < cap {
-                let (at, bytes) = open.entry(dir.to_string()).or_insert((0, cap));
-                if *bytes + cost < cap {
-                    *bytes += cost;
-                    objects[*at].members.push(Member { slot, key, payload });
+            if payload.len() <= PACK_MEMBER_MAX {
+                let at = *packs
+                    .entry(split_dir(&key).0.to_string())
+                    .or_insert(objects.len());
+                if at < objects.len() {
+                    objects[at].members.push(Member { slot, key, payload });
                     continue;
                 }
-                (*at, *bytes) = (objects.len(), pack::HEADER_LEN + cost);
             }
             objects.push(StoreObject::single(Member { slot, key, payload }));
         }
@@ -725,10 +740,15 @@ impl TransferManager {
     /// Encode `object` for the wire, consuming its members' payloads: a
     /// single buffer as it is, a pack serialized into one pooled buffer
     /// (each member's staging buffer cycles back to the pool as it is
-    /// copied in) and sealed as any buffer would be. Returns the wire
-    /// bytes and whether they are compressed.
+    /// copied in). The codec picks raw or a codec for either, but a pack
+    /// is never cut into a chunked stream: chunks are compressed apart,
+    /// which costs small repetitive members 14–23 % in wire bytes, so a
+    /// pack is one frame whatever its size. Returns the wire bytes and
+    /// whether they are compressed.
     fn seal(&self, object: &mut StoreObject) -> (Vec<u8>, bool) {
+        let mut policy = self.config.wire_policy();
         let payload = if object.is_pack() {
+            policy.stream_threshold = usize::MAX;
             let entries = object
                 .members
                 .iter()
@@ -747,7 +767,14 @@ impl TransferManager {
         } else {
             std::mem::take(&mut object.members[0].payload)
         };
-        compress_for_wire(&self.config, payload)
+        // One decision point: the codec's probe, under `policy`.
+        match gzlite::encode_wire(&payload, &policy) {
+            // `payload` drops here: the staging allocation checks back
+            // into the pool while the sealed wire bytes travel on.
+            Some(wire) => (wire, true),
+            // Raw path: the store retains the vector itself.
+            None => (payload.detach(), false),
+        }
     }
 
     /// Cut the buffers wanted of `object` out of its decoded `pack`, in
@@ -1279,22 +1306,6 @@ impl TransferManager {
                 io_workers: io_threads,
             },
         ))
-    }
-}
-
-/// Encode one payload for the wire. The raw/compress/stream decision is
-/// delegated entirely to the codec's [`gzlite::plan_wire`] probe — the
-/// transfer layer no longer second-guesses it with its own size gate, so
-/// there is exactly one decision point. Returns the wire bytes and
-/// whether they are compressed; a pooled staging buffer cycles back to
-/// its pool when the wire form replaced it.
-fn compress_for_wire(config: &TransferConfig, payload: PoolBuf) -> (Vec<u8>, bool) {
-    match gzlite::encode_wire(&payload, &config.wire_policy()) {
-        // `payload` drops here: the staging allocation checks back into
-        // the pool while the sealed wire bytes travel on.
-        Some(wire) => (wire, true),
-        // Raw path: the store retains the vector itself.
-        None => (payload.detach(), false),
     }
 }
 

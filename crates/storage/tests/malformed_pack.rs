@@ -316,9 +316,10 @@ fn read_tampered(
     )
 }
 
-/// The manifest is line-oriented text, so a cut or a flip can leave a
-/// shorter or differently-named but well-formed manifest: either that —
-/// never more entries than lines present — or `Corrupted`.
+/// The manifest is line-oriented text closed by an `end <count> <crc>`
+/// line, so damage reads back as `Corrupted` — or, should a flip slip
+/// past the closing crc, as a manifest of no more entries than lines
+/// present.
 fn assert_manifest_law(
     outcome: &Result<Vec<String>, StorageError>,
     largest: usize,
@@ -370,6 +371,28 @@ fn truncated_and_bit_flipped_manifests_never_panic() {
                 assert!(outcome.is_err(), "non-utf-8 manifest accepted");
             }
         }
+    }
+}
+
+#[test]
+fn a_manifest_cut_anywhere_is_corruption() {
+    // Without its closing line, a manifest cut after its second entry
+    // reads as a well-formed manifest of two outputs.
+    let (manager, bucket, key) = committed(false);
+    let good = bucket.get(&key).unwrap();
+    let line_ends = (0..good.len())
+        .filter(|&at| good[at] == b'\n')
+        .map(|at| at + 1);
+    let cuts = line_ends
+        .filter(|&end| end < good.len())
+        .map(|cut| (cut, "line boundary"));
+    for (cut, what) in cuts.chain((0..good.len()).map(|cut| (cut, "byte"))) {
+        let (outcome, _) = read_tampered(&manager, &bucket, &key, good[..cut].to_vec());
+        assert!(
+            matches!(outcome, Err(StorageError::Corrupted(_))),
+            "cut at {what} {cut} of {}: {outcome:?}",
+            good.len()
+        );
     }
 }
 

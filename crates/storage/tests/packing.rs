@@ -4,18 +4,17 @@
 //! batch without two small buffers is written exactly as it always was.
 
 use cloud_storage::{
-    ChaosStore, FaultKind, FaultPlan, FaultRule, LatencyStore, ObjectStore, OpFilter, RetryPolicy,
-    S3Store, StoreHandle, TransferConfig, TransferManager, Trigger,
+    ChaosStore, FaultKind, FaultPlan, FaultRule, LatencyStore, ObjectStore, OpFilter, PoolBuf,
+    RetryPolicy, S3Store, StoreHandle, TransferConfig, TransferManager, Trigger,
 };
 use conformance::rng;
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The layout rule's constants, restated: the raw-size cut of a pack
-/// member and the cap a pack stays strictly under (`stream_threshold`).
+/// The layout rule's constant, restated: the raw-size cut of a pack
+/// member. A pack itself has no cap.
 const CUT: usize = 128 * 1024;
-const CAP: usize = 1024 * 1024;
 
 /// A manager over a store that counts its puts and gets.
 fn counted_manager() -> (TransferManager, Arc<LatencyStore>, S3Store) {
@@ -31,28 +30,13 @@ fn counted_manager() -> (TransferManager, Arc<LatencyStore>, S3Store) {
     (manager, counted, bucket)
 }
 
-/// Store objects the layout rule gives a batch of `(key, raw length)`
-/// buffers that share one key directory: a small buffer joins the open
-/// pack while the pack (8-byte header, `12 + name` bytes of directory per
-/// member, payloads) stays under the cap, else opens the next.
-fn expected_objects(items: &[(String, usize)]) -> usize {
-    let mut objects = 0;
-    let mut open: Option<usize> = None;
-    for (key, len) in items {
-        let name = key.rsplit('/').next().unwrap();
-        let cost = 12 + name.len() + len;
-        if *len <= CUT && 8 + cost < CAP {
-            match open {
-                Some(bytes) if bytes + cost < CAP => {
-                    open = Some(bytes + cost);
-                    continue;
-                }
-                _ => open = Some(8 + cost),
-            }
-        }
-        objects += 1;
-    }
-    objects
+/// Store objects the layout rule gives a batch of buffers of raw
+/// lengths `lens` that share one key directory: each buffer over the cut
+/// is an object of its own, and the small ones are one pack between them
+/// — or, when there is only one, an object of its own as well.
+fn expected_objects(lens: &[usize]) -> usize {
+    let small = lens.iter().filter(|&&len| len <= CUT).count();
+    lens.len() - small + small.min(1)
 }
 
 /// Buffer `i` of a case: compressible or not by turns, `len` bytes.
@@ -66,42 +50,46 @@ fn payload(i: usize, len: usize, seed: u64) -> Vec<u8> {
     }
 }
 
-/// One of the sizes that matter, picked by `kind`, varied by `fine`:
-/// empty, tiny, the benchmark's 64 KiB, the cut and its neighbours, and
-/// far too large to pack.
-fn len_of(kind: usize, fine: usize) -> usize {
+/// The sizes that matter, picked by `kind`, varied by `fine`: empty,
+/// tiny, the benchmark's 64 KiB, the cut and its neighbours, far too
+/// large to pack, and (two kinds in nine, so that most cases hold more
+/// than one MiB of small buffers) a fan-in of 16–32 buffers of about
+/// 64 KiB.
+fn lens_of(kind: usize, fine: usize) -> Vec<usize> {
     match kind {
-        0 => 0,
-        1 => 1 + fine % 2_000,
-        2 => 60_000 + fine % 10_000,
-        3 => CUT - 1,
-        4 => CUT,
-        5 => CUT + 1,
-        _ => 200_000 + fine % 200_000,
+        0 => vec![0],
+        1 => vec![1 + fine % 2_000],
+        2 => vec![60_000 + fine % 10_000],
+        3 => vec![CUT - 1],
+        4 => vec![CUT],
+        5 => vec![CUT + 1],
+        6 => vec![200_000 + fine % 200_000],
+        _ => (0..16 + fine % 17)
+            .map(|j| 60_000 + fine.wrapping_add(j) % 10_000)
+            .collect(),
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Empty buffers, buffers at the cut ± 1, totals on both sides of the
-    /// pack cap (eight buffers at the cut are one MiB): both ways up and
-    /// both ways down return every buffer bitwise, in request order, for
-    /// one put and one get per object.
+    /// Empty buffers, buffers at the cut ± 1, and small-buffer totals on
+    /// both sides of one MiB (eight buffers at the cut, or a fan-in):
+    /// both ways up and both ways down return every buffer bitwise, in
+    /// request order, for one put and one get per object.
     #[test]
     fn any_mix_round_trips_with_one_op_per_object(
-        sizes in proptest::collection::vec((0usize..7, any::<usize>()), 0..11),
+        sizes in proptest::collection::vec((0usize..9, any::<usize>()), 0..13),
         seed in any::<u64>(),
     ) {
-        let lens: Vec<usize> = sizes.iter().map(|&(kind, fine)| len_of(kind, fine)).collect();
+        let lens: Vec<usize> =
+            sizes.iter().flat_map(|&(kind, fine)| lens_of(kind, fine)).collect();
         let items: Vec<(String, Vec<u8>)> = lens
             .iter()
             .enumerate()
             .map(|(i, &len)| (format!("job-0/in/v{i}"), payload(i, len, seed)))
             .collect();
-        let shape: Vec<(String, usize)> =
-            items.iter().map(|(k, p)| (k.clone(), p.len())).collect();
-        let objects = expected_objects(&shape);
+        let objects = expected_objects(&lens);
 
         // upload, then download in reverse request order.
         let (manager, counted, bucket) = counted_manager();
@@ -216,12 +204,77 @@ fn batches_without_two_small_buffers_are_written_as_before() {
     );
 }
 
+/// `count` buffers of `len` bytes under `job-0/in/`, drawn by [`payload`].
+fn fan_in(count: usize, len: usize, seed: u64) -> Batch {
+    (0..count)
+        .map(|i| (format!("job-0/in/x{i}"), payload(i, len, seed)))
+        .collect()
+}
+
+/// The one object `bucket` holds, which must be a single `GZL1` frame —
+/// neither raw nor cut into a `GZS1` chunked stream.
+fn assert_one_frame(bucket: &S3Store) {
+    let keys = bucket.list("");
+    assert_eq!(keys.len(), 1, "one object: {keys:?}");
+    let stored = bucket.get(&keys[0]).unwrap();
+    assert_eq!(stored[..4], gzlite::MAGIC, "{} is not one frame", keys[0]);
+    assert!(!gzlite::is_stream(&stored));
+}
+
+fn assert_round_trip(items: &Batch, back: &[(String, PoolBuf)]) {
+    assert_eq!(back.len(), items.len());
+    for ((key, want), (got_key, got)) in items.iter().zip(back) {
+        assert_eq!(got_key, key);
+        assert!(got[..] == want[..], "{key} changed on the way");
+    }
+}
+
+/// The benchmark's fan-in: 32 inputs of 64 KiB, two MiB of small
+/// buffers in one directory, cost one put and one get — one round trip
+/// — both through `upload` + `download` and through the fused pipeline.
 #[test]
-fn a_pack_heals_under_faults_scoped_to_its_directory() {
-    // Transient puts and a corrupt get, scoped to `/in/` like the
-    // conformance plans: the pack lives in its members' directory, so the
-    // rules hit it; every member still comes back bitwise, and each
-    // injected fault is one counted retry.
+fn a_batch_of_many_small_buffers_costs_one_round_trip() {
+    let items = fan_in(32, 64 * 1024, 2017);
+    let keys: Vec<String> = items.iter().map(|(k, _)| k.clone()).collect();
+
+    let (manager, counted, bucket) = counted_manager();
+    manager.upload(items.clone()).unwrap();
+    let (back, _) = manager.download(keys).unwrap();
+    assert_eq!((counted.put_count(), counted.get_count()), (1, 1));
+    assert_one_frame(&bucket);
+    assert_round_trip(&items, &back);
+
+    let (manager, counted, bucket) = counted_manager();
+    let (back, _) = manager
+        .upload_fetch_pipelined(items.clone(), vec![], 2)
+        .unwrap();
+    assert_eq!((counted.put_count(), counted.get_count()), (1, 1));
+    assert_one_frame(&bucket);
+    assert_round_trip(&items, &back);
+}
+
+/// Eight MiB of small buffers — 64 members at the cut — are still one
+/// object, sealed as one frame, and come back bitwise.
+#[test]
+fn an_eight_mib_batch_of_small_buffers_is_one_frame() {
+    let items = fan_in(64, CUT, 7);
+    let keys: Vec<String> = items.iter().map(|(k, _)| k.clone()).collect();
+    let (manager, counted, bucket) = counted_manager();
+    let up = manager.upload(items.clone()).unwrap();
+    assert_eq!(up.items.len(), 1);
+    assert_eq!(up.raw_bytes(), 8 << 20);
+    assert_one_frame(&bucket);
+    let (back, _) = manager.download(keys).unwrap();
+    assert_eq!((counted.put_count(), counted.get_count()), (1, 1));
+    assert_round_trip(&items, &back);
+}
+
+/// Upload and read back `items` through two transient puts and a
+/// corrupt get, scoped to `/in/` like the conformance plans: the pack
+/// lives in its members' directory, so the rules hit it; every member
+/// still comes back bitwise, and each injected fault is one counted
+/// retry — a whole-pack re-fetch included.
+fn assert_pack_heals_under_faults(items: Batch) {
     let plan = FaultPlan::new(2017)
         .rule(
             FaultRule::new(OpFilter::Put, Trigger::FirstN(2), FaultKind::Transient).on_keys("/in/"),
@@ -238,21 +291,25 @@ fn a_pack_heals_under_faults_scoped_to_its_directory() {
             ..TransferConfig::default()
         },
     );
-    let items: Vec<(String, Vec<u8>)> = (0..6)
-        .map(|i| (format!("job-0/in/x{i}"), payload(i, 20_000, 99)))
-        .collect();
     let (back, report) = manager
         .upload_fetch_pipelined(items.clone(), vec![], 2)
         .unwrap();
-    assert_eq!(bucket.list("").len(), 1, "six small buffers, one object");
-    for ((key, want), (got_key, got)) in items.iter().zip(&back) {
-        assert_eq!(got_key, key);
-        assert!(got == want, "{key} changed on the way");
-    }
+    assert_eq!(bucket.list("").len(), 1, "small buffers, one object");
+    assert_round_trip(&items, &back);
     let stats = chaos.stats();
     assert_eq!((stats.transient, stats.corruptions), (2, 1), "{stats:?}");
     assert_eq!(u64::from(report.total_retries()), stats.transient);
     assert_eq!(u64::from(report.total_refetches()), stats.corruptions);
+}
+
+#[test]
+fn a_pack_heals_under_faults_scoped_to_its_directory() {
+    assert_pack_heals_under_faults(fan_in(6, 20_000, 99));
+}
+
+#[test]
+fn a_fan_in_sized_pack_heals_under_faults_scoped_to_its_directory() {
+    assert_pack_heals_under_faults(fan_in(32, 64 * 1024, 99));
 }
 
 /// A decoded payload enters the byte pool when the caller drops it, and
