@@ -14,12 +14,7 @@ use ompcloud_bench::payloads::{payload, KINDS, SIZES};
 fn wire_policy() -> gzlite::WirePolicy {
     gzlite::WirePolicy {
         min_compression_size: 1,
-        stream_threshold: 256 << 10,
-        stream_chunk: 256 << 10,
-        threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8),
+        ..gzlite::WirePolicy::default()
     }
 }
 
@@ -72,15 +67,7 @@ fn bench_wire_decode(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::from_parameter(format!("{kind}/{size_label}")),
                 &wire,
-                |b, wire| {
-                    b.iter(|| {
-                        if gzlite::is_stream(wire) {
-                            gzlite::decompress_stream_parallel(wire, policy.threads).unwrap()
-                        } else {
-                            gzlite::decompress(wire).unwrap()
-                        }
-                    })
-                },
+                |b, wire| b.iter(|| gzlite::decompress(wire).unwrap()),
             );
         }
     }

@@ -30,14 +30,11 @@ fn ratio_ceiling(kind: &str) -> f64 {
 
 #[test]
 fn every_cell_round_trips_and_stays_under_its_ratio_ceiling() {
-    let threads = 2;
     // The wire path exactly as TransferManager drives it: cheap probe,
-    // chunked parallel frames above the stream threshold.
+    // then one frame at any size.
     let policy = WirePolicy {
         min_compression_size: 1,
-        stream_threshold: 256 << 10,
-        stream_chunk: 256 << 10,
-        threads,
+        ..WirePolicy::default()
     };
     for kind in KINDS {
         for (size, label) in SIZES {
@@ -48,10 +45,8 @@ fn every_cell_round_trips_and_stays_under_its_ratio_ceiling() {
                 assert!(ratio_ceiling(kind) >= 1.0, "{kind} {label} shipped raw");
                 continue;
             };
-            let back = match gzlite::is_stream(&wire) {
-                true => gzlite::decompress_stream_parallel(&wire, threads),
-                false => gzlite::decompress(&wire),
-            };
+            assert!(!gzlite::is_stream(&wire), "{kind} {label} is one frame");
+            let back = gzlite::decompress(&wire);
             assert_eq!(back.as_deref(), Ok(&data[..]), "{kind} {label} round trip");
             let ratio = wire.len() as f64 / size as f64;
             assert!(

@@ -53,8 +53,7 @@ mod varint;
 pub use crc32::{crc32, crc32_append};
 pub use frame::{FRAME_OVERHEAD, MAGIC};
 pub use stream::{
-    compress_stream, compress_stream_parallel, decompress_stream, decompress_stream_parallel,
-    is_stream, DEFAULT_CHUNK, STREAM_MAGIC,
+    compress_stream, decompress_stream, decompress_stream_parallel, is_stream, STREAM_MAGIC,
 };
 
 use std::fmt;
@@ -187,6 +186,12 @@ impl std::error::Error for Error {}
 /// [`Codec::Store`], so the result is never more than [`FRAME_OVERHEAD`]
 /// bytes larger than the input.
 pub fn compress(input: &[u8], codec: Codec) -> Vec<u8> {
+    seal_frame(input, codec, crc32(input))
+}
+
+/// [`compress`] with the frame crc supplied: `crc` must be
+/// `crc32(input)`, which the caller already holds.
+fn seal_frame(input: &[u8], codec: Codec, crc: u32) -> Vec<u8> {
     let payload = match codec {
         Codec::Store => None,
         Codec::ZeroRle => Some(rle::encode(input)),
@@ -197,8 +202,8 @@ pub fn compress(input: &[u8], codec: Codec) -> Vec<u8> {
         Codec::Planes8 => Some(planes::encode(input, 8)),
     };
     match payload {
-        Some(p) if p.len() < input.len() => frame::seal(codec, input.len(), &p, crc32(input)),
-        _ => frame::seal(Codec::Store, input.len(), input, crc32(input)),
+        Some(p) if p.len() < input.len() => frame::seal(codec, input.len(), &p, crc),
+        _ => frame::seal(Codec::Store, input.len(), input, crc),
     }
 }
 
@@ -391,20 +396,20 @@ pub fn probe(input: &[u8]) -> Codec {
 /// Wire-encoding policy handed down by the transfer layer.
 ///
 /// This is the **single decision point** for wire compression: the
-/// transfer manager delegates the raw/compress/stream choice entirely to
+/// transfer manager delegates the raw-or-codec choice entirely to
 /// [`plan_wire`] instead of second-guessing the codec with its own
-/// `min_compression_size` gate.
+/// `min_compression_size` gate. A payload that is compressed at all is
+/// one `GZL1` frame, whatever its size: cutting it into a chunked
+/// [`stream`] costs each chunk its own probe, frame and crc pass, and the
+/// match window restarts at every chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WirePolicy {
     /// Buffers smaller than this ship raw — frame overhead and probe cost
     /// would dominate any gain.
     pub min_compression_size: usize,
-    /// Buffers at least this large are split into chunked streams so
-    /// compression can fan out across worker threads.
-    pub stream_threshold: usize,
-    /// Chunk size for streamed frames.
-    pub stream_chunk: usize,
-    /// Worker threads for chunked compress/decompress (0 or 1 = sequential).
+    /// Worker threads for decoding a chunked `GZS1` stream, which older
+    /// builds wrote (0 or 1 = sequential). A frame is sealed and opened on
+    /// the calling thread.
     pub threads: usize,
 }
 
@@ -412,8 +417,6 @@ impl Default for WirePolicy {
     fn default() -> Self {
         WirePolicy {
             min_compression_size: 1024,
-            stream_threshold: 1024 * 1024,
-            stream_chunk: 256 * 1024,
             threads: 1,
         }
     }
@@ -426,37 +429,22 @@ pub enum WirePlan {
     Raw,
     /// Seal one frame with the given codec.
     Single(Codec),
-    /// Split into a chunked stream; each chunk picks its own codec.
-    Chunked {
-        /// Chunk size in bytes.
-        chunk_size: usize,
-    },
 }
 
 /// Decide how `payload` should travel on the wire under `policy`.
 ///
 /// Per-buffer adaptive: every payload above the size floor gets its own
-/// entropy probe, and a buffer that probes incompressible ships raw even
-/// when it is large enough for the chunked stream path — chunking an
-/// incompressible buffer pays frame overhead and thread fan-out for
-/// nothing. The old behavior (one global threshold deciding raw vs
-/// stream by size alone) over-compressed high-entropy buffers and
-/// under-compressed small structured ones.
+/// entropy probe, and a buffer that probes incompressible ships raw
+/// whatever its size. The old behavior (one global threshold deciding
+/// raw vs compressed by size alone) over-compressed high-entropy buffers
+/// and under-compressed small structured ones.
 pub fn plan_wire(payload: &[u8], policy: &WirePolicy) -> WirePlan {
     if payload.len() < policy.min_compression_size {
         return WirePlan::Raw;
     }
     match probe(payload) {
         Codec::Store => WirePlan::Raw,
-        codec => {
-            if payload.len() >= policy.stream_threshold {
-                WirePlan::Chunked {
-                    chunk_size: policy.stream_chunk.max(1),
-                }
-            } else {
-                WirePlan::Single(codec)
-            }
-        }
+        codec => WirePlan::Single(codec),
     }
 }
 
@@ -464,15 +452,26 @@ pub fn plan_wire(payload: &[u8], policy: &WirePolicy) -> WirePlan {
 /// payload should ship raw (too small, probed incompressible, or the
 /// encoded form failed to shrink).
 pub fn encode_wire(payload: &[u8], policy: &WirePolicy) -> Option<Vec<u8>> {
+    encode_planned(payload, policy, || crc32(payload))
+}
+
+/// [`encode_wire`] for a caller that already holds `crc32(payload)`
+/// (`crc`): the frame carries it instead of a second pass over the
+/// bytes. A wrong `crc` seals a frame that fails its check on decode.
+pub fn encode_wire_with_crc(payload: &[u8], policy: &WirePolicy, crc: u32) -> Option<Vec<u8>> {
+    encode_planned(payload, policy, || crc)
+}
+
+fn encode_planned(
+    payload: &[u8],
+    policy: &WirePolicy,
+    crc: impl FnOnce() -> u32,
+) -> Option<Vec<u8>> {
     match plan_wire(payload, policy) {
         WirePlan::Raw => None,
         WirePlan::Single(codec) => {
-            let frame = compress(payload, codec);
+            let frame = seal_frame(payload, codec, crc());
             (frame.len() < payload.len()).then_some(frame)
-        }
-        WirePlan::Chunked { chunk_size } => {
-            let stream = stream::compress_stream_parallel(payload, chunk_size, policy.threads);
-            (stream.len() < payload.len()).then_some(stream)
         }
     }
 }
@@ -704,15 +703,10 @@ mod tests {
 
     #[test]
     fn plan_wire_is_per_buffer_adaptive() {
-        let policy = WirePolicy {
-            min_compression_size: 1024,
-            stream_threshold: 16 * 1024,
-            stream_chunk: 4 * 1024,
-            threads: 1,
-        };
+        let policy = WirePolicy::default();
         // Below the floor: always raw, no probe.
         assert_eq!(plan_wire(&[0u8; 512], &policy), WirePlan::Raw);
-        // Large but incompressible: the probe overrides the stream path.
+        // Large but incompressible: raw.
         let mut x: u64 = 0x9E3779B97F4A7C15;
         let noise: Vec<u8> = (0..32 * 1024)
             .map(|_| {
@@ -723,15 +717,30 @@ mod tests {
             })
             .collect();
         assert_eq!(plan_wire(&noise, &policy), WirePlan::Raw);
-        // Large and compressible: chunked stream.
-        assert_eq!(
-            plan_wire(&vec![0u8; 32 * 1024], &policy),
-            WirePlan::Chunked { chunk_size: 4096 }
-        );
-        // Mid-sized and compressible: one sealed frame.
+        // Compressible: one sealed frame at any size.
+        for len in [8 * 1024, 4 * 1024 * 1024] {
+            let zeros = vec![0u8; len];
+            assert!(matches!(plan_wire(&zeros, &policy), WirePlan::Single(_)));
+            let wire = encode_wire(&zeros, &policy).expect("zeros compress");
+            assert_eq!(wire[..4], MAGIC, "{len} bytes are one frame");
+            assert_eq!(decompress(&wire).unwrap(), zeros);
+        }
+    }
+
+    #[test]
+    fn a_supplied_crc_seals_the_same_frame() {
+        let policy = WirePolicy::default();
+        let data: Vec<u8> = (0..64 * 1024u32)
+            .flat_map(|i| (i / 7).to_le_bytes())
+            .collect();
+        let sealed = encode_wire(&data, &policy).expect("compressible");
+        let with_crc = encode_wire_with_crc(&data, &policy, crc32(&data));
+        assert_eq!(with_crc.as_ref(), Some(&sealed));
+        // A wrong crc is caught by the frame's own check.
+        let wrong = encode_wire_with_crc(&data, &policy, crc32(&data) ^ 1).unwrap();
         assert!(matches!(
-            plan_wire(&vec![0u8; 8 * 1024], &policy),
-            WirePlan::Single(_)
+            decompress(&wrong),
+            Err(Error::ChecksumMismatch { .. })
         ));
     }
 

@@ -1,10 +1,10 @@
-//! Multi-frame streams: large buffers split into independently framed
-//! chunks.
+//! Multi-frame streams: a buffer split into independently framed chunks.
 //!
-//! A 1 GB matrix compressed as one frame must be decoded as one piece;
-//! chunked streams bound the working set, let transfer threads pipeline
-//! compression with transmission, and map naturally onto S3 multipart
-//! uploads / Azure block lists. Layout:
+//! Older builds wrote every compressible buffer of 1 MiB or more this
+//! way, in 256 KiB chunks. Nothing writes one any more — a buffer is one
+//! `GZL1` frame at any size (see [`crate::WirePolicy`]) — but objects
+//! those builds left in a store must still decode, so the reader stays,
+//! and [`compress_stream`] makes such objects for tests. Layout:
 //!
 //! ```text
 //! +------+---------------------+--------------------------------+
@@ -22,55 +22,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Stream magic: "GZS1".
 pub const STREAM_MAGIC: [u8; 4] = *b"GZS1";
 
-/// Default chunk size for streamed compression (4 MiB, matching Spark's
-/// TorrentBroadcast block size).
-pub const DEFAULT_CHUNK: usize = 4 * 1024 * 1024;
-
-/// Compress `input` as a multi-frame stream of `chunk_size`-byte chunks.
+/// Compress `input` as a multi-frame stream of `chunk_size`-byte
+/// chunks, the layout older builds wrote.
 pub fn compress_stream(input: &[u8], chunk_size: usize) -> Vec<u8> {
-    compress_stream_parallel(input, chunk_size, 1)
-}
-
-/// Compress `input` as a multi-frame stream, fanning per-chunk encoding
-/// across up to `threads` workers. Chunks are compressed independently
-/// and assembled in order, so the output is **byte-identical** to
-/// [`compress_stream`] regardless of thread count.
-pub fn compress_stream_parallel(input: &[u8], chunk_size: usize, threads: usize) -> Vec<u8> {
-    let chunk_size = chunk_size.max(1);
-    let chunks: Vec<&[u8]> = if input.is_empty() {
-        Vec::new()
-    } else {
-        input.chunks(chunk_size).collect()
-    };
-    let workers = threads.max(1).min(chunks.len());
-    let frames: Vec<Vec<u8>> = if workers <= 1 {
-        chunks.iter().map(|c| crate::compress_auto(c)).collect()
-    } else {
-        let mut frames: Vec<Vec<u8>> = vec![Vec::new(); chunks.len()];
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, Vec<u8>)>();
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let chunks = &chunks;
-                s.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= chunks.len() {
-                        break;
-                    }
-                    if tx.send((i, crate::compress_auto(chunks[i]))).is_err() {
-                        break;
-                    }
-                });
-            }
-            drop(tx);
-            for (i, frame) in rx {
-                frames[i] = frame;
-            }
-        });
-        frames
-    };
+    let frames: Vec<Vec<u8>> = input
+        .chunks(chunk_size.max(1))
+        .map(crate::compress_auto)
+        .collect();
     let mut out = Vec::with_capacity(input.len() / 4 + 64);
     out.extend_from_slice(&STREAM_MAGIC);
     varint::write(&mut out, frames.len() as u64);
@@ -250,19 +208,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_compress_is_byte_identical_to_sequential() {
-        let data = mixed_payload(300_000);
-        let sequential = compress_stream(&data, 16 * 1024);
-        for threads in [1, 2, 3, 8, 64] {
-            let parallel = compress_stream_parallel(&data, 16 * 1024, threads);
-            assert_eq!(parallel, sequential, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn parallel_decompress_roundtrips() {
         let data = mixed_payload(300_000);
-        let stream = compress_stream_parallel(&data, 16 * 1024, 4);
+        let stream = compress_stream(&data, 16 * 1024);
         for threads in [1, 2, 7, 32] {
             assert_eq!(
                 decompress_stream_parallel(&stream, threads).unwrap(),
@@ -275,7 +223,7 @@ mod tests {
     #[test]
     fn parallel_decompress_detects_corruption() {
         let data = mixed_payload(100_000);
-        let stream = compress_stream_parallel(&data, 8 * 1024, 4);
+        let stream = compress_stream(&data, 8 * 1024);
         for idx in [8usize, stream.len() / 2, stream.len() - 2] {
             let mut bad = stream.clone();
             bad[idx] ^= 0xA5;

@@ -26,19 +26,19 @@ use crate::tiling;
 use omp_model::chunk::{chunk_outputs, merge_policy, run_chunk, MergeAcc, MergePolicy};
 use omp_model::view::OutPart;
 use omp_model::RedOp;
-use omp_model::{
-    DataEnv, ErasedSlice, ErasedVec, Inputs, OmpError, Outputs, ParallelLoop, TargetRegion,
-};
+use omp_model::{DataEnv, ErasedSlice, ErasedVec, Inputs, OmpError, ParallelLoop, TargetRegion};
 use parking_lot::Mutex;
 use sparkle::{BroadcastStats, JobOptions, SparkContext, SparkError};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One element of `RDD_IN`: a tile of iterations together with the
-/// partitioned variable blocks it needs (Eq. 3) and the pre-allocated
-/// private output buffers it will fill.
+/// partitioned variable blocks it needs (Eq. 3). Its private output
+/// buffers are not in it: the task that fills them allocates them
+/// (`chunk_outputs` over the tile's iterations), so a descriptor is
+/// O(inputs) to build, clone and ship, and a retried or speculated
+/// attempt starts from fresh buffers.
 #[derive(Clone)]
 struct TileDesc {
     /// Global tile index within the loop (stable across resume: a
@@ -50,8 +50,6 @@ struct TileDesc {
     /// `(var, base element, block)` for every partitioned input. The
     /// block is a zero-copy view sharing the driver's staged buffer.
     inputs: Vec<(String, usize, ErasedSlice)>,
-    /// Identity/prefilled private buffer per output.
-    outputs: Outputs,
 }
 
 /// One element of `RDD_OUT`: the tile's private output buffers (Eq. 7).
@@ -166,55 +164,40 @@ fn run_loop(
 
     // Build RDD_IN (Eqs. 1–3): one element per tile. Partitioned inputs
     // become zero-copy slices of the shared staged buffers, so a tile
-    // row costs O(outputs) instead of O(input bytes); rows are built in
-    // parallel on the host pool because output pre-allocation (identity
-    // buffers, prefilled hulls) is still O(bytes).
-    let scatter_bytes = AtomicU64::new(0);
-    let env: &DataEnv = cluster_env;
-    let desc_slots: Vec<std::sync::Mutex<Option<Result<TileDesc, OmpError>>>> = (0..tiles.len())
-        .map(|_| std::sync::Mutex::new(None))
-        .collect();
-    let build_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(tiles.len().max(1));
-    omp_parfor::parallel_for_chunks(
-        build_threads,
-        tiles.len(),
-        omp_parfor::Schedule::default(),
-        |range| {
-            for t in range {
-                let iters = tiles[t].clone();
-                let built = (|| {
-                    let mut inputs = Vec::with_capacity(scatter_specs.len());
-                    for (name, spec, buf) in &scatter_specs {
-                        let hull = spec.range_for_tile(iters.clone(), buf.len())?;
-                        let block = ErasedSlice::new(Arc::clone(buf), hull.clone());
-                        scatter_bytes.fetch_add(block.byte_len() as u64, Ordering::Relaxed);
-                        inputs.push((name.clone(), hull.start, block));
-                    }
-                    let outputs = chunk_outputs(region, loop_, env, iters.clone())?;
-                    Ok(TileDesc {
-                        tile_id: t,
-                        iter_start: iters.start,
-                        iter_end: iters.end,
-                        inputs,
-                        outputs,
-                    })
-                })();
-                *desc_slots[t].lock().expect("slot lock") = Some(built);
-            }
-        },
-    );
+    // row costs O(inputs + outputs). The outputs' hulls are only checked
+    // here — a bad partition fails on the driver before any task runs —
+    // and each task allocates its own buffers.
+    let out_specs: Vec<_> = region
+        .output_maps()
+        .filter(|m| merge_policy(loop_, &m.name) == MergePolicy::Indexed)
+        .map(|m| {
+            let spec = *loop_
+                .partitions
+                .get(&m.name)
+                .expect("indexed implies a spec");
+            Ok((spec, cluster_env.get_erased(&m.name)?.len()))
+        })
+        .collect::<Result<_, OmpError>>()?;
+    let mut scatter_bytes = 0u64;
     let mut descs = Vec::with_capacity(tiles.len());
-    for slot in desc_slots {
-        descs.push(
-            slot.into_inner()
-                .expect("slot lock")
-                .expect("slot filled")?,
-        );
+    for (t, iters) in tiles.iter().enumerate() {
+        for (spec, len) in &out_specs {
+            spec.range_for_tile(iters.clone(), *len)?;
+        }
+        let mut inputs = Vec::with_capacity(scatter_specs.len());
+        for (name, spec, buf) in &scatter_specs {
+            let hull = spec.range_for_tile(iters.clone(), buf.len())?;
+            let block = ErasedSlice::new(Arc::clone(buf), hull.clone());
+            scatter_bytes += block.byte_len() as u64;
+            inputs.push((name.clone(), hull.start, block));
+        }
+        descs.push(TileDesc {
+            tile_id: t,
+            iter_start: iters.start,
+            iter_end: iters.end,
+            inputs,
+        });
     }
-    let scatter_bytes = scatter_bytes.into_inner();
 
     // Checkpoint/resume: tiles an interrupted earlier run already
     // completed are restored from the region journal and absorbed below
@@ -327,12 +310,17 @@ fn run_loop(
     let bcast_stats = bcast.stats();
     let bcast_handle = bcast.handle();
 
-    // The map transformation (Eqs. 4–7): worker-side JNI shim.
-    let body = Arc::clone(&loop_.body);
+    // The map transformation (Eqs. 4–7): worker-side JNI shim. The task
+    // shares the region and the driver's environment (buffer handles, no
+    // bytes) to allocate its outputs the way the host device does.
+    let shared = Arc::new((region.clone(), cluster_env.clone()));
     let ntiles = pending.len().max(1);
     let rdd = sc.parallelize(pending, ntiles);
     let mapped = rdd.map(move |tile: TileDesc| {
+        let (region, env) = &*shared;
+        let loop_ = &region.loops[loop_idx];
         let tile_id = tile.tile_id;
+        let iters = tile.iter_start..tile.iter_end;
         // Fill the tile's input table once — scattered blocks at their
         // hull base, broadcast buffers whole — then make the one "JNI
         // invocation": the per-tile loop the host device runs too.
@@ -343,8 +331,9 @@ fn run_loop(
         for (name, buf) in bcast_handle.iter() {
             ins.add(name.clone(), 0, Arc::clone(buf));
         }
-        let mut outs = tile.outputs;
-        run_chunk(&body, tile.iter_start..tile.iter_end, &ins, &mut outs);
+        let mut outs = chunk_outputs(region, loop_, env, iters.clone())
+            .expect("output hulls were checked when the tiles were built");
+        run_chunk(&loop_.body, iters, &ins, &mut outs);
         TileOut {
             tile_id,
             parts: outs.into_parts(),
@@ -386,7 +375,7 @@ fn run_loop(
     // collected from the cluster this run, so they don't count toward
     // `collect_bytes`.
     for (_tile, _hull, parts) in &restored {
-        acc.absorb(parts.clone());
+        acc.absorb(parts);
     }
     out_rdd
         .for_each_partition(|_p, tile_outs: &[TileOut]| {
@@ -406,13 +395,8 @@ fn run_loop(
                     .iter()
                     .map(|p| p.data.byte_len() as u64)
                     .sum::<u64>();
-                let parts = tile_out
-                    .parts
-                    .iter()
-                    .filter(|p| !dist_reduce_vars.contains(&p.name))
-                    .cloned()
-                    .collect::<Vec<_>>();
-                acc.absorb(parts);
+                let parts = tile_out.parts.iter();
+                acc.absorb(parts.filter(|p| !dist_reduce_vars.contains(&p.name)));
             }
             last_absorb_s = ta.elapsed().as_secs_f64();
             merge_s += last_absorb_s;
@@ -505,5 +489,92 @@ fn spark_err(e: SparkError) -> OmpError {
     OmpError::Plugin {
         device: "cloud".into(),
         detail: e.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use omp_model::chunk::execute_loop_chunked;
+    use omp_model::{DeviceSelector, PartitionSpec};
+    use sparkle::SparkConf;
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    const LEN: usize = 6 * 1024;
+
+    /// `y[i] = y[i] * 0.5 + 1`, which a retry would apply twice to the
+    /// elements an earlier attempt wrote if it found that attempt's
+    /// buffer. The first run of iteration 100 kills executor 0 and then
+    /// fails its attempt, after writing the tile's elements before it;
+    /// every 256th iteration naps, so a tile on the slowed executor 1
+    /// lags long enough to be speculated.
+    fn halving(sc: SparkContext, fired: Arc<AtomicBool>) -> TargetRegion {
+        TargetRegion::builder("halving")
+            .device(DeviceSelector::Default)
+            .map_tofrom("y")
+            .parallel_for(LEN, move |l| {
+                l.partition("y", PartitionSpec::rows(1))
+                    .body(move |i, ins, outs| {
+                        if i % 256 == 0 {
+                            std::thread::sleep(Duration::from_millis(2));
+                        }
+                        let y = ins.view::<f32>("y")[i];
+                        outs.view_mut::<f32>("y")[i] = y * 0.5 + 1.0;
+                        if i == 100 && !fired.swap(true, Ordering::SeqCst) {
+                            sc.kill_executor(0);
+                            panic!("the attempt dies mid-tile");
+                        }
+                    })
+            })
+            .build()
+            .expect("a valid region")
+    }
+
+    #[test]
+    fn a_retried_or_speculated_tile_starts_from_fresh_outputs() {
+        let config = CloudConfig {
+            workers: 3,
+            vcpus_per_worker: 4,
+            task_cpus: 2,
+            spec_factor: 1.5,
+            ..CloudConfig::default()
+        };
+        let sc = SparkContext::new(SparkConf::cluster(3, 4));
+        sc.set_executor_slow_factor(1, 20.0);
+        let fired = Arc::new(AtomicBool::new(false));
+        let region = halving(sc.clone(), Arc::clone(&fired));
+        let mut env = DataEnv::new();
+        env.insert("y", (0..LEN).map(|i| i as f32).collect::<Vec<_>>());
+        let mut host = env.clone();
+
+        let residency = Mutex::new(ResidencyMap::new());
+        let outcome = run_spark_job(
+            &sc,
+            &config,
+            &region,
+            env,
+            &HashMap::new(),
+            &residency,
+            None,
+        )
+        .unwrap();
+        let metrics = sc.last_job_metrics().expect("one job ran");
+        // Iteration 100 is tile 0's; its first attempt died there.
+        assert!(fired.load(Ordering::SeqCst));
+        let tile0 = metrics.tasks.iter().find(|t| t.task == 0);
+        assert!(tile0.is_some_and(|t| t.attempt >= 1), "{metrics:?}");
+        assert!(metrics.spec_launched >= 1, "{metrics:?}");
+
+        execute_loop_chunked(&region, &region.loops[0], &mut host, 1).unwrap();
+        let cloud = outcome.env.get::<f32>("y").unwrap();
+        let host = host.get::<f32>("y").unwrap();
+        assert!(
+            cloud
+                .iter()
+                .zip(host)
+                .all(|(c, h)| c.to_bits() == h.to_bits()),
+            "the cloud's y differs from the host's"
+        );
+        sc.stop();
     }
 }

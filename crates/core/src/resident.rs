@@ -256,7 +256,9 @@ impl ResidentStore {
     /// DAG ends, so lineage recovery can pin them) behind the caller's
     /// back. The foreground pays one serialization and one crc per
     /// buffer, then settles the previous commit's put — whose failure is
-    /// the `Err`, with nothing of this commit installed or queued.
+    /// the `Err`, with nothing of this commit installed or queued. The put
+    /// seals the serialized bytes where they are, with the fingerprint's
+    /// crc as its frame's: no second crc pass and no staging copy.
     pub(crate) fn commit(
         &self,
         transfer: &Arc<TransferManager>,
@@ -284,7 +286,10 @@ impl ResidentStore {
             .collect();
         let items = staged
             .iter()
-            .map(|(_, rb)| (rb.version.key.clone(), Arc::clone(&rb.bytes)))
+            .map(|(_, rb)| {
+                let Version { key, fp, .. } = &rb.version;
+                (key.clone(), Arc::clone(&rb.bytes), fp.crc)
+            })
             .collect();
         let names: Vec<String> = staged.iter().map(|(name, _)| name.clone()).collect();
         let state = Arc::clone(&self.state);

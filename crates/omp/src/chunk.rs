@@ -13,7 +13,7 @@ use crate::env::DataEnv;
 use crate::erased::{ErasedSlice, ErasedVec, RedOp};
 use crate::error::OmpError;
 use crate::region::{LoopBody, ParallelLoop, TargetRegion};
-use crate::view::{Inputs, Outputs};
+use crate::view::{Inputs, OutPart, Outputs};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -198,8 +198,8 @@ impl MergeAcc {
     }
 
     /// Absorb the private outputs of one finished chunk
-    /// ([`Outputs::into_parts`]).
-    pub fn absorb(&mut self, parts: Vec<crate::view::OutPart>) {
+    /// ([`Outputs::into_parts`]), read where they are.
+    pub fn absorb<'a>(&mut self, parts: impl IntoIterator<Item = &'a OutPart>) {
         for part in parts {
             if self.alloc.contains(&part.name) {
                 continue;
@@ -260,7 +260,7 @@ pub fn execute_loop_chunked(
         let inputs = chunk_inputs(region, loop_, env, iters.clone())?;
         let mut outputs = chunk_outputs(region, loop_, env, iters.clone())?;
         run_chunk(&loop_.body, iters, &inputs, &mut outputs);
-        acc.absorb(outputs.into_parts());
+        acc.absorb(&outputs.into_parts());
     }
     acc.finish(env)
 }

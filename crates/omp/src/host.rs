@@ -108,7 +108,7 @@ impl Device for HostDevice {
                     let inputs = chunk_inputs(region, loop_, env, iters.clone())?;
                     let mut outputs = chunk_outputs(region, loop_, env, iters.clone())?;
                     run_chunk(&loop_.body, iters, &inputs, &mut outputs);
-                    acc.absorb(outputs.into_parts());
+                    acc.absorb(&outputs.into_parts());
                 }
                 compute_s += t_par.elapsed().as_secs_f64();
             } else {
@@ -157,7 +157,7 @@ impl Device for HostDevice {
                 compute_s += t_par.elapsed().as_secs_f64();
                 for slot in slots.into_inner().iter_mut() {
                     let outputs = slot.take().expect("all chunks ran")?;
-                    acc.absorb(outputs.into_parts());
+                    acc.absorb(&outputs.into_parts());
                 }
             }
             acc.finish(env)?;

@@ -41,9 +41,11 @@ impl<T: Data> Clone for Rdd<T> {
 impl<T: Data> Rdd<T> {
     pub(crate) fn source(ctx: SparkContext, data: Vec<T>, partitions: usize) -> Rdd<T> {
         let partitions = partitions.max(1);
-        let mut parts: Vec<Vec<T>> = omp_parfor::split_even(data.len(), partitions)
+        let ranges = omp_parfor::split_even(data.len(), partitions);
+        let mut data = data.into_iter();
+        let mut parts: Vec<Vec<T>> = ranges
             .into_iter()
-            .map(|r| data[r].to_vec())
+            .map(|r| data.by_ref().take(r.len()).collect())
             .collect();
         // Pad with empty partitions when there are fewer elements than
         // requested partitions (Spark does the same).

@@ -5,10 +5,12 @@
 //! compression if the data size is larger than a predefined minimal
 //! compression size)." This module keeps that shape per *store object*,
 //! with one engine for every batch (`TransferManager::run_batch`):
-//! workers seal objects — compression decided by the codec's probe — and
-//! a bounded pool runs their puts and gets one store op at a time, with
-//! transparent decompression on the way back. It reports per-object
-//! raw/wire byte counts and timings, the raw material of the Fig. 5
+//! workers seal objects — each one `GZL1` frame, or raw when the codec's
+//! probe finds nothing to gain, whatever its size — and a bounded pool
+//! runs their puts and gets one store op at a time, with transparent
+//! decompression on the way back (a chunked `GZS1` stream that an older
+//! build left in the store still decodes). It reports per-object raw/wire
+//! byte counts and timings, the raw material of the Fig. 5
 //! "host-target communication" bars.
 //!
 //! An object is usually one buffer. The exception is the one layout
@@ -34,7 +36,7 @@ use crate::retry::{RetryPolicy, RetryStats};
 use crate::{StorageError, StoreHandle};
 use gzlite::MAGIC;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -43,16 +45,12 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone)]
 pub struct TransferConfig {
     /// Compress buffers at least this large (bytes). `usize::MAX`
-    /// disables compression.
+    /// disables compression. A compressed object is one `GZL1` frame at
+    /// any size.
     pub min_compression_size: usize,
-    /// Buffers at least this large are compressed as chunked multi-frame
-    /// streams (bounded working set, multipart-upload friendly, and the
-    /// unit of intra-buffer compression parallelism).
-    pub stream_threshold: usize,
-    /// Chunk size for streamed compression.
-    pub stream_chunk: usize,
-    /// Worker threads fanned over the chunks of a single streamed buffer
-    /// (compress and decompress). 0 or 1 = sequential.
+    /// Worker threads fanned over the chunks of one chunked `GZS1`
+    /// object, which older builds wrote for buffers of 1 MiB and more,
+    /// when it is read back. 0 or 1 = sequential.
     pub codec_threads: usize,
     /// Retry/backoff/deadline policy applied to every store operation.
     pub retry: RetryPolicy,
@@ -76,8 +74,6 @@ impl Default for TransferConfig {
             // The reference OmpCloud uses a ~1 KiB floor: tiny buffers are
             // cheaper to send raw than to compress.
             min_compression_size: 1024,
-            stream_threshold: 1024 * 1024,
-            stream_chunk: 256 * 1024,
             codec_threads: 4,
             retry: RetryPolicy::default(),
             verify_integrity: true,
@@ -88,12 +84,10 @@ impl Default for TransferConfig {
 
 impl TransferConfig {
     /// The wire-encoding policy this config hands the codec — the single
-    /// decision point for raw/compress/stream (see [`gzlite::plan_wire`]).
+    /// decision point for raw or compressed (see [`gzlite::plan_wire`]).
     pub fn wire_policy(&self) -> gzlite::WirePolicy {
         gzlite::WirePolicy {
             min_compression_size: self.min_compression_size,
-            stream_threshold: self.stream_threshold,
-            stream_chunk: self.stream_chunk,
             threads: self.codec_threads.max(1),
         }
     }
@@ -220,12 +214,16 @@ pub struct PipelineReport {
     /// figure.
     pub cpu_busy_seconds: f64,
     /// Aggregate storage busy time summed over every I/O worker
-    /// (puts + gets). See `cpu_busy_seconds` for the normalization caveat.
+    /// (puts + gets). See `cpu_busy_seconds` for the caveat.
     pub io_busy_seconds: f64,
     /// Compression-stage pool width the busy time was summed over.
     pub cpu_workers: usize,
     /// I/O-stage pool width the busy time was summed over.
     pub io_workers: usize,
+    /// Union of the compression stage's busy intervals, in seconds.
+    cpu_path: f64,
+    /// Union of the storage stage's busy intervals, in seconds.
+    io_path: f64,
 }
 
 impl std::ops::Deref for PipelineReport {
@@ -246,17 +244,18 @@ impl PipelineReport {
         puts
     }
 
-    /// Critical-path seconds of the compression stage: aggregate busy
-    /// time normalized by the pool width — what the stage would have
-    /// added to the wall had it run alone at the same parallelism.
+    /// Critical-path seconds of the compression stage: the seconds in
+    /// which at least one of its workers was sealing or decoding — the
+    /// union of their busy intervals, whatever width the batch was given.
     pub fn cpu_path_seconds(&self) -> f64 {
-        self.cpu_busy_seconds / self.cpu_workers.max(1) as f64
+        self.cpu_path
     }
 
-    /// Critical-path seconds of the storage stage (see
+    /// Critical-path seconds of the storage stage: the seconds in which at
+    /// least one store op was in flight (see
     /// [`cpu_path_seconds`](Self::cpu_path_seconds)).
     pub fn io_path_seconds(&self) -> f64 {
-        self.io_busy_seconds / self.io_workers.max(1) as f64
+        self.io_path
     }
 
     /// Wall time saved versus running the compression and storage stages
@@ -371,12 +370,62 @@ impl CommitManifest {
 /// pack however many of them a batch holds.
 const PACK_MEMBER_MAX: usize = 128 * 1024;
 
+/// The busy intervals of one stage of a batch, from all its workers.
+#[derive(Default)]
+struct Busy(parking_lot::Mutex<Vec<(Instant, Instant)>>);
+
+impl Busy {
+    /// Record the interval from `start` until now, and return its length.
+    fn since(&self, start: Instant) -> Duration {
+        let end = Instant::now();
+        self.0.lock().push((start, end));
+        end - start
+    }
+
+    /// The intervals' summed length and the length of their union, in
+    /// seconds.
+    fn seconds(self) -> (f64, f64) {
+        let mut spans = self.0.into_inner();
+        spans.sort_unstable();
+        let (mut sum, mut union, mut reach) = (Duration::ZERO, Duration::ZERO, None);
+        for (start, end) in spans {
+            sum += end - start;
+            union += end.saturating_duration_since(reach.map_or(start, |r: Instant| r.max(start)));
+            reach = reach.max(Some(end));
+        }
+        (sum.as_secs_f64(), union.as_secs_f64())
+    }
+}
+
+/// The bytes of one buffer on its way up.
+enum Payload {
+    /// A staging buffer the batch owns.
+    Staged(PoolBuf),
+    /// A buffer shared with the caller, with its crc32 (a write-behind
+    /// put's: the caller's fingerprint already holds it).
+    Shared(Arc<Vec<u8>>, u32),
+}
+
+impl Payload {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Payload::Staged(buf) => buf,
+            Payload::Shared(bytes, _) => bytes,
+        }
+    }
+
+    /// Take the bytes, leaving an empty payload behind.
+    fn take(&mut self) -> Payload {
+        std::mem::replace(self, Payload::Staged(PoolBuf::default()))
+    }
+}
+
 /// One logical buffer of a batch: the position of its payload in the
 /// result, the key the caller knows it by and, on the way up, its bytes.
 struct Member {
     slot: usize,
     key: String,
-    payload: PoolBuf,
+    payload: Payload,
 }
 
 /// One store object of a batch: a buffer on its own (`key` is the
@@ -565,7 +614,8 @@ impl TransferManager {
             })
             .collect::<Result<_, StorageError>>()?;
         let manifest = CommitManifest { entries };
-        self.put_wire(&Self::manifest_key(region), &[], manifest.to_bytes(), None)?;
+        let key = Self::manifest_key(region);
+        self.put_wire(&key, &[], manifest.to_bytes(), None, &Busy::default())?;
         Ok(manifest)
     }
 
@@ -578,8 +628,10 @@ impl TransferManager {
     pub fn read_manifest(&self, region: &str) -> Result<CommitManifest, StorageError> {
         self.settle()?;
         let key = Self::manifest_key(region);
-        let (manifest, ..) =
-            self.fetch_with_retry(&key, None, |bytes| CommitManifest::from_bytes(&key, &bytes))?;
+        let idle = Busy::default();
+        let (manifest, ..) = self.fetch_with_retry(&key, (&idle, &idle), |bytes| {
+            CommitManifest::from_bytes(&key, &bytes)
+        })?;
         Ok(manifest)
     }
 
@@ -677,12 +729,12 @@ impl TransferManager {
     /// as it would its members. Every other buffer — and a small one
     /// alone in its directory — is the object it always was, under its
     /// own key.
-    fn layout(&self, items: Vec<(String, PoolBuf)>) -> Vec<StoreObject> {
+    fn layout(&self, items: Vec<(String, Payload)>) -> Vec<StoreObject> {
         let mut objects: Vec<StoreObject> = Vec::with_capacity(items.len());
         // Key directory → index into `objects` of its pack.
         let mut packs: HashMap<String, usize> = HashMap::new();
         for (slot, (key, payload)) in items.into_iter().enumerate() {
-            if payload.len() <= PACK_MEMBER_MAX {
+            if payload.bytes().len() <= PACK_MEMBER_MAX {
                 let at = *packs
                     .entry(split_dir(&key).0.to_string())
                     .or_insert(objects.len());
@@ -720,7 +772,7 @@ impl TransferManager {
             let member = Member {
                 slot: slot0 + i,
                 key,
-                payload: PoolBuf::default(),
+                payload: Payload::Staged(PoolBuf::default()),
             };
             match pack.map(|pack| (pack, packs.entry(pack))) {
                 None => objects.push(StoreObject::single(member)),
@@ -740,19 +792,18 @@ impl TransferManager {
     /// Encode `object` for the wire, consuming its members' payloads: a
     /// single buffer as it is, a pack serialized into one pooled buffer
     /// (each member's staging buffer cycles back to the pool as it is
-    /// copied in). The codec picks raw or a codec for either, but a pack
-    /// is never cut into a chunked stream: chunks are compressed apart,
-    /// which costs small repetitive members 14–23 % in wire bytes, so a
-    /// pack is one frame whatever its size. Returns the wire bytes and
-    /// whether they are compressed.
-    fn seal(&self, object: &mut StoreObject) -> (Vec<u8>, bool) {
-        let mut policy = self.config.wire_policy();
+    /// copied in). The codec picks raw or one frame for either, at any
+    /// size. A shared buffer is sealed where it is, its frame carrying the
+    /// crc32 it came with, and copied only to travel raw. Returns the wire
+    /// bytes, whether they are compressed, and their crc32 when it is
+    /// already known.
+    fn seal(&self, object: &mut StoreObject) -> (Vec<u8>, bool, Option<u32>) {
+        let policy = self.config.wire_policy();
         let payload = if object.is_pack() {
-            policy.stream_threshold = usize::MAX;
             let entries = object
                 .members
                 .iter()
-                .map(|m| (split_dir(&m.key).1, m.payload.len()));
+                .map(|m| (split_dir(&m.key).1, m.payload.bytes().len()));
             let total = pack::HEADER_LEN
                 + entries
                     .clone()
@@ -761,19 +812,26 @@ impl TransferManager {
             let mut buf = self.pool.get(total);
             pack::write_directory(&mut buf, entries);
             for member in &mut object.members {
-                buf.extend_from_slice(&std::mem::take(&mut member.payload));
+                buf.extend_from_slice(member.payload.take().bytes());
             }
-            buf
+            Payload::Staged(buf)
         } else {
-            std::mem::take(&mut object.members[0].payload)
+            object.members[0].payload.take()
         };
         // One decision point: the codec's probe, under `policy`.
-        match gzlite::encode_wire(&payload, &policy) {
-            // `payload` drops here: the staging allocation checks back
-            // into the pool while the sealed wire bytes travel on.
-            Some(wire) => (wire, true),
-            // Raw path: the store retains the vector itself.
-            None => (payload.detach(), false),
+        match payload {
+            Payload::Staged(buf) => match gzlite::encode_wire(&buf, &policy) {
+                // `buf` drops here: the staging allocation checks back
+                // into the pool while the sealed wire bytes travel on.
+                Some(wire) => (wire, true, None),
+                // Raw path: the store retains the vector itself.
+                None => (buf.detach(), false, None),
+            },
+            Payload::Shared(bytes, crc) => match gzlite::encode_wire_with_crc(&bytes, &policy, crc)
+            {
+                Some(wire) => (wire, true, None),
+                None => (Arc::unwrap_or_clone(bytes), false, Some(crc)),
+            },
         }
     }
 
@@ -807,20 +865,21 @@ impl TransferManager {
     }
 
     /// Put `wire` under `key` with retries and record it in the ledger:
-    /// its crc32, and `key` as the home of every one of `members` that
-    /// goes by another key (the members of a pack). The payload is
-    /// cloned only while another retry is still permitted — the terminal
-    /// attempt moves it.
+    /// its crc32 (`crc`, or computed here), and `key` as the home of every
+    /// one of `members` that goes by another key (the members of a pack).
+    /// The payload is cloned only while another retry is still permitted —
+    /// the terminal attempt moves it.
     fn put_wire(
         &self,
         key: &str,
         members: &[Member],
         wire: Vec<u8>,
-        io_timer: Option<&AtomicU64>,
+        crc: Option<u32>,
+        io_busy: &Busy,
     ) -> Result<RetryStats, StorageError> {
         // Recorded whether or not downloads verify against it: region
         // fingerprints and commit manifests are built from these.
-        let crc = gzlite::crc32(&wire);
+        let crc = crc.unwrap_or_else(|| gzlite::crc32(&wire));
         let mut sess = self.config.retry.session(key);
         let mut wire = Some(wire);
         loop {
@@ -835,9 +894,7 @@ impl TransferManager {
             };
             let t = Instant::now();
             let result = sess.run(|| self.store.put(key, attempt));
-            if let Some(timer) = io_timer {
-                timer.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
+            io_busy.since(t);
             match result {
                 Ok(()) => {
                     let mut ledger = self.ledger.lock();
@@ -855,22 +912,19 @@ impl TransferManager {
     }
 
     /// Get `key` with retries, verify integrity, decompress, and `open`
-    /// the payload. With `timers = (io, cpu)`, store time lands on `io`
-    /// and verification/decompression/opening on `cpu` (the pipelined
-    /// accounting). Returns `(opened, wire_bytes, compressed, stats)`.
+    /// the payload. Store time lands on `io` and verification,
+    /// decompression and opening on `cpu` (the pipelined accounting). Returns `(opened, wire_bytes, compressed, stats)`.
     fn fetch_with_retry<T>(
         &self,
         key: &str,
-        timers: Option<(&AtomicU64, &AtomicU64)>,
+        (io, cpu): (&Busy, &Busy),
         open: impl Fn(Vec<u8>) -> Result<T, StorageError>,
     ) -> Result<(T, u64, bool, RetryStats), StorageError> {
         let mut sess = self.config.retry.session(key);
         loop {
             let t = Instant::now();
             let fetched = sess.run(|| self.store.get(key));
-            if let Some((io, _)) = timers {
-                io.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
+            io.since(t);
             let wire = match fetched {
                 Ok(w) => w,
                 Err(e) => {
@@ -884,9 +938,7 @@ impl TransferManager {
                     .and_then(|(payload, wire_bytes, compressed)| {
                         Ok((open(payload)?, wire_bytes, compressed))
                     });
-            if let Some((_, cpu)) = timers {
-                cpu.fetch_add(t.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
+            cpu.since(t);
             match opened {
                 Ok((opened, wire_bytes, compressed)) => {
                     return Ok((opened, wire_bytes, compressed, sess.stats()))
@@ -904,7 +956,7 @@ impl TransferManager {
     fn fetch_object(
         &self,
         object: StoreObject,
-        timers: Option<(&AtomicU64, &AtomicU64)>,
+        timers: (&Busy, &Busy),
     ) -> Result<(ItemReport, Yield), StorageError> {
         let (payloads, wire_bytes, compressed, stats) =
             self.fetch_with_retry(&object.key, timers, |payload| {
@@ -951,7 +1003,7 @@ impl TransferManager {
                 }
             }
         }
-        let (payload, compressed) = decode_wire(key, wire, self.config.codec_threads)?;
+        let (payload, compressed) = decode_wire(key, wire, self.config.wire_policy().threads)?;
         Ok((payload, wire_bytes, compressed))
     }
 
@@ -967,12 +1019,17 @@ impl TransferManager {
         items: Vec<(String, B)>,
     ) -> Result<TransferReport, StorageError> {
         self.settle()?;
-        self.upload_now(items.into_iter().map(|(k, b)| (k, b.into())).collect())
+        self.upload_now(
+            items
+                .into_iter()
+                .map(|(k, b)| (k, Payload::Staged(b.into())))
+                .collect(),
+        )
     }
 
     /// [`upload`](Self::upload) without the settle: what a write-behind
     /// put runs, being the put everyone else settles.
-    fn upload_now(&self, items: Vec<(String, PoolBuf)>) -> Result<TransferReport, StorageError> {
+    fn upload_now(&self, items: Vec<(String, Payload)>) -> Result<TransferReport, StorageError> {
         let puts = self.layout(items);
         let width = self.config.max_threads;
         let (_, report) = self.run_batch(Instant::now(), puts, false, Vec::new(), width)?;
@@ -993,11 +1050,13 @@ impl TransferManager {
     /// keys a pending put may be writing calls [`settle`](Self::settle)
     /// first, and so does whoever needs the put's thread gone.
     ///
-    /// The buffers stay shared with the caller; the put stages its own
-    /// pooled copy.
+    /// The buffers stay shared with the caller, each with its crc32,
+    /// which the caller already holds: the put seals a buffer where it is,
+    /// with that crc as its frame's, and copies it only to hand the store
+    /// a raw-wire object.
     pub fn upload_behind(
         self: &Arc<Self>,
-        items: Vec<(String, Arc<Vec<u8>>)>,
+        items: Vec<(String, Arc<Vec<u8>>, u32)>,
         on_settled: impl FnOnce(&TransferManager, Result<&TransferReport, &StorageError>)
             + Send
             + 'static,
@@ -1008,12 +1067,10 @@ impl TransferManager {
         let put = std::thread::Builder::new()
             .name("write-behind".into())
             .spawn(move || {
-                let staged = items.iter().map(|(key, shared)| {
-                    let mut buf = manager.pool.get(shared.len());
-                    buf.extend_from_slice(shared);
-                    (key.clone(), buf)
-                });
-                manager.upload_now(staged.collect())
+                let shared = items
+                    .into_iter()
+                    .map(|(key, bytes, crc)| (key, Payload::Shared(bytes, crc)));
+                manager.upload_now(shared.collect())
             })
             .expect("spawn a write-behind put");
         *behind = Some((put, Box::new(on_settled)));
@@ -1070,8 +1127,10 @@ impl TransferManager {
         fetch_only: Vec<String>,
         io_threads: usize,
     ) -> Result<PipelineResult, StorageError> {
-        let put_items: Vec<(String, PoolBuf)> =
-            put_items.into_iter().map(|(k, b)| (k, b.into())).collect();
+        let put_items: Vec<(String, Payload)> = put_items
+            .into_iter()
+            .map(|(k, b)| (k, Payload::Staged(b.into())))
+            .collect();
         let t0 = Instant::now();
         if put_items.is_empty() && fetch_only.is_empty() {
             return Ok((Vec::new(), PipelineReport::default()));
@@ -1133,6 +1192,7 @@ impl TransferManager {
                 wire: Vec<u8>,
                 raw_bytes: u64,
                 compressed: bool,
+                crc: Option<u32>,
                 then: Option<Sender<IoJob>>,
             },
             /// Get a staged object; `put_*` is what its put, if this batch
@@ -1148,8 +1208,8 @@ impl TransferManager {
         let outcomes: Vec<parking_lot::Mutex<Option<Outcome>>> = (0..put_objects + gets.len())
             .map(|_| parking_lot::Mutex::new(None))
             .collect();
-        let cpu_busy_ns = AtomicU64::new(0);
-        let io_busy_ns = AtomicU64::new(0);
+        let cpu_busy = Busy::default();
+        let io_busy = Busy::default();
         let cpu_threads = put_objects.clamp(1, self.config.max_threads.max(1));
         let io_threads = width.clamp(1, outcomes.len().max(1));
         let queue: Vec<parking_lot::Mutex<Option<StoreObject>>> = puts
@@ -1167,15 +1227,16 @@ impl TransferManager {
             };
             let mut object = slot.lock().take().expect("claimed once");
             let t = Instant::now();
-            let raw_bytes = object.members.iter().map(|m| m.payload.len() as u64).sum();
-            let (wire, compressed) = self.seal(&mut object);
-            let busy = t.elapsed();
-            cpu_busy_ns.fetch_add(busy.as_nanos() as u64, Ordering::Relaxed);
+            let members = object.members.iter();
+            let raw_bytes = members.map(|m| m.payload.bytes().len() as u64).sum();
+            let (wire, compressed, crc) = self.seal(&mut object);
+            let busy = cpu_busy.since(t);
             let then = read_back.then(|| tx.clone());
             let op = IoOp::Put {
                 wire,
                 raw_bytes,
                 compressed,
+                crc,
                 then,
             };
             let _ = tx.send(IoJob {
@@ -1202,11 +1263,11 @@ impl TransferManager {
                         wire,
                         raw_bytes,
                         compressed,
+                        crc,
                         then,
                     } => {
                         let wire_bytes = wire.len() as u64;
-                        let put =
-                            self.put_wire(&object.key, &object.members, wire, Some(&io_busy_ns));
+                        let put = self.put_wire(&object.key, &object.members, wire, crc, &io_busy);
                         match (put, then) {
                             (Ok(put_stats), Some(then)) => {
                                 let op = IoOp::Get {
@@ -1235,7 +1296,7 @@ impl TransferManager {
                         put_stats,
                         put_compressed,
                     } => {
-                        let timers = Some((&io_busy_ns, &cpu_busy_ns));
+                        let timers = (&io_busy, &cpu_busy);
                         self.fetch_object(object, timers)
                             .map(|(mut report, payloads)| {
                                 report.compressed |= put_compressed;
@@ -1281,6 +1342,8 @@ impl TransferManager {
             });
         }
 
+        let (cpu_busy_seconds, cpu_path) = cpu_busy.seconds();
+        let (io_busy_seconds, io_path) = io_busy.seconds();
         let mut items = Vec::with_capacity(outcomes.len());
         let mut payloads = Vec::new();
         for outcome in outcomes {
@@ -1300,22 +1363,24 @@ impl TransferManager {
                     wall_seconds: t0.elapsed().as_secs_f64(),
                 },
                 put_objects,
-                cpu_busy_seconds: cpu_busy_ns.load(Ordering::Relaxed) as f64 * 1e-9,
-                io_busy_seconds: io_busy_ns.load(Ordering::Relaxed) as f64 * 1e-9,
+                cpu_busy_seconds,
+                io_busy_seconds,
                 cpu_workers: cpu_threads,
                 io_workers: io_threads,
+                cpu_path,
+                io_path,
             },
         ))
     }
 }
 
-/// Transparently decompress wire bytes: multi-frame streams (chunk
-/// decode fanned over `threads` workers), single frames (both with
-/// internal CRCs), or raw passthrough. Returns the payload and whether
-/// it was compressed on the wire.
+/// Transparently decompress wire bytes: a single frame, a chunked
+/// stream an older build wrote (chunk decode fanned over `threads`
+/// workers) — both with internal CRCs — or raw passthrough. Returns the
+/// payload and whether it was compressed on the wire.
 fn decode_wire(key: &str, wire: Vec<u8>, threads: usize) -> Result<(Vec<u8>, bool), StorageError> {
     if gzlite::is_stream(&wire) {
-        let decoded = gzlite::decompress_stream_parallel(&wire, threads.max(1))
+        let decoded = gzlite::decompress_stream_parallel(&wire, threads)
             .map_err(|e| StorageError::Corrupted(format!("{key}: {e}")))?;
         Ok((decoded, true))
     } else if wire.len() >= MAGIC.len() && wire[..MAGIC.len()] == MAGIC {
@@ -1687,24 +1752,64 @@ mod tests {
     }
 
     #[test]
-    fn big_buffers_go_through_the_stream_path() {
-        let store = S3Store::standalone("xfer");
-        let tm = TransferManager::new(
-            Arc::new(store.clone()),
-            TransferConfig {
-                min_compression_size: 64,
-                stream_threshold: 4096,
-                stream_chunk: 1024,
-                ..Default::default()
-            },
-        );
-        let data = vec![0u8; 64 * 1024]; // well over the stream threshold
+    fn big_buffers_are_one_frame() {
+        let (tm, store) = manager(64);
+        // Past the 1 MiB that older builds cut into a chunked stream.
+        let data = vec![0u8; 3 * 1024 * 1024 / 2];
         let report = tm.upload(vec![("big".into(), data.clone())]).unwrap();
         assert!(report.items[0].compressed);
         let stored = store.get("big").unwrap();
-        assert!(gzlite::is_stream(&stored), "stored as a multi-frame stream");
+        assert_eq!(stored[..4], MAGIC, "stored as one frame");
+        assert!(!gzlite::is_stream(&stored));
         let (payloads, _) = tm.download(vec!["big".into()]).unwrap();
         assert_eq!(payloads[0].1, data);
+    }
+
+    #[test]
+    fn a_chunked_stream_an_older_build_wrote_still_downloads() {
+        let (tm, store) = manager(64);
+        let data: Vec<u8> = (0..300_000u32).map(|i| (i % 251) as u8).collect();
+        let stream = gzlite::compress_stream(&data, 64 * 1024);
+        assert!(gzlite::is_stream(&stream));
+        // Staged by the older build: this manager's ledger never saw it,
+        // so the get verifies against the backend's checksum.
+        store.put("old/y", stream.clone()).unwrap();
+        let (payloads, report) = tm.download(vec!["old/y".into()]).unwrap();
+        assert!(payloads[0].1[..] == data[..], "bit-exact");
+        assert!(report.items[0].compressed);
+        assert_eq!(report.items[0].wire_bytes, stream.len() as u64);
+    }
+
+    #[test]
+    fn the_cpu_path_is_at_least_the_longest_seal() {
+        // One large compressible buffer and three tiny ones, each in a
+        // directory of its own: four objects, four sealing workers. The
+        // stage was busy for at least the large object's seal, however
+        // many workers the batch was given; dividing the summed busy time
+        // by the pool width reported about a third of it.
+        let large: Vec<u8> = (0..4 * 1024 * 1024u32)
+            .map(|i| ((i / 3) % 97) as u8)
+            .collect();
+        let policy = TransferConfig::default().wire_policy();
+        let seal = (0..3)
+            .map(|_| {
+                let t = Instant::now();
+                gzlite::encode_wire(&large, &policy).expect("compressible");
+                t.elapsed().as_secs_f64()
+            })
+            .fold(f64::MAX, f64::min);
+        let mut items = vec![("big/y".to_string(), large)];
+        items.extend((0..3).map(|i| (format!("tiny{i}/x"), vec![i as u8; 16])));
+        let (tm, _) = manager(64);
+        let (_, report) = tm.upload_fetch_pipelined(items, vec![], 4).unwrap();
+        assert_eq!(report.cpu_workers, 4);
+        assert!(
+            report.cpu_path_seconds() >= seal,
+            "cpu path {:.4} s < one seal {seal:.4} s: {report:?}",
+            report.cpu_path_seconds()
+        );
+        assert!(report.cpu_path_seconds() <= report.cpu_busy_seconds + 1e-9);
+        assert!(report.io_path_seconds() <= report.io_busy_seconds + 1e-9);
     }
 
     #[test]
@@ -1799,8 +1904,8 @@ mod tests {
     fn pipeline_accounting_is_wall_normalized() {
         // Regression: busy seconds are summed over every pool worker, so
         // the old overlap (cpu_busy + io_busy - wall) reported ~20x the
-        // wall on wide pools. Path seconds divide by the pool width and
-        // overlap is clamped to the wall.
+        // wall on wide pools. Path seconds are the union of a stage's
+        // busy intervals, and overlap is clamped to the wall.
         let (tm, _) = manager(64);
         let items: Vec<(String, Vec<u8>)> = (0..16)
             .map(|i| (format!("k{i:02}"), vec![(i % 251) as u8; 32 * 1024]))

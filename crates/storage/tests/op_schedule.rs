@@ -454,8 +454,9 @@ type Item = (String, u64, u64, bool);
 
 /// The buffers of a batch of `objects` store objects: none; three small
 /// buffers that share one pack; or five objects — that pack again, a
-/// buffer past `stream_threshold`, two medium buffers and a small one
-/// alone in its directory, with the pack's members spread between them.
+/// 1.2 MB buffer (one frame, as every object), two medium buffers and a
+/// small one alone in its directory, with the pack's members spread
+/// between them.
 fn batch(objects: usize) -> Vec<(String, Vec<u8>)> {
     let sparse = |len, seed| rng::sparse_f32_bytes(len, 0.05, seed);
     let pack = [
@@ -490,7 +491,7 @@ fn batch_items(objects: usize) -> Vec<Item> {
         1 => &[("job-0/in/pack3-fd98864c", 12_000, 2_840, true)],
         _ => &[
             ("job-0/in/pack3-fd98864c", 12_000, 2_840, true),
-            ("job-0/big/m", 1_200_000, 90_741, true),
+            ("job-0/big/m", 1_200_000, 90_667, true),
             ("job-0/wide/r", 150_000, 150_000, false),
             ("job-0/mid/s", 200_000, 15_119, true),
             ("job-0/solo/t", 5_000, 374, true),
@@ -607,9 +608,9 @@ fn download_gets_each_object_once_and_returns_every_buffer_in_request_order() {
 fn a_write_behind_put_runs_like_an_upload_and_settles_with_its_report() {
     for objects in [0, 1, 5] {
         let (manager, recorder) = two_wide_manager();
-        let items: Vec<(String, Arc<Vec<u8>>)> = batch(objects)
+        let items: Vec<(String, Arc<Vec<u8>>, u32)> = batch(objects)
             .into_iter()
-            .map(|(key, bytes)| (key, Arc::new(bytes)))
+            .map(|(key, bytes)| (key, Arc::new(bytes.clone()), gzlite::crc32(&bytes)))
             .collect();
         let told = Arc::new(parking_lot::Mutex::new(None));
         let tell = Arc::clone(&told);

@@ -3,6 +3,7 @@
 //! are broadcast; tiling readjusts partition bounds dynamically.
 
 use ompcloud_suite::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn runtime(slots_workers: usize, vcpus: usize) -> CloudRuntime {
     CloudRuntime::new(CloudConfig {
@@ -129,6 +130,41 @@ fn partition_out_of_bounds_fails_cleanly() {
         matches!(err, OmpError::PartitionOutOfBounds { .. }),
         "{err:?}"
     );
+    rt.shutdown();
+}
+
+#[test]
+fn an_out_of_range_output_partition_fails_before_any_task_runs() {
+    // Tasks allocate their own output buffers, but the driver still
+    // checks every tile's output hull while it builds the tiles: only
+    // the last tile's hull of `C` is out of range, and no tile runs.
+    static ITERATIONS: AtomicUsize = AtomicUsize::new(0);
+    let rt = runtime(2, 4);
+    let n = 64;
+    let bad = TargetRegion::builder("oob-out")
+        .device(CloudRuntime::cloud_selector())
+        .map_to("A")
+        .map_from("C")
+        .parallel_for(n, |l| {
+            l.partition("A", PartitionSpec::rows(1))
+                .partition("C", PartitionSpec::rows(1))
+                .body(|i, ins, outs| {
+                    ITERATIONS.fetch_add(1, Ordering::SeqCst);
+                    outs.view_mut::<f32>("C")[i] = ins.view::<f32>("A")[i];
+                })
+        })
+        .build()
+        .unwrap();
+    let mut e = DataEnv::new();
+    e.insert("A", vec![1.0f32; n]);
+    e.insert("C", vec![0.0f32; n - 1]);
+    let err = rt.offload(&bad, &mut e).unwrap_err();
+    assert!(
+        matches!(err, OmpError::PartitionOutOfBounds { .. }),
+        "{err:?}"
+    );
+    assert_eq!(ITERATIONS.load(Ordering::SeqCst), 0, "a tile ran");
+    assert!(e.get::<f32>("C").unwrap().iter().all(|&c| c == 0.0));
     rt.shutdown();
 }
 
