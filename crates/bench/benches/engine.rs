@@ -1,5 +1,5 @@
 //! Criterion benchmarks of the sparkle engine primitives: job scheduling
-//! throughput, map/reduce execution, broadcast handling.
+//! throughput, map + collect execution, broadcast handling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sparkle::{SparkConf, SparkContext};
@@ -22,13 +22,13 @@ fn bench_job_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_map_reduce(c: &mut Criterion) {
-    let mut group = c.benchmark_group("engine/map_reduce");
+fn bench_map_collect(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine/map_collect");
     group.sample_size(20);
     group.bench_function("sum 100k i64 over 16 tasks", |b| {
         let sc = SparkContext::new(SparkConf::cluster(4, 8));
         let rdd = sc.parallelize((0..100_000i64).collect::<Vec<_>>(), 16);
-        b.iter(|| rdd.map(|x| x * 3).reduce(|a, b| a + b).unwrap());
+        b.iter(|| rdd.map(|x| x * 3).collect().unwrap().iter().sum::<i64>());
         sc.stop();
     });
     group.finish();
@@ -46,8 +46,10 @@ fn bench_broadcast(c: &mut Criterion) {
             let bc = sc.broadcast(value.clone(), bytes);
             let handle = bc.handle();
             rdd.map(move |i| handle[i] as f64)
-                .reduce(|a, b| a + b)
+                .collect()
                 .unwrap()
+                .iter()
+                .sum::<f64>()
         });
         sc.stop();
     });
@@ -82,7 +84,7 @@ fn bench_parfor_schedules(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_job_dispatch,
-    bench_map_reduce,
+    bench_map_collect,
     bench_broadcast,
     bench_parfor_schedules
 );

@@ -1,5 +1,5 @@
-//! Criterion benchmarks of the Eq.-8 reconstruction paths: driver-side
-//! merging vs distributed reduce, and the three merge policies.
+//! Criterion benchmarks of the Eq.-8 reconstruction: the three merge
+//! policies, and a whole offload through the driver-side merge.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use omp_model::prelude::*;
@@ -50,25 +50,22 @@ fn bench_reduce_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("reconstruct/offload");
     group.sample_size(10);
     let n = 512;
-    for (label, distributed) in [("distributed-reduce", true), ("driver-merge", false)] {
-        group.bench_with_input(BenchmarkId::from_parameter(label), &distributed, |b, &d| {
-            let rt = CloudRuntime::new(CloudConfig {
-                workers: 2,
-                vcpus_per_worker: 4,
-                task_cpus: 2,
-                distributed_reduce: d,
-                ..CloudConfig::default()
-            });
-            let r = region(n);
-            b.iter(|| {
-                let mut env = DataEnv::new();
-                env.insert("x", vec![1.0f32; n]);
-                env.insert("y", vec![0.0f32; n]);
-                rt.offload(&r, &mut env).unwrap()
-            });
-            rt.shutdown();
+    group.bench_function("driver-merge", |b| {
+        let rt = CloudRuntime::new(CloudConfig {
+            workers: 2,
+            vcpus_per_worker: 4,
+            task_cpus: 2,
+            ..CloudConfig::default()
         });
-    }
+        let r = region(n);
+        b.iter(|| {
+            let mut env = DataEnv::new();
+            env.insert("x", vec![1.0f32; n]);
+            env.insert("y", vec![0.0f32; n]);
+            rt.offload(&r, &mut env).unwrap()
+        });
+        rt.shutdown();
+    });
     group.finish();
 }
 

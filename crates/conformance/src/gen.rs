@@ -8,16 +8,17 @@
 //! over: kernel vs. synthetic bodies, `map(to/from/tofrom)` clauses,
 //! user partition specs vs. unpartitioned bitwise-OR merge, reduction
 //! operators, tile plans (workers x vCPUs x task.cpus), all schedule
-//! modes with and without speculation, distributed vs. driver-side
-//! reduce, I/O pool widths and compression thresholds, checkpoint/resume
-//! budgets, and seeded storage fault plans.
+//! modes with and without speculation, I/O pool widths and compression
+//! thresholds, checkpoint/resume budgets, and seeded storage fault plans.
 //!
-//! Reductions deserve one note: the cloud's collect absorbs
-//! partial results in *arrival* order, so bitwise host equivalence for
-//! `Sum`/`Prod` is only guaranteed when the arithmetic is exact. The
-//! generator therefore feeds reduction cases lattice-valued data
-//! (multiples of 0.25 with bounded magnitude; see [`crate::rng`]) —
-//! exactness makes any absorb order produce identical bits.
+//! Reductions deserve one note: the cloud's merge folds reduction
+//! partials in *tile* order, so a run's bits do not depend on which tile
+//! finished first — but the host cuts the loop into its own chunks, so
+//! the two devices sum the same terms in different groupings, and
+//! bitwise host equivalence for `Sum`/`Prod` is only guaranteed when the
+//! arithmetic is exact. The generator therefore feeds reduction cases
+//! lattice-valued data (multiples of 0.25 with bounded magnitude; see
+//! [`crate::rng`]) — exactness makes any grouping produce identical bits.
 
 use crate::rng::SplitMix64;
 use cloud_storage::{FaultKind, FaultPlan, FaultRule, OpFilter, Trigger};
@@ -223,8 +224,6 @@ pub struct CaseSpec {
     pub mode: ScheduleMode,
     /// Speculation trigger factor (0 = off).
     pub spec_factor: f64,
-    /// Distributed reduce on/off.
-    pub distributed_reduce: bool,
     /// Compression threshold in bytes.
     pub min_compression_size: usize,
     /// I/O pool width of the transfer pipeline.
@@ -278,10 +277,11 @@ impl CaseSpec {
         };
 
         // Two draws that used to pick the serial-transfer and
-        // barrier-collect paths: still consumed, so every later draw of
-        // every pinned seed stays where it was.
+        // barrier-collect paths, and one that picked the executor-side
+        // reduce: still consumed, so every later draw of every pinned
+        // seed stays where it was.
         let _ = (rng.gen_bool(0.75), rng.gen_bool(0.5));
-        let distributed_reduce = rng.gen_bool(0.5);
+        let _ = rng.gen_bool(0.5);
         let io_threads = IO_THREADS[rng.gen_usize(0, IO_THREADS.len())];
         let min_compression_size = COMPRESSION_THRESHOLDS[rng.gen_usize(0, 3)];
         let mut checkpoint = rng.gen_bool(0.3);
@@ -456,7 +456,6 @@ impl CaseSpec {
             task_cpus,
             mode,
             spec_factor,
-            distributed_reduce,
             min_compression_size,
             io_threads,
             checkpoint,
@@ -478,7 +477,6 @@ impl CaseSpec {
             task_cpus: self.task_cpus,
             schedule: self.mode,
             spec_factor: self.spec_factor,
-            distributed_reduce: self.distributed_reduce,
             min_compression_size: self.min_compression_size,
             io_threads: self.io_threads,
             checkpoint: self.checkpoint,
@@ -920,7 +918,7 @@ impl CaseSpec {
             ),
         };
         format!(
-            "case {}: {kind} chain={} n={} plan={}x{}x{} sched={} dred={} ckpt={}/{} lat={}us {chaos}{resident}{tenancy}{map_elide}",
+            "case {}: {kind} chain={} n={} plan={}x{}x{} sched={} ckpt={}/{} lat={}us {chaos}{resident}{tenancy}{map_elide}",
             self.case,
             self.chain,
             self.n,
@@ -928,7 +926,6 @@ impl CaseSpec {
             self.vcpus,
             self.task_cpus,
             self.schedule_label(),
-            self.distributed_reduce,
             self.checkpoint,
             self.resume_budget,
             self.latency_us,

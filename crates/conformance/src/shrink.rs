@@ -137,17 +137,6 @@ pub const TRANSFORMS: &[Transform] = &[
         },
     },
     Transform {
-        name: "no_dist_reduce",
-        apply: |s| {
-            if !s.distributed_reduce {
-                return None;
-            }
-            let mut t = s.clone();
-            t.distributed_reduce = false;
-            Some(t)
-        },
-    },
-    Transform {
         name: "static_schedule",
         apply: |s| {
             if s.mode == ScheduleMode::Static && s.spec_factor == 0.0 {

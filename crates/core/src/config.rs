@@ -70,10 +70,6 @@ pub struct CloudConfig {
     /// unchanged variables (the paper's §VI future work, implemented as
     /// an extension).
     pub data_caching: bool,
-    /// Combine unpartitioned outputs with a distributed `REDUCE` on the
-    /// executors (Eq. 8 of the paper) instead of merging every private
-    /// buffer on the driver.
-    pub distributed_reduce: bool,
     /// Store-I/O worker threads of the transfer pipeline: at most this
     /// many store ops are in flight per batch.
     pub io_threads: usize,
@@ -184,7 +180,6 @@ impl Default for CloudConfig {
             ec2_autostart: false,
             instance_type: "c3.8xlarge".into(),
             data_caching: false,
-            distributed_reduce: true,
             io_threads: 8,
             dataflow: true,
             tile_size: 0,
@@ -253,7 +248,6 @@ impl CloudConfig {
         ini.read_bool_into("offload", "ec2-autostart", &mut self.ec2_autostart)?;
         ini.read_into("offload", "instance-type", &mut self.instance_type)?;
         ini.read_bool_into("offload", "data-caching", &mut self.data_caching)?;
-        ini.read_bool_into("offload", "distributed-reduce", &mut self.distributed_reduce)?;
         ini.read_into("offload", "io-threads", &mut self.io_threads)?;
         ini.read_bool_into("offload", "dataflow", &mut self.dataflow)?;
         ini.read_into("offload", "tile-size", &mut self.tile_size)?;
@@ -539,13 +533,15 @@ instance-type = c3.8xlarge
 
     #[test]
     fn a_retired_key_is_rejected_not_ignored() {
-        // Booleans that selected a second data path (PR 15) or switched
-        // the optimizer or the integrity check off (PR 24), and two
-        // quarantine timings that became constants: `= no` must not pass
-        // for a setting that still does something.
+        // Booleans that selected a second data path or a second
+        // reconstruction path, or switched the optimizer or the
+        // integrity check off, and two quarantine timings that became
+        // constants: `= no` must not pass for a setting that still does
+        // something.
         for (section, key) in [
             ("offload", "pipelined-transfers"),
             ("offload", "streaming-collect"),
+            ("offload", "distributed-reduce"),
             ("offload", "map-optimize"),
             ("resilience", "verify-integrity"),
             ("resilience", "quarantine-penalty-ms"),

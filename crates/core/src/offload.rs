@@ -25,7 +25,6 @@ use crate::config::CloudConfig;
 use crate::tiling;
 use omp_model::chunk::{chunk_outputs, merge_policy, run_chunk, MergeAcc, MergePolicy};
 use omp_model::view::OutPart;
-use omp_model::RedOp;
 use omp_model::{DataEnv, ErasedSlice, ErasedVec, Inputs, OmpError, ParallelLoop, TargetRegion};
 use parking_lot::Mutex;
 use sparkle::{BroadcastStats, JobOptions, SparkContext, SparkError};
@@ -340,45 +339,23 @@ fn run_loop(
         }
     });
 
-    // Cache RDD_OUT so the reconstruction actions below reuse the map
-    // results instead of re-running the kernels.
-    let out_rdd = mapped.cache();
-
-    // The distributed reduce (when enabled) combines every non-indexed
-    // output on the executors, so the driver-side merge must skip those
-    // variables. The set is known *before* the job runs: a variable no
-    // tile touches is skipped by `absorb` and left unwritten by the
-    // reduce alike, so pre-computing the set is equivalent to the old
-    // post-collect filter — and it lets the merge start streaming.
-    // When resuming, restored tiles exist only on the driver — they can't
-    // contribute to an executor-side reduce — so the whole loop merges
-    // driver-side. Fresh runs keep the configured behavior.
-    let use_dist_reduce = config.distributed_reduce && tiles_resumed == 0;
-    let mut dist_reduce_vars: HashSet<String> = HashSet::new();
-    if use_dist_reduce {
-        for m in region.output_maps() {
-            if merge_policy(loop_, &m.name) != MergePolicy::Indexed {
-                dist_reduce_vars.insert(m.name.clone());
-            }
-        }
-    }
-
-    // Reconstruction (Eqs. 8–10), driver side: indexed writes absorbed
+    // Reconstruction (Eqs. 8–10), driver side: every output is absorbed
     // into the accumulator as each tile *arrives*, overlapping the tail
-    // of the map phase — where the paper collects everything first.
+    // of the map phase — where the paper collects everything first — and
+    // the tile is dropped once absorbed. Reduction parts fold in tile
+    // order (`MergeAcc`), so their bits do not depend on arrival order.
     let mut acc = MergeAcc::new(region, loop_, cluster_env)?;
     let mut collect_bytes = 0u64;
     let mut merge_s = 0.0f64;
     let mut last_absorb_s = 0.0f64;
-    // Restored tiles are absorbed first (absorption order is irrelevant:
-    // indexed writes are disjoint, reductions commute). They were never
-    // collected from the cluster this run, so they don't count toward
-    // `collect_bytes`.
-    for (_tile, _hull, parts) in &restored {
-        acc.absorb(parts);
+    // Restored tiles enter the same tile order by their id. They were
+    // never collected from the cluster this run, so they don't count
+    // toward `collect_bytes`.
+    for (tile, _hull, parts) in restored {
+        acc.absorb(tile, parts);
     }
-    out_rdd
-        .for_each_partition(|_p, tile_outs: &[TileOut]| {
+    mapped
+        .for_each_partition(|_p, tile_outs: Vec<TileOut>| {
             let ta = Instant::now();
             for tile_out in tile_outs {
                 if let Some(rec) = recovery {
@@ -395,8 +372,7 @@ fn run_loop(
                     .iter()
                     .map(|p| p.data.byte_len() as u64)
                     .sum::<u64>();
-                let parts = tile_out.parts.iter();
-                acc.absorb(parts.filter(|p| !dist_reduce_vars.contains(&p.name)));
+                acc.absorb(tile_out.tile_id, tile_out.parts);
             }
             last_absorb_s = ta.elapsed().as_secs_f64();
             merge_s += last_absorb_s;
@@ -419,49 +395,6 @@ fn run_loop(
         }
     }
     acc.finish(cluster_env)?;
-
-    // Distributed `REDUCE(RDD_OUT, l, op)` on the executors, exactly
-    // Eq. 8 — reuses the cached map results filled in by the collect.
-    if use_dist_reduce {
-        for m in region.output_maps() {
-            if !dist_reduce_vars.contains(&m.name) {
-                continue;
-            }
-            let policy = merge_policy(loop_, &m.name);
-            let op = match policy {
-                MergePolicy::Indexed => continue,
-                MergePolicy::BitOr => RedOp::BitOr,
-                MergePolicy::Reduce(op) => op,
-            };
-            let name = m.name.clone();
-            let var = name.clone();
-            let partials = out_rdd
-                .map(move |tile: TileOut| {
-                    tile.parts
-                        .into_iter()
-                        .find(|p| p.name == var && p.touched)
-                        .map(|p| p.data)
-                })
-                .reduce(move |a, b| match (a, b) {
-                    (Some(mut x), Some(y)) => {
-                        x.reduce_assign(&y, op);
-                        Some(x)
-                    }
-                    (x, None) => x,
-                    (None, y) => y,
-                })
-                .map_err(spark_err)?
-                .flatten();
-            if let Some(mut combined) = partials {
-                if let MergePolicy::Reduce(op) = policy {
-                    // OpenMP reductions include the original value once.
-                    let original = (**cluster_env.get_erased(&name)?).clone();
-                    combined.reduce_assign(&original, op);
-                }
-                cluster_env.write_back(&name, combined)?;
-            }
-        }
-    }
 
     let wall = t0.elapsed().as_secs_f64();
     let compute_s = metrics

@@ -14,6 +14,7 @@ use crate::erased::{ErasedSlice, ErasedVec, RedOp};
 use crate::error::OmpError;
 use crate::region::{LoopBody, ParallelLoop, TargetRegion};
 use crate::view::{Inputs, OutPart, Outputs};
+use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -149,11 +150,19 @@ pub fn run_chunk(body: &LoopBody, iters: Range<usize>, inputs: &Inputs, outputs:
 /// A variable no chunk ever wrote (possible in multi-loop regions where
 /// each loop writes a subset of the mapped outputs) keeps its previous
 /// value instead of being overwritten with merge identities.
+///
+/// Indexed and bitwise-OR parts merge as they arrive. Reduction parts
+/// fold in *chunk order*, whatever order the chunks finish in, so a
+/// floating-point reduction has the same bits on every run.
 pub struct MergeAcc {
     accs: Vec<AccSlot>,
     /// `map(alloc:)` scratch names: chunk parts for these are dropped on
     /// absorb instead of merged — scratch never flows back to the host.
     alloc: Vec<String>,
+    /// The next chunk whose reduction parts fold, and the reduction
+    /// parts `(slot, op, data)` of later chunks that arrived before it.
+    next: usize,
+    early: BTreeMap<usize, Vec<(usize, RedOp, ErasedVec)>>,
 }
 
 struct AccSlot {
@@ -194,21 +203,26 @@ impl MergeAcc {
         Ok(MergeAcc {
             accs,
             alloc: region.alloc_maps().map(|m| m.name.clone()).collect(),
+            next: 0,
+            early: BTreeMap::new(),
         })
     }
 
-    /// Absorb the private outputs of one finished chunk
-    /// ([`Outputs::into_parts`]), read where they are.
-    pub fn absorb<'a>(&mut self, parts: impl IntoIterator<Item = &'a OutPart>) {
+    /// Absorb the private outputs ([`Outputs::into_parts`]) of chunk
+    /// `chunk`, its index in the loop's chunk plan. Every index of the
+    /// plan is absorbed exactly once, in any order.
+    pub fn absorb(&mut self, chunk: usize, parts: Vec<OutPart>) {
+        let mut reduce = Vec::new();
         for part in parts {
             if self.alloc.contains(&part.name) {
                 continue;
             }
-            let slot = self
+            let i = self
                 .accs
-                .iter_mut()
-                .find(|s| s.name == part.name)
+                .iter()
+                .position(|s| s.name == part.name)
                 .unwrap_or_else(|| panic!("chunk produced unknown output '{}'", part.name));
+            let slot = &mut self.accs[i];
             if !part.touched {
                 continue;
             }
@@ -216,8 +230,19 @@ impl MergeAcc {
             match slot.policy {
                 MergePolicy::Indexed => slot.acc.write_at(part.base, &part.data),
                 MergePolicy::BitOr => slot.acc.reduce_assign(&part.data, RedOp::BitOr),
-                MergePolicy::Reduce(op) => slot.acc.reduce_assign(&part.data, op),
+                MergePolicy::Reduce(op) => reduce.push((i, op, part.data)),
             }
+        }
+        self.early.insert(chunk, reduce);
+        while let Some(reduce) = self.early.remove(&self.next) {
+            self.next += 1;
+            self.fold(reduce);
+        }
+    }
+
+    fn fold(&mut self, reduce: Vec<(usize, RedOp, ErasedVec)>) {
+        for (i, op, data) in reduce {
+            self.accs[i].acc.reduce_assign(&data, op);
         }
     }
 
@@ -225,7 +250,10 @@ impl MergeAcc {
     /// Reduction variables are combined with their original host value
     /// (OpenMP reduction semantics include the initial value once);
     /// variables the loop never wrote are left alone.
-    pub fn finish(self, env: &mut DataEnv) -> Result<(), OmpError> {
+    pub fn finish(mut self, env: &mut DataEnv) -> Result<(), OmpError> {
+        for reduce in std::mem::take(&mut self.early).into_values() {
+            self.fold(reduce);
+        }
         for AccSlot {
             name,
             policy,
@@ -256,11 +284,12 @@ pub fn execute_loop_chunked(
     chunk_count: usize,
 ) -> Result<(), OmpError> {
     let mut acc = MergeAcc::new(region, loop_, env)?;
-    for iters in omp_parfor::split_even(loop_.trip_count, chunk_count) {
+    let chunks = omp_parfor::split_even(loop_.trip_count, chunk_count);
+    for (chunk, iters) in chunks.into_iter().enumerate() {
         let inputs = chunk_inputs(region, loop_, env, iters.clone())?;
         let mut outputs = chunk_outputs(region, loop_, env, iters.clone())?;
         run_chunk(&loop_.body, iters, &inputs, &mut outputs);
-        acc.absorb(&outputs.into_parts());
+        acc.absorb(chunk, outputs.into_parts());
     }
     acc.finish(env)
 }

@@ -104,11 +104,11 @@ impl Device for HostDevice {
 
             let t_par = Instant::now();
             if chunks.len() == 1 || self.threads == 1 {
-                for iters in chunks {
+                for (chunk, iters) in chunks.into_iter().enumerate() {
                     let inputs = chunk_inputs(region, loop_, env, iters.clone())?;
                     let mut outputs = chunk_outputs(region, loop_, env, iters.clone())?;
                     run_chunk(&loop_.body, iters, &inputs, &mut outputs);
-                    acc.absorb(&outputs.into_parts());
+                    acc.absorb(chunk, outputs.into_parts());
                 }
                 compute_s += t_par.elapsed().as_secs_f64();
             } else {
@@ -155,9 +155,9 @@ impl Device for HostDevice {
                     });
                 }
                 compute_s += t_par.elapsed().as_secs_f64();
-                for slot in slots.into_inner().iter_mut() {
+                for (chunk, slot) in slots.into_inner().iter_mut().enumerate() {
                     let outputs = slot.take().expect("all chunks ran")?;
-                    acc.absorb(&outputs.into_parts());
+                    acc.absorb(chunk, outputs.into_parts());
                 }
             }
             acc.finish(env)?;

@@ -30,9 +30,6 @@ pub struct SparkConf {
     pub task_cpus: usize,
     /// Attempts per task before the job fails (Spark default: 4).
     pub max_task_attempts: usize,
-    /// Default partition count for `parallelize`
-    /// (`spark.default.parallelism`).
-    pub default_parallelism: usize,
 }
 
 impl SparkConf {
@@ -43,7 +40,6 @@ impl SparkConf {
             cores_per_executor: cores.max(1),
             task_cpus: 1,
             max_task_attempts: 4,
-            default_parallelism: cores.max(1),
         }
     }
 
@@ -57,7 +53,6 @@ impl SparkConf {
             cores_per_executor: vcpus,
             task_cpus: 2,
             max_task_attempts: 4,
-            default_parallelism: executors * vcpus / 2,
         }
     }
 
@@ -155,21 +150,6 @@ impl SparkContext {
         Rdd::source(self.clone(), data, partitions)
     }
 
-    /// Distribute a collection with a custom partitioner: element `x`
-    /// lands in partition `bucket(x) % partitions`.
-    pub fn parallelize_by<T: Data, F>(&self, data: Vec<T>, partitions: usize, bucket: F) -> Rdd<T>
-    where
-        F: Fn(&T) -> usize,
-    {
-        let partitions = partitions.max(1);
-        let mut parts: Vec<Vec<T>> = (0..partitions).map(|_| Vec::new()).collect();
-        for x in data {
-            let b = bucket(&x) % partitions;
-            parts[b].push(x);
-        }
-        Rdd::source_with_partitions(self.clone(), parts)
-    }
-
     /// Broadcast a read-only value to every executor, recording the
     /// BitTorrent-style distribution statistics for `size_bytes` of
     /// payload.
@@ -238,40 +218,32 @@ impl SparkContext {
         self.inner.stopped.store(true, Ordering::SeqCst);
     }
 
-    /// Run one task per partition of `lineage`, returning partitions in
-    /// order. Retries failed tasks up to `max_task_attempts`, recomputing
-    /// from lineage (the Spark fault-tolerance contract).
-    pub(crate) fn run_job<T: Data>(
-        &self,
-        lineage: Arc<dyn Fn(usize) -> Vec<T> + Send + Sync>,
-        partitions: usize,
-    ) -> Result<Vec<Vec<T>>, SparkError> {
-        self.run_job_streaming(lineage, partitions, |_, _| {})
-    }
-
-    /// Like [`SparkContext::run_job`], but additionally invokes
-    /// `on_partition(index, &partition)` on the driver thread the moment
+    /// Run one task per partition of `lineage` and invoke
+    /// `on_partition(index, partition)` on the driver thread the moment
     /// each partition's first successful attempt lands — in *arrival*
-    /// order, while the remaining tasks are still executing. This is what
-    /// lets driver-side merging overlap the tail of the map phase instead
-    /// of waiting behind a full-collect barrier.
+    /// order, while the remaining tasks are still executing — handing the
+    /// partition over: nothing of it is kept here. This is what lets
+    /// driver-side merging overlap the tail of the map phase instead of
+    /// waiting behind a full-collect barrier.
     ///
     /// Tasks are dispatched through the elastic scheduler: executors pull
     /// from the job's queues per the configured [`ScheduleMode`]
     /// (see [`SparkContext::set_job_options`]), idle executors steal, and
-    /// straggling tasks get speculative duplicates. First-writer-wins
-    /// dedup keeps the streamed partitions bitwise-identical across every
-    /// mode, speculation included.
+    /// straggling tasks get speculative duplicates. Failed tasks are
+    /// retried up to `max_task_attempts`, recomputing from lineage (the
+    /// Spark fault-tolerance contract). First-writer-wins dedup keeps the
+    /// handed-over partitions bitwise-identical across every mode,
+    /// speculation included.
     ///
     /// [`ScheduleMode`]: crate::ScheduleMode
-    pub(crate) fn run_job_streaming<T: Data, F>(
+    pub(crate) fn run_job<T: Data, F>(
         &self,
         lineage: Arc<dyn Fn(usize) -> Vec<T> + Send + Sync>,
         partitions: usize,
         mut on_partition: F,
-    ) -> Result<Vec<Vec<T>>, SparkError>
+    ) -> Result<(), SparkError>
     where
-        F: FnMut(usize, &[T]),
+        F: FnMut(usize, Vec<T>),
     {
         if self.inner.stopped.load(Ordering::SeqCst) {
             return Err(SparkError::ContextStopped);
@@ -288,10 +260,7 @@ impl SparkContext {
             Vec::new()
         };
         let hints = locality.clone();
-        let runner: Runner = {
-            let lineage = Arc::clone(&lineage);
-            Arc::new(move |task| Box::new(lineage(task)) as Box<dyn Any + Send>)
-        };
+        let runner: Runner = Arc::new(move |task| Box::new(lineage(task)) as Box<dyn Any + Send>);
         self.inner.dispatcher.submit_job(JobSpec {
             job,
             partitions,
@@ -302,27 +271,22 @@ impl SparkContext {
 
         let driven = self.drive_job(job, partitions, &options, &mut on_partition);
         let steals = self.inner.dispatcher.clear_job(job);
-        let mut driven = driven?;
+        let mut metrics = driven?;
 
-        driven.metrics.steals = steals;
-        driven.metrics.wall_seconds = t0.elapsed().as_secs_f64();
-        driven.metrics.job_id = job;
-        for t in &driven.metrics.tasks {
+        metrics.steals = steals;
+        metrics.wall_seconds = t0.elapsed().as_secs_f64();
+        metrics.job_id = job;
+        for t in &metrics.tasks {
             if let Some(Some(want)) = hints.get(t.task) {
                 if t.executor == *want {
-                    driven.metrics.locality_hits += 1;
+                    metrics.locality_hits += 1;
                 } else {
-                    driven.metrics.locality_misses += 1;
+                    metrics.locality_misses += 1;
                 }
             }
         }
-        self.inner.metrics.lock().push(driven.metrics);
-
-        Ok(driven
-            .slots
-            .into_iter()
-            .map(|s| s.expect("all tasks done"))
-            .collect())
+        self.inner.metrics.lock().push(metrics);
+        Ok(())
     }
 
     /// Consume results for `job` until every partition has succeeded,
@@ -333,12 +297,13 @@ impl SparkContext {
         partitions: usize,
         options: &JobOptions,
         on_partition: &mut F,
-    ) -> Result<Driven<T>, SparkError>
+    ) -> Result<JobMetrics, SparkError>
     where
-        F: FnMut(usize, &[T]),
+        F: FnMut(usize, Vec<T>),
     {
         let dispatcher = &self.inner.dispatcher;
-        let mut slots: Vec<Option<Vec<T>>> = (0..partitions).map(|_| None).collect();
+        // First writer wins: a task's later successes are dropped.
+        let mut finished = vec![false; partitions];
         let mut done = 0usize;
         let mut attempts_used = vec![1usize; partitions];
         let mut spec_launched = vec![false; partitions];
@@ -389,14 +354,14 @@ impl SparkContext {
             dispatcher.attempt_settled(job, task, executor);
             match outcome {
                 Ok(boxed) => {
-                    if slots[task].is_none() {
+                    if !finished[task] {
                         dispatcher.mark_completed(job, task);
                         let part = boxed
                             .downcast::<Vec<T>>()
                             .expect("task produced the lineage element type");
-                        on_partition(task, &part);
-                        slots[task] = Some(*part);
+                        finished[task] = true;
                         done += 1;
+                        on_partition(task, *part);
                         let pos = completed_seconds.partition_point(|&s| s < seconds);
                         completed_seconds.insert(pos, seconds);
                         if spec_launched[task] {
@@ -419,7 +384,7 @@ impl SparkContext {
                 Err(err) => {
                     metrics.failed_attempts += 1;
                     dispatcher.record_task_failure(executor);
-                    if slots[task].is_some() {
+                    if finished[task] {
                         continue; // a newer attempt already succeeded
                     }
                     if speculative {
@@ -445,7 +410,7 @@ impl SparkContext {
         metrics.task_attempts = attempts_used;
         metrics.quarantine_trips = dispatcher.total_quarantine_trips() - trips_before;
         metrics.heartbeat_misses = dispatcher.total_heartbeat_misses() - misses_before;
-        Ok(Driven { slots, metrics })
+        Ok(metrics)
     }
 
     /// Score executors whose slot threads have not stamped a heartbeat
@@ -498,11 +463,6 @@ impl SparkContext {
                 .enqueue_speculative(job, task, attempts_used[task]);
         }
     }
-}
-
-struct Driven<T> {
-    slots: Vec<Option<Vec<T>>>,
-    metrics: JobMetrics,
 }
 
 impl Drop for Inner {

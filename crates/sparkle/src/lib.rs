@@ -1,16 +1,18 @@
 #![warn(missing_docs)]
 
-//! `sparkle` — a Spark-like map-reduce engine, built from scratch.
+//! `sparkle` — the subset of Spark the paper's offload job uses, built
+//! from scratch.
 //!
-//! OmpCloud executes offloaded OpenMP loops as Spark jobs: a *driver*
-//! builds an RDD over the loop-index domain, *executors* on worker nodes
-//! apply the loop body as a `map`, and the results are either collected
-//! and reconstructed by the driver or combined with a `reduce` (paper
-//! §III-C). This crate reproduces the Spark machinery that workflow needs:
+//! OmpCloud executes an offloaded OpenMP loop as one Spark job: the
+//! *driver* builds an RDD over the loop's tiles, *executors* on worker
+//! nodes apply the loop body as a `map`, and the driver rebuilds every
+//! output from the partitions as they arrive (paper §III-C). This crate
+//! reproduces the Spark machinery that job needs:
 //!
-//! * [`Rdd`] — immutable, partitioned, lazily-evaluated datasets whose
-//!   *lineage* (a pure recompute function per partition) provides fault
-//!   tolerance: a lost task is simply recomputed elsewhere;
+//! * [`Rdd`] — `parallelize`, one `map`, and `collect` or
+//!   `for_each_partition`; its *lineage* (a pure recompute function per
+//!   partition) provides fault tolerance: a lost task is simply
+//!   recomputed elsewhere;
 //! * [`SparkContext`] — the driver: owns executor threads, dispatches
 //!   tasks through an elastic pull-based scheduler ([`ScheduleMode`]:
 //!   static, dynamic, or work-stealing, with optional speculative
@@ -27,8 +29,8 @@
 //!
 //! let sc = SparkContext::new(SparkConf::local(4));
 //! let rdd = sc.parallelize((0..1000i64).collect::<Vec<_>>(), 8);
-//! let sum = rdd.map(|x| x * 2).reduce(|a, b| a + b).unwrap().unwrap_or(0);
-//! assert_eq!(sum, 999 * 1000);
+//! let doubled = rdd.map(|x| x * 2).collect().unwrap();
+//! assert_eq!(doubled.iter().sum::<i64>(), 999 * 1000);
 //! sc.stop();
 //! ```
 
@@ -36,7 +38,6 @@ mod broadcast;
 mod context;
 mod executor;
 mod metrics;
-mod pair;
 mod rdd;
 mod scheduler;
 pub mod wfq;

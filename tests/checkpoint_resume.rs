@@ -219,6 +219,73 @@ fn a_journal_over_other_data_is_not_resumed() {
     runtime.shutdown();
 }
 
+/// `s = 0.7 + Σ x[i]` over 64 f32 terms of mixed sign and magnitude
+/// ~1e7, so the grouping of the tiles' partial sums changes the rounded
+/// result. Iteration 0 sleeps 30 ms, so tile 0 finishes last.
+fn offload_float_sum(runtime: &CloudRuntime) -> (ExecProfile, u32) {
+    let region = TargetRegion::builder("float-sum")
+        .device(CloudRuntime::cloud_selector())
+        .map_to("x")
+        .map_tofrom("s")
+        .parallel_for(64, |l| {
+            l.reduction("s", RedOp::Sum).body(|i, ins, outs| {
+                if i == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(30));
+                }
+                let x = ins.view::<f32>("x");
+                outs.view_mut::<f32>("s").update(0, |v| v + x[i]);
+            })
+        })
+        .build()
+        .unwrap();
+    let mut env = DataEnv::new();
+    let x: Vec<f32> = (0..64)
+        .map(|i| {
+            if i % 7 == 0 {
+                3.3e7 + i as f32
+            } else {
+                -0.37 * i as f32 - 1.1e7
+            }
+        })
+        .collect();
+    env.insert("x", x);
+    env.insert("s", vec![0.7f32]);
+    let profile = runtime.offload(&region, &mut env).unwrap();
+    (profile, env.get::<f32>("s").unwrap()[0].to_bits())
+}
+
+#[test]
+fn a_resumed_float_reduction_has_the_clean_runs_bits() {
+    // Clean run: the reference bits.
+    let store = Arc::new(S3Store::standalone("checkpoint-sum-ref"));
+    let clean = CloudRuntime::with_device(CloudDevice::with_store(checkpoint_config(), store));
+    let (profile, expected) = offload_float_sum(&clean);
+    assert!(profile.fallback_from.is_none(), "{:?}", profile.notes);
+    clean.shutdown();
+
+    // Interrupted after K markers, then resumed over the same store: the
+    // K restored tiles and the replayed ones fold in tile order, as the
+    // clean run's did.
+    let base: Arc<S3Store> = Arc::new(S3Store::standalone("checkpoint-sum-shared"));
+    let killed = CloudRuntime::with_device(CloudDevice::with_store(
+        checkpoint_config(),
+        killed_mid_region(&base),
+    ));
+    let (profile, _) = offload_float_sum(&killed);
+    assert!(profile.fallback_from.is_some(), "{:?}", profile.notes);
+    killed.shutdown();
+    let resumed = CloudRuntime::with_device(CloudDevice::with_store(
+        checkpoint_config(),
+        Arc::clone(&base) as _,
+    ));
+    let (profile, bits) = offload_float_sum(&resumed);
+    assert!(profile.fallback_from.is_none(), "{:?}", profile.notes);
+    let report = resumed.cloud().last_report().unwrap();
+    assert_eq!(report.resilience.tiles_resumed as u64, KILL_AFTER_MARKERS);
+    assert_eq!(bits, expected, "resumed {bits:#x}, clean {expected:#x}");
+    resumed.shutdown();
+}
+
 #[test]
 fn two_small_outputs_commit_as_one_staged_object() {
     // A checkpointed region with two small outputs: they stage as one

@@ -170,50 +170,44 @@ fn overlap_accounting_is_populated_and_consistent() {
 }
 
 /// The streaming collect must be bitwise-identical to the sequential
-/// host for indexed, bitwise-OR and reduction outputs — with the
-/// distributed reduce both on and off.
+/// host for indexed, bitwise-OR and reduction outputs.
 #[test]
 fn streamed_merge_matches_the_host_for_all_kernels() {
-    for distributed in [true, false] {
-        for id in [
-            BenchId::Gemm,
-            BenchId::Syrk,
-            BenchId::Covar,
-            BenchId::MatMul,
-        ] {
-            for kind in [DataKind::Dense, DataKind::Sparse] {
-                let rt = CloudRuntime::new(CloudConfig {
-                    workers: 2,
-                    vcpus_per_worker: 4,
-                    task_cpus: 2,
-                    distributed_reduce: distributed,
-                    ..CloudConfig::default()
-                });
-                let mut case = kernels::build(id, 16, kind, 7, CloudRuntime::cloud_selector());
-                let mut host_env = case.env.clone();
-                rt.offload(&case.region, &mut case.env)
-                    .unwrap_or_else(|e| panic!("{} offload failed: {e}", id.name()));
-                rt.shutdown();
-                HostDevice::sequential()
-                    .execute(&case.region, &mut host_env)
-                    .unwrap();
-                for var in case.outputs {
-                    assert_eq!(
-                        case.env.get_erased(var).unwrap().to_bytes(),
-                        host_env.get_erased(var).unwrap().to_bytes(),
-                        "{} '{var}' ({}, distributed_reduce={distributed}): cloud and host \
-                         must agree bitwise",
-                        id.name(),
-                        kind.label()
-                    );
-                }
+    for id in [
+        BenchId::Gemm,
+        BenchId::Syrk,
+        BenchId::Covar,
+        BenchId::MatMul,
+    ] {
+        for kind in [DataKind::Dense, DataKind::Sparse] {
+            let rt = CloudRuntime::new(CloudConfig {
+                workers: 2,
+                vcpus_per_worker: 4,
+                task_cpus: 2,
+                ..CloudConfig::default()
+            });
+            let mut case = kernels::build(id, 16, kind, 7, CloudRuntime::cloud_selector());
+            let mut host_env = case.env.clone();
+            rt.offload(&case.region, &mut case.env)
+                .unwrap_or_else(|e| panic!("{} offload failed: {e}", id.name()));
+            rt.shutdown();
+            HostDevice::sequential()
+                .execute(&case.region, &mut host_env)
+                .unwrap();
+            for var in case.outputs {
+                assert_eq!(
+                    case.env.get_erased(var).unwrap().to_bytes(),
+                    host_env.get_erased(var).unwrap().to_bytes(),
+                    "{} '{var}' ({}): cloud and host must agree bitwise",
+                    id.name(),
+                    kind.label()
+                );
             }
         }
     }
 }
 
-/// A declared reduction variable through the streaming path, both
-/// reduce strategies.
+/// A declared reduction variable through the streaming path.
 #[test]
 fn streamed_merge_preserves_reduction_semantics() {
     let n = 256;
@@ -236,22 +230,15 @@ fn streamed_merge_preserves_reduction_semantics() {
         env
     };
     let host_s = host_bytes(&dot, fresh_env(), "s");
-    for distributed in [true, false] {
-        let rt = CloudRuntime::new(CloudConfig {
-            workers: 2,
-            vcpus_per_worker: 4,
-            task_cpus: 2,
-            distributed_reduce: distributed,
-            ..CloudConfig::default()
-        });
-        let mut env = fresh_env();
-        rt.offload(&dot, &mut env).unwrap();
-        rt.shutdown();
-        assert_eq!(
-            env.get_erased("s").unwrap().to_bytes(),
-            host_s,
-            "distributed_reduce={distributed}"
-        );
-        assert_eq!(env.get::<f32>("s").unwrap()[0], 10.0 + n as f32);
-    }
+    let rt = CloudRuntime::new(CloudConfig {
+        workers: 2,
+        vcpus_per_worker: 4,
+        task_cpus: 2,
+        ..CloudConfig::default()
+    });
+    let mut env = fresh_env();
+    rt.offload(&dot, &mut env).unwrap();
+    rt.shutdown();
+    assert_eq!(env.get_erased("s").unwrap().to_bytes(), host_s);
+    assert_eq!(env.get::<f32>("s").unwrap()[0], 10.0 + n as f32);
 }
