@@ -25,13 +25,26 @@ pub(crate) struct Parsed<'a> {
     pub checksum: u32,
 }
 
-pub(crate) fn seal(codec: Codec, original_len: usize, payload: &[u8], checksum: u32) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
+/// A frame's header, in a buffer with room for `payload_capacity` bytes
+/// of payload and the trailer: the encoder appends the payload, then
+/// [`end`] the trailer.
+pub(crate) fn begin(codec: Codec, original_len: usize, payload_capacity: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload_capacity + FRAME_OVERHEAD);
     out.extend_from_slice(&MAGIC);
     out.push(codec.id());
     varint::write(&mut out, original_len as u64);
+    out
+}
+
+/// Close a frame [`begin`] opened and its encoder filled.
+pub(crate) fn end(frame: &mut Vec<u8>, checksum: u32) {
+    frame.extend_from_slice(&checksum.to_le_bytes());
+}
+
+pub(crate) fn seal(codec: Codec, original_len: usize, payload: &[u8], checksum: u32) -> Vec<u8> {
+    let mut out = begin(codec, original_len, payload.len());
     out.extend_from_slice(payload);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    end(&mut out, checksum);
     out
 }
 

@@ -147,42 +147,74 @@ pub(crate) fn total(hists: &[[u32; 256]; STREAMS]) -> [u32; 256] {
     std::array::from_fn(|symbol| hists.iter().map(|hist| hist[symbol]).sum())
 }
 
-/// Huffman-code `plane`, whose quarters' byte counts are `hists`.
-pub(crate) fn encode(plane: &[u8], hists: &[[u32; 256]; STREAMS]) -> Vec<u8> {
-    let lengths = code_lengths(&total(hists));
-    let codes = canonical_codes(&lengths).expect("our own lengths are a complete code");
-    let stream_lens = hists.map(|hist| {
-        let bits: usize = (0..256)
-            .map(|s| hist[s] as usize * lengths[s] as usize)
-            .sum();
-        bits.div_ceil(8)
-    });
-    let mut out = Vec::with_capacity(TABLE_BYTES + 16 + stream_lens.iter().sum::<usize>());
-    out.extend(lengths.chunks_exact(2).map(|pair| pair[0] | pair[1] << 4));
-    for &stream_len in &stream_lens[..STREAMS - 1] {
-        varint::write(&mut out, stream_len as u64);
-    }
-    for (stream_len, quarter) in stream_lens
-        .into_iter()
-        .zip(plane.chunks(quarter_len(plane.len())))
-    {
-        // Every store writes the whole accumulator; only its full bytes count.
-        let mut pos = out.len();
-        out.resize(pos + stream_len + 8, 0);
-        let (mut acc, mut held) = (0u64, 0usize);
-        for quad in quarter.chunks(4) {
-            for &byte in quad {
-                acc |= u64::from(codes[byte as usize]) << held;
-                held += lengths[byte as usize] as usize;
-            }
-            out[pos..pos + 8].copy_from_slice(&acc.to_le_bytes());
-            pos += held / 8;
-            acc >>= held & !7;
-            held &= 7;
+/// The prefix code of one plane, built from its quarters' byte counts,
+/// and what each quarter's bit stream will take.
+pub(crate) struct Code {
+    lengths: [u8; 256],
+    codes: [u16; 256],
+    stream_lens: [usize; STREAMS],
+}
+
+impl Code {
+    /// The code for a plane whose quarters' byte counts are `hists`; they
+    /// must count at least two distinct symbols.
+    pub(crate) fn new(hists: &[[u32; 256]; STREAMS]) -> Code {
+        let lengths = code_lengths(&total(hists));
+        let codes = canonical_codes(&lengths).expect("our own lengths are a complete code");
+        let stream_lens = hists.map(|hist| {
+            let bits: usize = (0..256)
+                .map(|s| hist[s] as usize * lengths[s] as usize)
+                .sum();
+            bits.div_ceil(8)
+        });
+        Code {
+            lengths,
+            codes,
+            stream_lens,
         }
-        out.truncate(out.len() - 8);
     }
-    out
+
+    /// Bytes [`Code::encode`] appends.
+    pub(crate) fn coded_len(&self) -> usize {
+        let lens = &self.stream_lens[..STREAMS - 1];
+        TABLE_BYTES
+            + lens
+                .iter()
+                .map(|&len| varint::len(len as u64))
+                .sum::<usize>()
+            + self.stream_lens.iter().sum::<usize>()
+    }
+
+    /// Append the coded `plane` — the plane whose counts built this code.
+    pub(crate) fn encode(&self, plane: &[u8], out: &mut Vec<u8>) {
+        let (lengths, codes) = (&self.lengths, &self.codes);
+        out.reserve(self.coded_len() + 8);
+        out.extend(lengths.chunks_exact(2).map(|pair| pair[0] | pair[1] << 4));
+        for &stream_len in &self.stream_lens[..STREAMS - 1] {
+            varint::write(out, stream_len as u64);
+        }
+        for (stream_len, quarter) in self
+            .stream_lens
+            .into_iter()
+            .zip(plane.chunks(quarter_len(plane.len())))
+        {
+            // Every store writes the whole accumulator; only its full bytes count.
+            let mut pos = out.len();
+            out.resize(pos + stream_len + 8, 0);
+            let (mut acc, mut held) = (0u64, 0usize);
+            for quad in quarter.chunks(4) {
+                for &byte in quad {
+                    acc |= u64::from(codes[byte as usize]) << held;
+                    held += lengths[byte as usize] as usize;
+                }
+                out[pos..pos + 8].copy_from_slice(&acc.to_le_bytes());
+                pos += held / 8;
+                acc >>= held & !7;
+                held &= 7;
+            }
+            out.truncate(out.len() - 8);
+        }
+    }
 }
 
 /// One bit stream being read: `pos` bytes of it are in `acc` or behind it,
@@ -299,7 +331,11 @@ mod tests {
     use proptest::prelude::*;
 
     fn roundtrip(plane: &[u8]) -> Vec<u8> {
-        let coded = encode(plane, &histogram(plane));
+        let code = Code::new(&histogram(plane));
+        let mut coded = vec![0xAA];
+        code.encode(plane, &mut coded);
+        let coded = coded.split_off(1);
+        assert_eq!(coded.len(), code.coded_len());
         let mut out = vec![0xEE];
         decode(&coded, plane.len(), &mut out).unwrap();
         assert_eq!(&out[1..], plane);

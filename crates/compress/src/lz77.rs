@@ -114,26 +114,25 @@ fn flush(out: &mut Vec<u8>, lits: &[u8], match_len: usize, dist: usize) {
     }
 }
 
-/// Encode `input` into an LZ77 token stream.
-pub fn encode(input: &[u8]) -> Vec<u8> {
-    encode_segmented(input, SEGMENT)
+/// Append the LZ77 token stream of `input` to `out`.
+pub fn encode(input: &[u8], out: &mut Vec<u8>) {
+    encode_segmented(input, SEGMENT, out)
 }
 
-fn encode_segmented(input: &[u8], segment: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
+fn encode_segmented(input: &[u8], segment: usize, out: &mut Vec<u8>) {
+    let start = out.len();
     let mut lit_start = 0usize;
     TABLES.with(|tables| {
         let tables = &mut *tables.borrow_mut();
         for base in (0..input.len()).step_by(segment) {
             let end = input.len().min(base + segment);
             tables.head.fill(NONE);
-            lit_start = encode_segment(input, base, end, lit_start, tables, &mut out);
+            lit_start = encode_segment(input, base, end, lit_start, tables, out);
         }
     });
-    if lit_start < input.len() || out.is_empty() {
-        flush(&mut out, &input[lit_start..], 0, 0);
+    if lit_start < input.len() || out.len() == start {
+        flush(out, &input[lit_start..], 0, 0);
     }
-    out
 }
 
 /// Encode `input[base..end]`, with `input[lit_start..base]` still pending
@@ -275,6 +274,12 @@ pub fn decode(payload: &[u8], expected_len: usize) -> Result<Vec<u8>, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn encoded(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode(data, &mut out);
+        out
+    }
     use crate::{shuffle, testdata};
     use proptest::prelude::*;
 
@@ -367,7 +372,7 @@ mod tests {
     }
 
     fn roundtrip(data: &[u8]) {
-        let enc = encode(data);
+        let enc = encoded(data);
         assert_eq!(
             decode(&enc, data.len()).unwrap(),
             data,
@@ -418,7 +423,7 @@ mod tests {
         #[test]
         fn never_larger_than_the_previous_encoder(seed in any::<u64>(), len in 1usize..160_000) {
             for (name, data) in payload_classes(len, seed) {
-                let new = encode(&data);
+                let new = encoded(&data);
                 let old = reference_encode(&data);
                 prop_assert!(
                     new.len() * 100 <= old.len() * 101 + 1600,
@@ -437,7 +442,8 @@ mod tests {
             data in proptest::collection::vec(0u8..4, 0..3000),
             segment in 1usize..700,
         ) {
-            let enc = encode_segmented(&data, segment);
+            let mut enc = Vec::new();
+            encode_segmented(&data, segment, &mut enc);
             prop_assert_eq!(&decode(&enc, data.len()).unwrap(), &data);
             prop_assert_eq!(&reference_decode(&enc, data.len()).unwrap(), &data);
         }
@@ -537,7 +543,7 @@ mod tests {
     #[test]
     fn overlapping_match_rle_idiom() {
         let data = vec![b'a'; 5000];
-        let enc = encode(&data);
+        let enc = encoded(&data);
         assert!(enc.len() < 40, "run of 5000 became {}", enc.len());
         roundtrip(&data);
     }
@@ -545,7 +551,7 @@ mod tests {
     #[test]
     fn periodic_pattern() {
         let data: Vec<u8> = (0..10_000u32).map(|i| (i % 97) as u8).collect();
-        let enc = encode(&data);
+        let enc = encoded(&data);
         assert!(enc.len() < data.len() / 8);
         roundtrip(&data);
     }

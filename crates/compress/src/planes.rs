@@ -11,8 +11,16 @@
 //! ```
 //! Every plane decodes to `len / K` bytes; mode 0 is the plane itself,
 //! 1 a [`huffman`] plane, 2 an [`lz77`] token stream.
+//!
+//! Neither direction holds a shuffled copy of the buffer. The encoder
+//! gathers one plane at a time into a plane-sized scratch and codes it
+//! straight into the frame; the decoder reads stored planes where they
+//! lie in the payload, decodes the others into a scratch each, checks
+//! every plane's length, and only then sizes the output and interleaves
+//! all `K` planes into it in one pass.
 
 use crate::{huffman, lz77, shuffle, varint, Error, ProbeStats};
+use std::borrow::Cow;
 
 /// Plane modes, in the order [`choose`] tries them: cheapest decoder
 /// first — except that the matcher comes last. Between 0.1 and 3 bits a
@@ -58,42 +66,60 @@ pub(crate) fn choose(hist: &[u32; 256], n: usize, parsed: f64) -> (u8, f64) {
     best
 }
 
-/// Shuffle `input` by `stride` and code each plane by [`choose`].
-pub(crate) fn encode(input: &[u8], stride: usize) -> Vec<u8> {
-    let shuffled = shuffle::shuffle(input, stride);
-    let n = input.len() / stride;
-    let mut out = Vec::with_capacity(input.len() / 2 + 64);
-    for plane in (0..stride).map(|k| &shuffled[k * n..(k + 1) * n]) {
-        let hists = huffman::histogram(plane);
+/// Append the payload of a planes frame of `input` to `out`: each of its
+/// `K` byte planes coded by [`choose`], then the tail.
+pub(crate) fn encode<const K: usize>(input: &[u8], out: &mut Vec<u8>) {
+    let n = input.len() / K;
+    let (body, tail) = input.split_at(K * n);
+    let mut plane = Vec::with_capacity(n);
+    for k in 0..K {
+        plane.clear();
+        shuffle::gather::<K>(body, k, &mut plane);
+        let hists = huffman::histogram(&plane);
         // Byte counts cannot see a ramp or a period: parse a sample too.
         let sample = &plane[n.saturating_sub(SAMPLE) / 2..][..n.min(SAMPLE)];
         let parsed = crate::greedy_parse(sample, 0, &mut [u32::MAX; 4096]) as f64;
         let mode = choose(&huffman::total(&hists), n, parsed / SAMPLE.min(n) as f64).0;
-        let coded = match mode {
+        out.push(mode);
+        match mode {
             // A one-symbol plane, which has no prefix code, never lands
             // here: its matcher estimate undercuts any table by more than
             // the margin.
-            HUFFMAN => Some(huffman::encode(plane, &hists)),
-            LZ77 => Some(lz77::encode(plane)),
-            _ => None,
-        };
-        let coded = coded.as_deref().unwrap_or(plane);
-        out.push(mode);
-        varint::write(&mut out, coded.len() as u64);
-        out.extend_from_slice(coded);
+            HUFFMAN => {
+                let code = huffman::Code::new(&hists);
+                varint::write(out, code.coded_len() as u64);
+                code.encode(&plane, out);
+            }
+            LZ77 => {
+                // The token stream's length is known only once it is
+                // written: write it, then slide its length in front.
+                let start = out.len();
+                lz77::encode(&plane, out);
+                let coded_len = out.len() - start;
+                varint::write(out, coded_len as u64);
+                out[start..].rotate_right(varint::len(coded_len as u64));
+            }
+            _ => {
+                varint::write(out, n as u64);
+                out.extend_from_slice(&plane);
+            }
+        }
     }
-    out.extend_from_slice(&shuffled[stride * n..]);
-    out
+    out.extend_from_slice(tail);
 }
 
 /// Decode a payload written by [`encode`]. `original_len` comes from an
 /// untrusted header: each plane reserves only what its own coded bytes
-/// justify.
-pub(crate) fn decode(payload: &[u8], original_len: usize, stride: usize) -> Result<Vec<u8>, Error> {
-    let n = original_len / stride;
-    let mut shuffled = crate::output_buffer(original_len, payload.len());
+/// justify, and the output is sized only once every plane has decoded to
+/// the length the header implies.
+pub(crate) fn decode<const K: usize>(
+    payload: &[u8],
+    original_len: usize,
+) -> Result<Vec<u8>, Error> {
+    let n = original_len / K;
+    let mut planes: [Cow<[u8]>; K] = std::array::from_fn(|_| Cow::Borrowed(&[][..]));
     let mut pos = 0;
-    for k in 1..=stride {
+    for plane in &mut planes {
         let mode = *payload.get(pos).ok_or(Error::Truncated)?;
         pos += 1;
         let coded_len = varint::read_len(payload, &mut pos)?;
@@ -101,17 +127,30 @@ pub(crate) fn decode(payload: &[u8], original_len: usize, stride: usize) -> Resu
         let end = pos.saturating_add(coded_len);
         let coded = payload.get(pos..end).ok_or(Error::Truncated)?;
         pos = end;
-        match mode {
-            STORED => shuffled.extend_from_slice(coded),
-            HUFFMAN => huffman::decode(coded, n, &mut shuffled)?,
-            LZ77 => shuffled.extend_from_slice(&lz77::decode(coded, n)?),
+        *plane = match mode {
+            STORED => Cow::Borrowed(coded),
+            HUFFMAN => {
+                let mut decoded = Vec::new();
+                huffman::decode(coded, n, &mut decoded)?;
+                Cow::Owned(decoded)
+            }
+            LZ77 => Cow::Owned(lz77::decode(coded, n)?),
             _ => return Err(Error::Malformed("unknown plane mode")),
-        }
-        if shuffled.len() != k * n {
+        };
+        if plane.len() != n {
             return Err(Error::Malformed("plane of the wrong length"));
         }
     }
-    // A tail of the wrong length is the frame's length mismatch.
-    shuffled.extend_from_slice(&payload[pos..]);
-    Ok(shuffle::unshuffle(&shuffled, stride))
+    let tail = &payload[pos..];
+    if tail.len() != original_len % K {
+        return Err(Error::LengthMismatch {
+            declared: original_len,
+            actual: (K * n).saturating_add(tail.len()),
+        });
+    }
+    let mut out = vec![0u8; original_len];
+    let (body, out_tail) = out.split_at_mut(K * n);
+    shuffle::interleave::<K>(planes.each_ref().map(|plane| &plane[..]), body);
+    out_tail.copy_from_slice(tail);
+    Ok(out)
 }

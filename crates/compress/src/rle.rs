@@ -12,9 +12,8 @@ use crate::{varint, Error};
 /// fewer zeros costs more in varints than it saves.
 pub(crate) const MIN_ZERO_RUN: usize = 4;
 
-/// Encode `input` into a zero-RLE token stream.
-pub fn encode(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 4 + 16);
+/// Append the zero-RLE token stream of `input` to `out`.
+pub fn encode(input: &[u8], out: &mut Vec<u8>) {
     let mut i = 0;
     while i < input.len() {
         let zero_start = i;
@@ -41,11 +40,10 @@ pub fn encode(input: &[u8]) -> Vec<u8> {
             }
         }
         let literals = &input[lit_start..i];
-        varint::write(&mut out, zero_run as u64);
-        varint::write(&mut out, literals.len() as u64);
+        varint::write(out, zero_run as u64);
+        varint::write(out, literals.len() as u64);
         out.extend_from_slice(literals);
     }
-    out
 }
 
 /// Decode a zero-RLE token stream. `expected_len` comes from an untrusted
@@ -78,15 +76,21 @@ pub fn decode(payload: &[u8], expected_len: usize) -> Result<Vec<u8>, Error> {
 mod tests {
     use super::*;
 
+    fn encoded(data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode(data, &mut out);
+        out
+    }
+
     fn roundtrip(data: &[u8]) {
-        let enc = encode(data);
+        let enc = encoded(data);
         assert_eq!(decode(&enc, data.len()).unwrap(), data);
     }
 
     #[test]
     fn all_zero() {
         roundtrip(&[0u8; 1000]);
-        assert!(encode(&[0u8; 1000]).len() <= 4);
+        assert!(encoded(&[0u8; 1000]).len() <= 4);
     }
 
     #[test]
@@ -103,7 +107,7 @@ mod tests {
             data.push((i % 7 + 1) as u8);
             data.extend(std::iter::repeat_n(0u8, (i % 3) as usize));
         }
-        let enc = encode(&data);
+        let enc = encoded(&data);
         roundtrip(&data);
         // One token pair would be ~data.len(); many token pairs would be
         // much larger. Check we stayed close to input size.

@@ -11,11 +11,11 @@
 /// Transpose `data` into `stride` byte planes. The tail
 /// (`len % stride` bytes) is appended unmodified.
 pub fn shuffle(data: &[u8], stride: usize) -> Vec<u8> {
-    let mut out = vec![0u8; data.len()];
     match stride {
-        4 => shuffle_fixed::<4>(data, &mut out),
-        8 => shuffle_fixed::<8>(data, &mut out),
+        4 => shuffle_fixed::<4>(data),
+        8 => shuffle_fixed::<8>(data),
         _ => {
+            let mut out = vec![0u8; data.len()];
             let stride = stride.max(1);
             let n = data.len() / stride;
             for (i, element) in data.chunks_exact(stride).enumerate() {
@@ -24,9 +24,9 @@ pub fn shuffle(data: &[u8], stride: usize) -> Vec<u8> {
                 }
             }
             out[n * stride..].copy_from_slice(&data[n * stride..]);
+            out
         }
     }
-    out
 }
 
 /// Inverse of [`shuffle`].
@@ -54,18 +54,48 @@ fn planes<const K: usize>(body: &[u8], n: usize) -> [&[u8]; K] {
     std::array::from_fn(|plane| &body[plane * n..(plane + 1) * n])
 }
 
-fn shuffle_fixed<const K: usize>(data: &[u8], out: &mut [u8]) {
-    let n = data.len() / K;
-    let (body, tail) = data.split_at(n * K);
-    let (mut rest, out_tail) = out.split_at_mut(n * K);
-    out_tail.copy_from_slice(tail);
-    for plane in 0..K {
-        let (this, after) = rest.split_at_mut(n);
-        for (dst, element) in this.iter_mut().zip(body.chunks_exact(K)) {
-            *dst = element[plane];
-        }
-        rest = after;
+/// A 4-byte element as one little-endian word. The compiler vectorizes
+/// word shifts where it does not vectorize byte picks: stride 4 gathers
+/// and interleaves twice as fast through words (stride 8 does not gain).
+fn word(element: &[u8]) -> u32 {
+    u32::from_le_bytes(element.try_into().expect("4 bytes"))
+}
+
+/// Append byte `plane` of every `K`-byte element of `body` to `out`.
+pub(crate) fn gather<const K: usize>(body: &[u8], plane: usize, out: &mut Vec<u8>) {
+    let elements = body.as_chunks::<K>().0.iter();
+    if K == 4 {
+        out.extend(elements.map(|element| (word(element) >> (8 * plane)) as u8));
+    } else {
+        out.extend(elements.map(|element| element[plane]));
     }
+}
+
+/// Fill `out`, `K` bytes an element, from `K` planes of `out.len() / K`
+/// bytes each: byte `k` of element `i` is `planes[k][i]`.
+pub(crate) fn interleave<const K: usize>(planes: [&[u8]; K], out: &mut [u8]) {
+    let elements = out.as_chunks_mut::<K>().0;
+    let planes = planes.map(|plane| &plane[..elements.len()]);
+    for (i, element) in elements.iter_mut().enumerate() {
+        if K == 4 {
+            let word = (0..4).fold(0, |word, k| word | u32::from(planes[k][i]) << (8 * k));
+            element.copy_from_slice(&word.to_le_bytes());
+        } else {
+            for (byte, plane) in element.iter_mut().zip(planes) {
+                *byte = plane[i];
+            }
+        }
+    }
+}
+
+fn shuffle_fixed<const K: usize>(data: &[u8]) -> Vec<u8> {
+    let (body, tail) = data.split_at(data.len() / K * K);
+    let mut out = Vec::with_capacity(data.len());
+    for plane in 0..K {
+        gather::<K>(body, plane, &mut out);
+    }
+    out.extend_from_slice(tail);
+    out
 }
 
 fn unshuffle_fixed<const K: usize>(data: &[u8], out: &mut [u8]) {
@@ -73,12 +103,7 @@ fn unshuffle_fixed<const K: usize>(data: &[u8], out: &mut [u8]) {
     let (body, tail) = data.split_at(n * K);
     let (out_body, out_tail) = out.split_at_mut(n * K);
     out_tail.copy_from_slice(tail);
-    let planes = planes::<K>(body, n);
-    for (i, element) in out_body.chunks_exact_mut(K).enumerate() {
-        for (byte, plane) in element.iter_mut().zip(planes) {
-            *byte = plane[i];
-        }
-    }
+    interleave::<K>(planes::<K>(body, n), out_body);
 }
 
 #[cfg(test)]

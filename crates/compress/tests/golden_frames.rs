@@ -100,6 +100,35 @@ fn planes_frames_sealed_by_this_release_decode() {
     assert!(kept >= 12, "{kept} frames kept their planes codec");
 }
 
+/// The encoder is pinned too: this build seals every input of the fixture
+/// into the very bytes the release that wrote it sealed, fallbacks
+/// included.
+#[test]
+fn planes_frames_are_resealed_byte_for_byte() {
+    let inputs = planes_inputs();
+    let mut lines = 0;
+    for line in include_str!("golden/planes_frames.txt")
+        .lines()
+        .filter(|line| !line.starts_with('#'))
+    {
+        let fields: Vec<&str> = line.split(' ').collect();
+        let (input, codec, bytes) = (fields[0], fields[1], unhex(fields[2]));
+        let data = &inputs
+            .iter()
+            .find(|(name, _)| *name == input)
+            .expect("fixture names a planes input")
+            .1;
+        let codec = PLANES
+            .iter()
+            .find(|(name, _)| *name == codec)
+            .expect("codec name")
+            .1;
+        assert!(compress(data, codec) == bytes, "{input} {codec}");
+        lines += 1;
+    }
+    assert_eq!(lines, 2 * inputs.len(), "every input under both codecs");
+}
+
 /// Prints `golden/planes_frames.txt` below its header. Run once per wire
 /// format: `cargo test -p gzlite --test golden_frames -- --ignored --nocapture`.
 #[test]

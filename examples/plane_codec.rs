@@ -1,15 +1,16 @@
 //! What the per-plane entropy stage buys on the buffers the benchmark
 //! offloads: for every byte plane of a buffer, the match stage alone (what
-//! `Shuffle4Lz77` spent on it) beside the coder `Planes4` picks for it, and
-//! for the whole buffer both frame formats, single-threaded, cut into the
-//! 256 KiB stream chunks the wire path cuts a buffer of 1 MiB and more
-//! into. Both formats are sealed by this build, so one run compares them
-//! under the same machine phase. It asserts only that every frame decodes
-//! to its input.
+//! `Shuffle4Lz77` spent on it) beside the coder `Planes4` picks for it;
+//! for the whole buffer both frame formats as the wire path seals them,
+//! one frame on one thread, in encode and decode MB/s; and the crc32 every
+//! wire payload and cache fingerprint pays, in MB/s over one 32 KiB
+//! `Fingerprint::of_erased` chunk and over a 1 MiB buffer. Both formats
+//! are sealed by this build, so one run compares them under the same
+//! machine phase. It asserts only that every frame decodes to its input.
 //!
 //! Run with: `cargo run --release --example plane_codec`
 
-use ompcloud_suite::gzlite::{compress, decompress, shuffle::shuffle, Codec};
+use ompcloud_suite::gzlite::{compress, crc32, decompress, shuffle::shuffle, Codec};
 use ompcloud_suite::kernels::{self, BenchId, DataKind};
 use ompcloud_suite::omp_model::{DeviceKind, DeviceSelector};
 use std::hint::black_box;
@@ -17,8 +18,6 @@ use std::time::Instant;
 
 /// Timed repetitions per cell; the fastest is reported.
 const REPS: usize = 9;
-const STREAM_THRESHOLD: usize = 1 << 20;
-const STREAM_CHUNK: usize = 256 << 10;
 
 fn bytes(values: &[f32]) -> Vec<u8> {
     values.iter().flat_map(|v| v.to_le_bytes()).collect()
@@ -75,22 +74,9 @@ fn entropy(plane: &[u8]) -> f64 {
     0.0 - sum
 }
 
-/// The frames the wire path cuts `data` into, sealed with `codec`.
-fn seal(data: &[u8], codec: Codec) -> Vec<Vec<u8>> {
-    let chunk = if data.len() >= STREAM_THRESHOLD {
-        STREAM_CHUNK
-    } else {
-        data.len()
-    };
-    data.chunks(chunk).map(|c| compress(c, codec)).collect()
-}
-
-fn open(frames: &[Vec<u8>]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for frame in frames {
-        out.extend_from_slice(&decompress(frame).expect("a frame this build sealed"));
-    }
-    out
+/// MB/s of `bytes` bytes handled in `ms` milliseconds.
+fn mb_s(bytes: usize, ms: f64) -> f64 {
+    bytes as f64 / ms / 1e3
 }
 
 /// The plane mode a one-plane-four-times `Planes4` frame chose.
@@ -153,31 +139,25 @@ fn main() {
         }
     }
 
-    println!("\nper buffer, one thread: Shuffle4Lz77 frames | Planes4 frames");
+    println!("\nper buffer, one frame on one thread: Shuffle4Lz77 | Planes4 (MB/s of the buffer)");
     println!(
         "{:<22} {:>8} | {:>7} {:>7} {:>6} | {:>7} {:>7} {:>6} | {:>5} {:>5}",
-        "buffer",
-        "bytes",
-        "enc ms",
-        "dec ms",
-        "ratio",
-        "enc ms",
-        "dec ms",
-        "ratio",
-        "enc x",
-        "dec x"
+        "buffer", "bytes", "enc", "dec", "ratio", "enc", "dec", "ratio", "enc x", "dec x"
     );
     for (name, data) in &buffers {
         let cells = [Codec::Shuffle4Lz77, Codec::Planes4].map(|codec| {
-            let (enc_ms, frames) = time(|| seal(data, codec));
-            let (dec_ms, back) = time(|| open(&frames));
+            let (enc_ms, frame) = time(|| compress(data, codec));
+            let (dec_ms, back) = time(|| decompress(&frame).expect("a frame this build sealed"));
             assert_eq!(&back, data, "{name} through {codec}");
-            let wire: usize = frames.iter().map(Vec::len).sum();
-            (enc_ms, dec_ms, wire as f64 / data.len() as f64)
+            (
+                mb_s(data.len(), enc_ms),
+                mb_s(data.len(), dec_ms),
+                frame.len() as f64 / data.len() as f64,
+            )
         });
         let [old, new] = cells;
         println!(
-            "{:<22} {:>8} | {:>7.2} {:>7.2} {:>6.3} | {:>7.2} {:>7.2} {:>6.3} | {:>5.2} {:>5.2}",
+            "{:<22} {:>8} | {:>7.0} {:>7.0} {:>6.3} | {:>7.0} {:>7.0} {:>6.3} | {:>5.2} {:>5.2}",
             name,
             data.len(),
             old.0,
@@ -186,8 +166,20 @@ fn main() {
             new.0,
             new.1,
             new.2,
-            old.0 / new.0,
-            old.1 / new.1,
+            new.0 / old.0,
+            new.1 / old.1,
         );
+    }
+
+    println!("\ncrc32 ({REPS} reps, fastest)");
+    let y = chain(0);
+    for (what, bytes) in [
+        ("32 KiB, one Fingerprint::of_erased chunk", &y[..32 << 10]),
+        ("1 MiB, one chain y", &y[..]),
+    ] {
+        // Enough calls per timing that the 32 KiB one is not timer noise.
+        let calls = (4 << 20) / bytes.len();
+        let (ms, _) = time(|| (0..calls).fold(0, |acc, _| acc ^ crc32(black_box(bytes))));
+        println!("{what:<42} {:>7.0} MB/s", mb_s(calls * bytes.len(), ms));
     }
 }
