@@ -143,7 +143,6 @@ pub fn encode_parts(parts: &[OutPart]) -> Vec<u8> {
         out.extend_from_slice(&(p.name.len() as u32).to_le_bytes());
         out.extend_from_slice(p.name.as_bytes());
         out.extend_from_slice(&(p.base as u64).to_le_bytes());
-        out.push(p.touched as u8);
         out.push(tag_code(p.data.tag()));
         let bytes = p.data.to_bytes();
         out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
@@ -153,8 +152,8 @@ pub fn encode_parts(parts: &[OutPart]) -> Vec<u8> {
 }
 
 /// Wire size of a part with an empty name and no data: name length,
-/// base, touched, tag, data length.
-const MIN_PART_BYTES: usize = 4 + 8 + 1 + 1 + 8;
+/// base, tag, data length.
+const MIN_PART_BYTES: usize = 4 + 8 + 1 + 8;
 
 /// Decode a journal payload back into output parts; `None` on any
 /// structural mismatch (truncation, bad tag, non-UTF-8 name).
@@ -171,11 +170,6 @@ pub fn decode_parts(payload: &[u8]) -> Option<Vec<OutPart>> {
         let name_len = cur.u32()? as usize;
         let name = String::from_utf8(cur.take(name_len)?.to_vec()).ok()?;
         let base = cur.u64()? as usize;
-        let touched = match cur.u8()? {
-            0 => false,
-            1 => true,
-            _ => return None,
-        };
         let tag = code_tag(cur.u8()?)?;
         let data_len = cur.u64()? as usize;
         let bytes = cur.take(data_len)?;
@@ -186,7 +180,6 @@ pub fn decode_parts(payload: &[u8]) -> Option<Vec<OutPart>> {
             name,
             base,
             data: ErasedVec::from_bytes(tag, bytes),
-            touched,
         });
     }
     if cur.at != payload.len() {
@@ -233,13 +226,11 @@ mod tests {
                 name: "y".into(),
                 base: 128,
                 data: ErasedVec::F64(vec![1.5, -2.25, 0.0]),
-                touched: true,
             },
             OutPart {
                 name: "flags".into(),
                 base: 0,
                 data: ErasedVec::U8(vec![0xff, 0x01]),
-                touched: false,
             },
         ]
     }
@@ -252,7 +243,6 @@ mod tests {
         for (a, b) in parts.iter().zip(&decoded) {
             assert_eq!(a.name, b.name);
             assert_eq!(a.base, b.base);
-            assert_eq!(a.touched, b.touched);
             assert_eq!(a.data.to_bytes(), b.data.to_bytes());
             assert_eq!(a.data.tag(), b.data.tag());
         }
@@ -267,8 +257,8 @@ mod tests {
         assert!(decode_parts(&trailing).is_none(), "trailing garbage");
         let mut bad_tag = good.clone();
         // Flip the first part's tag byte (after count, name-len, name,
-        // base, touched): 4 + 4 + 1 + 8 + 1 = 18.
-        bad_tag[18] = 200;
+        // base): 4 + 4 + 1 + 8 = 17.
+        bad_tag[17] = 200;
         assert!(decode_parts(&bad_tag).is_none(), "unknown tag");
         assert!(decode_parts(&[]).is_none(), "empty buffer");
     }

@@ -66,13 +66,11 @@ fn parts() -> Vec<OutPart> {
             name: "y".into(),
             base: 128,
             data: ErasedVec::F64((0..40).map(f64::from).collect()),
-            touched: true,
         },
         OutPart {
             name: "flags".into(),
             base: 0,
             data: ErasedVec::U8(vec![0xff, 0x01, 0x7f]),
-            touched: false,
         },
     ]
 }
@@ -92,7 +90,7 @@ fn decode_both(bytes: &[u8]) -> (bool, bool, usize) {
 }
 
 /// Nothing reserved beyond what the bytes present justify. An `OutPart`
-/// record is larger in memory than the 22 bytes its emptiest form takes
+/// record is larger in memory than the 21 bytes its emptiest form takes
 /// on the wire, hence the factor.
 fn assert_bounded(largest: usize, input: usize, what: &str) {
     assert!(
@@ -107,10 +105,7 @@ fn the_intact_payload_reads_back() {
     let decoded = decode_parts(&good).unwrap();
     assert_eq!(decoded.len(), 2);
     for (a, b) in parts().iter().zip(&decoded) {
-        assert_eq!(
-            (a.name.as_str(), a.base, a.touched),
-            (b.name.as_str(), b.base, b.touched)
-        );
+        assert_eq!((a.name.as_str(), a.base), (b.name.as_str(), b.base));
         assert_eq!(a.data.to_bytes(), b.data.to_bytes());
     }
     let (hull, decoded) = decode_tile(&encode_tile(HULL, &parts())).unwrap();
@@ -160,11 +155,11 @@ fn every_bit_flip_is_rejected_or_stays_inside_a_payload() {
 #[test]
 fn inflated_counts_and_lengths_decode_to_none() {
     let good = encode_parts(&parts());
-    // count u32 | first part: name_len u32 | "y" | base u64 | touched u8
-    // | tag u8 | data_len u64 | data …
+    // count u32 | first part: name_len u32 | "y" | base u64 | tag u8
+    // | data_len u64 | data …
     let count_at = 0;
     let name_len_at = 4;
-    let data_len_at = 4 + 4 + 1 + 8 + 1 + 1;
+    let data_len_at = 4 + 4 + 1 + 8 + 1;
     let data_len = 40 * 8u64;
     let mut cases: Vec<(&str, Vec<u8>)> = Vec::new();
     for count in [0u32, 1, 3, 1 << 20, u32::MAX] {

@@ -3,8 +3,9 @@
 //! Both the host device and the cloud plug-in execute a loop as a set of
 //! iteration *chunks* (the cloud calls them tiles, Algorithm 1). For each
 //! chunk the runtime builds input views (partitioned variables sliced to
-//! the chunk's hull, everything else shared whole), allocates private
-//! output buffers, runs the body, and finally merges the private outputs
+//! the chunk's hull, everything else shared whole), registers the private
+//! output buffers the body may borrow, runs the body, and finally merges
+//! the private outputs it borrowed
 //! back — by indexed writes for partitioned outputs, by bitwise-OR for
 //! unpartitioned ones, or with the user's reduction operator (Eqs. 8–10).
 
@@ -13,7 +14,7 @@ use crate::env::DataEnv;
 use crate::erased::{ErasedSlice, ErasedVec, RedOp};
 use crate::error::OmpError;
 use crate::region::{LoopBody, ParallelLoop, TargetRegion};
-use crate::view::{Inputs, OutPart, Outputs};
+use crate::view::{Inputs, OutInit, OutPart, Outputs};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::Arc;
@@ -71,18 +72,33 @@ pub fn chunk_inputs(
     Ok(inputs)
 }
 
-/// Allocate the private output buffers for one chunk.
+/// How a private buffer covering `range` of the variable `buf`, mapped
+/// `dir`, starts under `policy`: a copy of the original for an `Indexed`
+/// `tofrom` variable, so the elements nobody writes keep their values;
+/// the merge identity otherwise — zero bits for `Indexed` `from`-only
+/// (the region never reads their initial contents, so shipping them to
+/// the worker would be a dead `to` transfer), `BitOr` and `alloc`
+/// scratch.
+fn start(dir: MapDir, policy: MergePolicy, buf: &Arc<ErasedVec>, range: Range<usize>) -> OutInit {
+    match policy {
+        MergePolicy::Indexed if dir == MapDir::ToFrom => {
+            OutInit::Copy(ErasedSlice::new(Arc::clone(buf), range))
+        }
+        MergePolicy::Reduce(op) => OutInit::Identity(buf.tag(), range.len(), op),
+        _ => OutInit::Identity(buf.tag(), range.len(), RedOp::BitOr),
+    }
+}
+
+/// The private output recipes of one chunk; the body's first `view_mut`
+/// of a variable builds its buffer, and an output the body never
+/// borrows is never allocated.
 ///
-/// * `Indexed` `tofrom` outputs cover only the chunk hull and are
-///   pre-filled with the original values so partially-written variables
-///   keep untouched elements. `Indexed` `from`-only outputs get a
-///   zero-bit hull instead: the region never reads their initial
-///   contents, so shipping them to the worker would be a dead `to`
-///   transfer.
-/// * `BitOr` outputs cover the whole variable, zero-bit initialized.
-/// * `Reduce` outputs cover the whole variable, identity initialized.
-/// * `alloc` scratch covers the whole variable, zero-bit initialized,
-///   private to the chunk and never merged back.
+/// * `Indexed` outputs cover only the chunk hull.
+/// * `BitOr` and `Reduce` outputs cover the whole variable.
+/// * `alloc` scratch covers the whole variable, private to the chunk and
+///   never merged back.
+///
+/// Each starts as [`start`] says.
 pub fn chunk_outputs(
     region: &TargetRegion,
     loop_: &ParallelLoop,
@@ -96,40 +112,19 @@ pub fn chunk_outputs(
         .filter(|m| m.dir.is_output() || m.dir.is_alloc())
     {
         let buf = env.get_erased(&m.name)?;
-        if m.dir.is_alloc() {
-            outputs.add(
-                &m.name,
-                0,
-                ErasedVec::identity(buf.tag(), buf.len(), RedOp::BitOr),
-            );
-            continue;
-        }
-        match merge_policy(loop_, &m.name) {
+        let policy = if m.dir.is_alloc() {
+            MergePolicy::BitOr
+        } else {
+            merge_policy(loop_, &m.name)
+        };
+        let range = match policy {
             MergePolicy::Indexed => {
                 let spec = loop_.partitions.get(&m.name).expect("indexed implies spec");
-                let hull = spec.range_for_tile(iters.clone(), buf.len())?;
-                if m.dir == MapDir::ToFrom {
-                    outputs.add(&m.name, hull.start, buf.slice_copy(hull));
-                } else {
-                    let len = hull.end - hull.start;
-                    outputs.add(
-                        &m.name,
-                        hull.start,
-                        ErasedVec::identity(buf.tag(), len, RedOp::BitOr),
-                    );
-                }
+                spec.range_for_tile(iters.clone(), buf.len())?
             }
-            MergePolicy::BitOr => {
-                outputs.add(
-                    &m.name,
-                    0,
-                    ErasedVec::identity(buf.tag(), buf.len(), RedOp::BitOr),
-                );
-            }
-            MergePolicy::Reduce(op) => {
-                outputs.add(&m.name, 0, ErasedVec::identity(buf.tag(), buf.len(), op));
-            }
-        }
+            _ => 0..buf.len(),
+        };
+        outputs.add(&m.name, range.start, start(m.dir, policy, buf, range));
     }
     Ok(outputs)
 }
@@ -147,9 +142,10 @@ pub fn run_chunk(body: &LoopBody, iters: Range<usize>, inputs: &Inputs, outputs:
 /// Driver-side accumulator reconstructing the final value of every output
 /// variable of one loop from the private chunk buffers (Eq. 8).
 ///
-/// A variable no chunk ever wrote (possible in multi-loop regions where
-/// each loop writes a subset of the mapped outputs) keeps its previous
-/// value instead of being overwritten with merge identities.
+/// A variable's accumulator is built when its first part arrives, as
+/// [`start`] says for the whole variable. A variable no chunk borrowed
+/// (possible in multi-loop regions where each loop writes a subset of
+/// the mapped outputs) has none, and keeps its previous value.
 ///
 /// Indexed and bitwise-OR parts merge as they arrive. Reduction parts
 /// fold in *chunk order*, whatever order the chunks finish in, so a
@@ -168,12 +164,13 @@ pub struct MergeAcc {
 struct AccSlot {
     name: String,
     policy: MergePolicy,
-    acc: ErasedVec,
-    touched: bool,
+    init: OutInit,
+    acc: Option<ErasedVec>,
 }
 
 impl MergeAcc {
-    /// Prepare accumulators for every output variable of `loop_`.
+    /// Prepare the accumulator recipes of every output variable of
+    /// `loop_`.
     pub fn new(
         region: &TargetRegion,
         loop_: &ParallelLoop,
@@ -183,21 +180,11 @@ impl MergeAcc {
         for m in region.output_maps() {
             let buf = env.get_erased(&m.name)?;
             let policy = merge_policy(loop_, &m.name);
-            let acc = match policy {
-                // Start tofrom accumulators from the original so
-                // partially-covered variables keep their untouched
-                // elements; from-only initial contents are dead (never
-                // read by the region) and start zero-bit instead.
-                MergePolicy::Indexed if m.dir == MapDir::ToFrom => (**buf).clone(),
-                MergePolicy::Indexed => ErasedVec::identity(buf.tag(), buf.len(), RedOp::BitOr),
-                MergePolicy::BitOr => ErasedVec::identity(buf.tag(), buf.len(), RedOp::BitOr),
-                MergePolicy::Reduce(op) => ErasedVec::identity(buf.tag(), buf.len(), op),
-            };
             accs.push(AccSlot {
                 name: m.name.clone(),
                 policy,
-                acc,
-                touched: false,
+                init: start(m.dir, policy, buf, 0..buf.len()),
+                acc: None,
             });
         }
         Ok(MergeAcc {
@@ -223,13 +210,10 @@ impl MergeAcc {
                 .position(|s| s.name == part.name)
                 .unwrap_or_else(|| panic!("chunk produced unknown output '{}'", part.name));
             let slot = &mut self.accs[i];
-            if !part.touched {
-                continue;
-            }
-            slot.touched = true;
+            let acc = slot.acc.get_or_insert_with(|| slot.init.build());
             match slot.policy {
-                MergePolicy::Indexed => slot.acc.write_at(part.base, &part.data),
-                MergePolicy::BitOr => slot.acc.reduce_assign(&part.data, RedOp::BitOr),
+                MergePolicy::Indexed => acc.write_at(part.base, &part.data),
+                MergePolicy::BitOr => acc.reduce_assign(&part.data, RedOp::BitOr),
                 MergePolicy::Reduce(op) => reduce.push((i, op, part.data)),
             }
         }
@@ -242,28 +226,27 @@ impl MergeAcc {
 
     fn fold(&mut self, reduce: Vec<(usize, RedOp, ErasedVec)>) {
         for (i, op, data) in reduce {
-            self.accs[i].acc.reduce_assign(&data, op);
+            let acc = self.accs[i]
+                .acc
+                .as_mut()
+                .expect("built when the part arrived");
+            acc.reduce_assign(&data, op);
         }
     }
 
     /// Write the reconstructed outputs back into the data environment.
     /// Reduction variables are combined with their original host value
     /// (OpenMP reduction semantics include the initial value once);
-    /// variables the loop never wrote are left alone.
+    /// variables no chunk borrowed are left alone.
     pub fn finish(mut self, env: &mut DataEnv) -> Result<(), OmpError> {
         for reduce in std::mem::take(&mut self.early).into_values() {
             self.fold(reduce);
         }
         for AccSlot {
-            name,
-            policy,
-            mut acc,
-            touched,
+            name, policy, acc, ..
         } in self.accs
         {
-            if !touched {
-                continue;
-            }
+            let Some(mut acc) = acc else { continue };
             if let MergePolicy::Reduce(op) = policy {
                 let original = (**env.get_erased(&name)?).clone();
                 acc.reduce_assign(&original, op);
@@ -417,7 +400,8 @@ mod tests {
         let mut env = DataEnv::new();
         env.insert("x", vec![0.0f32; 4]);
         env.insert("y", vec![7.0f32; 4]);
-        let outs = chunk_outputs(&region, &region.loops[0], &env, 1..3).unwrap();
+        let mut outs = chunk_outputs(&region, &region.loops[0], &env, 1..3).unwrap();
+        outs.view_mut::<f32>("y");
         let parts = outs.into_parts();
         let y = parts.iter().find(|p| p.name == "y").unwrap();
         assert_eq!(y.base, 1);

@@ -369,6 +369,11 @@ impl ErasedSlice {
         self.buf.as_slice::<T>().map(|s| &s[self.range.clone()])
     }
 
+    /// Copy the viewed range out as a new erased buffer.
+    pub fn to_vec(&self) -> ErasedVec {
+        self.buf.slice_copy(self.range.clone())
+    }
+
     /// Serialize the viewed range to little-endian bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         self.buf.range_to_bytes(self.range.clone())

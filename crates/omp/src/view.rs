@@ -8,40 +8,152 @@
 //! deserialized partitions) — mirroring how OmpCloud runs the identical
 //! native function through JNI on every target.
 
-use crate::erased::{ErasedSlice, ErasedVec};
+use crate::erased::{ErasedSlice, ErasedVec, RedOp};
 use crate::pod::{Pod, TypeTag};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::{Index, IndexMut, Range};
 use std::sync::Arc;
 
+/// A name's *word*: its length (saturated at 255) in the top byte above
+/// its first seven bytes, little-endian. Two names of at most seven bytes
+/// are equal exactly when their words are; a longer name's length byte
+/// is at least 8, so its word never equals a short name's. Built from at
+/// most two overlapping loads, not a loop over the bytes, and folded to a
+/// constant for a literal name.
+#[inline(always)]
+fn name_word(name: &str) -> u64 {
+    let b = name.as_bytes();
+    let n = b.len();
+    let head = if n >= 8 {
+        u64::from_le_bytes(b[..8].try_into().expect("eight bytes")) & (u64::MAX >> 8)
+    } else if n >= 4 {
+        let lo = u32::from_le_bytes(b[..4].try_into().expect("four bytes"));
+        let hi = u32::from_le_bytes(b[n - 4..].try_into().expect("four bytes"));
+        u64::from(lo) | u64::from(hi) << (8 * (n - 4))
+    } else if n >= 2 {
+        let lo = u16::from_le_bytes([b[0], b[1]]);
+        let hi = u16::from_le_bytes([b[n - 2], b[n - 1]]);
+        u64::from(lo) | u64::from(hi) << (8 * (n - 2))
+    } else if n == 1 {
+        u64::from(b[0])
+    } else {
+        0
+    };
+    head | (n.min(255) as u64) << 56
+}
+
 /// Name → variable table of one tile: filled once per tile, read by the
-/// body on every iteration. Names come from the program's own map
-/// clauses, never from the wire, so nobody can craft colliding ones and
-/// the hash needs no key: FNV-1a instead of `HashMap`'s default SipHash,
-/// which cost more than the arithmetic of the loop body behind it.
-type VarTable<V> = HashMap<String, V, BuildHasherDefault<NameHasher>>;
+/// body on every iteration. An open-addressed power-of-two slot array,
+/// at most half full, keyed by [`name_word`]: a lookup multiplies the
+/// word once, takes the top bits as the home slot and probes linearly
+/// from there. For a name of seven bytes or fewer a matching word is the
+/// match; a longer name compares its bytes after its word matches.
+/// Names come from the program's own map clauses, never from the wire,
+/// so the multiply needs no key (DESIGN §5).
+#[derive(Debug, Clone)]
+struct VarTable<V> {
+    slots: Vec<Option<Entry<V>>>,
+    len: usize,
+    /// `64 - log2(slots.len())`. The empty table has no slots, and any
+    /// home slot misses it.
+    shift: u32,
+}
 
-/// FNV-1a over the bytes of a variable name.
-struct NameHasher(u64);
+#[derive(Debug, Clone)]
+struct Entry<V> {
+    word: u64,
+    name: String,
+    value: V,
+}
 
-impl Default for NameHasher {
+impl<V> Default for VarTable<V> {
     fn default() -> Self {
-        NameHasher(0xcbf2_9ce4_8422_2325)
+        VarTable {
+            slots: Vec::new(),
+            len: 0,
+            shift: 63,
+        }
     }
 }
 
-impl Hasher for NameHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+impl<V> VarTable<V> {
+    /// Home slot of a name. Longer names that share their first seven
+    /// bytes share a word; their last eight bytes spread them apart.
+    #[inline(always)]
+    fn home(&self, word: u64, name: &str) -> usize {
+        let b = name.as_bytes();
+        let tail = match b.len().checked_sub(8) {
+            Some(at) => u64::from_le_bytes(b[at..].try_into().expect("eight bytes")),
+            None => 0,
+        };
+        ((word ^ tail).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+
+    /// Slot holding `name`, if any.
+    #[inline(always)]
+    fn find(&self, name: &str) -> Option<usize> {
+        let word = name_word(name);
+        let mut at = self.home(word, name);
+        loop {
+            let entry = self.slots.get(at)?.as_ref()?;
+            if entry.word == word && (name.len() < 8 || entry.name == name) {
+                return Some(at);
+            }
+            at = (at + 1) & (self.slots.len() - 1);
         }
     }
 
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
+    #[inline(always)]
+    fn get(&self, name: &str) -> Option<&V> {
+        let at = self.find(name)?;
+        self.slots[at].as_ref().map(|entry| &entry.value)
+    }
+
+    #[inline(always)]
+    fn get_mut(&mut self, name: &str) -> Option<&mut V> {
+        let at = self.find(name)?;
+        self.slots[at].as_mut().map(|entry| &mut entry.value)
+    }
+
+    /// Register `name`, replacing an earlier entry of the same name.
+    fn insert(&mut self, name: String, value: V) {
+        if let Some(held) = self.get_mut(&name) {
+            *held = value;
+            return;
+        }
+        if 2 * (self.len + 1) > self.slots.len() {
+            let slots = (2 * self.slots.len()).max(4);
+            let old = std::mem::replace(
+                &mut self.slots,
+                std::iter::repeat_with(|| None).take(slots).collect(),
+            );
+            self.shift = 64 - slots.trailing_zeros();
+            old.into_iter()
+                .flatten()
+                .for_each(|entry| self.place(entry));
+        }
+        let word = name_word(&name);
+        self.place(Entry { word, name, value });
+        self.len += 1;
+    }
+
+    /// Put `entry` in the first free slot from its home.
+    fn place(&mut self, entry: Entry<V>) {
+        let mut at = self.home(entry.word, &entry.name);
+        while self.slots[at].is_some() {
+            at = (at + 1) & (self.slots.len() - 1);
+        }
+        self.slots[at] = Some(entry);
+    }
+
+    fn names(&self) -> Vec<&str> {
+        let mut v: Vec<&str> = self
+            .slots
+            .iter()
+            .flatten()
+            .map(|e| e.name.as_str())
+            .collect();
+        v.sort_unstable();
+        v
     }
 }
 
@@ -98,9 +210,10 @@ impl Inputs {
     /// offloaded kernel this is the moral equivalent of a native-code
     /// fault, and the executor catches it at task granularity.
     ///
-    /// Inlined into the body so that a literal `name` hashes and compares
-    /// at compile time: what is left per call is the probe and the
-    /// tag/range check of the typed slice.
+    /// Inlined into the body so that a literal `name`'s word and home
+    /// slot fold to constants: what is left per call is one load and
+    /// compare of the slot's word and the tag/range check of the typed
+    /// slice.
     #[inline(always)]
     pub fn view<T: Pod>(&self, name: &str) -> VarView<'_, T> {
         let var = self
@@ -119,9 +232,7 @@ impl Inputs {
 
     /// Names of all registered variables (test/debug helper).
     pub fn names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.vars.keys().map(String::as_str).collect();
-        v.sort_unstable();
-        v
+        self.vars.names()
     }
 }
 
@@ -194,7 +305,9 @@ impl<'a, T: Pod> Index<usize> for VarView<'a, T> {
 }
 
 /// Writable variables visible to a loop body (the task's private output
-/// buffers, later merged by the driver).
+/// buffers, later merged by the driver). Each starts as a recipe and is
+/// built on the body's first `view_mut` of it, so an output the body
+/// never borrows costs no buffer and leaves no part.
 #[derive(Debug, Clone, Default)]
 pub struct Outputs {
     vars: VarTable<OutputVar>,
@@ -203,11 +316,42 @@ pub struct Outputs {
 #[derive(Debug, Clone)]
 struct OutputVar {
     base: usize,
-    data: ErasedVec,
-    /// Whether the body ever asked for a mutable view — loops in a
-    /// multi-loop region may leave some mapped outputs untouched, and the
-    /// driver must not overwrite those with identity buffers.
-    touched: bool,
+    /// What the first `view_mut` builds `data` from.
+    init: OutInit,
+    data: Option<ErasedVec>,
+}
+
+/// How a private output buffer starts.
+#[derive(Debug, Clone)]
+pub enum OutInit {
+    /// `len` identities of the operator, of element type `tag` (zero
+    /// bits for [`RedOp::BitOr`]).
+    Identity(TypeTag, usize, RedOp),
+    /// A copy of these elements: the hull of a `tofrom` original, whose
+    /// elements the body does not write must keep their values.
+    Copy(ErasedSlice),
+    /// This buffer as it is.
+    Buffer(ErasedVec),
+}
+
+impl OutInit {
+    /// Build the buffer this recipe describes, leaving an empty recipe
+    /// behind. Out of line: each buffer is built once.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn build(&mut self) -> ErasedVec {
+        match std::mem::replace(self, OutInit::Identity(TypeTag::U8, 0, RedOp::BitOr)) {
+            OutInit::Identity(tag, len, op) => ErasedVec::identity(tag, len, op),
+            OutInit::Copy(slice) => slice.to_vec(),
+            OutInit::Buffer(data) => data,
+        }
+    }
+}
+
+impl From<ErasedVec> for OutInit {
+    fn from(data: ErasedVec) -> OutInit {
+        OutInit::Buffer(data)
+    }
 }
 
 impl Outputs {
@@ -216,63 +360,61 @@ impl Outputs {
         Outputs::default()
     }
 
-    /// Register a private output buffer covering global elements
-    /// `[base, base + data.len())`.
-    pub fn add(&mut self, name: impl Into<String>, base: usize, data: ErasedVec) {
-        self.vars.insert(
-            name.into(),
-            OutputVar {
-                base,
-                data,
-                touched: false,
-            },
-        );
+    /// Register a private output covering global elements
+    /// `[base, base + len)`: a given buffer (an [`ErasedVec`]) or a
+    /// recipe. Either way it becomes a part only once the body borrows
+    /// it.
+    pub fn add(&mut self, name: impl Into<String>, base: usize, init: impl Into<OutInit>) {
+        let (init, data) = (init.into(), None);
+        self.vars
+            .insert(name.into(), OutputVar { base, init, data });
     }
 
-    /// Typed mutable view of `name`. Panics like [`Inputs::view`].
-    /// Requesting a mutable view marks the variable as written.
+    /// Typed mutable view of `name`. Panics like [`Inputs::view`]. The
+    /// first call for a name builds its buffer.
     #[inline(always)]
     pub fn view_mut<T: Pod>(&mut self, name: &str) -> VarViewMut<'_, T> {
         let var = self
             .vars
             .get_mut(name)
             .unwrap_or_else(|| panic!("kernel wrote unmapped variable '{name}'"));
-        var.touched = true;
         let base = var.base;
-        let tag = var.data.tag();
-        let data = var
-            .data
+        let data = var.data.get_or_insert_with(|| var.init.build());
+        let tag = data.tag();
+        let data = data
             .as_mut_slice::<T>()
             .unwrap_or_else(|| mistyped("wrote", name, T::TAG, tag));
         VarViewMut { base, data }
     }
 
     /// Consume into [`OutPart`]s for merging, sorted by name for
-    /// determinism.
+    /// determinism: one per output the body borrowed.
     pub fn into_parts(self) -> Vec<OutPart> {
         let mut parts: Vec<OutPart> = self
             .vars
+            .slots
             .into_iter()
-            .map(|(name, v)| OutPart {
-                name,
-                base: v.base,
-                data: v.data,
-                touched: v.touched,
+            .flatten()
+            .filter_map(|entry| {
+                Some(OutPart {
+                    data: entry.value.data?,
+                    name: entry.name,
+                    base: entry.value.base,
+                })
             })
             .collect();
         parts.sort_by(|a, b| a.name.cmp(&b.name));
         parts
     }
 
-    /// Names of all registered outputs.
+    /// Names of all registered outputs, borrowed or not.
     pub fn names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.vars.keys().map(String::as_str).collect();
-        v.sort_unstable();
-        v
+        self.vars.names()
     }
 }
 
-/// One finished private output buffer, ready for driver-side merging.
+/// One private output buffer the body borrowed, ready for driver-side
+/// merging.
 #[derive(Debug, Clone)]
 pub struct OutPart {
     /// Variable name.
@@ -281,8 +423,6 @@ pub struct OutPart {
     pub base: usize,
     /// The private buffer.
     pub data: ErasedVec,
-    /// Whether the loop body wrote this variable at all.
-    pub touched: bool,
 }
 
 /// Mutable view of (part of) an output variable, indexed with *global*
@@ -521,43 +661,111 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ten_thousand_names_each_resolve_to_their_own_buffer() {
-        use std::hash::BuildHasher;
-        let names: Vec<String> = (0..10_000).map(|k| format!("var_{k:05}")).collect();
-        // The unkeyed hash sends some of them to the same bucket: two
-        // hashes that agree in their low 16 bits start their probe
-        // together in every table of up to 65 536 buckets.
-        let hasher = BuildHasherDefault::<NameHasher>::default();
-        let mut homes: HashMap<u64, usize> = HashMap::new();
-        for name in &names {
-            *homes.entry(hasher.hash_one(name) & 0xFFFF).or_default() += 1;
-        }
-        assert!(homes.values().any(|&sharing| sharing > 1));
-
-        let mut ins = Inputs::new();
-        let mut outs = Outputs::new();
-        for (k, name) in names.iter().enumerate() {
-            ins.add(
-                name.clone(),
+    /// An input and an output table over `names`, entry `k` holding the
+    /// one element `k` at global index `k`, registered in `order`.
+    fn tables(names: &[String], order: impl Iterator<Item = usize>) -> (Inputs, Outputs) {
+        let (mut ins, mut outs) = (Inputs::new(), Outputs::new());
+        for k in order {
+            let one = Arc::new(ErasedVec::from_vec(vec![k as u32]));
+            ins.add(names[k].clone(), k, one);
+            outs.add(
+                names[k].clone(),
                 k,
-                Arc::new(ErasedVec::from_vec(vec![k as u32])),
+                OutInit::Identity(TypeTag::U64, 1, RedOp::Sum),
             );
-            outs.add(name.clone(), k, ErasedVec::from_vec(vec![0u64]));
         }
+        (ins, outs)
+    }
+
+    /// Every name resolves to its own entry in both tables, and the
+    /// outputs come back name-sorted, one per name borrowed.
+    fn assert_each_resolves(names: &[String], (ins, mut outs): (Inputs, Outputs)) {
         for (k, name) in names.iter().enumerate() {
             let v = ins.view::<u32>(name);
             assert_eq!((v.base(), v[k]), (k, k as u32), "{name}");
             outs.view_mut::<u64>(name)[k] = 7 * k as u64;
         }
-        assert_eq!(ins.names().len(), names.len());
+        let mut sorted: Vec<&str> = names.iter().map(String::as_str).collect();
+        sorted.sort_unstable();
+        assert_eq!(ins.names(), sorted);
+        assert_eq!(outs.names(), sorted);
         let parts = outs.into_parts();
-        assert_eq!(parts.len(), names.len());
-        for (k, part) in parts.iter().enumerate() {
-            // Zero-padded, so name order is generation order.
-            assert_eq!((part.name.as_str(), part.base), (names[k].as_str(), k));
+        let got: Vec<&str> = parts.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(got, sorted);
+        for part in &parts {
+            let k = names.iter().position(|n| *n == part.name).unwrap();
+            assert_eq!(part.base, k);
             assert_eq!(part.data.as_slice::<u64>().unwrap(), &[7 * k as u64]);
         }
+    }
+
+    #[test]
+    fn a_word_is_the_length_over_the_first_seven_bytes() {
+        assert_eq!(name_word(""), 0);
+        assert_eq!(name_word("x"), 1 << 56 | 0x78);
+        assert_eq!(name_word("ab"), 2 << 56 | 0x6261);
+        assert_eq!(name_word("abc"), 3 << 56 | 0x63_6261);
+        assert_eq!(name_word("abcdefg"), 7 << 56 | 0x67_6665_6463_6261);
+        assert_eq!(name_word("abcdefgh"), 8 << 56 | 0x67_6665_6463_6261);
+        assert_eq!(name_word(&"a".repeat(300)) >> 56, 255);
+        // Every length from 1 to 7 bytes: the word holds each byte once,
+        // at its place, so it equals the byte-by-byte packing.
+        let bytes = "qRs_9tU";
+        for n in 1..=7 {
+            let packed = bytes.as_bytes()[..n]
+                .iter()
+                .enumerate()
+                .fold((n as u64) << 56, |w, (i, &b)| w | u64::from(b) << (8 * i));
+            assert_eq!(name_word(&bytes[..n]), packed, "{n} bytes");
+        }
+    }
+
+    #[test]
+    fn names_of_one_to_seven_bytes_each_resolve_to_their_own_buffer() {
+        // All lengths, names differing only in their last byte or only
+        // in length ("x" and "x0" share a first byte: one is a prefix).
+        let mut names: Vec<String> = vec!["x".into(), "x0".into(), "x00".into(), "y".into()];
+        for n in 1..=7 {
+            for last in ['a', 'b', '0'] {
+                names.push(format!("{}{last}", "v".repeat(n - 1)));
+            }
+        }
+        names.sort();
+        names.dedup();
+        assert_each_resolves(&names, tables(&names, 0..names.len()));
+    }
+
+    #[test]
+    fn long_names_that_share_their_first_seven_bytes_compare_their_bytes() {
+        // One word for all of them: "column_" and the same length.
+        let names: Vec<String> = (0..40).map(|k| format!("column_{k:03}")).collect();
+        assert!(names.iter().all(|n| name_word(n) == name_word(&names[0])));
+        // A prefix of another, past the word: "column_0" and "column_00".
+        let mut with_prefixes = names.clone();
+        with_prefixes.extend(["column_0".to_string(), "column_00".to_string()]);
+        assert_each_resolves(&names, tables(&names, 0..names.len()));
+        let n = with_prefixes.len();
+        assert_each_resolves(&with_prefixes, tables(&with_prefixes, (0..n).rev()));
+    }
+
+    #[test]
+    fn thirty_three_names_resolve_alike_in_either_insertion_order() {
+        let mut names: Vec<String> = (0..32).map(|k| format!("x{k:02}")).collect();
+        names.push("y".into());
+        let forward = tables(&names, 0..33);
+        let shuffled = tables(&names, (0..33).map(|k| k * 7 % 33));
+        assert_each_resolves(&names, forward);
+        assert_each_resolves(&names, shuffled);
+    }
+
+    #[test]
+    fn ten_thousand_names_each_resolve_to_their_own_buffer() {
+        // Nine bytes each, so a hundred names share each word and only
+        // their last bytes tell them apart.
+        let names: Vec<String> = (0..10_000).map(|k| format!("var_{k:05}")).collect();
+        let words: std::collections::HashSet<u64> = names.iter().map(|n| name_word(n)).collect();
+        assert_eq!(words.len(), 100);
+        assert_each_resolves(&names, tables(&names, 0..names.len()));
     }
 
     #[test]
@@ -573,10 +781,14 @@ mod tests {
         outs.add("C", 0, ErasedVec::from_vec(vec![0.0f32; 4]));
         outs.view_mut::<f32>("C")[0] = 1.0;
         outs.add("C", 2, ErasedVec::from_vec(vec![0i32; 2]));
+        assert_eq!(outs.names(), vec!["C"]);
+        // The replacement was never borrowed: no part, not the old one.
+        assert!(outs.clone().into_parts().is_empty());
+        outs.view_mut::<i32>("C")[3] = 9;
         let parts = outs.into_parts();
         assert_eq!(parts.len(), 1);
-        assert_eq!((parts[0].base, parts[0].touched), (2, false));
-        assert_eq!(parts[0].data.as_slice::<i32>().unwrap(), &[0, 0]);
+        assert_eq!(parts[0].base, 2);
+        assert_eq!(parts[0].data.as_slice::<i32>().unwrap(), &[0, 9]);
     }
 
     #[test]
@@ -608,7 +820,6 @@ mod tests {
         let part = &parts[0];
         assert_eq!(part.name, "C");
         assert_eq!(part.base, 4);
-        assert!(part.touched);
         assert_eq!(part.data.as_slice::<f32>().unwrap(), &[1.0, 20.0, 0.0, 0.0]);
     }
 
@@ -617,19 +828,51 @@ mod tests {
         let mut outs = Outputs::new();
         outs.add("Z", 0, ErasedVec::from_vec(vec![0u8]));
         outs.add("A", 0, ErasedVec::from_vec(vec![0u8]));
+        outs.view_mut::<u8>("Z");
+        outs.view_mut::<u8>("A");
         let names: Vec<String> = outs.into_parts().into_iter().map(|p| p.name).collect();
         assert_eq!(names, vec!["A", "Z"]);
     }
 
     #[test]
-    fn untouched_outputs_are_flagged() {
+    fn an_output_the_body_never_borrows_leaves_no_part() {
+        let original = Arc::new(ErasedVec::from_vec(vec![1.0f32, 2.0, 3.0, 4.0]));
         let mut outs = Outputs::new();
-        outs.add("written", 0, ErasedVec::from_vec(vec![0.0f32; 2]));
+        outs.add("written", 0, OutInit::Identity(TypeTag::F32, 2, RedOp::Max));
         outs.add("ignored", 0, ErasedVec::from_vec(vec![0.0f32; 2]));
+        outs.add("hull", 1, OutInit::Copy(ErasedSlice::new(original, 1..3)));
+        outs.add(
+            "never",
+            0,
+            OutInit::Identity(TypeTag::U8, 1 << 20, RedOp::Sum),
+        );
         outs.view_mut::<f32>("written").set(0, 1.0);
+        outs.view_mut::<f32>("hull").set(2, 9.0);
+        assert_eq!(outs.names(), vec!["hull", "ignored", "never", "written"]);
         let parts = outs.into_parts();
-        let by_name = |n: &str| parts.iter().find(|p| p.name == n).unwrap();
-        assert!(!by_name("ignored").touched);
-        assert!(by_name("written").touched);
+        let got: Vec<(&str, usize)> = parts.iter().map(|p| (p.name.as_str(), p.base)).collect();
+        assert_eq!(got, vec![("hull", 1), ("written", 0)]);
+        // Built from the recipe: the hull copy, and the identity.
+        assert_eq!(parts[0].data.as_slice::<f32>().unwrap(), &[2.0, 9.0]);
+        assert_eq!(
+            parts[1].data.as_slice::<f32>().unwrap(),
+            &[1.0, f32::NEG_INFINITY]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel read unmapped variable 'column_041'")]
+    fn an_unknown_long_name_panics_like_a_short_one() {
+        let names: Vec<String> = (0..40).map(|k| format!("column_{k:03}")).collect();
+        let (ins, _) = tables(&names, 0..40);
+        let _ = ins.view::<u32>("column_041");
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel wrote variable 'column_007' as f32 but it holds u64")]
+    fn a_mistyped_long_output_panics_with_its_name() {
+        let names: Vec<String> = (0..40).map(|k| format!("column_{k:03}")).collect();
+        let (_, mut outs) = tables(&names, 0..40);
+        let _ = outs.view_mut::<f32>("column_007");
     }
 }

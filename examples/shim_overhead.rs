@@ -7,7 +7,9 @@
 //! tile run through the shared per-tile loop (`omp_model::chunk::
 //! run_chunk`) for bodies that look up 1, 3 and 32 variables, beside two
 //! floors of the 1-variable body: its views hoisted out of the loop, and
-//! the raw loop over plain slices.
+//! the raw loop over plain slices. The fan-in body also runs over one
+//! input (by a run-time and by a literal name) and over 32 nine-byte
+//! names that share their first seven bytes.
 //!
 //! A body whose inner loop runs over *elements* pays the view per element
 //! instead: `a[g]` translates a global index and checks it against the
@@ -282,12 +284,20 @@ fn main() {
     assert_eq!(three, want, "3-variable body");
 
     // 32 inputs, 33 views: the benchmark's `fanin-latency` body. Its names
-    // are run-time strings, so each lookup hashes; the literal names above
-    // hash at compile time. The same body over one input tells the cost
-    // of that apart from the cost of a larger table.
+    // are run-time strings, so each lookup builds the name's word; a
+    // literal name's word is a constant. The same body over one input
+    // tells the cost of that apart from the cost of a larger table, and
+    // over one literal input the cost of the word itself. Names past
+    // seven bytes that share their first seven share a word, so they also
+    // compare their bytes.
     let columns: Vec<Vec<f32>> = (0..FANIN).map(input).collect();
-    for (what, inputs) in [("32 inputs (fan-in)", FANIN), ("  same body, 1 input", 1)] {
-        let many = names(inputs);
+    let want = |inputs: usize| -> Vec<u32> {
+        (0..TILE)
+            .map(|i| columns[..inputs].iter().fold(0.0f32, |acc, c| acc + c[i]))
+            .map(f32::to_bits)
+            .collect()
+    };
+    let fan_in = |many: Vec<String>| -> f64 {
         let body_names = many.clone();
         let (ns, fanin) = through_shim(
             &many,
@@ -299,13 +309,22 @@ fn main() {
                 outs.view_mut::<f32>("y")[i] = acc;
             }),
         );
-        rows.push((what, inputs + 1, ns));
-        let want: Vec<u32> = (0..TILE)
-            .map(|i| columns[..inputs].iter().fold(0.0f32, |acc, c| acc + c[i]))
-            .map(f32::to_bits)
-            .collect();
-        assert_eq!(fanin, want, "fan-in body over {inputs}");
-    }
+        assert_eq!(fanin, want(many.len()), "fan-in body over {many:?}");
+        ns
+    };
+    rows.push(("32 inputs (fan-in)", FANIN + 1, fan_in(names(FANIN))));
+    rows.push(("  same body, 1 input", 2, fan_in(names(1))));
+    let (ns, literal) = through_shim(
+        &names(1),
+        Arc::new(|i, ins, outs| {
+            let acc = 0.0f32 + ins.view::<f32>("x00")[i];
+            outs.view_mut::<f32>("y")[i] = acc;
+        }),
+    );
+    assert_eq!(literal, want(1), "fan-in body over one literal name");
+    rows.push(("  same, 1 literal name", 2, ns));
+    let long: Vec<String> = (0..FANIN).map(|k| format!("column_{k:02}")).collect();
+    rows.push(("  32 inputs, 9-byte names", FANIN + 1, fan_in(long)));
 
     println!("shim overhead, {TILE} iterations per tile, fastest of {REPS}:");
     println!("{:<28} {:>12} {:>10}", "body", "ns/iteration", "ns/view");
@@ -318,9 +337,11 @@ fn main() {
     }
     let per_view = |row: usize| rows[row].2 / rows[row].1 as f64;
     println!(
-        "per-view cost at 32 inputs: {:.2}x the 1-variable body's, {:.2}x the same body's at 1 input",
+        "per-view cost at 32 inputs: {:.2}x the 1-variable body's, {:.2}x the same body's at 1 input; \
+         9-byte names {:.2}x 3-byte ones",
         per_view(4) / per_view(0),
-        per_view(4) / per_view(5)
+        per_view(4) / per_view(5),
+        per_view(7) / per_view(4)
     );
 
     println!("\nelement loops, n = {N}, {ROWS} output rows per tile, ns per multiply-add:");
