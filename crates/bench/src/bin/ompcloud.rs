@@ -84,8 +84,8 @@ fn cmd_validate(args: &[String]) -> i32 {
             println!("  data caching    {}", cfg.data_caching);
             println!("  transfers       {} io threads", cfg.io_threads);
             println!(
-                "  scheduler       {} dispatch, spec-factor {}, locality wait {} ms",
-                cfg.schedule, cfg.spec_factor, cfg.locality_wait_ms
+                "  scheduler       {} dispatch, spec-factor {}",
+                cfg.schedule, cfg.spec_factor
             );
             0
         }

@@ -74,7 +74,6 @@ fn run_mode(label: &str, mode: ScheduleMode, spec_factor: f64, reps: usize) -> M
         sc.set_job_options(JobOptions {
             mode,
             spec_factor,
-            locality_wait: Duration::ZERO,
             ..JobOptions::default()
         });
         let out = sc

@@ -41,7 +41,6 @@
 //! assert!(series[2].computation > series[0].computation);
 //! ```
 
-pub mod advisor;
 pub mod des;
 pub mod ec2;
 pub mod model;
@@ -49,7 +48,6 @@ pub mod net;
 pub mod timeline;
 pub mod traffic;
 
-pub use advisor::{recommend, ClusterChoice, Recommendation};
 pub use des::{Resource, Sim, SimTime};
 pub use ec2::{instance_type, CostReport, Fleet, Instance, InstanceState, InstanceType, CATALOG};
 pub use model::{

@@ -481,7 +481,6 @@ impl CaseSpec {
             io_threads: self.io_threads,
             checkpoint: self.checkpoint,
             checkpoint_max_resumes: self.resume_budget,
-            locality_wait_ms: 0,
             backoff_base_ms: 0,
             backoff_cap_ms: 0,
             breaker_threshold: 8,

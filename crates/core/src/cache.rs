@@ -14,7 +14,6 @@
 //! layer. (A production system would use a stronger digest; the cache
 //! API is oblivious to the choice.)
 
-use omp_model::ErasedVec;
 use std::collections::{BTreeSet, HashMap};
 
 /// Fingerprint of a buffer's wire form.
@@ -33,21 +32,6 @@ impl Fingerprint {
             crc: gzlite::crc32(bytes),
             len: bytes.len() as u64,
         }
-    }
-
-    /// Fingerprint a typed buffer in place: the same `(crc, len)` as
-    /// `Fingerprint::of(&buf.to_bytes())`, serialized through a scratch
-    /// of at most 64 KiB instead of a second copy of the buffer.
-    pub fn of_erased(buf: &ErasedVec) -> Fingerprint {
-        const CHUNK_ELEMS: usize = 8192;
-        let (mut crc, mut scratch) = (0, Vec::new());
-        for start in (0..buf.len()).step_by(CHUNK_ELEMS) {
-            scratch.clear();
-            buf.write_range_bytes_into(start..buf.len().min(start + CHUNK_ELEMS), &mut scratch);
-            crc = gzlite::crc32_append(crc, &scratch);
-        }
-        let len = buf.byte_len() as u64;
-        Fingerprint { crc, len }
     }
 }
 
@@ -145,114 +129,9 @@ impl UploadCache {
     }
 }
 
-/// Per-executor residency of staged input tiles, keyed by variable name
-/// and hull range — the locality side of the elastic scheduler.
-///
-/// After a map phase the driver records which executor computed each
-/// tile (that executor fetched and deserialized the tile's inputs, so a
-/// re-offload of the same region finds them warm in its page cache /
-/// JVM heap). The next offload over unchanged data turns those records
-/// into per-partition locality hints: the scheduler seeds each task on
-/// its resident executor and protects it from thieves for the
-/// `locality-wait-ms` window. A content change (different fingerprint)
-/// silently drops the stale residency, like [`UploadCache`].
-#[derive(Debug, Default)]
-pub struct ResidencyMap {
-    entries: HashMap<(String, usize, usize), (Fingerprint, usize)>,
-}
-
-impl ResidencyMap {
-    /// Empty map.
-    pub fn new() -> ResidencyMap {
-        ResidencyMap::default()
-    }
-
-    /// Executor where `var[start..end]` is resident, provided the whole
-    /// variable still has `fingerprint` (stale content returns `None`).
-    pub fn lookup(
-        &self,
-        var: &str,
-        fingerprint: Fingerprint,
-        start: usize,
-        end: usize,
-    ) -> Option<usize> {
-        self.entries
-            .get(&(var.to_string(), start, end))
-            .filter(|(fp, _)| *fp == fingerprint)
-            .map(|(_, exec)| *exec)
-    }
-
-    /// Record that executor `executor` holds `var[start..end]` of the
-    /// content identified by `fingerprint`.
-    pub fn record(
-        &mut self,
-        var: &str,
-        fingerprint: Fingerprint,
-        start: usize,
-        end: usize,
-        executor: usize,
-    ) {
-        self.entries
-            .insert((var.to_string(), start, end), (fingerprint, executor));
-    }
-
-    /// Drop residency entries of `var` whose content no longer matches
-    /// `fingerprint` (the variable was mutated between offloads).
-    pub fn refresh_var(&mut self, var: &str, fingerprint: Fingerprint) {
-        self.entries
-            .retain(|(v, _, _), (fp, _)| v != var || *fp == fingerprint);
-    }
-
-    /// Drop everything (cluster restarted; nothing is resident).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    /// Tile entries currently tracked.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no residency is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn in_place_fingerprint_equals_the_serialized_one() {
-        // Empty, one element, odd lengths, and lengths on either side of
-        // the scratch chunk (8192 elements) so the crc crosses a chunk
-        // boundary with and without a tail.
-        for len in [0usize, 1, 3, 17, 8191, 8192, 8193, 20_001] {
-            let ramp = |scale: usize| (0..len).map(move |i| i * scale % 65_521);
-            let bufs = [
-                ErasedVec::from_vec(ramp(3).map(|v| v as f32 * 0.25 - 9.0).collect()),
-                ErasedVec::from_vec(ramp(5).map(|v| v as f64 * -1.5).collect()),
-                ErasedVec::from_vec(ramp(7).map(|v| v as i32 - 30_000).collect()),
-                ErasedVec::from_vec(ramp(11).map(|v| -(v as i64) << 20).collect()),
-                ErasedVec::from_vec(ramp(13).map(|v| v as u8).collect()),
-                ErasedVec::from_vec(ramp(17).map(|v| v as u16).collect()),
-                ErasedVec::from_vec(ramp(19).map(|v| v as u32 * 65_537).collect()),
-                ErasedVec::from_vec(ramp(23).map(|v| (v as u64) << 33 | 1).collect()),
-            ];
-            let mut tags = std::collections::HashSet::new();
-            for buf in &bufs {
-                tags.insert(buf.tag());
-                assert_eq!(
-                    Fingerprint::of_erased(buf),
-                    Fingerprint::of(&buf.to_bytes()),
-                    "{} x {len}",
-                    buf.tag()
-                );
-            }
-            assert_eq!(tags.len(), 8, "one buffer per TypeTag");
-        }
-    }
 
     #[test]
     fn miss_then_hit_then_invalidate() {
@@ -312,48 +191,5 @@ mod tests {
         assert_eq!(cache.len(), 2);
         cache.clear();
         assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn residency_tracks_tiles_per_executor() {
-        let mut map = ResidencyMap::new();
-        let fp = Fingerprint::of(b"matrix A v1");
-        assert_eq!(map.lookup("A", fp, 0, 128), None);
-        map.record("A", fp, 0, 128, 2);
-        map.record("A", fp, 128, 256, 5);
-        assert_eq!(map.lookup("A", fp, 0, 128), Some(2));
-        assert_eq!(map.lookup("A", fp, 128, 256), Some(5));
-        // A different hull is a different tile.
-        assert_eq!(map.lookup("A", fp, 0, 256), None);
-    }
-
-    #[test]
-    fn residency_ignores_stale_fingerprints() {
-        let mut map = ResidencyMap::new();
-        let v1 = Fingerprint::of(b"v1");
-        let v2 = Fingerprint::of(b"v2");
-        map.record("A", v1, 0, 64, 1);
-        assert_eq!(
-            map.lookup("A", v2, 0, 64),
-            None,
-            "mutated content must not hint"
-        );
-        // refresh_var drops the stale tile; unrelated vars survive.
-        map.record("B", v1, 0, 64, 3);
-        map.refresh_var("A", v2);
-        assert_eq!(map.len(), 1);
-        assert_eq!(map.lookup("B", v1, 0, 64), Some(3));
-    }
-
-    #[test]
-    fn residency_clear() {
-        let mut map = ResidencyMap::new();
-        let fp = Fingerprint::of(b"x");
-        map.record("A", fp, 0, 8, 0);
-        map.record("B", fp, 0, 8, 2);
-        assert_eq!(map.len(), 2);
-        assert!(!map.is_empty());
-        map.clear();
-        assert!(map.is_empty());
     }
 }

@@ -97,10 +97,6 @@ pub struct CloudConfig {
     /// exceeds `spec-factor ×` the median completed task of the same job
     /// (first result wins). `0` disables speculation.
     pub spec_factor: f64,
-    /// Delay-scheduling window: how long a task whose input tile is
-    /// already resident on an executor stays reserved for that executor
-    /// before any idle peer may take it.
-    pub locality_wait_ms: u64,
     /// Test hook: pretend the cluster is unreachable so the wrapper's
     /// dynamic host fallback kicks in.
     pub simulate_unreachable: bool,
@@ -187,7 +183,6 @@ impl Default for CloudConfig {
             delta_tile_bytes: 64 * 1024,
             schedule: sparkle::ScheduleMode::Stealing,
             spec_factor: 1.5,
-            locality_wait_ms: 0,
             simulate_unreachable: false,
             max_retries: 3,
             max_refetches: 2,
@@ -255,7 +250,6 @@ impl CloudConfig {
         ini.read_into("offload", "delta-tile-bytes", &mut self.delta_tile_bytes)?;
         ini.read_into("offload", "schedule", &mut self.schedule)?;
         ini.read_into("offload", "spec-factor", &mut self.spec_factor)?;
-        ini.read_into("offload", "locality-wait-ms", &mut self.locality_wait_ms)?;
         ini.read_bool_into("offload", "simulate-unreachable", &mut self.simulate_unreachable)?;
         ini.read_into("resilience", "max-retries", &mut self.max_retries)?;
         ini.read_into("resilience", "max-refetches", &mut self.max_refetches)?;
@@ -535,9 +529,10 @@ instance-type = c3.8xlarge
     fn a_retired_key_is_rejected_not_ignored() {
         // Booleans that selected a second data path or a second
         // reconstruction path, or switched the optimizer or the
-        // integrity check off, and two quarantine timings that became
-        // constants: `= no` must not pass for a setting that still does
-        // something.
+        // integrity check off, two quarantine timings that became
+        // constants, and the delay-scheduling window of tile-residency
+        // hints no executor backs: `= no` must not pass for a setting
+        // that still does something.
         for (section, key) in [
             ("offload", "pipelined-transfers"),
             ("offload", "streaming-collect"),
@@ -546,6 +541,7 @@ instance-type = c3.8xlarge
             ("resilience", "verify-integrity"),
             ("resilience", "quarantine-penalty-ms"),
             ("resilience", "quarantine-decay-ms"),
+            ("offload", "locality-wait-ms"),
         ] {
             let err = CloudConfig::from_str(&format!("[{section}]\n{key} = no\n")).unwrap_err();
             assert_eq!(
@@ -643,14 +639,10 @@ instance-type = c3.8xlarge
         let cfg = CloudConfig::default();
         assert_eq!(cfg.schedule, sparkle::ScheduleMode::Stealing);
         assert!((cfg.spec_factor - 1.5).abs() < 1e-12);
-        assert_eq!(cfg.locality_wait_ms, 0);
-        let cfg = CloudConfig::from_str(
-            "[offload]\nschedule = dynamic\nspec-factor = 2.5\nlocality-wait-ms = 40\n",
-        )
-        .unwrap();
+        let cfg =
+            CloudConfig::from_str("[offload]\nschedule = dynamic\nspec-factor = 2.5\n").unwrap();
         assert_eq!(cfg.schedule, sparkle::ScheduleMode::Dynamic);
         assert!((cfg.spec_factor - 2.5).abs() < 1e-12);
-        assert_eq!(cfg.locality_wait_ms, 40);
         let cfg = CloudConfig::from_str("[offload]\nschedule = static\nspec-factor = 0\n").unwrap();
         assert_eq!(cfg.schedule, sparkle::ScheduleMode::Static);
         assert_eq!(cfg.spec_factor, 0.0);

@@ -27,7 +27,7 @@
 //! falls back to host execution automatically.
 
 use crate::breaker::BreakerBank;
-use crate::cache::{Fingerprint, ResidencyMap, UploadCache};
+use crate::cache::UploadCache;
 use crate::config::CloudConfig;
 use crate::mapopt::{
     allocate_outputs, DeltaLedger, InputPlan, InputSource, PlanSite, StagePlan, TransferMemory,
@@ -74,7 +74,6 @@ pub struct CloudDevice {
     /// The open `target data` scope's device-side environment (one scope
     /// at a time, like a single OpenMP device data environment).
     pub(crate) residency: Mutex<Option<DataEnv>>,
-    tile_residency: Mutex<ResidencyMap>,
     /// Per-tenant circuit breakers: one tenant's failure streak opens
     /// its own breaker, never another tenant's.
     breakers: BreakerBank,
@@ -157,7 +156,6 @@ impl CloudDevice {
                 delta: DeltaLedger::new(config.delta_tile_bytes),
             }),
             residency: Mutex::new(None),
-            tile_residency: Mutex::new(ResidencyMap::new()),
             breakers: BreakerBank::new(config.breaker_threshold),
             resident: ResidentStore::default(),
             config,
@@ -213,18 +211,6 @@ impl CloudDevice {
     /// storage bucket out of band).
     pub fn clear_upload_cache(&self) {
         self.memory.lock().cache.clear();
-    }
-
-    /// Tiles with known executor residency from previous map phases
-    /// (feeds the elastic scheduler's locality hints).
-    pub fn resident_tiles(&self) -> usize {
-        self.tile_residency.lock().len()
-    }
-
-    /// Forget all tile residency (e.g. after the cluster restarted and
-    /// executor page caches are cold).
-    pub fn clear_tile_residency(&self) {
-        self.tile_residency.lock().clear();
     }
 
     /// Scheduler metrics of every Spark job this device has run, oldest
@@ -286,8 +272,6 @@ impl CloudDevice {
         if let Some(sc) = self.sc.lock().take() {
             sc.stop();
         }
-        // A new cluster starts with cold executor caches.
-        self.tile_residency.lock().clear();
     }
 
     /// Root of the resident keys of one dataflow DAG — the unit the
@@ -481,7 +465,6 @@ impl CloudDevice {
     ) -> Result<ExecProfile, ExecFailure> {
         let mut run = self.open_region(region, hints);
         let plan = self.plan(region, env, hints, &mut run)?;
-        let verified = plan.verified();
         let (cluster_env, journal) = self.stage_in(region, env, plan, &mut run)?;
         // Steps 4–8 under the resume budget: an infrastructure failure
         // inside this window retries the whole block, and the journal
@@ -490,7 +473,7 @@ impl CloudDevice {
         let home = self.with_resume_budget(cluster_env, journal, &mut run, |inputs, run| {
             let recovery = journal.map(|j| &j.recovery);
             let profile = &mut run.report.profile;
-            let outcome = self.run(region, inputs, &verified, recovery, profile)?;
+            let outcome = self.run(region, inputs, recovery, profile)?;
             self.commit(region, hints, outcome, journal, run)
         })?;
         self.stage_out(region, env, hints, journal, home, run)
@@ -801,19 +784,10 @@ impl CloudDevice {
         &self,
         region: &TargetRegion,
         cluster_env: DataEnv,
-        verified: &HashMap<String, Fingerprint>,
         recovery: Option<&RegionRecovery>,
         profile: &mut ExecProfile,
     ) -> Result<JobOutcome, OmpError> {
-        let outcome = run_spark_job(
-            &self.context(),
-            &self.config,
-            region,
-            cluster_env,
-            verified,
-            &self.tile_residency,
-            recovery,
-        )?;
+        let outcome = run_spark_job(&self.context(), &self.config, region, cluster_env, recovery)?;
         for l in &outcome.loops {
             profile.tasks += l.tiles as u64;
             profile.compute_s += l.compute_s;
@@ -1090,6 +1064,7 @@ fn infra(e: StorageError) -> ExecFailure {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Fingerprint;
     use crate::mapopt::{ElideReason, MapPlan, UploadAction};
     use cloud_storage::LatencyStore;
     use omp_model::PartitionSpec;

@@ -20,13 +20,11 @@
 //! (§III-D: "successive map-reduce transformations within the Spark
 //! job").
 
-use crate::cache::{Fingerprint, ResidencyMap};
 use crate::config::CloudConfig;
 use crate::tiling;
 use omp_model::chunk::{chunk_outputs, merge_policy, run_chunk, MergeAcc, MergePolicy};
 use omp_model::view::OutPart;
 use omp_model::{DataEnv, ErasedSlice, ErasedVec, Inputs, OmpError, ParallelLoop, TargetRegion};
-use parking_lot::Mutex;
 use sparkle::{BroadcastStats, JobOptions, SparkContext, SparkError};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -96,15 +94,12 @@ pub struct JobOutcome {
 
 /// Execute every `parallel for` of `region` as successive Spark jobs
 /// against `cluster_env` (the driver's copy of the uploaded inputs plus
-/// zero-initialized output variables). `verified` holds the fingerprint
-/// of each input stage-in has already checked.
+/// zero-initialized output variables).
 pub fn run_spark_job(
     sc: &SparkContext,
     config: &CloudConfig,
     region: &TargetRegion,
     mut cluster_env: DataEnv,
-    verified: &HashMap<String, Fingerprint>,
-    residency: &Mutex<ResidencyMap>,
     recovery: Option<&crate::recovery::RegionRecovery>,
 ) -> Result<JobOutcome, OmpError> {
     let mut loops = Vec::with_capacity(region.loops.len());
@@ -116,8 +111,6 @@ pub fn run_spark_job(
             loop_,
             loop_idx,
             &mut cluster_env,
-            verified,
-            residency,
             recovery,
         )?;
         loops.push(stats);
@@ -128,7 +121,6 @@ pub fn run_spark_job(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_loop(
     sc: &SparkContext,
     config: &CloudConfig,
@@ -136,8 +128,6 @@ fn run_loop(
     loop_: &ParallelLoop,
     loop_idx: usize,
     cluster_env: &mut DataEnv,
-    verified: &HashMap<String, Fingerprint>,
-    residency: &Mutex<ResidencyMap>,
     recovery: Option<&crate::recovery::RegionRecovery>,
 ) -> Result<LoopStats, OmpError> {
     let t0 = Instant::now();
@@ -246,7 +236,6 @@ fn run_loop(
     let mut options = JobOptions {
         mode: config.schedule,
         spec_factor: config.spec_factor,
-        locality_wait: Duration::from_millis(config.locality_wait_ms),
         quarantine: config.quarantine_config(),
         heartbeat_miss: Duration::from_millis(config.quarantine_heartbeat_ms),
         tenant: region.tenant.to_string(),
@@ -255,54 +244,6 @@ fn run_loop(
         options.mode = loop_.schedule.into();
     }
     sc.set_job_options(options);
-
-    // Locality hints from the previous offload of the same data: a tile
-    // whose scattered inputs were last deserialized on executor `e` is
-    // seeded there and shielded from thieves for the delay-scheduling
-    // window. Whole-variable fingerprints guard against mutation between
-    // offloads — a changed buffer silently drops its stale residency.
-    // What stage-in has just checked against its fingerprint (`verified`:
-    // a resident input) is not checksummed again — by the first loop,
-    // that is: a later one may read what an earlier one rewrote.
-    let scatter_fps: HashMap<String, Fingerprint> = scatter_specs
-        .iter()
-        .map(|(name, _, buf)| {
-            let known = verified.get(name).filter(|_| loop_idx == 0).copied();
-            let fp = known.unwrap_or_else(|| Fingerprint::of_erased(buf));
-            (name.clone(), fp)
-        })
-        .collect();
-    let tile_hulls: Vec<Vec<(String, usize, usize)>> = pending
-        .iter()
-        .map(|d| {
-            d.inputs
-                .iter()
-                .map(|(name, base, block)| (name.clone(), *base, *base + block.len()))
-                .collect()
-        })
-        .collect();
-    {
-        let mut res = residency.lock();
-        for (name, fp) in &scatter_fps {
-            res.refresh_var(name, *fp);
-        }
-        if !res.is_empty() {
-            let hints: Vec<Option<usize>> = tile_hulls
-                .iter()
-                .map(|hulls| {
-                    hulls
-                        .iter()
-                        .filter_map(|(name, s, e)| {
-                            res.lookup(name, *scatter_fps.get(name)?, *s, *e)
-                        })
-                        .next()
-                })
-                .collect();
-            if hints.iter().any(Option::is_some) {
-                sc.set_next_job_locality(hints);
-            }
-        }
-    }
 
     // Broadcast the shared inputs (BitTorrent-style accounting).
     let bcast = sc.broadcast(bcast_vars, bcast_bytes);
@@ -379,21 +320,6 @@ fn run_loop(
         })
         .map_err(spark_err)?;
     let metrics = sc.last_job_metrics();
-    // Record where each tile's inputs ended up: the winning attempt's
-    // executor deserialized them, so the next offload over unchanged
-    // data can hint the tile back to that executor.
-    if let Some(m) = metrics.as_ref() {
-        let mut res = residency.lock();
-        for t in &m.tasks {
-            if let Some(hulls) = tile_hulls.get(t.task) {
-                for (name, s, e) in hulls {
-                    if let Some(fp) = scatter_fps.get(name) {
-                        res.record(name, *fp, *s, *e, t.executor);
-                    }
-                }
-            }
-        }
-    }
     acc.finish(cluster_env)?;
 
     let wall = t0.elapsed().as_secs_f64();
@@ -480,17 +406,7 @@ mod tests {
         env.insert("y", (0..LEN).map(|i| i as f32).collect::<Vec<_>>());
         let mut host = env.clone();
 
-        let residency = Mutex::new(ResidencyMap::new());
-        let outcome = run_spark_job(
-            &sc,
-            &config,
-            &region,
-            env,
-            &HashMap::new(),
-            &residency,
-            None,
-        )
-        .unwrap();
+        let outcome = run_spark_job(&sc, &config, &region, env, None).unwrap();
         let metrics = sc.last_job_metrics().expect("one job ran");
         // Iteration 100 is tile 0's; its first attempt died there.
         assert!(fired.load(Ordering::SeqCst));

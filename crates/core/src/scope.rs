@@ -22,7 +22,6 @@ use crate::device::{storage_err, CloudDevice};
 use crate::mapopt::allocate_outputs;
 use crate::runtime::CloudRuntime;
 use omp_model::{DataEnv, ErasedVec, ExecProfile, MapClause, MapDir, OmpError, TargetRegion};
-use std::collections::HashMap;
 
 /// Transfer statistics of a scope's enter/exit boundaries.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -173,9 +172,7 @@ impl CloudDevice {
         // Residency is lost on failure; the scope must be re-entered
         // (matching OpenMP's undefined device state after an error).
         let mut profile = ExecProfile::new(format!("{}+resident", self.name));
-        // A scope's buffers came through `enter`'s round trip: no ladder
-        // has fingerprinted them.
-        let outcome = self.run(region, resident, &HashMap::new(), None, &mut profile)?;
+        let outcome = self.run(region, resident, None, &mut profile)?;
         profile.note("target-data scope: no host-target transfers".to_string());
         *residency = Some(outcome.env);
         Ok(profile)

@@ -34,12 +34,7 @@ pub enum MergePolicy {
 pub fn merge_policy(loop_: &ParallelLoop, var: &str) -> MergePolicy {
     if let Some(r) = loop_.reduction_for(var) {
         MergePolicy::Reduce(r.op)
-    } else if loop_
-        .partitions
-        .get(var)
-        .map(|s| s.is_indexed())
-        .unwrap_or(false)
-    {
+    } else if loop_.partitions.get(var).is_some_and(|s| s.is_indexed()) {
         MergePolicy::Indexed
     } else {
         MergePolicy::BitOr
@@ -77,8 +72,7 @@ pub fn chunk_inputs(
 /// `tofrom` variable, so the elements nobody writes keep their values;
 /// the merge identity otherwise — zero bits for `Indexed` `from`-only
 /// (the region never reads their initial contents, so shipping them to
-/// the worker would be a dead `to` transfer), `BitOr` and `alloc`
-/// scratch.
+/// the worker would be a dead `to` transfer) and `BitOr`.
 fn start(dir: MapDir, policy: MergePolicy, buf: &Arc<ErasedVec>, range: Range<usize>) -> OutInit {
     match policy {
         MergePolicy::Indexed if dir == MapDir::ToFrom => {
@@ -95,8 +89,9 @@ fn start(dir: MapDir, policy: MergePolicy, buf: &Arc<ErasedVec>, range: Range<us
 ///
 /// * `Indexed` outputs cover only the chunk hull.
 /// * `BitOr` and `Reduce` outputs cover the whole variable.
-/// * `alloc` scratch covers the whole variable, private to the chunk and
-///   never merged back.
+/// * `alloc` scratch covers the whole variable, private to the chunk:
+///   [`Outputs::into_parts`] leaves it out, so it never reaches the
+///   driver.
 ///
 /// Each starts as [`start`] says.
 pub fn chunk_outputs(
@@ -106,17 +101,9 @@ pub fn chunk_outputs(
     iters: Range<usize>,
 ) -> Result<Outputs, OmpError> {
     let mut outputs = Outputs::new();
-    for m in region
-        .maps
-        .iter()
-        .filter(|m| m.dir.is_output() || m.dir.is_alloc())
-    {
+    for m in region.output_maps() {
         let buf = env.get_erased(&m.name)?;
-        let policy = if m.dir.is_alloc() {
-            MergePolicy::BitOr
-        } else {
-            merge_policy(loop_, &m.name)
-        };
+        let policy = merge_policy(loop_, &m.name);
         let range = match policy {
             MergePolicy::Indexed => {
                 let spec = loop_.partitions.get(&m.name).expect("indexed implies spec");
@@ -125,6 +112,9 @@ pub fn chunk_outputs(
             _ => 0..buf.len(),
         };
         outputs.add(&m.name, range.start, start(m.dir, policy, buf, range));
+    }
+    for m in region.alloc_maps() {
+        outputs.add_scratch(&m.name, env.get_erased(&m.name)?);
     }
     Ok(outputs)
 }
@@ -152,9 +142,6 @@ pub fn run_chunk(body: &LoopBody, iters: Range<usize>, inputs: &Inputs, outputs:
 /// floating-point reduction has the same bits on every run.
 pub struct MergeAcc {
     accs: Vec<AccSlot>,
-    /// `map(alloc:)` scratch names: chunk parts for these are dropped on
-    /// absorb instead of merged — scratch never flows back to the host.
-    alloc: Vec<String>,
     /// The next chunk whose reduction parts fold, and the reduction
     /// parts `(slot, op, data)` of later chunks that arrived before it.
     next: usize,
@@ -189,7 +176,6 @@ impl MergeAcc {
         }
         Ok(MergeAcc {
             accs,
-            alloc: region.alloc_maps().map(|m| m.name.clone()).collect(),
             next: 0,
             early: BTreeMap::new(),
         })
@@ -201,9 +187,6 @@ impl MergeAcc {
     pub fn absorb(&mut self, chunk: usize, parts: Vec<OutPart>) {
         let mut reduce = Vec::new();
         for part in parts {
-            if self.alloc.contains(&part.name) {
-                continue;
-            }
             let i = self
                 .accs
                 .iter()

@@ -305,9 +305,10 @@ impl<'a, T: Pod> Index<usize> for VarView<'a, T> {
 }
 
 /// Writable variables visible to a loop body (the task's private output
-/// buffers, later merged by the driver). Each starts as a recipe and is
-/// built on the body's first `view_mut` of it, so an output the body
-/// never borrows costs no buffer and leaves no part.
+/// buffers, later merged by the driver, and its `map(alloc:)` scratch).
+/// Each starts as a recipe and is built on the body's first `view_mut`
+/// of it, so an output the body never borrows costs no buffer and leaves
+/// no part; scratch never leaves a part.
 #[derive(Debug, Clone, Default)]
 pub struct Outputs {
     vars: VarTable<OutputVar>,
@@ -319,6 +320,8 @@ struct OutputVar {
     /// What the first `view_mut` builds `data` from.
     init: OutInit,
     data: Option<ErasedVec>,
+    /// `map(alloc:)` scratch: private to the chunk, never a part.
+    scratch: bool,
 }
 
 /// How a private output buffer starts.
@@ -365,9 +368,23 @@ impl Outputs {
     /// recipe. Either way it becomes a part only once the body borrows
     /// it.
     pub fn add(&mut self, name: impl Into<String>, base: usize, init: impl Into<OutInit>) {
-        let (init, data) = (init.into(), None);
-        self.vars
-            .insert(name.into(), OutputVar { base, init, data });
+        let (init, data, scratch) = (init.into(), None, false);
+        let var = OutputVar {
+            base,
+            init,
+            data,
+            scratch,
+        };
+        self.vars.insert(name.into(), var);
+    }
+
+    /// Register `map(alloc:)` scratch: zero bits the shape of the whole
+    /// variable `like`, which the body borrows like an output but which
+    /// never becomes a part.
+    pub(crate) fn add_scratch(&mut self, name: &str, like: &ErasedVec) {
+        let zeroed = OutInit::Identity(like.tag(), like.len(), RedOp::BitOr);
+        self.add(name, 0, zeroed);
+        self.vars.get_mut(name).expect("just added").scratch = true;
     }
 
     /// Typed mutable view of `name`. Panics like [`Inputs::view`]. The
@@ -388,7 +405,8 @@ impl Outputs {
     }
 
     /// Consume into [`OutPart`]s for merging, sorted by name for
-    /// determinism: one per output the body borrowed.
+    /// determinism: one per output the body borrowed. Scratch is dropped
+    /// here, on the chunk's side.
     pub fn into_parts(self) -> Vec<OutPart> {
         let mut parts: Vec<OutPart> = self
             .vars
@@ -397,7 +415,7 @@ impl Outputs {
             .flatten()
             .filter_map(|entry| {
                 Some(OutPart {
-                    data: entry.value.data?,
+                    data: entry.value.data.filter(|_| !entry.value.scratch)?,
                     name: entry.name,
                     base: entry.value.base,
                 })

@@ -76,8 +76,6 @@ struct Inner {
     job_counter: AtomicU64,
     stopped: AtomicBool,
     job_options: Mutex<JobOptions>,
-    /// Locality hints consumed by exactly the next job (cleared on use).
-    next_locality: Mutex<Vec<Option<usize>>>,
     metrics: Mutex<Vec<JobMetrics>>,
 }
 
@@ -116,7 +114,6 @@ impl SparkContext {
                 job_counter: AtomicU64::new(0),
                 stopped: AtomicBool::new(false),
                 job_options: Mutex::new(JobOptions::default()),
-                next_locality: Mutex::new(Vec::new()),
                 metrics: Mutex::new(Vec::new()),
             }),
         }
@@ -128,7 +125,7 @@ impl SparkContext {
     }
 
     /// Scheduling policy for subsequent jobs (mode, speculation,
-    /// locality wait). Persists until set again.
+    /// quarantine). Persists until set again.
     pub fn set_job_options(&self, options: JobOptions) {
         *self.inner.job_options.lock() = options;
     }
@@ -136,13 +133,6 @@ impl SparkContext {
     /// Current scheduling policy.
     pub fn job_options(&self) -> JobOptions {
         self.inner.job_options.lock().clone()
-    }
-
-    /// Preferred executor per partition for the *next* job only (tile
-    /// residency hints). Ignored unless its length matches that job's
-    /// partition count, so hints can't leak onto unrelated jobs.
-    pub fn set_next_job_locality(&self, hints: Vec<Option<usize>>) {
-        *self.inner.next_locality.lock() = hints;
     }
 
     /// Distribute a collection into an RDD with `partitions` partitions.
@@ -253,19 +243,11 @@ impl SparkContext {
         let t0 = Instant::now();
 
         let options = self.inner.job_options.lock().clone();
-        let locality = std::mem::take(&mut *self.inner.next_locality.lock());
-        let locality = if locality.len() == partitions {
-            locality
-        } else {
-            Vec::new()
-        };
-        let hints = locality.clone();
         let runner: Runner = Arc::new(move |task| Box::new(lineage(task)) as Box<dyn Any + Send>);
         self.inner.dispatcher.submit_job(JobSpec {
             job,
             partitions,
             options: options.clone(),
-            locality,
             runner,
         })?;
 
@@ -276,15 +258,6 @@ impl SparkContext {
         metrics.steals = steals;
         metrics.wall_seconds = t0.elapsed().as_secs_f64();
         metrics.job_id = job;
-        for t in &metrics.tasks {
-            if let Some(Some(want)) = hints.get(t.task) {
-                if t.executor == *want {
-                    metrics.locality_hits += 1;
-                } else {
-                    metrics.locality_misses += 1;
-                }
-            }
-        }
         self.inner.metrics.lock().push(metrics);
         Ok(())
     }

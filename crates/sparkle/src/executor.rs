@@ -215,7 +215,6 @@ mod tests {
                     job,
                     partitions,
                     options: JobOptions::default(),
-                    locality: Vec::new(),
                     runner,
                 })
                 .unwrap();
@@ -274,7 +273,6 @@ mod tests {
                 job: 0,
                 partitions: 1,
                 options: JobOptions::default(),
-                locality: Vec::new(),
                 runner: Arc::new(|_| Box::new(()) as Box<dyn Any + Send>),
             }),
             Err(crate::SparkError::NoExecutors)

@@ -65,11 +65,6 @@ pub struct JobMetrics {
     pub quarantine_trips: usize,
     /// Heartbeat windows an executor missed while holding running tasks.
     pub heartbeat_misses: usize,
-    /// Tasks whose winning attempt ran on the executor their locality
-    /// hint named (tile residency from an earlier map phase paid off).
-    pub locality_hits: usize,
-    /// Tasks that carried a locality hint but ran elsewhere.
-    pub locality_misses: usize,
 }
 
 impl JobMetrics {
@@ -87,8 +82,6 @@ impl JobMetrics {
             failed_attempts: 0,
             quarantine_trips: 0,
             heartbeat_misses: 0,
-            locality_hits: 0,
-            locality_misses: 0,
         }
     }
 

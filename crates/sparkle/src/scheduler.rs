@@ -12,10 +12,6 @@
 //!   local queues (preserving the static placement as the *preferred*
 //!   one); an idle executor with nothing local steals from the back of
 //!   the most-loaded peer's queue.
-//! * **Locality + delay scheduling** — a task whose input tile is already
-//!   resident on executor `e` is seeded onto `e`'s local queue and
-//!   protected from thieves for `locality_wait`; after that it is fair
-//!   game (Zaharia et al.'s delay scheduling, degraded gracefully).
 //! * **Speculation** — the driver watches running attempts and enqueues a
 //!   duplicate for any task slower than `spec_factor ×` the running
 //!   median; first writer wins, so results stay bitwise-identical.
@@ -146,8 +142,6 @@ pub struct JobOptions {
     /// `spec_factor ×` the median completed task gets a duplicate attempt.
     /// `0.0` disables speculation.
     pub spec_factor: f64,
-    /// How long a locality-hinted task is protected from thieves.
-    pub locality_wait: Duration,
     /// Executor blacklisting policy (disabled by default).
     pub quarantine: QuarantineConfig,
     /// A running executor that hasn't heartbeat for this long is scored
@@ -164,7 +158,6 @@ impl Default for JobOptions {
         JobOptions {
             mode: ScheduleMode::Stealing,
             spec_factor: 0.0,
-            locality_wait: Duration::ZERO,
             quarantine: QuarantineConfig::disabled(),
             heartbeat_miss: Duration::ZERO,
             tenant: "default".to_string(),
@@ -238,9 +231,6 @@ struct QueueEntry {
     task: usize,
     attempt: usize,
     speculative: bool,
-    /// Thieves must leave this entry alone until then (delay scheduling);
-    /// the home executor claims it regardless.
-    not_before: Option<Instant>,
 }
 
 /// A claimed unit of work, handed to an executor slot thread.
@@ -358,8 +348,6 @@ pub(crate) struct JobSpec {
     pub job: u64,
     pub partitions: usize,
     pub options: JobOptions,
-    /// Preferred executor per task (from tile residency); empty = none.
-    pub locality: Vec<Option<usize>>,
     pub runner: Runner,
 }
 
@@ -544,7 +532,6 @@ impl Dispatcher {
             job,
             partitions,
             options,
-            locality,
             runner,
         } = spec;
         let mut active = ActiveJob {
@@ -558,25 +545,15 @@ impl Dispatcher {
             started: vec![None; partitions],
             steals: 0,
         };
-        let now = Instant::now();
-        let hinted_until = (!options.locality_wait.is_zero()).then(|| now + options.locality_wait);
         for task in 0..partitions {
-            let hint = locality
-                .get(task)
-                .copied()
-                .flatten()
-                .filter(|&e| e < self.execs.len() && alive.contains(&e));
             let entry = QueueEntry {
                 task,
                 attempt: 0,
                 speculative: false,
-                not_before: hint.and(hinted_until),
             };
-            match (options.mode, hint) {
-                // A resident tile pins the preferred executor in every mode.
-                (_, Some(e)) => active.local[e].push_back(entry),
-                (ScheduleMode::Dynamic, None) => active.central.push_back(entry),
-                (ScheduleMode::Static | ScheduleMode::Stealing, None) => {
+            match options.mode {
+                ScheduleMode::Dynamic => active.central.push_back(entry),
+                ScheduleMode::Static | ScheduleMode::Stealing => {
                     active.local[alive[task % alive.len()]].push_back(entry)
                 }
             }
@@ -609,7 +586,6 @@ impl Dispatcher {
             task,
             attempt,
             speculative,
-            not_before: None,
         };
         match active.mode {
             ScheduleMode::Static => {
@@ -741,7 +717,7 @@ impl Dispatcher {
                     return Claimed::Run(unit);
                 }
             }
-            // Re-check liveness / locality-wait expiry every few ms even
+            // Re-check liveness and quarantine expiry every few ms even
             // without an explicit poke.
             self.work_cv.wait_for(&mut state, Duration::from_millis(5));
         }
@@ -750,29 +726,26 @@ impl Dispatcher {
     fn try_claim_locked(&self, state: &mut DispatchState, exec: usize) -> Option<TaskUnit> {
         let active = state.active.as_mut()?;
         active.prune();
-        let now = Instant::now();
         let mode = active.mode;
 
-        // Own queue first: home-field claims ignore `not_before`.
-        let mut picked = take_claimable(&mut active.local[exec], &active.running_on, exec, None)
-            .map(|e| (e, false));
+        // Own queue first.
+        let mut picked =
+            take_claimable(&mut active.local[exec], &active.running_on, exec).map(|e| (e, false));
 
         if picked.is_none() && mode != ScheduleMode::Static {
-            picked = take_claimable(&mut active.central, &active.running_on, exec, None)
-                .map(|e| (e, false));
+            picked =
+                take_claimable(&mut active.central, &active.running_on, exec).map(|e| (e, false));
         }
 
         if picked.is_none() && mode == ScheduleMode::Stealing {
-            // Steal from the back of the most-loaded alive peer, honoring
-            // the locality delay of hinted entries.
+            // Steal from the back of the most-loaded alive peer.
             let victim = (0..self.execs.len())
                 .filter(|&v| v != exec && self.execs[v].is_alive())
                 .max_by_key(|&v| active.local[v].len())
                 .filter(|&v| !active.local[v].is_empty());
             if let Some(v) = victim {
-                picked =
-                    take_claimable_back(&mut active.local[v], &active.running_on, exec, Some(now))
-                        .map(|e| (e, true));
+                picked = take_claimable_back(&mut active.local[v], &active.running_on, exec)
+                    .map(|e| (e, true));
             }
         }
 
@@ -783,9 +756,7 @@ impl Dispatcher {
                 if self.execs[v].is_alive() && !self.is_quarantined(v) {
                     continue;
                 }
-                if let Some(e) =
-                    take_claimable(&mut active.local[v], &active.running_on, exec, None)
-                {
+                if let Some(e) = take_claimable(&mut active.local[v], &active.running_on, exec) {
                     picked = Some((e, true));
                     break;
                 }
@@ -798,7 +769,7 @@ impl Dispatcher {
         }
         active.running_on[entry.task].push(exec);
         if active.started[entry.task].is_none() {
-            active.started[entry.task] = Some(now);
+            active.started[entry.task] = Some(Instant::now());
         }
         self.execs[exec].running.fetch_add(1, Ordering::AcqRel);
         let inject = self.injected_failures.load(Ordering::SeqCst) > 0
@@ -824,16 +795,12 @@ impl Dispatcher {
 }
 
 /// Pop the first claimable entry from the front of `queue` for `exec`.
-/// `now`: respect `not_before` (thief); `None`: ignore it (home/rescue).
 fn take_claimable(
     queue: &mut VecDeque<QueueEntry>,
     running_on: &[Vec<usize>],
     exec: usize,
-    now: Option<Instant>,
 ) -> Option<QueueEntry> {
-    let idx = queue
-        .iter()
-        .position(|e| claimable(e, running_on, exec, now))?;
+    let idx = queue.iter().position(|e| claimable(e, running_on, exec))?;
     queue.remove(idx)
 }
 
@@ -843,29 +810,15 @@ fn take_claimable_back(
     queue: &mut VecDeque<QueueEntry>,
     running_on: &[Vec<usize>],
     exec: usize,
-    now: Option<Instant>,
 ) -> Option<QueueEntry> {
-    let idx = queue
-        .iter()
-        .rposition(|e| claimable(e, running_on, exec, now))?;
+    let idx = queue.iter().rposition(|e| claimable(e, running_on, exec))?;
     queue.remove(idx)
 }
 
-fn claimable(
-    entry: &QueueEntry,
-    running_on: &[Vec<usize>],
-    exec: usize,
-    now: Option<Instant>,
-) -> bool {
-    // A speculative copy on the machine already running the original
-    // would race itself — leave it for a genuinely idle executor.
-    if entry.speculative && running_on[entry.task].contains(&exec) {
-        return false;
-    }
-    match (entry.not_before, now) {
-        (Some(nb), Some(now)) => now >= nb,
-        _ => true,
-    }
+/// A speculative copy on the machine already running the original would
+/// race itself — leave it for a genuinely idle executor.
+fn claimable(entry: &QueueEntry, running_on: &[Vec<usize>], exec: usize) -> bool {
+    !(entry.speculative && running_on[entry.task].contains(&exec))
 }
 
 #[cfg(test)]
@@ -927,7 +880,6 @@ mod tests {
             job,
             partitions,
             options,
-            locality: Vec::new(),
             runner: noop_runner(),
         }
     }
@@ -1000,27 +952,6 @@ mod tests {
         }
         assert_eq!(d.queued_on(0), 0, "stranded work rescued");
         d.clear_job(3);
-    }
-
-    #[test]
-    fn locality_wait_delays_thieves_but_not_home() {
-        let d = dispatcher(2);
-        let options = JobOptions {
-            mode: ScheduleMode::Stealing,
-            locality_wait: Duration::from_secs(60),
-            ..JobOptions::default()
-        };
-        let mut s = spec(4, 2, options);
-        s.locality = vec![Some(0), Some(0)]; // both tiles resident on exec 0
-        d.submit_job(s).unwrap();
-        // Hinted entries are invisible to thieves inside the wait window…
-        let mut state = d.state.lock();
-        assert!(d.try_claim_locked(&mut state, 1).is_none());
-        // …but the home executor claims them immediately.
-        assert!(d.try_claim_locked(&mut state, 0).is_some());
-        drop(state);
-        d.finished(0);
-        d.clear_job(4);
     }
 
     #[test]
@@ -1152,7 +1083,7 @@ mod tests {
     }
 
     #[test]
-    fn seeding_avoids_a_quarantined_executor_and_drops_its_hints() {
+    fn seeding_avoids_a_quarantined_executor() {
         let d = dispatcher(2);
         let options = JobOptions {
             mode: ScheduleMode::Static,
@@ -1166,15 +1097,6 @@ mod tests {
         assert_eq!(d.queued_on(0), 0, "no seeds on the benched executor");
         assert_eq!(d.queued_on(1), 4);
         d.clear_job(7);
-        let mut s = spec(8, 1, quarantine_options(1.0));
-        s.locality = vec![Some(0)];
-        d.submit_job(s).unwrap();
-        assert_eq!(
-            d.queued_on(0),
-            0,
-            "hint on a quarantined executor is dropped"
-        );
-        d.clear_job(8);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Behaviour of the elastic map-phase scheduler: dynamic dispatch,
-//! work stealing, locality hints and speculative re-execution — asserted
+//! work stealing and speculative re-execution — asserted
 //! through `JobMetrics` counters, not just timing.
 
 use sparkle::{JobOptions, ScheduleMode, SparkConf, SparkContext, SparkError};
@@ -159,78 +159,6 @@ fn results_are_bitwise_identical_across_modes_and_speculation() {
             sc.stop();
         }
     }
-}
-
-#[test]
-fn locality_hints_pin_tasks_inside_the_wait_window() {
-    let sc = cluster(2);
-    sc.set_job_options(JobOptions {
-        mode: ScheduleMode::Stealing,
-        locality_wait: Duration::from_millis(500),
-        ..JobOptions::default()
-    });
-    sc.set_next_job_locality(vec![Some(1); 8]);
-    let out = sc
-        .parallelize((0..8i64).collect::<Vec<_>>(), 8)
-        .map(|x| x + 1)
-        .collect()
-        .unwrap();
-    assert_eq!(out, (1..=8i64).collect::<Vec<_>>());
-    let metrics = sc.last_job_metrics().unwrap();
-    assert!(
-        metrics.tasks.iter().all(|t| t.executor == 1),
-        "hinted tasks must run on their resident executor within the wait window"
-    );
-    assert_eq!((metrics.locality_hits, metrics.locality_misses), (8, 0));
-    // Hints are consumed: the next job spreads normally again.
-    let out = sc
-        .parallelize((0..32i64).collect::<Vec<_>>(), 16)
-        .map(|x| {
-            std::thread::sleep(Duration::from_millis(1));
-            x
-        })
-        .collect()
-        .unwrap();
-    assert_eq!(out.len(), 32);
-    let metrics = sc.last_job_metrics().unwrap();
-    assert!(
-        metrics.executors_used() >= 2,
-        "stale hints must not leak onto later jobs"
-    );
-    assert_eq!((metrics.locality_hits, metrics.locality_misses), (0, 0));
-    sc.stop();
-}
-
-#[test]
-fn expired_locality_wait_releases_hinted_tasks_to_thieves() {
-    let sc = cluster(2);
-    sc.set_job_options(JobOptions {
-        mode: ScheduleMode::Stealing,
-        locality_wait: Duration::from_millis(5),
-        ..JobOptions::default()
-    });
-    // Pin everything to the slow executor with a tiny wait: after it
-    // expires, the idle peer must take over most of the work.
-    sc.set_executor_slow_factor(0, 20.0);
-    sc.set_next_job_locality(vec![Some(0); 16]);
-    let out = sc
-        .parallelize((0..16i64).collect::<Vec<_>>(), 16)
-        .map(|x| {
-            std::thread::sleep(Duration::from_millis(2));
-            x
-        })
-        .collect()
-        .unwrap();
-    assert_eq!(out.len(), 16);
-    let metrics = sc.last_job_metrics().unwrap();
-    assert!(
-        metrics.tasks.iter().any(|t| t.executor == 1),
-        "expired delay-scheduling window must allow stealing"
-    );
-    // Every hinted task is a hit or a miss; the stolen ones are misses.
-    assert_eq!(metrics.locality_hits + metrics.locality_misses, 16);
-    assert!(metrics.locality_misses >= 1);
-    sc.stop();
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example cost_explorer`
 
 use ompcloud_suite::cloudsim::model::OffloadModel;
-use ompcloud_suite::cloudsim::{advisor, instance_type, Fleet};
+use ompcloud_suite::cloudsim::{instance_type, Fleet};
 
 fn main() {
     let model = OffloadModel::default();
@@ -76,24 +76,4 @@ fn main() {
     println!("\ncheapest configuration: {cores} cores at ${usd:.2} — per-hour billing makes");
     println!("small clusters cheap and large ones fast; the runtime starts and stops the");
     println!("instances around the offload so you pay only for what the job used.");
-
-    // The advisor automates the same search, with an optional deadline.
-    let options = [8usize, 16, 32, 64, 128, 256];
-    let unhurried = advisor::recommend(&model, &plan, itype, &options, None).expect("feasible");
-    println!(
-        "\nadvisor, no deadline:   {} cores (${:.2}, {:.0} min)",
-        unhurried.best.cores,
-        unhurried.best.cost_usd,
-        unhurried.best.wall_s / 60.0
-    );
-    let rushed = advisor::recommend(&model, &plan, itype, &options, Some(10.0 * 60.0));
-    match rushed {
-        Some(r) => println!(
-            "advisor, 10-min deadline: {} cores (${:.2}, {:.0} min)",
-            r.best.cores,
-            r.best.cost_usd,
-            r.best.wall_s / 60.0
-        ),
-        None => println!("advisor, 10-min deadline: not achievable with these options"),
-    }
 }

@@ -1,22 +1,19 @@
 //! The elastic map-phase scheduler exercised through the *full* offload
 //! path (CloudConfig knobs, upload, tiling, map, reconstruction): every
 //! schedule mode, with and without speculation racing duplicate
-//! attempts, must produce bitwise-identical outputs — and repeated
-//! offloads over unchanged data must accumulate tile residency for the
-//! locality hints.
+//! attempts, must produce bitwise-identical outputs.
 
 use ompcloud_suite::kernels::{self, BenchId, DataKind};
 use ompcloud_suite::prelude::*;
 use ompcloud_suite::sparkle::ScheduleMode;
 
-fn runtime(schedule: ScheduleMode, spec_factor: f64, locality_wait_ms: u64) -> CloudRuntime {
+fn runtime(schedule: ScheduleMode, spec_factor: f64) -> CloudRuntime {
     CloudRuntime::new(CloudConfig {
         workers: 4,
         vcpus_per_worker: 2,
         task_cpus: 2,
         schedule,
         spec_factor,
-        locality_wait_ms,
         ..CloudConfig::default()
     })
 }
@@ -30,7 +27,7 @@ fn offload_is_bitwise_identical_across_schedule_modes_and_speculation() {
         ScheduleMode::Stealing,
     ] {
         for spec_factor in [0.0, 1.5] {
-            let rt = runtime(schedule, spec_factor, 0);
+            let rt = runtime(schedule, spec_factor);
             let mut case = kernels::build(
                 BenchId::Gemm,
                 16,
@@ -59,8 +56,7 @@ fn offload_is_bitwise_identical_across_schedule_modes_and_speculation() {
 #[test]
 fn schedule_knob_parses_through_the_config_file() {
     let cfg = CloudConfig::from_str(
-        "[cloud]\nprovider = aws\n[offload]\nschedule = dynamic\nspec-factor = 2\n\
-         locality-wait-ms = 25\n",
+        "[cloud]\nprovider = aws\n[offload]\nschedule = dynamic\nspec-factor = 2\n",
     )
     .unwrap();
     let rt = CloudRuntime::new(CloudConfig {
@@ -84,39 +80,11 @@ fn schedule_knob_parses_through_the_config_file() {
 }
 
 #[test]
-fn repeated_offloads_accumulate_tile_residency_for_locality() {
-    // Iterative pattern: the same kernel over unchanged inputs. After the
-    // first offload the device knows which executor deserialized each
-    // tile; the second offload turns that into locality hints.
-    let rt = runtime(ScheduleMode::Stealing, 0.0, 50);
-    assert_eq!(rt.cloud().resident_tiles(), 0);
-    let mut first = None;
-    for _ in 0..2 {
-        let region = kernels::syrk::region(16, CloudRuntime::cloud_selector());
-        let mut env = kernels::syrk::env(16, DataKind::Dense, 7);
-        rt.offload(&region, &mut env).unwrap();
-        let out = env.get::<f32>("C").unwrap().to_vec();
-        match &first {
-            None => first = Some(out),
-            Some(f) => assert_eq!(f, &out, "locality hints must not change results"),
-        }
-    }
-    assert!(
-        rt.cloud().resident_tiles() > 0,
-        "map phases must record per-executor tile residency"
-    );
-    // A cluster restart invalidates all residency.
-    rt.cloud().clear_tile_residency();
-    assert_eq!(rt.cloud().resident_tiles(), 0);
-    rt.shutdown();
-}
-
-#[test]
 fn loop_schedule_clause_overrides_the_cluster_mode() {
     // A `schedule(dynamic)` clause on the loop must reach the cluster
     // scheduler even when the config says static — the parfor Schedule
     // types are reused at cluster scope.
-    let rt = runtime(ScheduleMode::Static, 0.0, 0);
+    let rt = runtime(ScheduleMode::Static, 0.0);
     let region = TargetRegion::builder("sched")
         .device(CloudRuntime::cloud_selector())
         .map_to("x")

@@ -11,10 +11,18 @@
 //! accumulator for it, all skipped at the end as untouched. Now a tile
 //! builds an output on the body's first `view_mut` of it, and the driver
 //! builds an accumulator when its first part arrives.
+//!
+//! A `map(alloc:)` scratch buffer never leaves its tile either: the
+//! cloud collects only what the region maps back.
 
 use ompcloud_suite::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
+
+/// Held by each test for its whole run, so no other test's allocations
+/// land in the counts.
+static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Whether allocations are being counted.
 static COUNTING: AtomicBool = AtomicBool::new(false);
@@ -168,9 +176,9 @@ fn whole_covs_of_the_mean_loop(
     cov_both as i64 - cov_second as i64
 }
 
-/// One test, so no other test's allocations land in the counts.
 #[test]
 fn the_mean_loop_allocates_no_cov_on_the_cloud_or_the_host() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let rt = CloudRuntime::new(CloudConfig {
         workers: 2,
         vcpus_per_worker: 2,
@@ -196,4 +204,55 @@ fn the_mean_loop_allocates_no_cov_on_the_cloud_or_the_host() {
         extra.iter().all(|(_, covs)| *covs == 0),
         "whole-cov buffers the mean loop allocated: {extra:?}"
     );
+}
+
+#[test]
+fn alloc_scratch_is_not_collected_from_the_tiles() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const LEN: usize = 4096;
+    let region = TargetRegion::builder("scratch")
+        .device(CloudRuntime::cloud_selector())
+        .map_to("x")
+        .map_alloc("tmp")
+        .map_from("y")
+        .parallel_for(LEN, |l| {
+            l.partition("x", PartitionSpec::rows(1))
+                .partition("y", PartitionSpec::rows(1))
+                .body(|i, ins, outs| {
+                    outs.view_mut::<f32>("tmp")[i] = ins.view::<f32>("x")[i] + 1.0;
+                    let staged = outs.view_mut::<f32>("tmp")[i];
+                    outs.view_mut::<f32>("y")[i] = 2.0 * staged;
+                })
+        })
+        .build()
+        .expect("a valid region");
+    let mut env = DataEnv::new();
+    env.insert("x", (0..LEN).map(|i| i as f32).collect::<Vec<_>>());
+    env.insert("tmp", vec![0.0f32; LEN]);
+    env.insert("y", vec![0.0f32; LEN]);
+    let rt = CloudRuntime::new(CloudConfig {
+        workers: 2,
+        vcpus_per_worker: 2,
+        task_cpus: 1,
+        ..CloudConfig::default()
+    });
+    rt.offload(&region, &mut env).unwrap();
+    let report = rt
+        .cloud()
+        .last_report()
+        .expect("the region ran on the cloud");
+    rt.shutdown();
+
+    let y = env.get::<f32>("y").unwrap();
+    assert!(y
+        .iter()
+        .enumerate()
+        .all(|(i, &v)| v == 2.0 * (i as f32 + 1.0)));
+    assert_eq!(report.loops.len(), 1);
+    assert_eq!(report.loops[0].tiles, 4);
+    // `y` alone: 4,096 f32. The four tiles' whole-variable scratch
+    // would add 4 x 16,384 B.
+    let y_bytes = (LEN * 4) as u64;
+    assert_eq!(report.loops[0].collect_bytes, y_bytes);
+    assert_eq!(report.profile.bytes_from_device, y_bytes);
 }
