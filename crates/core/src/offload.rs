@@ -9,7 +9,7 @@
 //!    unpartitioned variables are broadcast once per worker (Eqs. 1–3);
 //! 3. applies the loop body as a `map` over the RDD — the worker-side
 //!    shim plays the role of the JNI bridge, wrapping the byte partitions
-//!    into typed views and invoking the native kernel per iteration
+//!    into typed views and invoking the native kernel once per tile
 //!    (Eqs. 4–7);
 //! 4. reconstructs each output variable: indexed writes for partitioned
 //!    outputs, bitwise-OR for unpartitioned ones, or the declared

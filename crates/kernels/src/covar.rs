@@ -6,10 +6,23 @@
 //! rows (`cov[i][j] = Σ_k (D[k][i]-mean[i])(D[k][j]-mean[j]) / (m-1)`).
 //! The data matrix is read column-wise by every iteration of the second
 //! loop, so it is broadcast whole.
+//!
+//! A covariance tile centres 64 observations at a time into a
+//! scratch panel (at most 128 KiB) and runs the crate's blocked
+//! matrix-product nest (`matmul::add_panel`) over it, carrying its sums
+//! through `cov` between panels. Blocking never changes an element's own
+//! arithmetic: every `cov[i][j]` starts from `+0.0`, takes its products
+//! `(D[k][i]-mean[i])(D[k][j]-mean[j])` `k` ascending, one multiply and
+//! one add each, and is divided once at the end — the bits of the
+//! textbook nest `sequential()` is checked against.
 
 use crate::data::{matrix, DataKind};
+use crate::matmul::{add_panel, K_PANEL};
 use omp_model::prelude::*;
 use omp_model::TargetRegion;
+
+/// Bound on a covariance tile's scratch panel.
+const PANEL_BYTES: usize = 128 << 10;
 
 /// Floating-point operations (dominated by the O(n² m) second loop).
 pub fn flops(n: usize, m: usize) -> f64 {
@@ -26,37 +39,51 @@ pub fn region(n: usize, m: usize, device: DeviceSelector) -> TargetRegion {
         .parallel_for(n, move |l| {
             l.partition("mean", PartitionSpec::rows(1))
                 .flops_per_iter((2 * m) as f64)
-                .body(move |i, ins, outs| {
+                .tile_body(move |cols, ins, outs| {
+                    // Observation `k` outermost, so the inner loop walks
+                    // the tile's columns of one row of `data` contiguously.
                     let d = ins.view::<f32>("data").slice(0..m * n);
-                    let mut acc = 0.0f32;
+                    let mut mean = outs.view_mut::<f32>("mean");
+                    let mean = mean.slice_mut(cols.clone());
+                    mean.fill(0.0);
                     for d_k in d.chunks_exact(n) {
-                        acc += d_k[i];
+                        for (acc, &d_ki) in mean.iter_mut().zip(&d_k[cols.clone()]) {
+                            *acc += d_ki;
+                        }
                     }
-                    outs.view_mut::<f32>("mean")[i] = acc / m as f32;
+                    for mu in mean {
+                        *mu /= m as f32;
+                    }
                 })
         })
         .parallel_for(n, move |l| {
             l.partition("cov", PartitionSpec::rows(n))
                 .flops_per_iter((n * (3 * m + 1)) as f64)
-                .body(move |i, ins, outs| {
+                .tile_body(move |rows, ins, outs| {
                     let d = ins.view::<f32>("data").slice(0..m * n);
                     let mean = ins.view::<f32>("mean").slice(0..n);
                     let mut cov = outs.view_mut::<f32>("cov");
-                    let cov_row = cov.slice_mut(i * n..(i + 1) * n);
-                    // Observation `k` outermost, so the inner loop walks one
-                    // row of `data`, `mean` and `cov` contiguously. Every
-                    // `cov[i][j]` still sums its `m` products `k` ascending
-                    // from `+0.0` and is divided once at the end: the bits
-                    // of `sequential()`'s `j`-outer nest.
-                    cov_row.fill(0.0);
-                    for d_k in d.chunks_exact(n) {
-                        let d_ki = d_k[i] - mean[i];
-                        for ((c, &d_kj), &mean_j) in cov_row.iter_mut().zip(d_k).zip(mean) {
-                            *c += d_ki * (d_kj - mean_j);
+                    let cov = cov.slice_mut(rows.start * n..rows.end * n);
+                    cov.fill(0.0);
+                    let i0 = rows.start;
+                    let kp = (PANEL_BYTES / (4 * n.max(1))).clamp(1, K_PANEL);
+                    let panel_len = kp * n.max(1);
+                    // The tile's scratch: one panel of mean-centred
+                    // observations, both the rows' and the columns' factors
+                    // of every product.
+                    let mut panel = vec![0.0f32; panel_len];
+                    for d_p in d.chunks(panel_len) {
+                        let panel = &mut panel[..d_p.len()];
+                        for (p_k, d_k) in panel.chunks_exact_mut(n).zip(d_p.chunks_exact(n)) {
+                            for ((p, &d_kj), &mean_j) in p_k.iter_mut().zip(d_k).zip(mean) {
+                                *p = d_kj - mean_j;
+                            }
                         }
+                        let panel = &*panel;
+                        add_panel(|k, r| panel[k * n + i0 + r], panel, n, cov);
                     }
                     let denom = (m.max(2) - 1) as f32;
-                    for c in cov_row {
+                    for c in cov {
                         *c /= denom;
                     }
                 })

@@ -7,7 +7,7 @@
 //! broadcast whole to every worker.
 
 use crate::data::{matrix, DataKind};
-use crate::matmul::product_row;
+use crate::matmul::product_rows;
 use omp_model::prelude::*;
 use omp_model::TargetRegion;
 
@@ -33,12 +33,12 @@ pub fn region(n: usize, device: DeviceSelector) -> TargetRegion {
             l.partition("A", PartitionSpec::rows(n))
                 .partition("C", PartitionSpec::rows(n))
                 .flops_per_iter(flops(n) / n as f64)
-                .body(move |i, ins, outs| {
-                    product_row(n, i, ins, outs, ["A", "B", "C"]);
-                    let row = i * n..(i + 1) * n;
+                .tile_body(move |rows, ins, outs| {
+                    let span = rows.start * n..rows.end * n;
+                    product_rows(n, rows, ins, outs, ["A", "B", "C"]);
                     let mut c = outs.view_mut::<f32>("C");
-                    let c_in = ins.view::<f32>("C").slice(row.clone());
-                    for (c, &c_in) in c.slice_mut(row).iter_mut().zip(c_in) {
+                    let c_in = ins.view::<f32>("C").slice(span.clone());
+                    for (c, &c_in) in c.slice_mut(span).iter_mut().zip(c_in) {
                         *c = ALPHA * *c + BETA * c_in;
                     }
                 })

@@ -15,10 +15,12 @@
 //! a flop model for the performance projections.
 //!
 //! The region bodies take their rows as slices (`VarView::slice`) and run
-//! the loop order whose inner loop is contiguous; the references keep the
-//! naive order. The two must agree bit for bit (`case::tests`), so a body
-//! may reorder loops only while every output element still sees the same
-//! floating-point operations in the same order.
+//! the loop order whose inner loop is contiguous; COVAR and the matmul
+//! family are tile bodies that block rows x columns across their tile
+//! (`matmul::add_panel`). The references keep the naive order. The two
+//! must agree bit for bit (`case::tests`), so a body may reorder loops
+//! only while every output element still sees the same floating-point
+//! operations in the same order.
 
 pub mod case;
 pub mod collinear;

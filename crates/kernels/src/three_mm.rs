@@ -4,7 +4,7 @@
 //! cores).
 
 use crate::data::{matrix, DataKind};
-use crate::matmul::product_row;
+use crate::matmul::product_rows;
 use omp_model::prelude::*;
 use omp_model::TargetRegion;
 
@@ -28,19 +28,21 @@ pub fn region(n: usize, device: DeviceSelector) -> TargetRegion {
             l.partition("A", PartitionSpec::rows(n))
                 .partition("E", PartitionSpec::rows(n))
                 .flops_per_iter(2.0 * (n * n) as f64)
-                .body(move |i, ins, outs| product_row(n, i, ins, outs, ["A", "B", "E"]))
+                .tile_body(move |rows, ins, outs| product_rows(n, rows, ins, outs, ["A", "B", "E"]))
         })
         .parallel_for(n, move |l| {
             l.partition("Cm", PartitionSpec::rows(n))
                 .partition("F", PartitionSpec::rows(n))
                 .flops_per_iter(2.0 * (n * n) as f64)
-                .body(move |i, ins, outs| product_row(n, i, ins, outs, ["Cm", "Dm", "F"]))
+                .tile_body(move |rows, ins, outs| {
+                    product_rows(n, rows, ins, outs, ["Cm", "Dm", "F"])
+                })
         })
         .parallel_for(n, move |l| {
             l.partition("E", PartitionSpec::rows(n))
                 .partition("G", PartitionSpec::rows(n))
                 .flops_per_iter(2.0 * (n * n) as f64)
-                .body(move |i, ins, outs| product_row(n, i, ins, outs, ["E", "F", "G"]))
+                .tile_body(move |rows, ins, outs| product_rows(n, rows, ins, outs, ["E", "F", "G"]))
         })
         .build()
         .expect("3mm region is valid")

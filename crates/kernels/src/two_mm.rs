@@ -6,7 +6,7 @@
 //! staying in cluster memory (§III-D).
 
 use crate::data::{matrix, DataKind};
-use crate::matmul::product_row;
+use crate::matmul::product_rows;
 use omp_model::prelude::*;
 use omp_model::TargetRegion;
 
@@ -34,9 +34,10 @@ pub fn region(n: usize, device: DeviceSelector) -> TargetRegion {
             l.partition("A", PartitionSpec::rows(n))
                 .partition("tmp", PartitionSpec::rows(n))
                 .flops_per_iter((n * (2 * n + 1)) as f64)
-                .body(move |i, ins, outs| {
-                    product_row(n, i, ins, outs, ["A", "B", "tmp"]);
-                    for t in outs.view_mut::<f32>("tmp").slice_mut(i * n..(i + 1) * n) {
+                .tile_body(move |rows, ins, outs| {
+                    let span = rows.start * n..rows.end * n;
+                    product_rows(n, rows, ins, outs, ["A", "B", "tmp"]);
+                    for t in outs.view_mut::<f32>("tmp").slice_mut(span) {
                         *t *= ALPHA;
                     }
                 })
@@ -45,12 +46,12 @@ pub fn region(n: usize, device: DeviceSelector) -> TargetRegion {
             l.partition("tmp", PartitionSpec::rows(n))
                 .partition("D", PartitionSpec::rows(n))
                 .flops_per_iter((n * (2 * n + 2)) as f64)
-                .body(move |i, ins, outs| {
-                    product_row(n, i, ins, outs, ["tmp", "Cm", "D"]);
-                    let row = i * n..(i + 1) * n;
+                .tile_body(move |rows, ins, outs| {
+                    let span = rows.start * n..rows.end * n;
+                    product_rows(n, rows, ins, outs, ["tmp", "Cm", "D"]);
                     let mut d = outs.view_mut::<f32>("D");
-                    let d_in = ins.view::<f32>("D").slice(row.clone());
-                    for (d, &d_in) in d.slice_mut(row).iter_mut().zip(d_in) {
+                    let d_in = ins.view::<f32>("D").slice(span.clone());
+                    for (d, &d_in) in d.slice_mut(span).iter_mut().zip(d_in) {
                         *d += BETA * d_in;
                     }
                 })

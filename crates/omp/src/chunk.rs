@@ -119,14 +119,12 @@ pub fn chunk_outputs(
     Ok(outputs)
 }
 
-/// Run the loop body over every iteration of the chunk: the one "JNI
+/// Run the loop body over the chunk in one call: the one "JNI
 /// invocation" per tile, on the host and on a cluster worker alike. It
 /// takes the body rather than the loop because that is all a map task
 /// owns.
 pub fn run_chunk(body: &LoopBody, iters: Range<usize>, inputs: &Inputs, outputs: &mut Outputs) {
-    for i in iters {
-        body(i, inputs, outputs);
-    }
+    body(iters, inputs, outputs);
 }
 
 /// Driver-side accumulator reconstructing the final value of every output

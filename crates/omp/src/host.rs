@@ -172,9 +172,14 @@ impl Device for HostDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::execute_loop_chunked;
     use crate::device::DeviceSelector;
     use crate::erased::RedOp;
     use crate::partition::PartitionSpec;
+    use crate::view::{Inputs, Outputs};
+    use parking_lot::Mutex;
+    use std::ops::Range;
+    use std::sync::Arc;
 
     /// Tiny matmul region used to compare thread counts.
     fn matmul_region(n: usize) -> TargetRegion {
@@ -413,6 +418,85 @@ mod tests {
         let y = env.get::<f32>("y").unwrap();
         for (i, &v) in y.iter().enumerate() {
             assert_eq!(v, (i as f32 + 1.0) * 2.0);
+        }
+    }
+
+    /// A region over `n` iterations whose tile body records each range it
+    /// is called with, in call order.
+    fn recording_region(
+        n: usize,
+        schedule: Schedule,
+    ) -> (TargetRegion, Arc<Mutex<Vec<Range<usize>>>>) {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&calls);
+        let region = TargetRegion::builder("tile-contract")
+            .map_tofrom("y")
+            .parallel_for(n, move |l| {
+                l.partition("y", PartitionSpec::rows(1))
+                    .schedule(schedule)
+                    .tile_body(move |iters, _, outs| {
+                        seen.lock().push(iters.clone());
+                        let mut y = outs.view_mut::<u32>("y");
+                        for i in iters {
+                            y[i] += 1;
+                        }
+                    })
+            })
+            .build()
+            .unwrap();
+        (region, calls)
+    }
+
+    #[test]
+    fn a_tile_body_is_called_once_per_chunk_with_its_range() {
+        let n = 97;
+        let run = |threads: usize, schedule: Schedule| {
+            let (region, calls) = recording_region(n, schedule);
+            let mut env = DataEnv::new();
+            env.insert("y", vec![0u32; n]);
+            let device = HostDevice::threaded(threads);
+            let profile = device.execute(&region, &mut env).unwrap();
+            let mut calls = calls.lock().clone();
+            calls.sort_by_key(|r| r.start);
+            let chunks = schedule_chunks(n, threads, schedule);
+            assert_eq!(calls, chunks, "{threads} threads, {schedule:?}");
+            assert_eq!(profile.tasks, chunks.len() as u64);
+            assert!(env.get::<u32>("y").unwrap().iter().all(|&v| v == 1));
+        };
+        run(1, Schedule::default());
+        for schedule in [
+            Schedule::Static { chunk: None },
+            Schedule::Dynamic { chunk: 1 },
+            Schedule::Guided { min_chunk: 1 },
+        ] {
+            run(3, schedule);
+        }
+        for count in [1, 4, 7, n] {
+            let (region, calls) = recording_region(n, Schedule::default());
+            let mut env = DataEnv::new();
+            env.insert("y", vec![0u32; n]);
+            execute_loop_chunked(&region, &region.loops[0], &mut env, count).unwrap();
+            assert_eq!(
+                *calls.lock(),
+                omp_parfor::split_even(n, count),
+                "{count} chunks"
+            );
+        }
+    }
+
+    #[test]
+    fn a_per_iteration_body_sees_its_chunk_once_in_ascending_order() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let record = Arc::clone(&seen);
+        let region = TargetRegion::builder("row-contract")
+            .parallel_for(40, move |l| l.body(move |i, _, _| record.lock().push(i)))
+            .build()
+            .unwrap();
+        let (ins, mut outs) = (Inputs::new(), Outputs::new());
+        for iters in [0..1, 3..9, 17..40, 5..5] {
+            seen.lock().clear();
+            run_chunk(&region.loops[0].body, iters.clone(), &ins, &mut outs);
+            assert_eq!(*seen.lock(), iters.collect::<Vec<_>>());
         }
     }
 }

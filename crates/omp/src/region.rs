@@ -20,11 +20,14 @@ use crate::tenant::TenantId;
 use crate::view::{Inputs, Outputs};
 use omp_parfor::Schedule;
 use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::Arc;
 
-/// The outlined loop body: called once per iteration with the iteration
-/// index and views of the mapped variables.
-pub type LoopBody = Arc<dyn Fn(usize, &Inputs, &mut Outputs) + Send + Sync + 'static>;
+/// The outlined loop body: called once per chunk (a cloud tile) with the
+/// chunk's iteration range and views of the mapped variables — the one
+/// JNI call per tile of the paper's workers. [`LoopBuilder::body`] wraps a
+/// per-iteration closure in a loop over the range.
+pub type LoopBody = Arc<dyn Fn(Range<usize>, &Inputs, &mut Outputs) + Send + Sync + 'static>;
 
 /// One `parallel for` loop inside a target region.
 #[derive(Clone)]
@@ -35,7 +38,7 @@ pub struct ParallelLoop {
     pub partitions: PartitionMap,
     /// `reduction(op: var)` clauses.
     pub reductions: Vec<ReductionClause>,
-    /// Outlined loop body.
+    /// Outlined loop body, called once per chunk with its range.
     pub body: LoopBody,
     /// Optional cost hint (floating-point operations per iteration) used
     /// by the performance model; ignored by functional execution.
@@ -410,10 +413,20 @@ impl LoopBuilder {
         self
     }
 
-    /// The outlined loop body.
-    pub fn body<F>(mut self, f: F) -> Self
+    /// The outlined loop body, called once per iteration of each chunk,
+    /// in ascending order.
+    pub fn body<F>(self, f: F) -> Self
     where
         F: Fn(usize, &Inputs, &mut Outputs) + Send + Sync + 'static,
+    {
+        self.tile_body(move |iters, ins, outs| iters.for_each(|i| f(i, ins, outs)))
+    }
+
+    /// The outlined loop body, called once per chunk with its range: a
+    /// kernel that reuses what it loads across iterations blocks inside it.
+    pub fn tile_body<F>(mut self, f: F) -> Self
+    where
+        F: Fn(Range<usize>, &Inputs, &mut Outputs) + Send + Sync + 'static,
     {
         self.body = Some(Arc::new(f));
         self

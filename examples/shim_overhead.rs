@@ -15,21 +15,31 @@
 //! instead: `a[g]` translates a global index and checks it against the
 //! tile's partition on every access. The second table prints ns per
 //! multiply-add of the paper kernels' two inner loops (a `row x matrix`
-//! update and a COVAR row, n = 384) written three ways — the `j`-outer
-//! nest over indexed views the kernels used to be, the same nest turned
-//! `k`-outer but still indexed (the order alone is not the fix: the check
-//! per element keeps the inner loop scalar), and the kernels' bodies as
-//! they are now, `k`-outer over `VarView::slice` — beside the same loop
-//! over plain slices.
+//! update and a COVAR row, n = 384) as per-row bodies written three ways —
+//! the `j`-outer nest over indexed views, the same nest turned `k`-outer
+//! but still indexed (the order alone is not the fix: the check per
+//! element keeps the inner loop scalar), and `k`-outer over
+//! `VarView::slice` (the row body) — beside the same loop over plain
+//! slices.
+//!
+//! The body is called once per tile with the tile's range, so a kernel
+//! can reuse what it loads across rows. The third table prints ns per
+//! multiply-add of the row body (one call per row, through
+//! `LoopBuilder::body`) beside the kernels' own tile bodies, which block
+//! rows x columns: COVAR's covariance loop over a 96-row tile (the
+//! benchmark's tile) and over a 1-row tile (shorter than one register
+//! block, so its centred panel serves one row), and a 96-row GEMM block.
 //!
 //! It asserts only that every variant of a computation produces the same
 //! bits.
 //!
 //! Run with: `cargo run --release --example shim_overhead`
 
-use ompcloud_suite::kernels::{covar, matmul, matrix, DataKind};
+use ompcloud_suite::kernels::{covar, gemm, matrix, DataKind};
 use ompcloud_suite::omp_model::chunk::run_chunk;
-use ompcloud_suite::omp_model::{DeviceSelector, ErasedVec, Inputs, LoopBody, Outputs};
+use ompcloud_suite::omp_model::{
+    DeviceSelector, ErasedVec, Inputs, LoopBody, Outputs, TargetRegion,
+};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
@@ -88,6 +98,12 @@ fn through_shim(names: &[String], body: LoopBody) -> (f64, Vec<u32>) {
     time_tile(names, |ins, outs| run_chunk(&body, 0..TILE, ins, outs))
 }
 
+/// The loop body `LoopBuilder::body` makes of the per-iteration `f`.
+fn per_row(f: impl Fn(usize, &Inputs, &mut Outputs) + Send + Sync + 'static) -> LoopBody {
+    let region = TargetRegion::builder("shim").parallel_for(1, |l| l.body(f));
+    region.build().expect("a valid region").loops.remove(0).body
+}
+
 /// Matrix dimension of the element-loop table: the benchmark's GEMM and
 /// COVAR size.
 const N: usize = 384;
@@ -123,17 +139,39 @@ fn element_loop_row(
     [jk, kj, sliced, floor]
 }
 
+/// `N x N` matrices `A`, `B` and `C`.
+fn matmul_inputs() -> Inputs {
+    let mut ins = Inputs::new();
+    for (name, seed) in [("A", 1), ("B", 2), ("C", 3)] {
+        let data = matrix(N, N, DataKind::Dense, seed);
+        ins.add(name, 0, Arc::new(ErasedVec::from_vec(data)));
+    }
+    ins
+}
+
+/// The row body of `C[i][..] = A[i][..] x B`: `k`-outer over
+/// `VarView::slice`, each `C[i][j]` from `+0.0`, `k` ascending.
+fn product_row(n: usize, i: usize, ins: &Inputs, outs: &mut Outputs) {
+    let row = i * n..(i + 1) * n;
+    let a_row = ins.view::<f32>("A").slice(row.clone());
+    let b = ins.view::<f32>("B").slice(0..n * n);
+    let mut c = outs.view_mut::<f32>("C");
+    let c_row = c.slice_mut(row);
+    c_row.fill(0.0);
+    for (&a_ik, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+        for (c_ij, &b_kj) in c_row.iter_mut().zip(b_row) {
+            *c_ij += a_ik * b_kj;
+        }
+    }
+}
+
 /// The `row x matrix` update `C[i][..] = A[i][..] x B` (Mat-mul; GEMM, 2MM
 /// and 3MM share its loop nest).
 fn matmul_row() -> [f64; 4] {
     // A run-time size, as a kernel's captured `n` is.
     let n = black_box(N);
-    let mut ins = Inputs::new();
-    for (name, seed) in [("A", 1), ("B", 2)] {
-        let data = matrix(n, n, DataKind::Dense, seed);
-        ins.add(name, 0, Arc::new(ErasedVec::from_vec(data)));
-    }
-    let jk: LoopBody = Arc::new(move |i, ins, outs| {
+    let ins = matmul_inputs();
+    let jk = per_row(move |i, ins, outs| {
         let a = ins.view::<f32>("A");
         let b = ins.view::<f32>("B");
         let mut c = outs.view_mut::<f32>("C");
@@ -145,7 +183,7 @@ fn matmul_row() -> [f64; 4] {
             c[i * n + j] = acc;
         }
     });
-    let kj: LoopBody = Arc::new(move |i, ins, outs| {
+    let kj = per_row(move |i, ins, outs| {
         let a = ins.view::<f32>("A");
         let b = ins.view::<f32>("B");
         let mut c = outs.view_mut::<f32>("C");
@@ -158,9 +196,7 @@ fn matmul_row() -> [f64; 4] {
             }
         }
     });
-    let sliced = matmul::region(n, DeviceSelector::Default).loops[0]
-        .body
-        .clone();
+    let sliced = per_row(move |i, ins, outs| product_row(n, i, ins, outs));
     element_loop_row(&ins, "C", n, [jk, kj, sliced], |ins, c| {
         let a = ins.view::<f32>("A").local();
         let b = ins.view::<f32>("B").local();
@@ -175,18 +211,45 @@ fn matmul_row() -> [f64; 4] {
     })
 }
 
-/// COVAR's second loop: row `i` of the covariance of `M` observations.
-fn covar_row() -> [f64; 4] {
-    let (n, m) = (black_box(N), black_box(M));
-    let data = matrix(m, n, DataKind::Dense, 3);
-    let mean: Vec<f32> = (0..n)
-        .map(|i| data.iter().skip(i).step_by(n).sum::<f32>() / m as f32)
+/// `M x N` observations `data` and their column means `mean`.
+fn covar_inputs() -> Inputs {
+    let data = matrix(M, N, DataKind::Dense, 3);
+    let mean: Vec<f32> = (0..N)
+        .map(|i| data.iter().skip(i).step_by(N).sum::<f32>() / M as f32)
         .collect();
     let mut ins = Inputs::new();
     ins.add("data", 0, Arc::new(ErasedVec::from_vec(data)));
     ins.add("mean", 0, Arc::new(ErasedVec::from_vec(mean)));
+    ins
+}
+
+/// The row body of COVAR's covariance loop: observation `k` outer over
+/// `VarView::slice`, each `cov[i][j]` from `+0.0`, `k` ascending, divided
+/// once at the end.
+fn covar_row_body(n: usize, m: usize, i: usize, ins: &Inputs, outs: &mut Outputs) {
+    let d = ins.view::<f32>("data").slice(0..m * n);
+    let mean = ins.view::<f32>("mean").slice(0..n);
+    let mut cov = outs.view_mut::<f32>("cov");
+    let cov_row = cov.slice_mut(i * n..(i + 1) * n);
+    cov_row.fill(0.0);
+    for d_k in d.chunks_exact(n) {
+        let d_ki = d_k[i] - mean[i];
+        for ((c, &d_kj), &mean_j) in cov_row.iter_mut().zip(d_k).zip(mean) {
+            *c += d_ki * (d_kj - mean_j);
+        }
+    }
     let denom = (m - 1) as f32;
-    let jk: LoopBody = Arc::new(move |i, ins, outs| {
+    for c in cov_row {
+        *c /= denom;
+    }
+}
+
+/// COVAR's second loop: row `i` of the covariance of `M` observations.
+fn covar_row() -> [f64; 4] {
+    let (n, m) = (black_box(N), black_box(M));
+    let ins = covar_inputs();
+    let denom = (m - 1) as f32;
+    let jk = per_row(move |i, ins, outs| {
         let d = ins.view::<f32>("data");
         let mean = ins.view::<f32>("mean");
         let mut cov = outs.view_mut::<f32>("cov");
@@ -198,7 +261,7 @@ fn covar_row() -> [f64; 4] {
             cov[i * n + j] = acc / denom;
         }
     });
-    let kj: LoopBody = Arc::new(move |i, ins, outs| {
+    let kj = per_row(move |i, ins, outs| {
         let d = ins.view::<f32>("data");
         let mean = ins.view::<f32>("mean");
         let mut cov = outs.view_mut::<f32>("cov");
@@ -214,9 +277,7 @@ fn covar_row() -> [f64; 4] {
             cov[i * n + j] /= denom;
         }
     });
-    let sliced = covar::region(n, m, DeviceSelector::Default).loops[1]
-        .body
-        .clone();
+    let sliced = per_row(move |i, ins, outs| covar_row_body(n, m, i, ins, outs));
     element_loop_row(&ins, "cov", m, [jk, kj, sliced], move |ins, cov| {
         let d = ins.view::<f32>("data").local();
         let mean = ins.view::<f32>("mean").local();
@@ -235,6 +296,69 @@ fn covar_row() -> [f64; 4] {
     })
 }
 
+/// Rows of the tile table's large tiles: the benchmark's 384 rows over 4
+/// tiles.
+const TILE_ROWS: usize = 96;
+
+/// ns per multiply-add of the row body and the tile body over rows
+/// `0..rows` of the `N`-wide output `out`, `inner` multiply-adds per
+/// element, after checking that both produce the same bits.
+fn row_vs_tile(
+    ins: &Inputs,
+    out: &str,
+    inner: usize,
+    rows: usize,
+    bodies: [LoopBody; 2],
+) -> [f64; 2] {
+    let [(row, want), (tile, got)] = bodies.map(|body| {
+        let work = rows * N * inner;
+        time(ins, (out, rows * N), work, |ins, outs| {
+            run_chunk(&body, 0..rows, ins, outs)
+        })
+    });
+    assert!(
+        want == got,
+        "{out}, {rows} rows: the tile body changed the bits"
+    );
+    [row, tile]
+}
+
+/// The tile table: COVAR's covariance loop over a large and a 1-row tile,
+/// and a GEMM row block.
+fn tiles() -> Vec<(String, [f64; 2])> {
+    let (n, m) = (black_box(N), black_box(M));
+    let covar_ins = covar_inputs();
+    let covar = |rows: usize| {
+        let row = per_row(move |i, ins, outs| covar_row_body(n, m, i, ins, outs));
+        let tile = covar::region(n, m, DeviceSelector::Default)
+            .loops
+            .remove(1)
+            .body;
+        row_vs_tile(&covar_ins, "cov", m, rows, [row, tile])
+    };
+    let gemm_row = per_row(move |i, ins, outs| {
+        product_row(n, i, ins, outs);
+        let row = i * n..(i + 1) * n;
+        let mut c = outs.view_mut::<f32>("C");
+        let c_in = ins.view::<f32>("C").slice(row.clone());
+        for (c, &c_in) in c.slice_mut(row).iter_mut().zip(c_in) {
+            *c = gemm::ALPHA * *c + gemm::BETA * c_in;
+        }
+    });
+    let gemm_tile = gemm::region(n, DeviceSelector::Default)
+        .loops
+        .remove(0)
+        .body;
+    vec![
+        (format!("COVAR, {TILE_ROWS}-row tile"), covar(TILE_ROWS)),
+        ("COVAR, 1-row tile".into(), covar(1)),
+        (
+            format!("GEMM, {TILE_ROWS}-row block"),
+            row_vs_tile(&matmul_inputs(), "C", n, TILE_ROWS, [gemm_row, gemm_tile]),
+        ),
+    ]
+}
+
 fn main() {
     let names = |n: usize| -> Vec<String> { (0..n).map(|k| format!("x{k:02}")).collect() };
     let mut rows: Vec<(&str, usize, f64)> = Vec::new();
@@ -243,7 +367,7 @@ fn main() {
     let one = vec!["y".to_string()];
     let (ns, chain) = through_shim(
         &one,
-        Arc::new(|i, ins, outs| {
+        per_row(|i, ins, outs| {
             let y = ins.view::<f32>("y");
             outs.view_mut::<f32>("y")[i] = y[i] * 0.5 + 3.0;
         }),
@@ -272,7 +396,7 @@ fn main() {
     let two = names(2);
     let (ns, three) = through_shim(
         &two,
-        Arc::new(|i, ins, outs| {
+        per_row(|i, ins, outs| {
             let sum = ins.view::<f32>("x00")[i] + ins.view::<f32>("x01")[i];
             outs.view_mut::<f32>("y")[i] = sum;
         }),
@@ -301,7 +425,7 @@ fn main() {
         let body_names = many.clone();
         let (ns, fanin) = through_shim(
             &many,
-            Arc::new(move |i, ins, outs| {
+            per_row(move |i, ins, outs| {
                 let mut acc = 0.0f32;
                 for name in &body_names {
                     acc += ins.view::<f32>(name)[i];
@@ -316,7 +440,7 @@ fn main() {
     rows.push(("  same body, 1 input", 2, fan_in(names(1))));
     let (ns, literal) = through_shim(
         &names(1),
-        Arc::new(|i, ins, outs| {
+        per_row(|i, ins, outs| {
             let acc = 0.0f32 + ins.view::<f32>("x00")[i];
             outs.view_mut::<f32>("y")[i] = acc;
         }),
@@ -357,5 +481,14 @@ fn main() {
             "{what:<24} {:>11.3} {:>11.3} {:>11.3} {:>11.3}",
             ns[0], ns[1], ns[2], ns[3]
         );
+    }
+
+    println!("\ntiles, n = {N}, ns per multiply-add (row body: one call per row):");
+    println!(
+        "{:<24} {:>11} {:>11} {:>11}",
+        "tile", "row body", "tile body", "row / tile"
+    );
+    for (what, [row, tile]) in tiles() {
+        println!("{what:<24} {row:>11.3} {tile:>11.3} {:>11.2}", row / tile);
     }
 }

@@ -193,3 +193,50 @@ fn a_float_reduction_has_one_result_whichever_tile_straggles() {
     }
     rt.shutdown();
 }
+
+/// The probe's loop written as a tile body: one call per tile, folding
+/// the tile's terms into its partial in ascending order — the partial the
+/// per-iteration body builds, so the same bits on every device.
+#[test]
+fn a_tile_body_reduction_has_the_per_iteration_bits() {
+    let (row_region, env) = probe_region(usize::MAX);
+    let tile_region = TargetRegion::builder("fold-order-probe")
+        .device(CloudRuntime::cloud_selector())
+        .map_to("x")
+        .map_tofrom("s")
+        .parallel_for(64, |l| {
+            l.reduction("s", RedOp::Sum).tile_body(|iters, ins, outs| {
+                let x = ins.view::<f32>("x");
+                let mut s = outs.view_mut::<f32>("s");
+                for i in iters {
+                    s.update(0, |v| v + x[i]);
+                }
+            })
+        })
+        .build()
+        .unwrap();
+    let rt = CloudRuntime::new(CloudConfig {
+        workers: 4,
+        vcpus_per_worker: 8,
+        task_cpus: 2,
+        ..CloudConfig::default()
+    });
+    let s_after = |region: &TargetRegion, device: &str| {
+        let mut env = env.clone();
+        match device {
+            "host-seq" => HostDevice::sequential().execute(region, &mut env),
+            "host-3t" => HostDevice::threaded(3).execute(region, &mut env),
+            _ => rt.offload(region, &mut env),
+        }
+        .unwrap();
+        env.get::<f32>("s").unwrap()[0].to_bits()
+    };
+    for device in ["host-seq", "host-3t", "cloud"] {
+        let bits = s_after(&row_region, device);
+        assert_eq!(s_after(&tile_region, device), bits, "{device}");
+        if device == "cloud" {
+            assert_eq!(bits, PROBE_BITS);
+        }
+    }
+    rt.shutdown();
+}

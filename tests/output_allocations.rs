@@ -14,11 +14,18 @@
 //!
 //! A `map(alloc:)` scratch buffer never leaves its tile either: the
 //! cloud collects only what the region maps back.
+//!
+//! A COVAR tile's scratch is bounded: the covariance tile body centres
+//! one panel of observations at a time, so what it allocates beyond the
+//! output rows it borrows stays at most 128 KiB whatever the tile's
+//! height — not a centred copy of the whole 1.18 MB `data`.
 
+use ompcloud_suite::kernels::{self, BenchId, DataKind};
 use ompcloud_suite::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Held by each test for its whole run, so no other test's allocations
 /// land in the counts.
@@ -37,20 +44,44 @@ const M: usize = 40;
 /// Bytes of a whole `cov`; no other buffer of the region has this size.
 const COV_BYTES: usize = N * N * 4;
 
+thread_local! {
+    /// Bytes of the output hull the loop body running on this thread
+    /// borrows; 0 outside a body that is watched for scratch.
+    static HULL_BYTES: Cell<usize> = const { Cell::new(0) };
+}
+/// The largest allocation a watched body made that was not its output
+/// hull.
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+/// Output hulls the watched bodies allocated.
+static HULLS: AtomicU64 = AtomicU64::new(0);
+
 struct Counting;
 
 fn record(granted: *mut u8, size: usize) {
-    if !granted.is_null() && COUNTING.load(Ordering::Relaxed) {
+    if granted.is_null() {
+        return;
+    }
+    if COUNTING.load(Ordering::Relaxed) {
         GRANTED.fetch_add(size as u64, Ordering::Relaxed);
         if size == COV_BYTES {
             WHOLE_COV.fetch_add(1, Ordering::Relaxed);
         }
     }
+    match HULL_BYTES.try_with(Cell::get).unwrap_or(0) {
+        0 => {}
+        hull if size == hull => {
+            HULLS.fetch_add(1, Ordering::Relaxed);
+        }
+        _ => {
+            LARGEST.fetch_max(size, Ordering::Relaxed);
+        }
+    }
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; recording the size touches only three statics,
-// which neither allocate nor have destructors.
+// `GlobalAlloc` contract; recording the size touches five statics and a
+// const-initialised thread-local `Cell`, none of which allocate or have
+// destructors.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: `layout` is the caller's, passed through.
@@ -255,4 +286,73 @@ fn alloc_scratch_is_not_collected_from_the_tiles() {
     let y_bytes = (LEN * 4) as u64;
     assert_eq!(report.loops[0].collect_bytes, y_bytes);
     assert_eq!(report.profile.bytes_from_device, y_bytes);
+}
+
+/// The benchmark's COVAR unit (n = 384, m = 2n) with each loop body
+/// watched: the mean loop's hull is one `f32` per row, the covariance
+/// loop's `n` per row.
+fn watched_covar_unit(n: usize, device: DeviceSelector) -> kernels::BenchCase {
+    let mut case = kernels::build(BenchId::Covar, n, DataKind::Dense, 2017, device);
+    for (l, row_bytes) in case.region.loops.iter_mut().zip([4, 4 * n]) {
+        let body = Arc::clone(&l.body);
+        l.body = Arc::new(move |iters, ins, outs| {
+            HULL_BYTES.set(iters.len() * row_bytes);
+            body(iters, ins, outs);
+            HULL_BYTES.set(0);
+        });
+    }
+    case
+}
+
+#[test]
+fn a_covar_tile_allocates_at_most_128_kib_besides_its_output() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const N: usize = 384;
+    const SCRATCH_BOUND: usize = 128 << 10;
+    let mut want = kernels::build(
+        BenchId::Covar,
+        N,
+        DataKind::Dense,
+        2017,
+        DeviceSelector::Default,
+    )
+    .env;
+    kernels::run_host(BenchId::Covar, N, &mut want);
+    let rt = CloudRuntime::new(CloudConfig {
+        workers: 2,
+        vcpus_per_worker: 2,
+        task_cpus: 1,
+        ..CloudConfig::default()
+    });
+    for (device, tiles) in [("cloud", 4), ("host-seq", 1), ("host-3t", 3)] {
+        let selector = match device {
+            "cloud" => CloudRuntime::cloud_selector(),
+            _ => DeviceSelector::Default,
+        };
+        let mut case = watched_covar_unit(N, selector);
+        LARGEST.store(0, Ordering::SeqCst);
+        HULLS.store(0, Ordering::SeqCst);
+        match device {
+            "cloud" => rt.offload(&case.region, &mut case.env),
+            "host-seq" => HostDevice::sequential().execute(&case.region, &mut case.env),
+            _ => HostDevice::threaded(3).execute(&case.region, &mut case.env),
+        }
+        .unwrap();
+        let largest = LARGEST.load(Ordering::SeqCst);
+        println!(
+            "{device}: largest allocation of a COVAR tile body besides its output: {largest} B"
+        );
+        assert_eq!(
+            HULLS.load(Ordering::SeqCst),
+            2 * tiles,
+            "{device}: one hull per tile and loop"
+        );
+        assert!(largest <= SCRATCH_BOUND, "{device}: {largest} B of scratch");
+        assert!(
+            case.env.get_erased("cov").unwrap().to_bytes()
+                == want.get_erased("cov").unwrap().to_bytes(),
+            "{device}: cov differs from sequential()"
+        );
+    }
+    rt.shutdown();
 }
