@@ -1,7 +1,9 @@
 //! Measures what lineage-based recovery buys: a K-stage dependent chain
 //! whose resident intermediate is killed (driver copy AND durable store
 //! key) after stage `KILL_AFTER` commits, versus the same chain run
-//! clean. Recovery re-executes only the producing region, so its extra
+//! clean. Stage `k` reads `y{k}` and writes a fresh `y{k+1}`: a
+//! `map(from:)` → `map(to:)` hand-off, which a `taskwait` does not fuse,
+//! so every hand-off is a resident version that can be lost. Recovery re-executes only the producing region, so its extra
 //! cost must stay well under a whole-chain restart.
 //!
 //! Two configurations over the same iterative region on a latency
@@ -67,21 +69,27 @@ impl ToJson for ModeResult {
     }
 }
 
-/// One chain stage: an elementwise rewrite of `y` with a stage-
-/// dependent constant, exact in f32 so the host chain is bitwise
-/// comparable.
+/// The chain's variables: stage `k` reads `Y[k]` and writes `Y[k + 1]`.
+const Y: [&str; K + 1] = ["y0", "y1", "y2", "y3", "y4"];
+
+/// One chain stage: an elementwise rewrite of `y{idx}` into `y{idx+1}`
+/// with a stage-dependent constant, exact in f32 so the host chain is
+/// bitwise comparable.
 fn stage(idx: usize, device: DeviceSelector, deferred: bool) -> TargetRegion {
+    let (read, write) = (Y[idx], Y[idx + 1]);
     let mut b = TargetRegion::builder(format!("recovery-stage-{idx}"))
         .device(device)
-        .map_tofrom("y");
+        .map_to(read)
+        .map_from(write);
     if deferred {
-        b = b.depend_inout("y").nowait();
+        b = b.depend_in(read).depend_out(write).nowait();
     }
     b.parallel_for(N, move |l| {
-        l.partition("y", PartitionSpec::rows(1))
+        l.partition(read, PartitionSpec::rows(1))
+            .partition(write, PartitionSpec::rows(1))
             .body(move |i, ins, outs| {
-                let y = ins.view::<f32>("y");
-                outs.view_mut::<f32>("y")[i] = y[i] * 0.5 + idx as f32;
+                let y = ins.view::<f32>(read);
+                outs.view_mut::<f32>(write)[i] = y[i] * 0.5 + idx as f32;
             })
     })
     .build()
@@ -90,8 +98,20 @@ fn stage(idx: usize, device: DeviceSelector, deferred: bool) -> TargetRegion {
 
 fn env() -> DataEnv {
     let mut e = DataEnv::new();
-    e.insert("y", (0..N).map(|i| (i % 251) as f32).collect::<Vec<_>>());
+    e.insert(Y[0], (0..N).map(|i| (i % 251) as f32).collect::<Vec<_>>());
+    for y in &Y[1..] {
+        e.insert(*y, vec![0.0f32; N]);
+    }
     e
+}
+
+/// Every version the chain writes, the intermediates included: each is
+/// a `map(from:)` the host is owed.
+fn outputs(e: &DataEnv) -> Vec<Vec<f32>> {
+    Y[1..]
+        .iter()
+        .map(|y| e.get::<f32>(y).unwrap().to_vec())
+        .collect()
 }
 
 fn config() -> CloudConfig {
@@ -115,14 +135,14 @@ fn store() -> StoreHandle {
 
 /// Run the chained DAG `REPS` timed times (plus one warm-up), with the
 /// resident kill armed per run when `faulted`.
-fn run_chain(mode: &str, faulted: bool, expected: &[f32]) -> ModeResult {
+fn run_chain(mode: &str, faulted: bool, expected: &[Vec<f32>]) -> ModeResult {
     let mut times = Vec::with_capacity(REPS);
     let mut dataflow = DataflowSummary::default();
     for rep in 0..REPS + 1 {
         let rt = CloudRuntime::with_device(CloudDevice::with_store(config(), store()));
         if faulted {
             rt.cloud().inject_resident_fault(ResidentFault {
-                var: "y".into(),
+                var: Y[KILL_AFTER + 1].into(),
                 after_epoch: KILL_AFTER,
                 kind: ResidentFaultKind::DropAll,
             });
@@ -134,7 +154,7 @@ fn run_chain(mode: &str, faulted: bool, expected: &[f32]) -> ModeResult {
         }
         let dag = rt.taskwait(&mut e).expect("taskwait");
         let elapsed = t0.elapsed().as_secs_f64();
-        assert_eq!(e.get::<f32>("y").unwrap(), expected, "{mode} diverged");
+        assert_eq!(outputs(&e), expected, "{mode} diverged");
         assert!(
             dag.profiles.iter().all(|p| p.fallback_from.is_none()),
             "{mode}: chain fell back"
@@ -186,7 +206,7 @@ fn main() {
         host.offload(&stage(k, DeviceSelector::Default, false), &mut reference)
             .expect("host reference");
     }
-    let expected = reference.get::<f32>("y").unwrap().to_vec();
+    let expected = outputs(&reference);
 
     let clean = run_chain("clean", false, &expected);
     let recovery = run_chain("recovery", true, &expected);

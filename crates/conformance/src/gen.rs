@@ -155,8 +155,10 @@ pub enum ResidentFaultFlavor {
 pub struct ResidentFaultSpec {
     /// What breaks.
     pub flavor: ResidentFaultFlavor,
-    /// DAG epoch after whose commit the fault fires. Always < chain - 1,
-    /// so a downstream consumer exists to trip over the damage.
+    /// DAG epoch after whose commit the fault fires. Always < chain - 1.
+    /// An epoch is a group of fused regions, and the stages of a chain
+    /// fuse into one, so the fault fires (on the stage group) only at
+    /// epoch 0; armed at a later epoch it finds nothing resident.
     pub stage: usize,
     /// Seed of the expiry fault plan (Expire flavor only).
     pub seed: u64,

@@ -25,7 +25,7 @@
 
 use crate::gen::{CaseKind, CaseSpec, ChaosFlavor, OutFlavor, ResidentFaultFlavor};
 use cloud_storage::ChaosStats;
-use omp_model::{DagReport, ExecProfile};
+use omp_model::{DagReport, DeviceSelector, ExecProfile, MapDir, TargetRegion};
 use ompcloud::tiling::tile_plan;
 use ompcloud::{DownloadAction, ElideReason, MapPlan, OffloadReport, UploadAction};
 use sparkle::JobMetrics;
@@ -380,6 +380,26 @@ pub fn check_tenancy(obs: &TenancyObservation<'_>) -> Vec<String> {
     f
 }
 
+/// The group of each region of the case's chain, as a `taskwait` fuses
+/// them: two neighbours that both map `y` `tofrom` share one driver
+/// environment, and a `from` → `tofrom` hand-off does not. The base
+/// region maps `y` `from` and every stage maps it `tofrom`, so a chain
+/// is one group alone and two otherwise.
+fn chain_groups(spec: &CaseSpec) -> Vec<usize> {
+    let regions = spec.build_chain_regions(DeviceSelector::Default, true);
+    let tofrom = |r: &TargetRegion| {
+        r.maps
+            .iter()
+            .any(|m| m.name == "y" && m.dir == MapDir::ToFrom)
+    };
+    let mut group = vec![0];
+    for pair in regions.windows(2) {
+        let fused = tofrom(&pair[0]) && tofrom(&pair[1]);
+        group.push(group[group.len() - 1] + usize::from(!fused));
+    }
+    group
+}
+
 /// Laws for chained (`depend`/`nowait`) cases. The per-loop tile and
 /// fault accounting of the single-region path reads the *last* region's
 /// report, which no longer covers the whole execution; instead the DAG
@@ -393,9 +413,11 @@ fn check_chained(input: &OracleInput<'_>, f: &mut Vec<String>) {
         }
         return; // hard failure already recorded by the exec layer
     };
-    if dag.profiles.len() != spec.chain {
+    let group = chain_groups(spec);
+    let groups = group.last().map_or(0, |g| g + 1);
+    if dag.profiles.len() != groups {
         f.push(format!(
-            "DAG ran {} regions, the case chains {}",
+            "DAG ran {} groups, the case's {}-chain fuses into {groups}",
             dag.profiles.len(),
             spec.chain
         ));
@@ -418,47 +440,36 @@ fn check_chained(input: &OracleInput<'_>, f: &mut Vec<String>) {
     per_job_sanity(spec, input.jobs, f);
 
     // --- Lineage recovery laws --------------------------------------
-    // A resident fault must be absorbed by the recovery layer, never by
-    // a fallback: Rot is repaired from the durable copy (no recompute),
-    // Expire forces exactly one producer replay.
+    // A resident fault is armed after an epoch — a group — commits. It
+    // fires only when that group hands `y` to a later one; armed inside
+    // the last group it finds no resident version and fires nothing.
+    // A fault that fires is absorbed by the recovery layer, never by a
+    // fallback: Rot is repaired from the durable copy exactly once (no
+    // recompute), Expire forces exactly one producer replay.
     let counted = dag.dataflow;
-    if let Some(rf) = &spec.resident_fault {
-        match rf.flavor {
-            ResidentFaultFlavor::Rot => {
-                if counted.resident_repairs < 1 {
-                    f.push("resident rot fired but no durable repair was counted".into());
-                }
-                if counted.lineage_recomputes != 0 {
-                    f.push(format!(
-                        "resident rot triggered {} recomputes; the durable copy repairs it",
-                        counted.lineage_recomputes
-                    ));
-                }
-            }
-            ResidentFaultFlavor::Expire => {
-                if counted.lineage_recomputes != 1 {
-                    f.push(format!(
-                        "expired resident buffer replayed {} producers, expected exactly 1",
-                        counted.lineage_recomputes
-                    ));
-                }
-            }
+    let fired = spec
+        .resident_fault
+        .as_ref()
+        .filter(|rf| group[rf.stage] + 1 < groups)
+        .map(|rf| rf.flavor);
+    let (repairs, recomputes) = match fired {
+        Some(ResidentFaultFlavor::Rot) => (1, 0),
+        Some(ResidentFaultFlavor::Expire) => (0, 1),
+        None => (0, 0),
+    };
+    if spec.resident_fault.is_some() || spec.chaos.is_none() {
+        if (counted.resident_repairs, counted.lineage_recomputes) != (repairs, recomputes) {
+            f.push(format!(
+                "resident fault {fired:?}: counted {} repairs and {} recomputes, expected {repairs} and {recomputes}",
+                counted.resident_repairs, counted.lineage_recomputes
+            ));
         }
         if counted.stage_fallbacks != 0 {
             f.push(format!(
-                "resident fault pushed {} stages to the host; recovery must keep the chain cloud-side",
+                "{} stages went to the host; recovery must keep the chain cloud-side",
                 counted.stage_fallbacks
             ));
         }
-    } else if spec.chaos.is_none()
-        && (counted.lineage_recomputes != 0
-            || counted.stage_fallbacks != 0
-            || counted.resident_repairs != 0)
-    {
-        f.push(format!(
-            "undisturbed chain counted recovery work: {} recomputes, {} stage fallbacks, {} repairs",
-            counted.lineage_recomputes, counted.stage_fallbacks, counted.resident_repairs
-        ));
     }
 
     // The stage regions rewrite exactly the indexed "y" buffer.
@@ -478,20 +489,20 @@ fn check_chained(input: &OracleInput<'_>, f: &mut Vec<String>) {
     }
 
     // --- Residency byte conservation -------------------------------
-    // Every intermediate hand-off stays in the store: consumers upload
+    // Every hand-off between groups stays in the store: consumers upload
     // nothing (their only input is the producer's resident output) and
     // interior producers download nothing (their only output is kept
-    // resident). Only the final stage pays the download for `y`.
+    // resident). Only the final group pays the download for `y`.
     for (i, p) in dag.profiles.iter().enumerate() {
         if i > 0 && p.bytes_to_device != 0 {
             f.push(format!(
-                "chain stage {i}: re-uploaded {} bytes for a cloud-resident input",
+                "chain group {i}: re-uploaded {} bytes for a cloud-resident input",
                 p.bytes_to_device
             ));
         }
         if i > 0 && i + 1 < dag.profiles.len() && p.bytes_from_device != 0 {
             f.push(format!(
-                "chain stage {i}: downloaded {} bytes for an output consumed on-device",
+                "chain group {i}: downloaded {} bytes for an output consumed on-device",
                 p.bytes_from_device
             ));
         }
@@ -500,12 +511,12 @@ fn check_chained(input: &OracleInput<'_>, f: &mut Vec<String>) {
         let want = (y_len * std::mem::size_of::<f32>()) as u64;
         if last.bytes_from_device != want {
             f.push(format!(
-                "final chain stage downloaded {} bytes, the escaping 'y' holds {want}",
+                "final chain group downloaded {} bytes, the escaping 'y' holds {want}",
                 last.bytes_from_device
             ));
         }
     }
-    // Every mapped-from buffer escapes through its owning region (the
+    // Every mapped-from buffer escapes through its owning group (the
     // intermediates are superseded in place), so the drain is empty.
     if !dag.drain.vars.is_empty() {
         f.push(format!(
@@ -515,20 +526,17 @@ fn check_chained(input: &OracleInput<'_>, f: &mut Vec<String>) {
     }
 
     // --- Dataflow counters -----------------------------------------
-    // Each of the `chain - 1` hand-offs is one elided download on the
+    // Each of the `groups - 1` hand-offs is one elided download on the
     // producer side and exactly one resident-input hit on the consumer
-    // side. An Expire recovery replays one producer as an extra job whose
-    // kept output is likewise elided; its pinned read is not a hit.
+    // side; inside a group nothing is committed. An Expire recovery
+    // replays one producer as an extra job whose kept output is likewise
+    // elided; its pinned read is not a hit.
     let (elided, hits) = (counted.elided_downloads, counted.resident_hits);
-    let handoffs = (spec.chain - 1) as u32;
-    let recovery_jobs = u32::from(matches!(
-        spec.resident_fault.as_ref().map(|r| r.flavor),
-        Some(ResidentFaultFlavor::Expire)
-    ));
-    if elided != handoffs + recovery_jobs {
+    let handoffs = (groups - 1) as u32;
+    if elided != handoffs + recomputes {
         f.push(format!(
             "{handoffs}-hand-off chain elided {elided} downloads, expected {}",
-            handoffs + recovery_jobs
+            handoffs + recomputes
         ));
     }
     if hits != handoffs {

@@ -3,7 +3,8 @@
 //! region(s), failed stages fall back to the host individually (the
 //! rest of the chain stays cloud-side), and stale resident versions are
 //! never served. Every scenario asserts bitwise identity against the
-//! eager host chain.
+//! eager host chain. Laws about a per-stage hand-off run on a relay
+//! chain, whose stages a `taskwait` cannot fuse into one region.
 //!
 //! All configs pin `spec_factor: 0.0`: speculation triggers on
 //! wall-clock medians, so under machine load it launches duplicate
@@ -32,55 +33,78 @@ fn recovery_config() -> CloudConfig {
     }
 }
 
-/// One stage of the iterative chain: `y[i] = 2*y[i] + 1`.
-fn chain_stage(n: usize, stage: usize) -> TargetRegion {
-    TargetRegion::builder(format!("chain-{stage}"))
-        .device(CloudRuntime::cloud_selector())
-        .map_tofrom("y")
-        .depend_inout("y")
-        .nowait()
-        .parallel_for(n, move |l| {
-            l.partition("y", PartitionSpec::rows(1))
-                .body(|i, ins, outs| {
-                    let y = ins.view::<f32>("y");
-                    outs.view_mut::<f32>("y")[i] = 2.0 * y[i] + 1.0;
-                })
-        })
-        .build()
-        .unwrap()
+/// The relay chain's variables: stage `s` reads `Y[s]` and writes a
+/// fresh `Y[s + 1]`.
+const Y: [&str; 7] = ["y0", "y1", "y2", "y3", "y4", "y5", "y6"];
+
+/// Stage `s` of the relay chain: `Y[s+1][i] = 2*Y[s][i] + 1`. Each
+/// hand-off is `map(from: Y[s+1])` → `map(to: Y[s+1])`, which no two
+/// regions can share one driver environment for, so every stage is its
+/// own group and every hand-off a resident version. `cloud` makes it a
+/// `nowait` DAG member; otherwise it is the eager host reference.
+fn relay_stage(n: usize, stage: usize, cloud: bool) -> TargetRegion {
+    let (read, write) = (Y[stage], Y[stage + 1]);
+    let mut b = TargetRegion::builder(format!("relay-{stage}"))
+        .map_to(read)
+        .map_from(write);
+    if cloud {
+        b = b
+            .device(CloudRuntime::cloud_selector())
+            .depend_in(read)
+            .depend_out(write)
+            .nowait();
+    }
+    b.parallel_for(n, move |l| {
+        l.partition(read, PartitionSpec::rows(1))
+            .partition(write, PartitionSpec::rows(1))
+            .body(move |i, ins, outs| {
+                let y = ins.view::<f32>(read);
+                outs.view_mut::<f32>(write)[i] = 2.0 * y[i] + 1.0;
+            })
+    })
+    .build()
+    .unwrap()
 }
 
-fn chain_env(n: usize) -> DataEnv {
+fn relay_env(n: usize) -> DataEnv {
     let mut env = DataEnv::new();
-    env.insert("y", (0..n).map(|i| (i % 17) as f32).collect::<Vec<_>>());
+    env.insert(Y[0], (0..n).map(|i| (i % 17) as f32).collect::<Vec<_>>());
+    for y in &Y[1..] {
+        env.insert(*y, vec![0.0f32; n]);
+    }
     env
 }
 
-/// Host reference: the same K stages run eagerly on the host device.
-fn host_chain(n: usize, k: usize) -> Vec<f32> {
+/// Host reference: stages `0..k` of the relay chain run eagerly on the
+/// host device.
+fn host_chain(n: usize, k: usize) -> DataEnv {
     let registry = DeviceRegistry::with_host_only();
-    let mut env = chain_env(n);
+    let mut env = relay_env(n);
     for stage in 0..k {
-        let region = TargetRegion::builder(format!("ref-{stage}"))
-            .map_tofrom("y")
-            .parallel_for(n, move |l| {
-                l.partition("y", PartitionSpec::rows(1))
-                    .body(|i, ins, outs| {
-                        let y = ins.view::<f32>("y");
-                        outs.view_mut::<f32>("y")[i] = 2.0 * y[i] + 1.0;
-                    })
-            })
-            .build()
+        registry
+            .offload(&relay_stage(n, stage, false), &mut env)
             .unwrap();
-        registry.offload(&region, &mut env).unwrap();
     }
-    env.get::<f32>("y").unwrap().to_vec()
+    env
+}
+
+/// `Y[1..=k]` of `env` equal the host chain's: the last version and
+/// every intermediate, which escapes at the drain.
+fn assert_relay_matches_host(env: &DataEnv, n: usize, k: usize) {
+    let want = host_chain(n, k);
+    for y in &Y[1..=k] {
+        assert_eq!(
+            env.get::<f32>(y).unwrap(),
+            want.get::<f32>(y).unwrap(),
+            "'{y}' differs from the host chain"
+        );
+    }
 }
 
 fn run_chain(runtime: &CloudRuntime, n: usize, k: usize) -> (DataEnv, DagReport) {
-    let mut env = chain_env(n);
+    let mut env = relay_env(n);
     for stage in 0..k {
-        runtime.offload_nowait(chain_stage(n, stage));
+        runtime.offload_nowait(relay_stage(n, stage, true));
     }
     let dag = runtime.taskwait(&mut env).unwrap();
     (env, dag)
@@ -94,8 +118,8 @@ fn assert_no_resident_leaks(runtime: &CloudRuntime) {
     );
 }
 
-/// The acceptance scenario: kill y's resident state (driver copy AND
-/// durable key) after stage 1 of a K=4 chain. Stage 2's hinted fetch
+/// The acceptance scenario: kill `y2`'s resident state (driver copy AND
+/// durable key) after stage 1 of a K=4 relay chain. Stage 2's hinted fetch
 /// misses, the runtime re-executes only stage 1 — pinned to the exact
 /// input version it consumed — and the chain finishes cloud-side.
 #[test]
@@ -103,14 +127,14 @@ fn lost_resident_buffer_recomputes_only_its_producer() {
     let (n, k) = (32, 4);
     let runtime = CloudRuntime::new(recovery_config());
     runtime.cloud().inject_resident_fault(ResidentFault {
-        var: "y".into(),
+        var: Y[2].into(),
         after_epoch: 1,
         kind: ResidentFaultKind::DropAll,
     });
 
     let (env, dag) = run_chain(&runtime, n, k);
 
-    assert_eq!(env.get::<f32>("y").unwrap(), host_chain(n, k).as_slice());
+    assert_relay_matches_host(&env, n, k);
     assert_eq!(dag.profiles.len(), k);
     for p in &dag.profiles {
         assert!(p.device.starts_with("cloud"), "stage ran on {}", p.device);
@@ -141,14 +165,14 @@ fn corrupted_driver_copy_repairs_from_durable_store() {
     let (n, k) = (32, 4);
     let runtime = CloudRuntime::new(recovery_config());
     runtime.cloud().inject_resident_fault(ResidentFault {
-        var: "y".into(),
+        var: Y[2].into(),
         after_epoch: 1,
         kind: ResidentFaultKind::CorruptDriver,
     });
 
     let (env, dag) = run_chain(&runtime, n, k);
 
-    assert_eq!(env.get::<f32>("y").unwrap(), host_chain(n, k).as_slice());
+    assert_relay_matches_host(&env, n, k);
     assert_eq!(
         dag.dataflow,
         DataflowSummary {
@@ -176,14 +200,14 @@ fn dropped_driver_entry_reinstates_from_lineage() {
     let (n, k) = (32, 3);
     let runtime = CloudRuntime::new(recovery_config());
     runtime.cloud().inject_resident_fault(ResidentFault {
-        var: "y".into(),
+        var: Y[2].into(),
         after_epoch: 1,
         kind: ResidentFaultKind::DropDriver,
     });
 
     let (env, dag) = run_chain(&runtime, n, k);
 
-    assert_eq!(env.get::<f32>("y").unwrap(), host_chain(n, k).as_slice());
+    assert_relay_matches_host(&env, n, k);
     // The durable copy made a replay moot: the vanished entry is one
     // miss, reinstated by one repair.
     assert_eq!(
@@ -216,14 +240,14 @@ fn expired_store_key_escalates_to_lineage_recompute() {
         chaos.clone() as _,
     ));
     runtime.cloud().inject_resident_fault(ResidentFault {
-        var: "y".into(),
+        var: Y[2].into(),
         after_epoch: 1,
         kind: ResidentFaultKind::DropDriver,
     });
 
     let (env, dag) = run_chain(&runtime, n, k);
 
-    assert_eq!(env.get::<f32>("y").unwrap(), host_chain(n, k).as_slice());
+    assert_relay_matches_host(&env, n, k);
     assert_eq!(chaos.stats().expirations, 1, "the expiry never fired");
     assert_eq!(
         dag.dataflow.lineage_recomputes, 1,
@@ -251,18 +275,16 @@ fn recovery_depth_zero_contains_loss_without_serving_stale_data() {
     };
     let runtime = CloudRuntime::new(config);
     runtime.cloud().inject_resident_fault(ResidentFault {
-        var: "y".into(),
+        var: Y[2].into(),
         after_epoch: 1,
         kind: ResidentFaultKind::DropAll,
     });
 
     let (env, dag) = run_chain(&runtime, n, k);
 
-    assert_eq!(
-        env.get::<f32>("y").unwrap(),
-        host_chain(n, k).as_slice(),
-        "a stale resident version leaked into the chain"
-    );
+    // Bitwise equal to the host: the stale (pre-loss) version never
+    // leaked into the chain.
+    assert_relay_matches_host(&env, n, k);
     assert_eq!(
         dag.dataflow.lineage_recomputes, 0,
         "depth 0 must not replay"
@@ -295,7 +317,7 @@ fn failed_stage_falls_back_alone_and_downstream_stays_cloud_side() {
 
     let (env, dag) = run_chain(&runtime, n, k);
 
-    assert_eq!(env.get::<f32>("y").unwrap(), host_chain(n, k).as_slice());
+    assert_relay_matches_host(&env, n, k);
     assert_eq!(
         dag.dataflow.stage_fallbacks, 1,
         "one stage fell back, and was counted once"
@@ -323,31 +345,35 @@ fn drained_dag_counters_do_not_resurface_in_the_next_dag() {
     let (n, k) = (32, 3);
     let runtime = CloudRuntime::new(recovery_config());
     runtime.cloud().inject_resident_fault(ResidentFault {
-        var: "y".into(),
+        var: Y[2].into(),
         after_epoch: 1,
         kind: ResidentFaultKind::CorruptDriver,
     });
-    let mut env = chain_env(n);
+    let mut env = relay_env(n);
     env.insert("z", vec![0.0f32; n]);
     for stage in 0..k {
-        runtime.offload_nowait(chain_stage(n, stage));
+        runtime.offload_nowait(relay_stage(n, stage, true));
     }
-    // An eager cloud region reading `y`: its implicit barrier drains
-    // the chain, whose third stage repairs the damaged copy.
+    // An eager cloud region reading the chain's last version: its
+    // implicit barrier drains the chain, whose third stage repairs the
+    // damaged copy.
     let eager = TargetRegion::builder("observe")
         .device(CloudRuntime::cloud_selector())
-        .map_to("y")
+        .map_to(Y[k])
         .map_from("z")
-        .parallel_for(n, |l| {
+        .parallel_for(n, move |l| {
             l.partition("z", PartitionSpec::rows(1))
-                .body(|i, ins, outs| {
-                    outs.view_mut::<f32>("z")[i] = ins.view::<f32>("y")[i];
+                .body(move |i, ins, outs| {
+                    outs.view_mut::<f32>("z")[i] = ins.view::<f32>(Y[k])[i];
                 })
         })
         .build()
         .unwrap();
     let profile = runtime.offload(&eager, &mut env).unwrap();
-    assert_eq!(env.get::<f32>("z").unwrap(), host_chain(n, k).as_slice());
+    assert_eq!(
+        env.get::<f32>("z").unwrap(),
+        host_chain(n, k).get::<f32>(Y[k]).unwrap()
+    );
     assert_eq!(
         profile.dataflow,
         DataflowSummary {
@@ -359,15 +385,13 @@ fn drained_dag_counters_do_not_resurface_in_the_next_dag() {
         "the barrier's counters ride on the eager profile"
     );
 
-    // A second, clean chain: nothing in it was damaged.
-    for stage in 0..k {
-        runtime.offload_nowait(chain_stage(n, stage));
+    // A second, clean chain continuing from the first: nothing in it
+    // was damaged.
+    for stage in k..2 * k {
+        runtime.offload_nowait(relay_stage(n, stage, true));
     }
     let dag = runtime.taskwait(&mut env).unwrap();
-    assert_eq!(
-        env.get::<f32>("y").unwrap(),
-        host_chain(n, 2 * k).as_slice()
-    );
+    assert_relay_matches_host(&env, n, 2 * k);
     assert_eq!(
         dag.dataflow,
         DataflowSummary {
@@ -389,23 +413,27 @@ fn drained_dag_counters_do_not_resurface_in_the_next_dag() {
 // The laws a resident commit must keep however its put is scheduled:
 // every single store fault is contained, the store sees the same
 // `(op, key)` sequence, and the put's retries are counted once. Written
-// against the synchronous commit (PR 20) and unchanged since.
+// against the synchronous commit; the relay chain keeps that sequence,
+// and the shapes that fuse have sequences of their own.
 // ---------------------------------------------------------------------
 
 /// The DAG shapes the laws are stated over.
 #[derive(Debug, Clone, Copy)]
 enum Shape {
-    /// `y = 2y + 1`, four times over: three resident hand-offs.
+    /// `Y[s+1] = 2 Y[s] + 1`, four times over: three resident hand-offs
+    /// that no fusion removes.
+    Relay,
+    /// `y = 2y + 1`, four times over: one fused group, no hand-off.
     Chain,
-    /// One producer (`t = x + 1`), two consumers (`a = 2t`, `b = t + 3`);
-    /// `t` comes home at the drain.
+    /// One producer (`t = x + 1`), two consumers (`a = 2t`, `b = t + 3`)
+    /// that fuse into one group; `t` comes home at the drain.
     FanOut,
-    /// `y = 2y + 1`, then `y = y + w` with `w` uploaded fresh — the
-    /// consumer's stage-in is a store op of its own — then `y = 2y + 1`.
+    /// `y = 2y + 1`, then `y = y + w` with `w` a fresh input, then
+    /// `y = 2y + 1`: one fused group whose stage-in packs `w` with `y`.
     FreshInput,
 }
 
-const SHAPES: [Shape; 3] = [Shape::Chain, Shape::FanOut, Shape::FreshInput];
+const SHAPES: [Shape; 4] = [Shape::Relay, Shape::Chain, Shape::FanOut, Shape::FreshInput];
 
 /// `write[i] = f(reads[0][i], reads[1][i], ..)` as a one-loop region. The
 /// cloud leg is a `nowait` DAG member depending on everything it maps;
@@ -453,6 +481,7 @@ impl Shape {
     fn regions(self, n: usize, cloud: bool) -> Vec<TargetRegion> {
         let step: fn(&[f32]) -> f32 = |a| 2.0 * a[0] + 1.0;
         match self {
+            Shape::Relay => (0..4).map(|s| relay_stage(n, s, cloud)).collect(),
             Shape::Chain => (0..4)
                 .map(|s| stage(&format!("chain-{s}"), n, &["y"], "y", step, cloud))
                 .collect(),
@@ -471,7 +500,8 @@ impl Shape {
 
     /// Every variable any shape maps, so one environment serves all.
     fn env(n: usize) -> DataEnv {
-        let mut env = chain_env(n);
+        let mut env = relay_env(n);
+        env.insert("y", (0..n).map(|i| (i % 17) as f32).collect::<Vec<_>>());
         env.insert("x", (0..n).map(|i| (i % 5) as f32).collect::<Vec<_>>());
         env.insert("w", (0..n).map(|i| (i % 3) as f32).collect::<Vec<_>>());
         for out in ["t", "a", "b"] {
@@ -491,12 +521,13 @@ impl Shape {
     }
 
     /// Put + get ops of one clean run: inputs up and back, one put per
-    /// resident hand-off, escaping outputs up and back.
+    /// resident hand-off between groups, escaping outputs up and back.
     fn clean_ops(self) -> u64 {
         match self {
-            Shape::Chain => 2 + 3 + 2,
-            Shape::FanOut => 2 + 1 + 2 + 2,
-            Shape::FreshInput => 2 + 1 + 2 + 1 + 2,
+            Shape::Relay => 2 + 3 + 2,
+            Shape::Chain => 2 + 2,
+            Shape::FanOut => 2 + 1 + 2,
+            Shape::FreshInput => 2 + 2,
         }
     }
 }
@@ -515,7 +546,7 @@ fn run_dag(
 }
 
 fn assert_bitwise(env: &DataEnv, want: &DataEnv, ctx: &str) {
-    for var in ["y", "t", "a", "b"] {
+    for var in ["y", "t", "a", "b"].iter().chain(&Y[1..]) {
         assert_eq!(
             env.get::<f32>(var).unwrap(),
             want.get::<f32>(var).unwrap(),
@@ -717,76 +748,95 @@ fn logged_ops(shape: Shape, config: CloudConfig) -> Vec<String> {
 
 /// Store-op sequence law: the exact `(op, key)` list the store sees for
 /// each DAG shape. A seeded fault schedule fires on an op index, so the
-/// list is what "the same schedule hits the same op" means. Captured at
-/// PR 20, where a resident commit waited for its put.
+/// list is what "the same schedule hits the same op" means. The relay
+/// chain's lists are those captured on the chain `y = 2y + 1` when a
+/// resident commit still waited for its put, and before that chain
+/// fused; only the variable names differ. The fused shapes' lists were
+/// captured when fusion landed.
 #[test]
 fn the_store_sees_the_same_ops_in_the_same_order() {
+    let relay = [
+        "put jobs/job-0/in/y0",
+        "get jobs/job-0/in/y0",
+        "put jobs/dataflow/dag-0/v0/y1",
+        "put jobs/dataflow/dag-0/v1/y2",
+        "put jobs/dataflow/dag-0/v2/y3",
+        "put jobs/job-3/out/y4",
+        "get jobs/job-3/out/y4",
+        "del jobs/dataflow/dag-0/v0/y1",
+        "del jobs/dataflow/dag-0/v1/y2",
+        "del jobs/dataflow/dag-0/v2/y3",
+    ];
+    assert_eq!(logged_ops(Shape::Relay, recovery_config()), relay);
+
+    // Checkpoint mode: every region ends in its manifest put, after its
+    // resident put and after its staged outputs are up and back.
+    let checkpointed = [
+        "put jobs/job-0/in/y0",
+        "get jobs/job-0/in/y0",
+        "put jobs/dataflow/dag-0/v0/y1",
+        "put jobs/region-#/manifest",
+        "put jobs/dataflow/dag-0/v1/y2",
+        "put jobs/region-#/manifest",
+        "put jobs/dataflow/dag-0/v2/y3",
+        "put jobs/region-#/manifest",
+        "put jobs/region-#/_tmp/out/y4",
+        "get jobs/region-#/_tmp/out/y4",
+        "put jobs/region-#/manifest",
+        "del jobs/dataflow/dag-0/v0/y1",
+        "del jobs/dataflow/dag-0/v1/y2",
+        "del jobs/dataflow/dag-0/v2/y3",
+    ];
+    let config = CloudConfig {
+        checkpoint: true,
+        ..recovery_config()
+    };
+    assert_eq!(logged_ops(Shape::Relay, config), checkpointed);
+
     let chain = [
         "put jobs/job-0/in/y",
         "get jobs/job-0/in/y",
-        "put jobs/dataflow/dag-0/v0/y",
-        "put jobs/dataflow/dag-0/v1/y",
-        "put jobs/dataflow/dag-0/v2/y",
-        "put jobs/job-3/out/y",
-        "get jobs/job-3/out/y",
-        "del jobs/dataflow/dag-0/v0/y",
-        "del jobs/dataflow/dag-0/v1/y",
-        "del jobs/dataflow/dag-0/v2/y",
+        "put jobs/job-0/out/y",
+        "get jobs/job-0/out/y",
     ];
     assert_eq!(logged_ops(Shape::Chain, recovery_config()), chain);
 
+    // The fused consumers' two small outputs travel as one pack.
     let fan_out = [
         "put jobs/job-0/in/x",
         "get jobs/job-0/in/x",
         "put jobs/dataflow/dag-0/v0/t",
-        "put jobs/job-1/out/a",
-        "get jobs/job-1/out/a",
-        "put jobs/job-2/out/b",
-        "get jobs/job-2/out/b",
+        "put jobs/job-1/out/pack2-15e87871",
+        "get jobs/job-1/out/pack2-15e87871",
         "del jobs/dataflow/dag-0/v0/t",
     ];
     assert_eq!(logged_ops(Shape::FanOut, recovery_config()), fan_out);
 
+    // `y` and the fresh `w` travel up as one pack.
     let fresh_input = [
-        "put jobs/job-0/in/y",
-        "get jobs/job-0/in/y",
-        "put jobs/dataflow/dag-0/v0/y",
-        "put jobs/job-1/in/w",
-        "get jobs/job-1/in/w",
-        "put jobs/dataflow/dag-0/v1/y",
-        "put jobs/job-2/out/y",
-        "get jobs/job-2/out/y",
-        "del jobs/dataflow/dag-0/v0/y",
-        "del jobs/dataflow/dag-0/v1/y",
+        "put jobs/job-0/in/pack2-6a006e52",
+        "get jobs/job-0/in/pack2-6a006e52",
+        "put jobs/job-0/out/y",
+        "get jobs/job-0/out/y",
     ];
     assert_eq!(
         logged_ops(Shape::FreshInput, recovery_config()),
         fresh_input
     );
 
-    // Checkpoint mode: every region ends in its manifest put, after its
-    // resident put and after its staged outputs are up and back.
-    let checkpointed = [
+    // A fused checkpointed chain is one region: one manifest put.
+    let checkpointed_chain = [
         "put jobs/job-0/in/y",
         "get jobs/job-0/in/y",
-        "put jobs/dataflow/dag-0/v0/y",
-        "put jobs/region-#/manifest",
-        "put jobs/dataflow/dag-0/v1/y",
-        "put jobs/region-#/manifest",
-        "put jobs/dataflow/dag-0/v2/y",
-        "put jobs/region-#/manifest",
         "put jobs/region-#/_tmp/out/y",
         "get jobs/region-#/_tmp/out/y",
         "put jobs/region-#/manifest",
-        "del jobs/dataflow/dag-0/v0/y",
-        "del jobs/dataflow/dag-0/v1/y",
-        "del jobs/dataflow/dag-0/v2/y",
     ];
     let config = CloudConfig {
         checkpoint: true,
         ..recovery_config()
     };
-    assert_eq!(logged_ops(Shape::Chain, config), checkpointed);
+    assert_eq!(logged_ops(Shape::Chain, config), checkpointed_chain);
 }
 
 /// What the retry layer did for the resident puts of a DAG, read off the
@@ -815,7 +865,7 @@ fn resident_put_retries_are_counted_exactly_once() {
     let plan = FaultPlan::new(3).rule(blip(0)).rule(blip(2));
     let rig = Rig::new(plan, recovery_config());
     let (env, dag) = run_chain(&rig.runtime, n, k);
-    assert_eq!(env.get::<f32>("y").unwrap(), host_chain(n, k).as_slice());
+    assert_relay_matches_host(&env, n, k);
     assert_eq!(rig.chaos.stats().transient, 2, "both blips fired");
     assert!(!dag.any_fallback(), "a retried put is no failure");
     assert_eq!(noted_retries(&dag), 2, "every retry counted, none twice");

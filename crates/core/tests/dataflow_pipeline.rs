@@ -1,5 +1,6 @@
 //! End-to-end tests of inter-region dataflow: `depend`/`nowait` chains
-//! whose intermediate buffers stay cloud-resident between regions, with
+//! whose intermediate buffers stay cloud-resident between regions, or
+//! never leave driver memory when the chain fuses into one region, with
 //! host round-trips paid only at the edges of the DAG.
 
 use omp_model::prelude::*;
@@ -51,30 +52,58 @@ fn host_chain(n: usize, k: usize) -> Vec<f32> {
     env.get::<f32>("y").unwrap().to_vec()
 }
 
+/// Stage `s` of a relay chain: `y{s+1}[i] = 2*y{s}[i] + 1`. Every
+/// hand-off is `map(from:)` → `map(to:)` of a fresh variable, so no two
+/// stages fuse and each hand-off is a resident version.
+fn relay_stage(n: usize, stage: usize) -> TargetRegion {
+    let (read, write) = (format!("y{stage}"), format!("y{}", stage + 1));
+    TargetRegion::builder(format!("relay-{stage}"))
+        .device(CloudRuntime::cloud_selector())
+        .map_to(read.clone())
+        .map_from(write.clone())
+        .depend_in(read.clone())
+        .depend_out(write.clone())
+        .nowait()
+        .parallel_for(n, move |l| {
+            l.partition(write.clone(), PartitionSpec::rows(1))
+                .body(move |i, ins, outs| {
+                    let y = ins.view::<f32>(&read);
+                    outs.view_mut::<f32>(&write)[i] = 2.0 * y[i] + 1.0;
+                })
+        })
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn chained_regions_elide_intermediate_round_trips() {
     let n = 32;
     let k = 4;
     let runtime = CloudRuntime::new(small_config());
-    let mut env = chain_env(n);
+    let mut env = DataEnv::new();
+    env.insert("y0", (0..n).map(|i| (i % 17) as f32).collect::<Vec<_>>());
+    for s in 1..=k {
+        env.insert(format!("y{s}"), vec![0.0f32; n]);
+    }
 
     for stage in 0..k {
-        runtime.offload_nowait(chain_stage(n, stage, CloudRuntime::cloud_selector(), true));
+        runtime.offload_nowait(relay_stage(n, stage));
     }
     assert_eq!(runtime.pending_regions(), k);
     let dag = runtime.taskwait(&mut env).unwrap();
     assert_eq!(runtime.pending_regions(), 0);
 
-    // Bitwise-identical to the eager host chain.
-    assert_eq!(env.get::<f32>("y").unwrap(), host_chain(n, k).as_slice());
+    // Every version is bitwise-identical to the eager host chain's.
+    let want = host_chain(n, k);
+    assert_eq!(env.get::<f32>(&format!("y{k}")).unwrap(), want.as_slice());
 
-    // Exactly one upload (stage 0) and one download (stage K-1) of y;
-    // every intermediate hop stayed in the cloud.
-    assert_eq!(dag.profiles.len(), k);
+    // Exactly one upload (stage 0) and one download (stage K-1) through
+    // the stages; every intermediate hop stayed in the cloud.
+    assert_eq!(dag.profiles.len(), k, "a relay chain does not fuse");
     let bytes = (n * 4) as u64;
     assert_eq!(
         dag.profiles[0].bytes_to_device, bytes,
-        "first stage uploads y"
+        "first stage uploads y0"
     );
     for p in &dag.profiles[1..] {
         assert_eq!(p.bytes_to_device, 0, "a later stage re-uploaded");
@@ -85,11 +114,11 @@ fn chained_regions_elide_intermediate_round_trips() {
     assert_eq!(
         dag.profiles[k - 1].bytes_from_device,
         bytes,
-        "last stage materializes y"
+        "last stage materializes its output"
     );
-    // All-tofrom chain: the final version came back through the last
-    // stage itself, nothing is left for the drain.
-    assert!(dag.drain.vars.is_empty(), "drain: {:?}", dag.drain.vars);
+    // Each intermediate is a `map(from:)` the host is owed: it comes
+    // home once, at the drain, from the resident copy.
+    assert_eq!(dag.drain.vars, vec!["y1", "y2", "y3"]);
 
     // The DAG's counters are the sum of its stages': exactly one hit
     // and one elided download per hand-off, nothing else.
@@ -111,6 +140,32 @@ fn chained_regions_elide_intermediate_round_trips() {
         leftovers.iter().all(|k| !k.contains("/dataflow/")),
         "resident keys leaked: {leftovers:?}"
     );
+    runtime.shutdown();
+}
+
+/// A chain of `depend(inout: y)` + `map(tofrom: y)` stages on one
+/// device runs as one region of K loops: `y` goes up once and comes
+/// back once, and no intermediate version is ever committed.
+#[test]
+fn a_fusable_chain_runs_as_one_multi_loop_region() {
+    let n = 32;
+    let k = 4;
+    let runtime = CloudRuntime::new(small_config());
+    let mut env = chain_env(n);
+    for stage in 0..k {
+        runtime.offload_nowait(chain_stage(n, stage, CloudRuntime::cloud_selector(), true));
+    }
+    let dag = runtime.taskwait(&mut env).unwrap();
+    assert_eq!(env.get::<f32>("y").unwrap(), host_chain(n, k).as_slice());
+
+    assert_eq!(dag.profiles.len(), 1, "the chain fused into one group");
+    let bytes = (n * 4) as u64;
+    assert_eq!(dag.profiles[0].bytes_to_device, bytes);
+    assert_eq!(dag.profiles[0].bytes_from_device, bytes);
+    assert!(dag.drain.vars.is_empty(), "drain: {:?}", dag.drain.vars);
+    assert!(!dag.dataflow.any(), "no hand-off, no dataflow counter");
+    let report = runtime.cloud().last_report().unwrap();
+    assert_eq!(report.loops.len(), k, "one job per member loop");
     runtime.shutdown();
 }
 

@@ -104,14 +104,16 @@ proptest! {
     }
 }
 
-/// End-to-end: the same two-stage `depend`/`nowait` pipeline, with
-/// checkpointing on (so every region derives its fingerprint, the
-/// consumer's from the producer's committed resident key), run under
-/// different `tile-size` knobs — outputs stay bitwise identical.
+/// End-to-end: the same three-stage `depend`/`nowait` relay chain, with
+/// checkpointing on (so every region derives its fingerprint, each
+/// consumer's from its producer's committed resident key), run under
+/// different `tile-size` knobs — outputs stay bitwise identical. Each
+/// stage writes a fresh variable (`map(from: y{s+1})` → `map(to:
+/// y{s+1})`), so the stages do not fuse and every hand-off is resident.
 #[test]
 fn chained_offload_is_bitwise_stable_across_tile_size() {
     let n = 48;
-    let run = |tile_size: usize| -> Vec<f32> {
+    let run = |tile_size: usize| -> Vec<Vec<f32>> {
         let runtime = CloudRuntime::new(CloudConfig {
             workers: 2,
             vcpus_per_worker: 4,
@@ -122,26 +124,33 @@ fn chained_offload_is_bitwise_stable_across_tile_size() {
             ..CloudConfig::default()
         });
         let mut env = DataEnv::new();
-        env.insert("y", (0..n).map(|i| (i % 13) as f32).collect::<Vec<_>>());
+        env.insert("y0", (0..n).map(|i| (i % 13) as f32).collect::<Vec<_>>());
         for stage in 0..3 {
+            let (read, write) = (format!("y{stage}"), format!("y{}", stage + 1));
+            env.insert(write.clone(), vec![0.0f32; n]);
             let region = TargetRegion::builder(format!("stage-{stage}"))
                 .device(CloudRuntime::cloud_selector())
-                .map_tofrom("y")
-                .depend_inout("y")
+                .map_to(read.clone())
+                .map_from(write.clone())
+                .depend_in(read.clone())
+                .depend_out(write.clone())
                 .nowait()
-                .parallel_for(n, |l| {
-                    l.partition("y", PartitionSpec::rows(1))
-                        .body(|i, ins, outs| {
-                            let y = ins.view::<f32>("y");
-                            outs.view_mut::<f32>("y")[i] = 0.5 * y[i] + 1.0;
+                .parallel_for(n, move |l| {
+                    l.partition(write.clone(), PartitionSpec::rows(1))
+                        .body(move |i, ins, outs| {
+                            let y = ins.view::<f32>(&read);
+                            outs.view_mut::<f32>(&write)[i] = 0.5 * y[i] + 1.0;
                         })
                 })
                 .build()
                 .unwrap();
             runtime.offload_nowait(region);
         }
-        runtime.taskwait(&mut env).unwrap();
-        let out = env.get::<f32>("y").unwrap().to_vec();
+        let dag = runtime.taskwait(&mut env).unwrap();
+        assert_eq!(dag.profiles.len(), 3, "a relay chain does not fuse");
+        let out = (1..=3)
+            .map(|s| env.get::<f32>(&format!("y{s}")).unwrap().to_vec())
+            .collect();
         runtime.shutdown();
         out
     };

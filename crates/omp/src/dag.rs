@@ -1,10 +1,16 @@
-//! One `taskwait`'s walk over the deferred regions: residency and
-//! lineage bookkeeping, plus the recovery machinery that survives
-//! resident-buffer loss (re-execute only the producer) and per-stage
-//! device failures (contain the fallback to one stage, re-adopt its
-//! outputs resident). Every stage goes through the registry's one
-//! dispatch step; what this module adds is what is resident where.
+//! One `taskwait`'s walk over the deferred regions. The walk first
+//! fuses each maximal run of consecutive regions that can share one
+//! driver environment into one multi-loop region — a *group* — so the
+//! versions handed between them never leave driver memory (§III-D's
+//! successive map-reduce jobs within one Spark job). Over the groups it
+//! keeps the residency and lineage bookkeeping, plus the recovery
+//! machinery that survives resident-buffer loss (re-execute only the
+//! producer) and per-stage device failures (contain the fallback to one
+//! group, re-adopt its outputs resident). Every group goes through the
+//! registry's one dispatch step; what this module adds is what is
+//! resident where.
 
+use crate::clause::DependDir;
 use crate::device::{Availability, DagReport, DataflowDevice, DataflowHints, MaterializeReport};
 use crate::env::DataEnv;
 use crate::error::OmpError;
@@ -13,9 +19,72 @@ use crate::region::TargetRegion;
 use crate::registry::DeviceRegistry;
 use std::collections::HashMap;
 
+/// Merge each maximal run of consecutive fusable regions into one
+/// region: its loops are the members' loops in submission order, its
+/// maps and depends the members' unions. A region joins the group
+/// before it when both resolve to the same device and that device
+/// offers dataflow, both have the same tenant and `if(true)`, and every
+/// variable both map is mapped the same way, all `to` or all `tofrom`,
+/// and reduced by no member. A `from` → `to` hand-off does not fuse:
+/// the merged `tofrom` would upload a host value no loop reads.
+pub(crate) fn fuse(registry: &DeviceRegistry, regions: &[TargetRegion]) -> Vec<TargetRegion> {
+    let mut groups: Vec<TargetRegion> = Vec::with_capacity(regions.len());
+    for r in regions {
+        match groups.last_mut() {
+            Some(g) if fusable(registry, g, r) => {
+                g.name = format!("{}+{}", g.name, r.name);
+                for m in &r.maps {
+                    if !g.maps.iter().any(|x| x.name == m.name) {
+                        g.maps.push(m.clone());
+                    }
+                }
+                for d in &r.depends {
+                    match g.depends.iter_mut().find(|x| x.var == d.var) {
+                        Some(x) if x.dir != d.dir => x.dir = DependDir::InOut,
+                        Some(_) => {}
+                        None => g.depends.push(d.clone()),
+                    }
+                }
+                g.loops.extend(r.loops.iter().cloned());
+                g.constructs.extend(r.constructs.iter().copied());
+            }
+            _ => groups.push(r.clone()),
+        }
+    }
+    groups
+}
+
+fn fusable(registry: &DeviceRegistry, group: &TargetRegion, next: &TargetRegion) -> bool {
+    let dataflow_device = |r: &TargetRegion| {
+        let (idx, device) = registry.resolve(r.device).ok()?;
+        device.dataflow().map(|_| idx)
+    };
+    let shared_ok = next.maps.iter().all(|m| {
+        group
+            .maps
+            .iter()
+            .find(|g| g.name == m.name)
+            .is_none_or(|g| {
+                g.dir == m.dir
+                    && m.dir.is_input()
+                    && !group
+                        .loops
+                        .iter()
+                        .chain(&next.loops)
+                        .any(|l| l.reduction_for(&m.name).is_some())
+            })
+    });
+    group.tenant == next.tenant
+        && group.offload_if
+        && next.offload_if
+        && dataflow_device(group).is_some_and(|d| dataflow_device(next) == Some(d))
+        && shared_ok
+}
+
 /// The state of one DAG walk.
 pub(crate) struct DagRun<'a> {
     registry: &'a DeviceRegistry,
+    /// The groups ([`fuse`]), one epoch each, in submission order.
     regions: &'a [TargetRegion],
     dag_tag: &'a str,
     /// depend-read set per region.
@@ -89,13 +158,16 @@ impl<'a> DagRun<'a> {
         }
     }
 
-    /// Walk the deferred regions. Submission order is already a
+    /// Walk the groups ([`fuse`]). Submission order is already a
     /// topological order of the version DAG — a version's writer always
-    /// precedes its readers — so the scheduler executes in that order;
-    /// the depend edges decide *residency*, not reordering. Lineage
-    /// (which region produced which version, against which pinned
-    /// inputs) is recorded as the walk proceeds, so a lost resident
-    /// buffer can be regenerated by re-executing only its producer.
+    /// precedes its readers — so the walk executes in that order; the
+    /// depend edges decide *residency* between groups, and fusion
+    /// decides which hand-offs never become a resident version at all.
+    /// Each group is one epoch: one resident commit, one profile, one
+    /// host fallback. Lineage (which group produced which version,
+    /// against which pinned inputs) is recorded as the walk proceeds, so
+    /// a lost resident buffer can be regenerated by re-executing only
+    /// its producer.
     pub(crate) fn run(mut self, env: &mut DataEnv) -> Result<DagReport, OmpError> {
         for i in 0..self.regions.len() {
             self.exec_region(i, env)?;
@@ -429,8 +501,11 @@ impl<'a> DagRun<'a> {
 mod tests {
     use super::*;
     use crate::device::{Device, DeviceKind};
+    use crate::erased::RedOp;
     use crate::profile::DataflowSummary;
-    use crate::registry::tests::{chain_region, fake, two_stage_pipeline, DataflowFake};
+    use crate::registry::tests::{
+        chain_region, fake, producer_region, relay_region, two_stage_pipeline, DataflowFake,
+    };
     use parking_lot::Mutex;
     use std::sync::Arc;
 
@@ -442,12 +517,90 @@ mod tests {
         r
     }
 
+    fn names(groups: &[TargetRegion]) -> Vec<&str> {
+        groups.iter().map(|g| g.name.as_str()).collect()
+    }
+
     #[test]
-    fn iterative_chain_hints_keep_intermediates_resident() {
+    fn a_tofrom_chain_fuses_into_one_group_of_its_loops() {
+        let cloud = DataflowFake::new("cloud-0");
+        let r = registry_with(&cloud);
+        let chain: Vec<TargetRegion> = (0..3)
+            .map(|i| chain_region(&format!("it{i}"), "y"))
+            .collect();
+        let groups = fuse(&r, &chain);
+        assert_eq!(names(&groups), vec!["it0+it1+it2"]);
+        assert_eq!(groups[0].loops.len(), 3);
+        assert_eq!(groups[0].maps.len(), 1, "maps are a union");
+        assert_eq!(groups[0].depends.len(), 1, "depends are a union");
+
+        for region in chain {
+            r.offload_nowait(region);
+        }
+        let report = r.taskwait(&mut DataEnv::new()).unwrap();
+        assert_eq!(report.profiles.len(), 1, "one profile per group");
+        let log = cloud.log.lock();
+        assert_eq!(log.hints.len(), 1);
+        assert!(log.hints[0].resident_inputs.is_empty());
+        assert!(
+            log.hints[0].keep_resident.is_empty(),
+            "no hand-off leaves the group, so nothing is committed"
+        );
+        assert!(log.materialized.is_empty() && log.invalidated.is_empty());
+        assert_eq!(log.ended, vec!["dag-0"]);
+        assert!(!report.dataflow.any());
+    }
+
+    #[test]
+    fn fusion_stops_where_one_driver_environment_cannot_hold_the_run() {
+        let cloud = DataflowFake::new("cloud-0");
+        let r = registry_with(&cloud);
+        let y = |name: &str| chain_region(name, "y");
+        // A `from` → `to` hand-off of a fresh variable.
+        assert_eq!(
+            names(&fuse(&r, &[relay_region(0), relay_region(1)])),
+            vec!["relay-0", "relay-1"]
+        );
+        // Another tenant, or an `if(false)` member.
+        let mut other = y("b");
+        other.tenant = "bob".into();
+        assert_eq!(names(&fuse(&r, &[y("a"), other])), vec!["a", "b"]);
+        let mut host = y("b");
+        host.offload_if = false;
+        assert_eq!(
+            names(&fuse(&r, &[y("a"), host, y("c")])),
+            vec!["a", "b", "c"]
+        );
+        // A reduction on the shared variable.
+        let mut reduced = y("b");
+        reduced.loops[0]
+            .reductions
+            .push(crate::clause::ReductionClause {
+                var: "y".into(),
+                op: RedOp::Sum,
+            });
+        assert_eq!(names(&fuse(&r, &[y("a"), reduced])), vec!["a", "b"]);
+        // A device with no dataflow.
+        let mut plain = DeviceRegistry::new();
+        plain.register(fake("host", DeviceKind::Host));
+        plain.register(fake("cloud-0", DeviceKind::Cloud));
+        assert_eq!(names(&fuse(&plain, &[y("a"), y("b")])), vec!["a", "b"]);
+        // Disjoint variables fuse; a run breaks and a new one starts
+        // after an unfusable member.
+        let [produce, consume] = two_stage_pipeline();
+        let z = chain_region("c", "z");
+        assert_eq!(
+            names(&fuse(&r, &[y("a"), y("b"), produce, consume, z])),
+            vec!["a+b+stage1", "stage2+c"]
+        );
+    }
+
+    #[test]
+    fn relay_chain_hints_keep_intermediates_resident() {
         let cloud = DataflowFake::new("cloud-0");
         let r = registry_with(&cloud);
         for i in 0..3 {
-            r.offload_nowait(chain_region(&format!("it{i}"), "y"));
+            r.offload_nowait(relay_region(i));
         }
         let mut env = DataEnv::new();
         let report = r.taskwait(&mut env).unwrap();
@@ -458,19 +611,20 @@ mod tests {
             log.hints[0].resident_inputs.is_empty(),
             "first has no producer"
         );
-        assert_eq!(log.hints[0].keep_resident, vec!["y"]);
-        assert_eq!(log.hints[1].resident_inputs, vec!["y"]);
-        assert_eq!(log.hints[1].keep_resident, vec!["y"]);
-        assert_eq!(log.hints[2].resident_inputs, vec!["y"]);
+        assert_eq!(log.hints[0].keep_resident, vec!["y1"]);
+        assert_eq!(log.hints[1].resident_inputs, vec!["y1"]);
+        assert_eq!(log.hints[1].keep_resident, vec!["y2"]);
+        assert_eq!(log.hints[2].resident_inputs, vec!["y2"]);
         assert!(
             log.hints[2].keep_resident.is_empty(),
             "the last version escapes: the device downloads it eagerly"
         );
-        assert!(log.materialized.is_empty(), "nothing left to drain");
-        assert!(
-            log.invalidated.is_empty(),
-            "the device that ran the last stage is spared the invalidation"
+        assert_eq!(
+            log.materialized,
+            vec![vec![("y1".to_string(), None), ("y2".to_string(), None)]],
+            "each intermediate is a `map(from:)` owed to the host: one drain"
         );
+        assert!(log.invalidated.is_empty(), "nothing was superseded");
         assert_eq!(log.ended, vec!["dag-0"], "lease released exactly once");
         assert!(log.hints.iter().all(|h| h.dag.as_deref() == Some("dag-0")));
         // The DAG's counters are the sum of its stages': one hit and one
@@ -512,7 +666,7 @@ mod tests {
             ..DataflowFake::bare("cloud-0")
         });
         let r = registry_with(&cloud);
-        r.offload_nowait(chain_region("producer", "y"));
+        r.offload_nowait(producer_region("producer", "y"));
         r.offload_nowait(chain_region("consumer", "y"));
         let mut env = DataEnv::new();
         let report = r.taskwait(&mut env).unwrap();
@@ -537,7 +691,7 @@ mod tests {
             ..DataflowFake::bare("cloud-0")
         });
         let r = registry_with(&cloud);
-        r.offload_nowait(chain_region("producer", "y"));
+        r.offload_nowait(producer_region("producer", "y"));
         r.offload_nowait(chain_region("consumer", "y"));
         let mut env = DataEnv::new();
         let report = r.taskwait(&mut env).unwrap();
@@ -568,7 +722,7 @@ mod tests {
             ..DataflowFake::bare("cloud-0")
         });
         let r = registry_with(&cloud);
-        r.offload_nowait(chain_region("producer", "y"));
+        r.offload_nowait(producer_region("producer", "y"));
         r.offload_nowait(chain_region("consumer", "y"));
         let mut env = DataEnv::new();
         let report = r.taskwait(&mut env).unwrap();
@@ -587,13 +741,13 @@ mod tests {
     #[test]
     fn resident_loss_triggers_lineage_recompute() {
         let cloud = Arc::new(DataflowFake {
-            // Stage 1's first attempt finds `y`'s resident copy gone.
-            lose_resident_on_call: Mutex::new(Some((1, "y".to_string()))),
+            // Stage 1's first attempt finds `y1`'s resident copy gone.
+            lose_resident_on_call: Mutex::new(Some((1, "y1".to_string()))),
             ..DataflowFake::bare("cloud-0")
         });
         let r = registry_with(&cloud);
         for i in 0..3 {
-            r.offload_nowait(chain_region(&format!("it{i}"), "y"));
+            r.offload_nowait(relay_region(i));
         }
         let mut env = DataEnv::new();
         let report = r.taskwait(&mut env).unwrap();
@@ -620,15 +774,19 @@ mod tests {
         assert!(!log.hints[3].recovery);
         assert_eq!(
             log.hints[3].resident_inputs,
-            vec!["y"],
+            vec!["y1"],
             "the retried stage sources the regenerated resident copy"
         );
         assert_eq!(
             log.hints[4].resident_inputs,
-            vec!["y"],
+            vec!["y2"],
             "downstream stages stay cloud-side"
         );
-        assert!(log.materialized.is_empty(), "no mid-DAG host escape");
+        assert_eq!(
+            log.materialized,
+            vec![vec![("y1".to_string(), None), ("y2".to_string(), None)]],
+            "no mid-DAG host escape; the intermediates come home at the drain"
+        );
     }
 
     #[test]
@@ -639,7 +797,7 @@ mod tests {
             ..DataflowFake::bare("cloud-0")
         });
         let r = registry_with(&cloud);
-        r.offload_nowait(chain_region("producer", "y"));
+        r.offload_nowait(producer_region("producer", "y"));
         r.offload_nowait(chain_region("consumer", "y"));
         let mut env = DataEnv::new();
         let report = r.taskwait(&mut env).unwrap();

@@ -116,7 +116,9 @@ pub struct MaterializeReport {
 /// Result of draining the registry's region DAG at a `taskwait`.
 #[derive(Debug, Default)]
 pub struct DagReport {
-    /// Execution profiles of the deferred regions, in schedule order.
+    /// Execution profiles in schedule order, one per group: a run of
+    /// consecutive regions fused into one multi-loop region, or a
+    /// region that fused with none.
     pub profiles: Vec<ExecProfile>,
     /// Buffers that escaped the DAG — materialized to the host at the
     /// drain (final sinks) or mid-DAG (host fallback, cross-device

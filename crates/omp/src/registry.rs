@@ -2,7 +2,7 @@
 //! admission gate, and the one dispatch step every region — eager or
 //! deferred — goes through on its way to a device or back to the host.
 
-use crate::dag::DagRun;
+use crate::dag::{fuse, DagRun};
 use crate::device::{Availability, DagReport, DataflowHints, Device, DeviceKind, DeviceSelector};
 use crate::env::DataEnv;
 use crate::error::OmpError;
@@ -295,8 +295,10 @@ impl DeviceRegistry {
     }
 
     /// The `#pragma omp taskwait` of the region DAG: execute every
-    /// deferred region in dependency order, let dependent regions
-    /// consume each other's outputs device-resident, and materialize
+    /// deferred region in dependency order — a run of regions that can
+    /// share one driver environment as one multi-loop region — let
+    /// dependent regions consume each other's outputs device-resident,
+    /// and materialize
     /// whatever escapes the DAG back into `env`. Resident keys are
     /// released on every exit path.
     pub fn taskwait(&self, env: &mut DataEnv) -> Result<DagReport, OmpError> {
@@ -313,8 +315,9 @@ impl DeviceRegistry {
                 format!("dag-{id}"),
             )
         };
+        let groups = fuse(self, &regions);
         let mut participants: Vec<usize> = Vec::new();
-        let result = DagRun::new(self, &regions, &dag_tag, &mut participants).run(env);
+        let result = DagRun::new(self, &groups, &dag_tag, &mut participants).run(env);
         // Success or failure, the DAG window is over: every
         // participating device releases its lease and deletes its
         // resident keys, so a failed chain leaks nothing.
@@ -844,6 +847,36 @@ pub(crate) mod tests {
             .unwrap()
     }
 
+    /// The first writer of `var` (`map(from:)`, `depend(out:)`). Its
+    /// hand-off to a [`chain_region`] is `from` → `tofrom`, which does
+    /// not fuse: the pair runs as two groups.
+    pub(crate) fn producer_region(name: &str, var: &str) -> TargetRegion {
+        TargetRegion::builder(name)
+            .device(CLOUD)
+            .map_from(var)
+            .depend_out(var)
+            .nowait()
+            .parallel_for(1, |l| l.body(|_, _, _| {}))
+            .build()
+            .unwrap()
+    }
+
+    /// Stage `s` of a relay chain: reads `y{s}`, writes a fresh `y{s+1}`.
+    /// Its hand-off is `map(from:)` → `map(to:)`, so no two stages fuse.
+    pub(crate) fn relay_region(stage: usize) -> TargetRegion {
+        let (read, write) = (format!("y{stage}"), format!("y{}", stage + 1));
+        TargetRegion::builder(format!("relay-{stage}"))
+            .device(CLOUD)
+            .map_to(read.clone())
+            .map_from(write.clone())
+            .depend_in(read)
+            .depend_out(write)
+            .nowait()
+            .parallel_for(1, |l| l.body(|_, _, _| {}))
+            .build()
+            .unwrap()
+    }
+
     /// `stage1` produces `t` from `x`; `stage2` consumes it into `y`.
     /// `t` is never superseded, so it comes home at the drain.
     pub(crate) fn two_stage_pipeline() -> [TargetRegion; 2] {
@@ -974,7 +1007,7 @@ pub(crate) mod tests {
             ..DataflowFake::bare("cloud-0")
         });
         r.register(Arc::clone(&cloud) as Arc<dyn Device>);
-        r.offload_nowait(chain_region("producer", "y"));
+        r.offload_nowait(producer_region("producer", "y"));
         r.offload_nowait(chain_region("consumer", "y"));
         let mut env = DataEnv::new();
         // The eager region itself runs on the host — the shape that used

@@ -25,10 +25,8 @@
 //! assert_eq!(sum, n * (n - 1) / 2);
 //! ```
 
-mod pool;
 mod schedule;
 
-pub use pool::ThreadPool;
 pub use schedule::Schedule;
 
 use schedule::ChunkSource;
